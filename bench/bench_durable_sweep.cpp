@@ -182,7 +182,7 @@ int main() {
     pop.chain->mine_block();
 
     store::DurableSweepResult inc;
-    const double inc_ms = time_ms([&] { inc = sweep.incremental(inputs); });
+    const double inc_ms = time_ms([&] { inc = sweep.incremental(inputs, {}); });
     const double frac = 100.0 * static_cast<double>(inc.recomputed) /
                         static_cast<double>(inputs.size());
 

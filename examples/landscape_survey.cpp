@@ -541,7 +541,7 @@ int main(int argc, char** argv) {
     store::DurableSweep sweep(pipeline, *pop.chain, &pop.sources, sweep_config);
     const std::vector<core::SweepInput> inputs = pop.sweep_inputs();
     store::DurableSweepResult result =
-        opt.incremental ? sweep.incremental(inputs)
+        opt.incremental ? sweep.incremental(inputs, {})
         : opt.resume    ? sweep.resume(inputs)
                         : sweep.run(inputs);
     if (!result.error.empty()) {

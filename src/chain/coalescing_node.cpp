@@ -31,26 +31,44 @@ CoalescingArchiveNode::CoalescingArchiveNode(const IArchiveNode& inner,
     : inner_(inner), shard_count_(shards == 0 ? 1 : shards),
       shards_(std::make_unique<Shard[]>(shard_count_)) {}
 
+std::vector<CoalescingArchiveNode::Timeline::Point>::const_iterator
+CoalescingArchiveNode::Timeline::lower_bound(std::uint64_t height) const {
+  return std::lower_bound(
+      points.begin(), points.end(), height,
+      [](const Point& p, std::uint64_t h) { return p.first < h; });
+}
+
+void CoalescingArchiveNode::Timeline::put(std::uint64_t height,
+                                          const U256& value) {
+  const auto at = points.begin() + (lower_bound(height) - points.cbegin());
+  if (at != points.end() && at->first == height) {
+    at->second = value;
+  } else {
+    points.insert(at, Point{height, value});
+  }
+}
+
 bool CoalescingArchiveNode::lookup_locked(const Shard& shard,
                                           const SlotKey& key,
                                           std::uint64_t height,
                                           U256* out) const {
   const auto it = shard.cache.find(key);
   if (it == shard.cache.end()) return false;
-  const auto& points = it->second.points;
+  const Timeline& timeline = it->second;
+  const auto above = timeline.lower_bound(height);
   // Exact sealed observation at this height.
-  const auto exact = points.find(height);
-  if (exact != points.end()) {
+  if (above != timeline.points.end() && above->first == height) {
     exact_hits_.fetch_add(1, std::memory_order_relaxed);
     global_exact_hits().add(1);
-    *out = exact->second;
+    *out = above->second;
     return true;
   }
   // Interval rule: sealed neighbours below and above with the same value
   // mean the slot never changed in between (append-only chain + Algorithm
   // 1's uniqueness assumption), so the probe is answerable from cache.
-  const auto above = points.lower_bound(height);
-  if (above == points.begin() || above == points.end()) return false;
+  if (above == timeline.points.begin() || above == timeline.points.end()) {
+    return false;
+  }
   const auto below = std::prev(above);
   if (below->second == above->second) {
     interval_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -162,7 +180,7 @@ std::vector<U256> CoalescingArchiveNode::get_storage_at_many(
         Shard& shard = shard_for(key);
         std::lock_guard<std::mutex> lock(shard.mu);
         if (q.block < sealed_below) {
-          shard.cache[key].points[q.block] = fetched[k];
+          shard.cache[key].put(q.block, fetched[k]);
         }
         const auto fl = shard.inflight.find(key);
         if (fl != shard.inflight.end()) {

@@ -29,11 +29,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "chain/archive_node.h"
@@ -94,10 +94,17 @@ class CoalescingArchiveNode final : public IArchiveNode {
     }
   };
 
-  /// Sealed observations of one slot: height -> value, ordered so interval
-  /// lookups are one lower_bound away.
+  /// Sealed observations of one slot: (height, value) ascending by height,
+  /// so interval lookups are one lower_bound away. A flat sorted vector: a
+  /// timeline holds one Algorithm 1 search's probes, a few dozen at most,
+  /// and a sweep keeps one per probed proxy until the next shed — tree
+  /// nodes would double its memory.
   struct Timeline {
-    std::map<std::uint64_t, U256> points;
+    using Point = std::pair<std::uint64_t, U256>;
+    std::vector<Point> points;
+
+    std::vector<Point>::const_iterator lower_bound(std::uint64_t height) const;
+    void put(std::uint64_t height, const U256& value);
   };
 
   struct Shard {

@@ -431,6 +431,8 @@ class AnalysisPipeline {
   void set_source_donor_overlay(
       std::vector<std::pair<crypto::Hash256, Address>> donors);
 
+  const PipelineConfig& config() const noexcept { return config_; }
+
   /// The artifact cache (null when config.use_analysis_cache is false).
   /// Exposed for benches/tests that inspect hit/miss accounting.
   AnalysisCache* analysis_cache() noexcept { return cache_.get(); }

@@ -31,8 +31,7 @@ Disassembly::Disassembly(BytesView code)
     const int imm = push_size(ins.byte);
     const std::size_t imm_end = std::min(pc + 1 + static_cast<std::size_t>(imm),
                                          code_.size());
-    ins.immediate.assign(code_.begin() + static_cast<std::ptrdiff_t>(pc) + 1,
-                         code_.begin() + static_cast<std::ptrdiff_t>(imm_end));
+    ins.immediate = code_.subspan(pc + 1, imm_end - pc - 1);
     if (ins.opcode() == Opcode::JUMPDEST) {
       jumpdests_.insert(ins.pc);
     }

@@ -16,7 +16,9 @@ namespace proxion::evm {
 struct Instruction {
   std::uint32_t pc = 0;      // byte offset in the code
   std::uint8_t byte = 0;     // raw opcode byte
-  Bytes immediate;           // PUSH payload (possibly truncated at code end)
+  /// PUSH payload (possibly truncated at code end): a view into the owning
+  /// Disassembly's code, valid for the Disassembly's lifetime.
+  BytesView immediate;
 
   Opcode opcode() const noexcept { return static_cast<Opcode>(byte); }
   const OpcodeInfo& info() const noexcept { return opcode_info(byte); }
@@ -38,6 +40,12 @@ struct BasicBlock {
 class Disassembly {
  public:
   explicit Disassembly(BytesView code);
+  // The code view and every instruction's immediate point into the owned
+  // copy: a move keeps that buffer, a copy would not.
+  Disassembly(const Disassembly&) = delete;
+  Disassembly& operator=(const Disassembly&) = delete;
+  Disassembly(Disassembly&&) noexcept = default;
+  Disassembly& operator=(Disassembly&&) noexcept = default;
 
   const std::vector<Instruction>& instructions() const noexcept {
     return instructions_;

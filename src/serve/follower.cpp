@@ -1,6 +1,7 @@
 #include "serve/follower.h"
 
 #include <chrono>
+#include <cstdio>
 #include <utility>
 
 namespace proxion::serve {
@@ -14,13 +15,31 @@ std::uint64_t now_us() {
           .count());
 }
 
-/// Minimal JSON string escaping for the status document (error text can
-/// carry paths; everything else rendered here is hex or enum names).
+/// JSON string escaping for the status document: error text can carry
+/// paths and errno messages, so quotes, backslashes and every control
+/// character are escaped (everything else rendered here is hex or enum
+/// names).
 void append_escaped(std::string& out, std::string_view value) {
   out += '"';
   for (const char c : value) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
   }
   out += '"';
 }
@@ -84,14 +103,17 @@ std::uint64_t ChainFollower::poll_locked() {
   const std::uint64_t head = chain_.height();
   if (primed_ && head == last_head_) return 0;
   const std::uint64_t scan_from = primed_ ? last_head_ : 0;
-  bool dirty = !primed_;
   std::uint64_t discovered = 0;
-  // Inclusive rescan of the previously-absorbed head block: writes land in
-  // the OPEN block, so block H can gain writes after a poll that ran at
-  // height H. Re-detecting them only costs a no-change incremental lap —
+  // The lap's dirty set: every address that received code — a deployment,
+  // or set_code on a known contract — or had storage written. Inclusive
+  // rescan of the previously-absorbed head block: writes land in the OPEN
+  // block, so block H can gain writes after a poll that ran at height H.
+  // Re-detecting them only costs a no-change check of those addresses —
   // never a missed upgrade.
+  store::AddressSet touched;
   for (std::uint64_t b = scan_from; b <= head; ++b) {
     for (const evm::Address& addr : chain_.deployments_in(b)) {
+      touched.insert(addr);
       if (!known_.insert(addr).second) continue;
       core::SweepInput input;
       input.address = addr;
@@ -103,10 +125,12 @@ std::uint64_t ChainFollower::poll_locked() {
       }
       inputs_.push_back(input);
       ++discovered;
-      dirty = true;
     }
-    if (!dirty && !chain_.storage_writers_in(b).empty()) dirty = true;
+    for (const evm::Address& addr : chain_.storage_writers_in(b)) {
+      touched.insert(addr);
+    }
   }
+  const bool dirty = !primed_ || !touched.empty();
   if (discovered > 0) {
     stats_.contracts_discovered.fetch_add(discovered,
                                           std::memory_order_relaxed);
@@ -121,8 +145,12 @@ std::uint64_t ChainFollower::poll_locked() {
   const std::uint64_t absorbed = head - scan_from + (primed_ ? 0 : 1);
   if (dirty) {
     const std::uint64_t t0 = now_us();
-    const store::DurableSweepResult result = sweep_->incremental(inputs_);
+    const store::DurableSweepResult result =
+        sweep_->incremental(inputs_, touched);
     stats_.last_lap_us.store(now_us() - t0, std::memory_order_relaxed);
+    stats_.last_lap_touched.store(result.examined, std::memory_order_relaxed);
+    stats_.last_lap_recomputed.store(result.recomputed,
+                                     std::memory_order_relaxed);
     if (!result.error.empty()) {
       // Journal failure with degradation disabled: the lap produced no
       // trustworthy verdicts, so the snapshot stays at its old head and
@@ -201,6 +229,12 @@ std::uint64_t ChainFollower::poll_locked() {
   metrics_.gauge("sweep.follower.snapshot_version")
       .set(static_cast<std::int64_t>(
           stats_.snapshot_version.load(std::memory_order_relaxed)));
+  metrics_.gauge("sweep.follower.last_lap_touched")
+      .set(static_cast<std::int64_t>(
+          stats_.last_lap_touched.load(std::memory_order_relaxed)));
+  metrics_.gauge("sweep.follower.last_lap_recomputed")
+      .set(static_cast<std::int64_t>(
+          stats_.last_lap_recomputed.load(std::memory_order_relaxed)));
   // Between laps the process is healthy and waiting, not mid-sweep: park
   // the /healthz phase at `following` (the pipeline will flip it to its
   // own phases the moment the next lap enters).
@@ -242,11 +276,16 @@ void ChainFollower::stop() {
   }
   wake_cv_.notify_all();
   if (thread_.joinable()) thread_.join();
-  // A head flagged after the final poll would otherwise leave pending_
-  // stuck true with no thread to drain it, wedging later wait_synced()
-  // fences in manual-poll mode.
-  pending_ = false;
-  idle_ = true;
+  {
+    // A head flagged after the final poll would otherwise leave pending_
+    // stuck true with no thread to drain it, wedging later wait_synced()
+    // fences in manual-poll mode. Under the lock, with a notify: a
+    // wait_synced() may be waiting on exactly these flags.
+    std::lock_guard<std::mutex> wake_lock(wake_mu_);
+    pending_ = false;
+    idle_ = true;
+  }
+  wake_cv_.notify_all();
   started_ = false;
   stats_.following.store(false, std::memory_order_relaxed);
   if (config_.status != nullptr) {
@@ -338,6 +377,13 @@ obs::HttpResponse ChainFollower::status_endpoint() const {
   out += ',';
   append_key(out, "last_lap_us");
   out += std::to_string(stats_.last_lap_us.load(std::memory_order_relaxed));
+  out += ',';
+  append_key(out, "last_lap_touched");
+  out += std::to_string(stats_.last_lap_touched.load(std::memory_order_relaxed));
+  out += ',';
+  append_key(out, "last_lap_recomputed");
+  out += std::to_string(
+      stats_.last_lap_recomputed.load(std::memory_order_relaxed));
   out += ',';
   append_key(out, "degraded");
   const bool degraded =

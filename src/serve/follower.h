@@ -1,8 +1,9 @@
 // The chain follower: turns the batch durable sweep into an always-on
-// daemon. It subscribes to Blockchain head advances, diffs each new block's
-// deployment and storage-writer feeds, and when anything analysis-relevant
-// changed drives store::DurableSweep::incremental() so the journal-backed
-// verdict store tracks the head; blocks that touched nothing fast-forward
+// daemon. It subscribes to Blockchain head advances, collects each new
+// block's deployment and storage-writer feeds into a dirty set, and when
+// anything was touched drives store::DurableSweep::incremental() over that
+// set so the journal-backed verdict store tracks the head at a cost
+// proportional to what changed; blocks that touched nothing fast-forward
 // the query snapshot without a lap. The sweep's record sink streams every
 // commit into the QueryService, so readers see shard-granular freshness
 // while a lap is still running.
@@ -58,6 +59,10 @@ struct FollowerStats {
   std::atomic<std::uint64_t> blocks_processed{0};
   std::atomic<std::uint64_t> contracts_discovered{0};
   std::atomic<std::uint64_t> last_lap_us{0};
+  /// Contracts the last lap checked against the chain (its dirty set, plus
+  /// quarantined retries) and re-analyzed: lap cost tracks these.
+  std::atomic<std::uint64_t> last_lap_touched{0};
+  std::atomic<std::uint64_t> last_lap_recomputed{0};
   std::atomic<std::uint64_t> snapshot_entries{0};
   std::atomic<std::uint64_t> snapshot_version{0};
 };

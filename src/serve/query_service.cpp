@@ -1,5 +1,6 @@
 #include "serve/query_service.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "crypto/keccak.h"
@@ -122,6 +123,14 @@ bool row_has_vuln(const core::VerdictRow& row, VulnClass c) {
   return false;
 }
 
+void insert_sorted(std::vector<std::uint32_t>& list, std::uint32_t index) {
+  list.insert(std::lower_bound(list.begin(), list.end(), index), index);
+}
+
+void erase_sorted(std::vector<std::uint32_t>& list, std::uint32_t index) {
+  list.erase(std::lower_bound(list.begin(), list.end(), index));
+}
+
 }  // namespace
 
 void append_key(std::string& out, std::string_view key) {
@@ -159,41 +168,71 @@ QueryService::QueryService(QueryServiceConfig config)
 
 void QueryService::apply_records(
     std::span<const store::ContractRecord> records) {
+  pending_.reserve(pending_.size() + records.size());
   for (const store::ContractRecord& rec : records) {
-    core::VerdictRow row = core::extract_verdict(rec.analysis, rec.code_hash);
-    const auto [it, inserted] = live_.try_emplace(row.address, row);
-    if (inserted) {
-      order_.push_back(row.address);
-    } else {
-      it->second = row;
-    }
+    pending_.push_back(core::extract_verdict(rec.analysis, rec.code_hash));
   }
 }
 
 std::shared_ptr<const Snapshot> QueryService::publish(
     std::uint64_t head_block) {
-  auto snap = std::make_shared<Snapshot>();
+  // The previous snapshot is the base. Holding it until the swap keeps
+  // every chunk and shard it owns shared, so the first write to one copies.
+  const std::shared_ptr<const Snapshot> base = snapshot();
+  auto snap = std::make_shared<Snapshot>(*base);
   snap->head_block = head_block;
-  snap->version = ++versions_published_;
-  snap->rows.reserve(order_.size());
-  snap->by_address.reserve(order_.size());
-  for (const evm::Address& addr : order_) {
-    const core::VerdictRow& row = live_.at(addr);
-    const auto index = static_cast<std::uint32_t>(snap->rows.size());
-    snap->by_address.emplace(addr, index);
-    snap->by_code_hash[row.code_hash].push_back(index);
-    for (std::size_t c = 0; c < kVulnClassCount; ++c) {
-      if (row_has_vuln(row, static_cast<VulnClass>(c))) {
-        snap->by_vuln[c].push_back(index);
-      }
-    }
-    if (row.verdict == core::ProxyVerdict::kProxy) ++snap->proxies;
-    if (row.quarantined) ++snap->quarantined;
-    snap->rows.push_back(row);
-  }
+  snap->version = base->version + 1;
+  for (const core::VerdictRow& row : pending_) upsert_row(*snap, row);
+  pending_.clear();
   std::shared_ptr<const Snapshot> frozen = std::move(snap);
   published_.store(frozen, std::memory_order_release);
   return frozen;
+}
+
+void QueryService::upsert_row(Snapshot& snap, const core::VerdictRow& row) {
+  const auto found = snap.by_address.find(row.address);
+  if (found == snap.by_address.end()) {
+    // A new address appends: its index is the largest, so every index list
+    // stays ascending with a push_back.
+    const auto index = static_cast<std::uint32_t>(snap.rows.size());
+    snap.by_address.upsert(row.address) = index;
+    snap.by_code_hash.upsert(row.code_hash).push_back(index);
+    for (std::size_t c = 0; c < kVulnClassCount; ++c) {
+      if (row_has_vuln(row, static_cast<VulnClass>(c))) {
+        snap.by_vuln[c].push_back(index);
+      }
+    }
+    if (row.verdict == core::ProxyVerdict::kProxy) ++snap.proxies;
+    if (row.quarantined) ++snap.quarantined;
+    stats_.row_chunks_copied += snap.rows.push_back(row);
+    ++stats_.rows_changed;
+    return;
+  }
+  const std::uint32_t index = found->second;
+  const core::VerdictRow old = snap.rows[index];
+  if (old == row) return;
+  if (old.code_hash != row.code_hash) {
+    std::vector<std::uint32_t>& family =
+        snap.by_code_hash.upsert(old.code_hash);
+    erase_sorted(family, index);
+    if (family.empty()) snap.by_code_hash.erase(old.code_hash);
+    insert_sorted(snap.by_code_hash.upsert(row.code_hash), index);
+  }
+  for (std::size_t c = 0; c < kVulnClassCount; ++c) {
+    const bool had = row_has_vuln(old, static_cast<VulnClass>(c));
+    if (had == row_has_vuln(row, static_cast<VulnClass>(c))) continue;
+    if (had) {
+      erase_sorted(snap.by_vuln[c], index);
+    } else {
+      insert_sorted(snap.by_vuln[c], index);
+    }
+  }
+  snap.proxies += (row.verdict == core::ProxyVerdict::kProxy ? 1 : 0);
+  snap.proxies -= (old.verdict == core::ProxyVerdict::kProxy ? 1 : 0);
+  snap.quarantined += (row.quarantined ? 1 : 0);
+  snap.quarantined -= (old.quarantined ? 1 : 0);
+  stats_.row_chunks_copied += snap.rows.set(index, row);
+  ++stats_.rows_changed;
 }
 
 obs::HttpResponse QueryService::contract_endpoint(

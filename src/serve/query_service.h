@@ -7,6 +7,11 @@
 // for as long as they render, so a publish never invalidates an in-flight
 // read and a read never blocks a publish.
 //
+// Publishing is a delta: the next snapshot starts from the previous one and
+// copies only the row chunks and index shards its changed rows touch
+// (serve/cow.h), so a publish costs what changed and a stamp-only publish
+// copies no rows.
+//
 // Wired onto obs::HttpServer as the /v1/* JSON endpoints. The normative
 // response schemas (field types, error shapes, staleness semantics) live in
 // docs/QUERY_API.md; every response field name flows through append_key()
@@ -21,11 +26,11 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/report.h"
 #include "obs/http.h"
+#include "serve/cow.h"
 #include "store/records.h"
 
 namespace proxion::serve {
@@ -51,18 +56,23 @@ inline constexpr std::size_t kVulnClassCount = 4;
 std::string_view to_string(VulnClass c) noexcept;
 std::optional<VulnClass> vuln_class_from_name(std::string_view name) noexcept;
 
+/// Rows per copy-on-write chunk, and shards per snapshot index.
+inline constexpr std::size_t kRowChunk = 256;
+inline constexpr std::size_t kIndexShards = 64;
+
 /// One immutable published verdict set. `head_block` is the chain height
 /// the rows are complete through — mid-lap publishes carry the previous
 /// complete head (rows ahead of it are bonus freshness, never staleness
-/// hidden as completeness). `version` bumps on every publish.
+/// hidden as completeness). `version` bumps on every publish. Index lists
+/// (`by_code_hash` members, `by_vuln`) hold row indexes in ascending order.
 struct Snapshot {
   std::uint64_t head_block = 0;
   std::uint64_t version = 0;
-  std::vector<core::VerdictRow> rows;  // first-seen address order
-  std::unordered_map<evm::Address, std::uint32_t, evm::AddressHasher>
+  ChunkedVector<core::VerdictRow, kRowChunk> rows;  // first-seen address order
+  ShardedMap<evm::Address, std::uint32_t, evm::AddressHasher, kIndexShards>
       by_address;
-  std::unordered_map<crypto::Hash256, std::vector<std::uint32_t>,
-                     CodeHashHasher>
+  ShardedMap<crypto::Hash256, std::vector<std::uint32_t>, CodeHashHasher,
+             kIndexShards>
       by_code_hash;
   std::array<std::vector<std::uint32_t>, kVulnClassCount> by_vuln;
   std::uint64_t proxies = 0;
@@ -76,17 +86,29 @@ struct QueryServiceConfig {
   std::size_t max_results = 512;
 };
 
+/// Cumulative copy-on-write work of a QueryService's publishes.
+struct PublishStats {
+  /// Rows inserted or changed (an applied row equal to its old value is
+  /// not a change).
+  std::uint64_t rows_changed = 0;
+  /// Row chunks copied because the previous snapshot shared them.
+  std::uint64_t row_chunks_copied = 0;
+};
+
 class QueryService {
  public:
   explicit QueryService(QueryServiceConfig config = {});
 
   // ---- writer side (single-threaded by contract) --------------------------
-  /// Upserts rows extracted from `records` into the private live set.
-  /// Not visible to readers until publish().
+  /// Queues rows extracted from `records` as upserts for the next
+  /// publish(); not visible to readers until then.
   void apply_records(std::span<const store::ContractRecord> records);
-  /// Builds an immutable snapshot of the live set, stamps it with
-  /// `head_block` and the next version, swaps it in, and returns it.
+  /// Builds the next snapshot from the current one plus the queued
+  /// upserts, stamps it with `head_block` and the next version, swaps it
+  /// in, and returns it.
   std::shared_ptr<const Snapshot> publish(std::uint64_t head_block);
+  /// What every publish so far copied (writer side, like publish()).
+  const PublishStats& publish_stats() const noexcept { return stats_; }
 
   // ---- reader side (any thread, wait-free) --------------------------------
   std::shared_ptr<const Snapshot> snapshot() const {
@@ -104,12 +126,13 @@ class QueryService {
   void register_endpoints(obs::HttpServer& server);
 
  private:
+  /// Applies one upsert to the snapshot under construction.
+  void upsert_row(Snapshot& snap, const core::VerdictRow& row);
+
   QueryServiceConfig config_;
-  /// Writer-owned live rows + first-seen order (the snapshot's row order,
-  /// deterministic across republishes).
-  std::unordered_map<evm::Address, core::VerdictRow, evm::AddressHasher> live_;
-  std::vector<evm::Address> order_;
-  std::uint64_t versions_published_ = 0;
+  /// Rows queued since the last publish, in apply order (later wins).
+  std::vector<core::VerdictRow> pending_;
+  PublishStats stats_;
   std::atomic<std::shared_ptr<const Snapshot>> published_;
 };
 

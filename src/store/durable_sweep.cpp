@@ -1,7 +1,9 @@
 #include "store/durable_sweep.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -38,7 +40,188 @@ Address masked_head(const U256& word) {
   return Address::from_word(word & ((U256{1} << U256{160}) - U256{1}));
 }
 
+/// One code-hash group: member input indices in input order (the first is
+/// the global dedup representative).
+struct Group {
+  crypto::Hash256 hash{};
+  std::vector<std::size_t> members;
+};
+
+/// A Phase-A verdict to pre-seed before the owning shard runs (built from
+/// a journaled report, slot head already patched to current chain state).
+struct Seed {
+  crypto::Hash256 hash{};
+  Address representative;
+  core::ProxyReport report;
+};
+
+/// What planning needs of a contract's last record: its fingerprint (code
+/// hash, implementation-slot head) and the flags that decide reuse.
+struct Fingerprint {
+  crypto::Hash256 code_hash{};
+  bool quarantined = false;
+  bool deduplicated = false;
+  core::LogicSource logic_source = core::LogicSource::kNone;
+  U256 logic_slot;
+  Address logic_address;
+};
+
+Fingerprint fingerprint_of(const ContractRecord& rec) {
+  const core::ProxyReport& p = rec.analysis.proxy;
+  return Fingerprint{rec.code_hash,         rec.analysis.error.has_value(),
+                     rec.analysis.deduplicated, p.logic_source,
+                     p.logic_slot,          p.logic_address};
+}
+
+/// What a sweep call decided to do with each contract it examined.
+struct Plan {
+  /// Members whose last record stands (input indices).
+  std::vector<std::size_t> reused;
+  /// Groups with members to recompute (only those members).
+  std::vector<Group> rerun_groups;
+  /// Re-run members that must journal as dedup clones: their group's
+  /// representative was reused, so the unique-codehash count must not
+  /// double.
+  std::unordered_set<std::size_t> dedup_patch;
+  std::unordered_map<crypto::Hash256, Seed, HashKey> seeds;
+  std::uint64_t upgraded = 0;
+};
+
+/// The last record's fingerprint of an address, if it has one.
+using LastFingerprint =
+    std::function<std::optional<Fingerprint>(const Address&)>;
+/// The Phase-A report a healthy record of `hash` at the address carries.
+using DonorReport =
+    std::function<const core::ProxyReport&(const crypto::Hash256&,
+                                           const Address&)>;
+
+/// Decides one code-hash group for resume() and incremental(): which of
+/// `examine` (a subset of `members`, both ascending input indices) reuse
+/// their last record and which re-run. A boot passes every member; a lap
+/// passes its dirty members, against the same full membership.
+void plan_group(const crypto::Hash256& hash,
+                const std::vector<std::size_t>& members,
+                const std::vector<std::size_t>& examine,
+                const std::vector<SweepInput>& inputs, bool resume, bool dedup,
+                chain::Blockchain& chain, const LastFingerprint& last,
+                const DonorReport& donor_report, Plan& plan) {
+  auto healthy = [&](const std::optional<Fingerprint>& fp) {
+    return fp && !fp->quarantined && fp->code_hash == hash;
+  };
+  std::vector<std::size_t> rerun;
+  std::vector<std::size_t> keep;
+  for (const std::size_t i : examine) {
+    const std::optional<Fingerprint> fp = last(inputs[i].address);
+    bool reusable = healthy(fp);
+    if (reusable && !resume) {
+      if (fp->logic_source == core::LogicSource::kStorageSlot &&
+          masked_head(chain.get_storage(inputs[i].address, fp->logic_slot)) !=
+              fp->logic_address) {
+        // Same code, moved implementation slot: the journaled
+        // logic_address IS the masked head at analysis time.
+        reusable = false;
+        ++plan.upgraded;
+      } else if (fp->deduplicated != (dedup && i != members.front())) {
+        // The group's representative changed under it (a member's code
+        // moved): the dedup flag, so the record, must follow.
+        reusable = false;
+      }
+    }
+    (reusable ? keep : rerun).push_back(i);
+  }
+  if (!rerun.empty() && resume) {
+    // Resume recomputes incomplete groups WHOLE: the journal may have been
+    // cut mid-group (or hold a quarantined member), and dedup metadata must
+    // converge to a fault-free full run's.
+    plan.rerun_groups.push_back(Group{hash, members});
+    return;
+  }
+  plan.reused.insert(plan.reused.end(), keep.begin(), keep.end());
+  if (rerun.empty()) return;
+  if (dedup && rerun.front() == members.front()) {
+    // While a quarantined representative's code fetch fails, the pipeline
+    // promotes the next member to representative (dedup flag off). Retry
+    // that interim one alongside it, so its flag follows the outcome.
+    const std::optional<Fingerprint> front = last(inputs[members.front()].address);
+    if (front && front->quarantined) {
+      for (const std::size_t i : members) {
+        const std::optional<Fingerprint> fp = last(inputs[i].address);
+        if (!healthy(fp) || fp->deduplicated) continue;
+        const auto at = std::lower_bound(rerun.begin(), rerun.end(), i);
+        if (at == rerun.end() || *at != i) rerun.insert(at, i);
+      }
+    }
+  }
+  if (members.front() != rerun.front()) {
+    for (const std::size_t i : rerun) plan.dedup_patch.insert(i);
+  }
+  // Seed Phase A from any healthy same-code record so unchanged bytecode is
+  // never re-emulated; patch slot-read fields to the sub-run
+  // representative's CURRENT head, exactly as Phase B's dedup re-read would.
+  for (const std::size_t i : members) {
+    if (!healthy(last(inputs[i].address))) continue;
+    Seed seed;
+    seed.hash = hash;
+    seed.representative = inputs[rerun.front()].address;
+    seed.report = donor_report(hash, inputs[i].address);
+    if (seed.report.logic_source == core::LogicSource::kStorageSlot) {
+      seed.report.logic_address = masked_head(
+          chain.get_storage(seed.representative, seed.report.logic_slot));
+    }
+    plan.seeds.emplace(hash, std::move(seed));
+    break;
+  }
+  plan.rerun_groups.push_back(Group{hash, std::move(rerun)});
+}
+
 }  // namespace
+
+/// The in-memory state incremental() keeps between calls: the last
+/// record's fingerprint for every input it covers, one Phase-A report per
+/// code hash to seed from, the code-hash groups, the quarantined set, the
+/// §7.1 donor candidates, and the open journal writer.
+struct DurableSweep::LiveIndex {
+  struct Entry {
+    std::size_t input = 0;  // index into the inputs list
+    Fingerprint last;
+  };
+
+  /// Inputs covered: a prefix of every later call's inputs.
+  std::size_t covered = 0;
+  std::unordered_map<Address, Entry, evm::AddressHasher> by_address;
+  /// The Phase-A report of a healthy record per code hash. Every healthy
+  /// member of a group carries its representative's report (the logic
+  /// address aside, which seeding re-reads), so one per hash suffices.
+  std::unordered_map<crypto::Hash256, core::ProxyReport, HashKey> reports;
+  /// Code hash -> member input indices, ascending; the front is the
+  /// group's global dedup representative.
+  std::unordered_map<crypto::Hash256, std::vector<std::size_t>, HashKey>
+      groups;
+  /// Covered inputs whose last record is quarantined: retried every lap.
+  std::unordered_set<Address, evm::AddressHasher> quarantined;
+  /// Verified inputs as (code hash, address) in input order; grows by
+  /// appends. The first per code hash is the donor the overlay pins.
+  std::vector<std::pair<crypto::Hash256, Address>> donors;
+  /// Empty after a disk failure; the next lap reopens it.
+  std::optional<JournalWriter> writer;
+  std::uint64_t shards_committed = 0;
+
+  const Fingerprint* find(const Address& a) const {
+    const auto it = by_address.find(a);
+    return it == by_address.end() ? nullptr : &it->second.last;
+  }
+
+  void put(std::size_t input, const ContractRecord& rec) {
+    const Address& a = rec.analysis.address;
+    if (rec.analysis.error) {
+      quarantined.insert(a);
+    } else {
+      quarantined.erase(a);
+      reports.insert_or_assign(rec.code_hash, rec.analysis.proxy);
+    }
+    by_address.insert_or_assign(a, Entry{input, fingerprint_of(rec)});
+  }
+};
 
 DurableSweep::DurableSweep(core::AnalysisPipeline& pipeline,
                            chain::Blockchain& chain,
@@ -51,21 +234,26 @@ DurableSweep::DurableSweep(core::AnalysisPipeline& pipeline,
       metrics_(config_.registry != nullptr ? *config_.registry
                                            : obs::Registry::global()) {}
 
+DurableSweep::~DurableSweep() = default;
+
 DurableSweepResult DurableSweep::run(const std::vector<SweepInput>& inputs) {
-  return sweep(inputs, Mode::kFresh);
+  live_.reset();
+  return sweep(inputs, Mode::kFresh, {});
 }
 
 DurableSweepResult DurableSweep::resume(const std::vector<SweepInput>& inputs) {
-  return sweep(inputs, Mode::kResume);
+  live_.reset();
+  return sweep(inputs, Mode::kResume, {});
 }
 
 DurableSweepResult DurableSweep::incremental(
-    const std::vector<SweepInput>& inputs) {
-  return sweep(inputs, Mode::kIncremental);
+    const std::vector<SweepInput>& inputs, const AddressSet& touched) {
+  if (live_ && inputs.size() < live_->covered) live_.reset();
+  return sweep(inputs, Mode::kIncremental, touched);
 }
 
 DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
-                                       Mode mode) {
+                                       Mode mode, const AddressSet& touched) {
   DurableSweepResult result;
   util::Vfs& vfs = config_.vfs != nullptr ? *config_.vfs : util::Vfs::real();
   // Per-sweep gauges start clean (a prior degraded sweep on the same
@@ -76,41 +264,157 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     config_.status->degraded.store(false, std::memory_order_relaxed);
   }
 
-  // ---- fingerprint the population ---------------------------------------
-  // One code fetch + keccak per input; the blob is dropped immediately, so
-  // this phase holds 32 bytes per contract — population *metadata* may be
-  // O(N), it is the per-contract artifacts that must stay O(shard).
-  std::vector<crypto::Hash256> hashes(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    hashes[i] = evm::code_hash(chain_.code_at(inputs[i].address));
-  }
+  // A lap plans against the index the previous incremental() call left;
+  // every other call boots and fingerprints the whole population. Only
+  // incremental() builds an index — run() and resume() retain nothing.
+  const bool lap = live_ != nullptr;
+  std::unique_ptr<LiveIndex> booted;
+  if (!lap && mode == Mode::kIncremental) booted = std::make_unique<LiveIndex>();
+  LiveIndex* index = lap ? live_.get() : booted.get();
+  std::optional<JournalWriter> boot_writer;
+  std::optional<JournalWriter>& writer = lap ? live_->writer : boot_writer;
+  // Every error return below drops the index: the next call boots again.
+  auto fail = [&](std::string error) {
+    result.error = std::move(error);
+    live_.reset();
+    return result;
+  };
 
-  // ---- hash-affine grouping (first-occurrence order) --------------------
-  std::vector<Group> groups;
-  {
-    std::unordered_map<crypto::Hash256, std::size_t, HashKey> index_of;
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      const auto [it, inserted] = index_of.try_emplace(hashes[i], groups.size());
-      if (inserted) groups.push_back(Group{hashes[i], {}});
-      groups[it->second].members.push_back(i);
-    }
-  }
-
-  // ---- replay the journal (resume / incremental) ------------------------
-  // Last-wins per address: a record appended by a later resume/incremental
-  // pass supersedes the original.
-  std::unordered_map<Address, ContractRecord, evm::AddressHasher> records;
+  const bool dedup = pipeline_.config().dedup_by_code_hash;
+  Plan plan;
+  Mode effective = mode;
   std::uint64_t prior_shards = 0;
-  bool journal_present = false;
   std::uint64_t heal_gaps = 0;
-  if (mode != Mode::kFresh) {
-    // Salvage replay: a bit-rotted region mid-journal loses only the
-    // records it physically destroyed — valid frames past it still count.
-    // The destroyed records' hash groups simply come up short below and
-    // get recomputed whole: that IS the self-heal, scoped to the damage.
-    if (std::optional<JournalReplay> replay = read_journal(
-            config_.journal_path, vfs, ReplayOptions{.salvage = true})) {
-      journal_present = true;
+  std::vector<crypto::Hash256> hashes;  // boot: the fingerprint per input
+  std::unordered_map<Address, ContractRecord, evm::AddressHasher> records;
+  std::optional<JournalReplay> replay;
+  bool donors_changed = false;
+
+  if (lap) {
+    // ---- lap: the dirty set ----------------------------------------------
+    prior_shards = index->shards_committed;
+    std::vector<std::size_t> dirty;
+    for (std::size_t i = index->covered; i < inputs.size(); ++i) {
+      dirty.push_back(i);
+    }
+    for (const Address& a : touched) {
+      if (const auto it = index->by_address.find(a);
+          it != index->by_address.end()) {
+        dirty.push_back(it->second.input);
+      }
+    }
+    for (const Address& a : index->quarantined) {
+      dirty.push_back(index->by_address.at(a).input);
+    }
+    std::sort(dirty.begin(), dirty.end());
+    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+
+    // ---- fingerprint it; move code-changed members between groups -------
+    // A group whose representative changes re-examines the old and the new
+    // one: the dedup flag follows the representative.
+    std::vector<std::pair<std::size_t, crypto::Hash256>> examine;
+    std::vector<std::size_t> fronts;
+    for (const std::size_t i : dirty) {
+      const Address& a = inputs[i].address;
+      const crypto::Hash256 hash = evm::code_hash(chain_.code_at(a));
+      examine.emplace_back(i, hash);
+      const Fingerprint* rec = index->find(a);
+      if (rec != nullptr && rec->code_hash == hash) continue;
+      const bool verified = sources_ != nullptr && sources_->has_source(a);
+      if (rec != nullptr) {
+        std::vector<std::size_t>& from = index->groups.at(rec->code_hash);
+        const bool was_front = from.front() == i;
+        from.erase(std::lower_bound(from.begin(), from.end(), i));
+        if (from.empty()) {
+          index->groups.erase(rec->code_hash);
+        } else if (was_front) {
+          fronts.push_back(from.front());
+        }
+        if (verified) {
+          for (auto& [donor_hash, donor] : index->donors) {
+            if (donor == a) donor_hash = hash;
+          }
+          donors_changed = true;
+        }
+      } else if (verified) {
+        index->donors.emplace_back(hash, a);
+        donors_changed = true;
+      }
+      std::vector<std::size_t>& to = index->groups[hash];
+      const auto at = std::lower_bound(to.begin(), to.end(), i);
+      if (at == to.begin() && !to.empty()) fronts.push_back(to.front());
+      to.insert(at, i);
+    }
+    for (const std::size_t f : fronts) {
+      if (!std::binary_search(dirty.begin(), dirty.end(), f)) {
+        examine.emplace_back(f, index->find(inputs[f].address)->code_hash);
+      }
+    }
+    std::sort(examine.begin(), examine.end(),
+              [](const auto& x, const auto& y) { return x.first < y.first; });
+    examine.erase(std::unique(examine.begin(), examine.end(),
+                              [](const auto& x, const auto& y) {
+                                return x.first == y.first;
+                              }),
+                  examine.end());
+    result.examined = examine.size();
+
+    // ---- plan the examined members, group by group -----------------------
+    std::vector<Group> candidates;
+    std::unordered_map<crypto::Hash256, std::size_t, HashKey> slot_of;
+    for (const auto& [i, hash] : examine) {
+      const auto [it, inserted] = slot_of.try_emplace(hash, candidates.size());
+      if (inserted) candidates.push_back(Group{hash, {}});
+      candidates[it->second].members.push_back(i);
+    }
+    const LastFingerprint last =
+        [index](const Address& a) -> std::optional<Fingerprint> {
+      const Fingerprint* fp = index->find(a);
+      return fp == nullptr ? std::nullopt : std::optional<Fingerprint>(*fp);
+    };
+    const DonorReport report = [index](const crypto::Hash256& hash,
+                                       const Address&) -> const core::ProxyReport& {
+      return index->reports.at(hash);
+    };
+    for (const Group& c : candidates) {
+      plan_group(c.hash, index->groups.at(c.hash), c.members, inputs,
+                 /*resume=*/false, dedup, chain_, last, report, plan);
+    }
+  } else {
+    // ---- boot: fingerprint the population --------------------------------
+    // One code fetch + keccak per input; the blob is dropped immediately, so
+    // this phase holds 32 bytes per contract — population *metadata* may be
+    // O(N), it is the per-contract artifacts that must stay O(shard).
+    hashes.resize(inputs.size());
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      hashes[i] = evm::code_hash(chain_.code_at(inputs[i].address));
+    }
+    result.examined = inputs.size();
+
+    // ---- hash-affine grouping (first-occurrence order) -------------------
+    std::vector<Group> groups;
+    {
+      std::unordered_map<crypto::Hash256, std::size_t, HashKey> index_of;
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        const auto [it, inserted] =
+            index_of.try_emplace(hashes[i], groups.size());
+        if (inserted) groups.push_back(Group{hashes[i], {}});
+        groups[it->second].members.push_back(i);
+      }
+    }
+
+    // ---- replay the journal (resume / incremental), once -----------------
+    // Last-wins per address: a record appended by a later resume/incremental
+    // pass supersedes the original.
+    if (mode != Mode::kFresh) {
+      // Salvage replay: a bit-rotted region mid-journal loses only the
+      // records it physically destroyed — valid frames past it still count.
+      // The destroyed records' hash groups simply come up short below and
+      // get recomputed whole: that IS the self-heal, scoped to the damage.
+      replay = read_journal(config_.journal_path, vfs,
+                            ReplayOptions{.salvage = true});
+    }
+    if (replay) {
       heal_gaps = replay->corrupt_gaps;
       metrics_.counter("store.journal.frames_replayed").add(replay->frames.size());
       metrics_.counter("store.journal.crc_failures").add(replay->crc_failures);
@@ -149,95 +453,35 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
             break;
         }
       }
+      // Only the scan's extent is needed from here on (to open the writer).
+      replay->frames = {};
     }
-  }
-  const Mode effective =
-      (mode != Mode::kFresh && !journal_present) ? Mode::kFresh : mode;
+    effective = (mode != Mode::kFresh && !replay) ? Mode::kFresh : mode;
 
-  // ---- plan: replay vs recompute per contract ---------------------------
-  std::uint64_t upgraded = 0;
-  Plan plan;
-  plan.prior_shards = prior_shards;
-  std::unordered_set<std::size_t> dedup_patch;
-  std::unordered_map<crypto::Hash256, Seed, HashKey> seeds;
-  if (effective == Mode::kFresh) {
-    plan.rerun_groups = groups;
-  } else {
-    for (const Group& group : groups) {
-      // Per-member disposition against the journaled fingerprints.
-      std::vector<std::size_t> rerun;
-      std::vector<const ContractRecord*> keep;
-      for (const std::size_t i : group.members) {
-        const auto it = records.find(inputs[i].address);
-        const ContractRecord* rec = it == records.end() ? nullptr : &it->second;
-        const bool healthy = rec != nullptr && !rec->analysis.error &&
-                             rec->code_hash == hashes[i];
-        bool reusable = healthy;
-        if (healthy && effective == Mode::kIncremental &&
-            rec->analysis.proxy.logic_source == core::LogicSource::kStorageSlot) {
-          // Same code, but has the implementation slot moved? The journaled
-          // logic_address IS the masked head at analysis time.
-          const Address head = masked_head(chain_.get_storage(
-              inputs[i].address, rec->analysis.proxy.logic_slot));
-          if (head != rec->analysis.proxy.logic_address) {
-            reusable = false;
-            ++upgraded;
-          }
-        }
-        if (reusable) {
-          keep.push_back(rec);
-        } else {
-          rerun.push_back(i);
-        }
+    // ---- plan: replay vs recompute per contract --------------------------
+    if (effective == Mode::kFresh) {
+      plan.rerun_groups = std::move(groups);
+    } else {
+      const LastFingerprint last =
+          [&records](const Address& a) -> std::optional<Fingerprint> {
+        const auto it = records.find(a);
+        if (it == records.end()) return std::nullopt;
+        return fingerprint_of(it->second);
+      };
+      const DonorReport report =
+          [&records](const crypto::Hash256&,
+                     const Address& a) -> const core::ProxyReport& {
+        return records.at(a).analysis.proxy;
+      };
+      for (const Group& group : groups) {
+        plan_group(group.hash, group.members, group.members, inputs,
+                   effective == Mode::kResume, dedup, chain_, last, report,
+                   plan);
       }
-      if (rerun.empty()) {
-        for (const ContractRecord* rec : keep) plan.replayed.push_back(*rec);
-        continue;
-      }
-      if (effective == Mode::kResume) {
-        // Resume recomputes incomplete groups WHOLE: the journal may have
-        // been cut mid-group (or hold a quarantined member), and dedup
-        // metadata must converge to a fault-free full run's.
-        plan.rerun_groups.push_back(group);
-        continue;
-      }
-      // Incremental: keep the unchanged members, re-run the rest.
-      for (const ContractRecord* rec : keep) plan.replayed.push_back(*rec);
-      if (group.members.front() != rerun.front()) {
-        // The group's global-first representative was replayed; everything
-        // re-run here must journal as a dedup clone or the unique-codehash
-        // count would double.
-        for (const std::size_t i : rerun) dedup_patch.insert(i);
-      }
-      // Seed Phase A from any healthy same-code record so unchanged
-      // bytecode is never re-emulated; patch slot-read fields to the
-      // sub-run representative's CURRENT head, exactly as Phase B's dedup
-      // re-read would.
-      const ContractRecord* donor = nullptr;
-      for (const std::size_t i : group.members) {
-        const auto it = records.find(inputs[i].address);
-        if (it != records.end() && !it->second.analysis.error &&
-            it->second.code_hash == group.hash) {
-          donor = &it->second;
-          break;
-        }
-      }
-      if (donor != nullptr) {
-        Seed seed;
-        seed.hash = group.hash;
-        seed.representative = inputs[rerun.front()].address;
-        seed.report = donor->analysis.proxy;
-        if (seed.report.logic_source == core::LogicSource::kStorageSlot) {
-          seed.report.logic_address = masked_head(chain_.get_storage(
-              seed.representative, seed.report.logic_slot));
-        }
-        seeds.emplace(group.hash, std::move(seed));
-      }
-      plan.rerun_groups.push_back(Group{group.hash, std::move(rerun)});
     }
   }
 
-  metrics_.counter("store.sweep.contracts_upgraded").add(upgraded);
+  metrics_.counter("store.sweep.contracts_upgraded").add(plan.upgraded);
 
   // ---- open the journal -------------------------------------------------
   // On any disk failure from here on, `degrade` either flips the sweep
@@ -269,34 +513,38 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     }
     return true;
   };
-  IoResult open_why;
-  std::optional<JournalWriter> writer =
-      effective == Mode::kFresh
-          ? JournalWriter::create(config_.journal_path, vfs, &open_why)
-          : JournalWriter::open_append(config_.journal_path, vfs, &open_why);
-  if (!writer) {
-    if (!degrade(open_why)) {
-      result.error = "cannot open checkpoint journal: " + config_.journal_path +
-                     " (" + open_why.message() + ")";
-      return result;
+  // A lap keeps the writer the previous call left open and scans the
+  // journal again only to reopen it after a disk failure — and only when
+  // it has something to write.
+  if (!writer && (!lap || !plan.rerun_groups.empty())) {
+    IoResult open_why;
+    if (effective == Mode::kFresh) {
+      writer = JournalWriter::create(config_.journal_path, vfs, &open_why);
+    } else if (replay) {
+      writer =
+          JournalWriter::open_append(config_.journal_path, vfs, *replay, &open_why);
+    } else {
+      writer = JournalWriter::open_append(config_.journal_path, vfs, &open_why);
+    }
+    if (!writer && !degrade(open_why)) {
+      return fail("cannot open checkpoint journal: " + config_.journal_path +
+                  " (" + open_why.message() + ")");
     }
   }
   if (writer && effective == Mode::kFresh) {
     const std::vector<std::uint8_t> begin = encode_sweep_begin(
         {inputs.size(), static_cast<std::uint64_t>(config_.shard_size)});
     if (IoResult r = writer->append(RecordType::kSweepBegin, begin); !r) {
-      if (!degrade(r)) {
-        result.error = "journal append failed: " + r.message();
-        return result;
-      }
+      if (!degrade(r)) return fail("journal append failed: " + r.message());
       writer.reset();
     }
   }
 
   // ---- global §7.1 donor overlay ----------------------------------------
   // Built over the WHOLE population so every shard resolves the same donors
-  // a monolithic run would (first verified address per code hash wins).
-  {
+  // a monolithic run would (first verified address per code hash wins). A
+  // lap re-pins it only when a verified contract joined or changed code.
+  if (!lap) {
     std::vector<std::pair<crypto::Hash256, Address>> donors;
     if (sources_ != nullptr) {
       for (std::size_t i = 0; i < inputs.size(); ++i) {
@@ -305,7 +553,10 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
         }
       }
     }
+    if (index != nullptr) index->donors = donors;
     pipeline_.set_source_donor_overlay(std::move(donors));
+  } else if (donors_changed) {
+    pipeline_.set_source_donor_overlay(index->donors);
   }
 
   // ---- pack rerun groups into shards (groups are atomic) ----------------
@@ -324,27 +575,39 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
   // ---- shard-progress exposition ----------------------------------------
   // Totals are known the moment the plan exists; the committed gauge then
   // climbs per shard, so a /metrics scrape mid-sweep reads live progress.
-  const std::uint64_t shards_total = plan.prior_shards + shards.size();
+  const std::uint64_t shards_total = prior_shards + shards.size();
   metrics_.gauge("sweep.shards_total")
       .set(static_cast<std::int64_t>(shards_total));
   metrics_.gauge("sweep.shards_committed")
-      .set(static_cast<std::int64_t>(plan.prior_shards));
+      .set(static_cast<std::int64_t>(prior_shards));
   if (config_.status != nullptr) {
     config_.status->shards_total.store(shards_total,
                                        std::memory_order_relaxed);
-    config_.status->shards_committed.store(plan.prior_shards,
+    config_.status->shards_committed.store(prior_shards,
                                            std::memory_order_relaxed);
     config_.status->journal_bytes.store(writer ? writer->size_bytes() : 0,
                                         std::memory_order_relaxed);
   }
 
   // ---- replayed reports feed the aggregates directly --------------------
+  // (Boot only: a lap's reused records are already in the index and in
+  // whatever the record sink fed.)
   core::LandscapeAccumulator acc;
-  for (const ContractRecord& rec : plan.replayed) acc.add(rec.analysis);
-  result.replayed = plan.replayed.size();
-  metrics_.counter("store.sweep.contracts_replayed").add(result.replayed);
-  if (config_.record_sink && !plan.replayed.empty()) {
-    config_.record_sink(plan.replayed);
+  if (!lap) {
+    std::vector<ContractRecord> replayed;
+    replayed.reserve(plan.reused.size());
+    for (const std::size_t i : plan.reused) {
+      const auto it = records.find(inputs[i].address);
+      acc.add(it->second.analysis);
+      if (index != nullptr) index->put(i, it->second);
+      replayed.push_back(std::move(it->second));
+    }
+    records.clear();
+    result.replayed = replayed.size();
+    metrics_.counter("store.sweep.contracts_replayed").add(result.replayed);
+    if (config_.record_sink && !replayed.empty()) {
+      config_.record_sink(replayed);
+    }
   }
 
   // ---- per-shard streaming loop -----------------------------------------
@@ -352,12 +615,13 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
   double sum_fetch_ms = 0, sum_proxy_ms = 0, sum_pairs_ms = 0;
   std::uint64_t sum_pair_hits = 0, sum_pair_misses = 0, sum_pair_waits = 0;
   obs::Histogram& h_flush = metrics_.histogram("store.journal.flush_ns");
-  std::uint64_t shard_index = plan.prior_shards;
+  std::uint64_t shard_index = prior_shards;
   // Replayed contracts sit inside the journal's valid prefix, which every
   // manifest written below covers (committed_bytes spans the whole file) —
   // so they count as committed from the first new commit on. Summing the
   // journal's old kShardCommit frames instead would miss records replayed
-  // from valid-but-uncommitted tails and double-count re-run groups.
+  // from valid-but-uncommitted tails and double-count re-run groups. A lap
+  // covers every contract its index holds.
   std::uint64_t contracts_committed = result.replayed;
   bool stopped = false;
 
@@ -368,8 +632,9 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     }
     std::vector<SweepInput> shard_inputs;
     std::vector<std::size_t> shard_globals;
+    std::vector<const crypto::Hash256*> shard_hashes;
     for (const Group* group : shard) {
-      if (const auto it = seeds.find(group->hash); it != seeds.end()) {
+      if (const auto it = plan.seeds.find(group->hash); it != plan.seeds.end()) {
         // Seeded AFTER the previous shard's shed (which empties the verdict
         // memo) and before this run, so it is alive exactly when needed.
         pipeline_.seed_verdict(it->second.hash, it->second.representative,
@@ -378,6 +643,7 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
       for (const std::size_t i : group->members) {
         shard_inputs.push_back(inputs[i]);
         shard_globals.push_back(i);
+        shard_hashes.push_back(&group->hash);
       }
     }
 
@@ -410,20 +676,19 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     // implies its records'.
     const std::uint64_t bytes_before = writer ? writer->size_bytes() : 0;
     IoResult io;
+    // Records outlive the loop only when a sink or the index takes them.
+    const bool keep_records = config_.record_sink || index != nullptr;
     std::vector<ContractRecord> shard_records;
-    if (config_.record_sink) shard_records.reserve(reports.size());
+    if (keep_records) shard_records.reserve(reports.size());
     for (std::size_t j = 0; j < reports.size(); ++j) {
       ContractAnalysis& report = reports[j];
-      const std::size_t gi = shard_globals[j];
-      if (dedup_patch.contains(gi)) report.deduplicated = true;
+      if (plan.dedup_patch.contains(shard_globals[j])) report.deduplicated = true;
       acc.add(report);
+      ContractRecord rec{std::move(report), *shard_hashes[j]};
       if (writer && io.ok) {
-        io = writer->append(RecordType::kContract, encode_contract_record(
-                                {report, hashes[gi]}));
+        io = writer->append(RecordType::kContract, encode_contract_record(rec));
       }
-      if (config_.record_sink) {
-        shard_records.push_back(ContractRecord{report, hashes[gi]});
-      }
+      if (keep_records) shard_records.push_back(std::move(rec));
     }
     if (writer && io.ok) {
       io = writer->append(RecordType::kShardCommit,
@@ -434,8 +699,14 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
       io = writer->sync();
       h_flush.record(now_ns() - t0);
     }
+    if (index != nullptr) {
+      for (std::size_t j = 0; j < shard_records.size(); ++j) {
+        index->put(shard_globals[j], shard_records[j]);
+      }
+    }
     if (writer && io.ok) {
-      contracts_committed += reports.size();
+      contracts_committed = lap ? index->by_address.size()
+                                : contracts_committed + reports.size();
       Manifest manifest;
       manifest.committed_bytes = writer->size_bytes();
       manifest.shards_committed = shard_index + 1;
@@ -472,9 +743,8 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
       // lost. fsyncgate: the writer is already dead for fsync failures —
       // either way it is never touched again.
       if (!degrade(io)) {
-        result.error = "journal commit failed for shard " +
-                       std::to_string(shard_index) + ": " + io.message();
-        return result;
+        return fail("journal commit failed for shard " +
+                    std::to_string(shard_index) + ": " + io.message());
       }
       writer.reset();
     }
@@ -497,8 +767,9 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
   // Degraded mode: the population IS fully covered in memory, so the sweep
   // is complete — there is just no kSweepEnd to journal (the checkpoint
   // honestly stops at the last good commit, and resume() picks up there).
+  // A lap that recomputed nothing leaves the journal as it was.
   result.complete = !stopped;
-  if (result.complete && writer) {
+  if (result.complete && writer && (!lap || result.shards_run > 0)) {
     IoResult io = writer->append(RecordType::kSweepEnd,
                                  encode_sweep_end({inputs.size()}));
     if (io.ok) io = writer->sync();
@@ -513,10 +784,26 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     }
     if (!io.ok) {
       if (!degrade(io)) {
-        result.error = "journal finalization failed: " + io.message();
-        return result;
+        return fail("journal finalization failed: " + io.message());
       }
       writer.reset();
+    }
+  }
+
+  // ---- keep the index for the next lap ----------------------------------
+  if (index != nullptr) {
+    if (stopped) {
+      live_.reset();
+    } else {
+      if (!lap) {
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+          index->groups[hashes[i]].push_back(i);
+        }
+        index->writer = std::move(boot_writer);
+        live_ = std::move(booted);
+      }
+      index->covered = inputs.size();
+      index->shards_committed = shard_index;
     }
   }
 
@@ -536,7 +823,7 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
           ? (sum_fetch_ms + sum_proxy_ms + sum_pairs_ms) /
                 static_cast<double>(result.recomputed)
           : 0.0;
-  stats.sweep_shards = plan.prior_shards + result.shards_run;
+  stats.sweep_shards = prior_shards + result.shards_run;
   stats.journal_replayed = result.replayed;
   stats.incremental_reanalyzed =
       effective == Mode::kIncremental ? result.recomputed : 0;

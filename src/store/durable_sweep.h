@@ -7,14 +7,21 @@
 //
 //   run()         — fresh sweep into a new journal
 //   resume()      — replay the journal's completed work, recompute the rest
-//   incremental() — diff journaled (code hash, impl-slot head) fingerprints
-//                   against current chain state; re-analyze only new or
-//                   changed contracts (upgraded proxies skip Phase A
-//                   emulation via a seeded verdict and re-run the pair
-//                   phase only)
+//   incremental() — keep the verdict set current on a mutating chain. The
+//                   first call boots: it reads the journal once (a missing
+//                   journal degrades to run()), diffs every input's
+//                   (code hash, impl-slot head) fingerprint against the
+//                   chain, re-analyzes what moved, and keeps an in-memory
+//                   index of the last record per contract plus the open
+//                   journal writer. Each later call (a lap) plans only the
+//                   caller's dirty set, newly appended inputs and
+//                   quarantined contracts against that index, so a lap
+//                   costs what changed, not the population. Upgraded
+//                   proxies skip Phase A emulation via a seeded verdict and
+//                   re-run the pair phase only.
 //
 // Bit-identity with a monolithic pipeline.run() over the same inputs rests
-// on three invariants this driver maintains:
+// on four invariants this driver maintains:
 //   1. shards are code-hash-affine with hash groups in first-occurrence
 //      order, so a group's dedup representative is the same global-first
 //      contract a monolithic run picks;
@@ -23,13 +30,19 @@
 //      monolithic run would even when a logic blob's donor lives in another
 //      shard;
 //   3. resume recomputes incomplete hash groups WHOLE (never a partial
-//      group), so representative choice and dedup metadata converge.
+//      group), so representative choice and dedup metadata converge;
+//   4. boot and lap decide each hash group with the same plan function,
+//      which re-runs a member whose dedup flag no longer matches its
+//      group's representative (a member's code moved), so what a lap keeps
+//      is what a boot over the same chain would keep.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "chain/blockchain.h"
@@ -42,6 +55,11 @@
 #include "store/records.h"
 
 namespace proxion::store {
+
+/// Addresses whose code or storage changed since the previous
+/// incremental() call: a chain follower's per-block deployment and
+/// storage-writer feeds.
+using AddressSet = std::unordered_set<evm::Address, evm::AddressHasher>;
 
 struct DurableSweepConfig {
   /// Checkpoint journal path; the manifest lives at `<path>.manifest`.
@@ -85,7 +103,9 @@ struct DurableSweepConfig {
   /// thread with each batch of final records — once with the journal-
   /// replayed set before any shard runs, then once per shard as it commits
   /// (in degraded mode, as it completes in memory; verdicts stay valid when
-  /// the disk does not). The span is borrowed for the duration of the call.
+  /// the disk does not). An incremental() lap after boot replays nothing,
+  /// so it passes only the records it recomputed. The span is borrowed for
+  /// the duration of the call.
   /// Null = no publishing. The query plane's QueryService::apply_records is
   /// the intended consumer.
   std::function<void(std::span<const ContractRecord>)> record_sink;
@@ -99,6 +119,9 @@ struct DurableSweepResult {
   std::uint64_t replayed = 0;
   /// Contracts run through the pipeline by this call.
   std::uint64_t recomputed = 0;
+  /// Contracts this call checked against the chain: every input, except on
+  /// an incremental() lap, where it is the planned dirty set.
+  std::uint64_t examined = 0;
   /// True when the whole population is covered (kSweepEnd journaled, or
   /// swept in memory under degraded mode).
   /// False after a max_shards stop — call resume() to finish.
@@ -125,6 +148,7 @@ class DurableSweep {
   DurableSweep(core::AnalysisPipeline& pipeline, chain::Blockchain& chain,
                const sourcemeta::SourceRepository* sources,
                DurableSweepConfig config);
+  ~DurableSweep();
 
   /// Fresh sweep: creates/truncates the journal and sweeps `inputs`.
   DurableSweepResult run(const std::vector<core::SweepInput>& inputs);
@@ -136,52 +160,45 @@ class DurableSweep {
   /// A missing journal degrades to run().
   DurableSweepResult resume(const std::vector<core::SweepInput>& inputs);
 
-  /// Incremental re-sweep against a possibly-mutated chain: a journaled
-  /// contract is reused iff its code hash matches the chain's current code
-  /// AND (for storage-slot proxies) its implementation-slot head is
-  /// unchanged. Upgraded proxies (same code, new head) re-enter the
-  /// pipeline with their Phase A verdict pre-seeded, so only logic-history
-  /// + pair collision work is redone. New, code-changed, and quarantined
-  /// contracts re-analyze in full. A missing journal degrades to run().
-  DurableSweepResult incremental(const std::vector<core::SweepInput>& inputs);
+  /// Incremental re-sweep against a mutating chain (see the file comment).
+  /// A contract's last record is reused iff its code hash matches the
+  /// chain's current code, its implementation-slot head (storage-slot
+  /// proxies) is unchanged, and its dedup flag still matches its hash
+  /// group's representative. Upgraded proxies re-enter the pipeline with
+  /// their Phase A verdict pre-seeded; new, code-changed and quarantined
+  /// contracts re-analyze in full.
+  ///
+  /// A call boots when the instance has no index yet (first call, after
+  /// run()/resume(), after a failed or max_shards-stopped call, or when
+  /// `inputs` shrank): it reads the journal once, checks every input and
+  /// ignores `touched`; a missing journal degrades to run(). A later call
+  /// checks only `touched`, inputs appended since the previous call and
+  /// quarantined contracts. So `inputs` must extend the previous call's
+  /// list, and `touched` must name every known input whose code or storage
+  /// changed since that call; extra addresses cost one fingerprint each.
+  /// Such a lap replays nothing: `replayed` is 0, and `stats` and the
+  /// record sink cover only the recomputed contracts. A lap that recomputes
+  /// nothing writes nothing to the journal.
+  DurableSweepResult incremental(const std::vector<core::SweepInput>& inputs,
+                                 const AddressSet& touched);
 
  private:
   enum class Mode { kFresh, kResume, kIncremental };
 
-  /// One code-hash group: member input indices in input order (the first is
-  /// the global dedup representative).
-  struct Group {
-    crypto::Hash256 hash{};
-    std::vector<std::size_t> members;
-  };
-
-  /// A Phase-A verdict to pre-seed before the owning shard runs (built from
-  /// the journaled report, slot head already patched to current chain
-  /// state).
-  struct Seed {
-    crypto::Hash256 hash{};
-    evm::Address representative;
-    core::ProxyReport report;
-  };
-
-  /// What a sweep call decided to do with each contract: journal-reused
-  /// records (fed straight to the accumulator) vs groups with members to
-  /// recompute (mixed incremental groups keep their unchanged members in
-  /// `replayed`).
-  struct Plan {
-    std::vector<ContractRecord> replayed;
-    std::vector<Group> rerun_groups;
-    std::uint64_t prior_shards = 0;  // shard commits already journaled
-  };
+  /// What incremental() keeps between calls (defined in the .cpp).
+  struct LiveIndex;
 
   DurableSweepResult sweep(const std::vector<core::SweepInput>& inputs,
-                           Mode mode);
+                           Mode mode, const AddressSet& touched);
 
   core::AnalysisPipeline& pipeline_;
   chain::Blockchain& chain_;
   const sourcemeta::SourceRepository* sources_;
   DurableSweepConfig config_;
   obs::Registry& metrics_;
+  /// Null until an incremental() call boots; dropped by run(), resume()
+  /// and any call that fails or stops early.
+  std::unique_ptr<LiveIndex> live_;
 };
 
 }  // namespace proxion::store

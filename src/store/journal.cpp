@@ -178,28 +178,38 @@ std::optional<JournalWriter> JournalWriter::open_append(const std::string& path,
   // Scan first: appending must start after the last VALID frame, not after
   // whatever torn bytes a crash left at the tail. Salvage mode so frames
   // beyond a corrupt middle are not overwritten.
-  std::optional<JournalReplay> replay =
+  const std::optional<JournalReplay> replay =
       read_journal(path, vfs, ReplayOptions{.salvage = true});
   if (!replay) {
     return report(fail_io("scan", EIO, 0, path));
   }
-  if (replay->tail_dropped) {
+  return open_append(path, vfs, *replay, why);
+}
+
+std::optional<JournalWriter> JournalWriter::open_append(
+    const std::string& path, util::Vfs& vfs, const JournalReplay& scan,
+    IoResult* why) {
+  auto report = [&](IoResult r) {
+    if (why != nullptr) *why = std::move(r);
+    return std::nullopt;
+  };
+  if (scan.tail_dropped) {
     // Preserve the forensic evidence before truncating: the dropped tail
     // goes to the `.torn` sidecar (latest tail wins).
     const std::optional<std::vector<std::uint8_t>> bytes = vfs.read_file(path);
-    if (bytes && replay->valid_bytes < bytes->size()) {
+    if (bytes && scan.valid_bytes < bytes->size()) {
       const std::string sidecar = torn_sidecar_path_for(path);
-      const std::size_t tail = bytes->size() - replay->valid_bytes;
+      const std::size_t tail = bytes->size() - scan.valid_bytes;
       if (std::unique_ptr<util::VfsFile> side =
               vfs.open(sidecar, util::Vfs::OpenMode::kTruncate)) {
         (void)side->write(std::span<const std::uint8_t>(
-            bytes->data() + replay->valid_bytes, tail));
+            bytes->data() + scan.valid_bytes, tail));
       }
       std::fprintf(stderr,
                    "proxion: journal %s: dropped %zu-byte torn tail at offset "
                    "%llu (saved to %s)\n",
                    path.c_str(), tail,
-                   static_cast<unsigned long long>(replay->valid_bytes),
+                   static_cast<unsigned long long>(scan.valid_bytes),
                    sidecar.c_str());
     }
     c_torn_tails().add();
@@ -208,17 +218,17 @@ std::optional<JournalWriter> JournalWriter::open_append(const std::string& path,
   std::unique_ptr<util::VfsFile> f =
       vfs.open(path, util::Vfs::OpenMode::kReadWrite, &st);
   if (f == nullptr) return report(fail_io("open", st.err, 0, path));
-  if (replay->tail_dropped) {
+  if (scan.tail_dropped) {
     // Cut the torn tail off for real: leftover garbage past the append
     // point could otherwise masquerade as frames after shorter re-appends.
-    if (util::VfsStatus s = f->truncate(replay->valid_bytes); !s) {
-      return report(fail_io("truncate", s.err, replay->valid_bytes, path));
+    if (util::VfsStatus s = f->truncate(scan.valid_bytes); !s) {
+      return report(fail_io("truncate", s.err, scan.valid_bytes, path));
     }
   }
-  if (util::VfsStatus s = f->seek(replay->valid_bytes); !s) {
-    return report(fail_io("seek", s.err, replay->valid_bytes, path));
+  if (util::VfsStatus s = f->seek(scan.valid_bytes); !s) {
+    return report(fail_io("seek", s.err, scan.valid_bytes, path));
   }
-  return JournalWriter(std::move(f), path, replay->valid_bytes);
+  return JournalWriter(std::move(f), path, scan.valid_bytes);
 }
 
 JournalWriter::JournalWriter(JournalWriter&&) noexcept = default;

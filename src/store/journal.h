@@ -81,6 +81,8 @@ enum class RecordType : std::uint8_t {
   kSweepEnd = 4,     // the sweep covered the whole population
 };
 
+struct JournalReplay;
+
 /// Append-side handle. Not thread-safe: the durable sweep driver is the
 /// single writer (the parallelism lives inside the pipeline, not here).
 ///
@@ -107,6 +109,13 @@ class JournalWriter {
   static std::optional<JournalWriter> open_append(
       const std::string& path, util::Vfs& vfs = util::Vfs::real(),
       IoResult* why = nullptr);
+  /// The same, reusing a salvage-mode read_journal() scan of `path` the
+  /// caller already holds, so a booting sweep reads the journal once, not
+  /// twice. The file must be unchanged since that scan.
+  static std::optional<JournalWriter> open_append(const std::string& path,
+                                                  util::Vfs& vfs,
+                                                  const JournalReplay& scan,
+                                                  IoResult* why = nullptr);
 
   JournalWriter(JournalWriter&& other) noexcept;
   JournalWriter& operator=(JournalWriter&& other) noexcept;

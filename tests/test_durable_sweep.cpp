@@ -200,7 +200,7 @@ TEST(DurableSweep, IncrementalWithoutChangesRecomputesNothing) {
   const store::DurableSweepResult first = sweep.run(inputs);
   ASSERT_TRUE(first.error.empty()) << first.error;
 
-  const store::DurableSweepResult second = sweep.incremental(inputs);
+  const store::DurableSweepResult second = sweep.incremental(inputs, {});
   ASSERT_TRUE(second.error.empty()) << second.error;
   EXPECT_TRUE(second.complete);
   EXPECT_EQ(second.recomputed, 0u);
@@ -292,7 +292,7 @@ TEST(DurableSweep, IncrementalAfterUpgradeWaveReanalyzesOnlyChanges) {
   ASSERT_EQ(upgraded.size(), 5u);
   pop.chain->mine_block();
 
-  const store::DurableSweepResult inc = sweep.incremental(inputs);
+  const store::DurableSweepResult inc = sweep.incremental(inputs, {});
   ASSERT_TRUE(inc.error.empty()) << inc.error;
   EXPECT_TRUE(inc.complete);
   // Only the upgraded proxies re-enter the pipeline; the other ~1200 replay.

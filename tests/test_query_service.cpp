@@ -1,9 +1,13 @@
 // The always-on service layer: chain follower + lock-free query plane.
 // Covers bit-identity of the followed snapshot against a cold batch sweep
 // at the same head, fast-forward on empty blocks, quarantine healing
-// through an impl-slot write, same-block deploy+upgrade, concurrent
-// scrapes during snapshot swaps (the TSan leg), the /v1 JSON schemas from
-// docs/QUERY_API.md, and HTTP prefix routing over a real loopback socket.
+// through an impl-slot write, same-block deploy+upgrade, the dirty-set
+// following semantics (set_code on a known contract, a write that changes
+// nothing, a restart that reads the journal once, quarantine retries),
+// the scale-free work of a one-proxy lap, concurrent scrapes during
+// snapshot swaps and stop() during a wait_synced() fence (the TSan leg),
+// the /v1 JSON schemas from docs/QUERY_API.md, and HTTP prefix routing
+// over a real loopback socket.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -13,14 +17,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "chain/archive_node.h"
 #include "core/pipeline.h"
 #include "core/report.h"
+#include "crypto/keccak.h"
 #include "datagen/contract_factory.h"
 #include "datagen/population.h"
 #include "obs/export.h"
@@ -30,6 +37,7 @@
 #include "store/durable_sweep.h"
 #include "store/journal.h"
 #include "store/records.h"
+#include "util/vfs.h"
 
 namespace {
 
@@ -80,12 +88,131 @@ evm::Address find_archetype(const datagen::Population& pop,
 }
 
 std::vector<core::VerdictRow> sorted_rows(const serve::Snapshot& snap) {
-  std::vector<core::VerdictRow> rows = snap.rows;
+  std::vector<core::VerdictRow> rows(snap.rows.begin(), snap.rows.end());
   std::sort(rows.begin(), rows.end(),
             [](const core::VerdictRow& a, const core::VerdictRow& b) {
               return a.address < b.address;
             });
   return rows;
+}
+
+/// A cold batch sweep over the follower's own inputs on the current chain
+/// must produce bit-identical rows, at the same head.
+void expect_matches_cold(datagen::Population& pop,
+                         serve::ChainFollower& follower,
+                         const serve::QueryService& query,
+                         const std::string& journal) {
+  const std::uint64_t head = pop.chain->height();
+  const std::shared_ptr<const serve::Snapshot> live = query.snapshot();
+  EXPECT_EQ(live->head_block, head);
+
+  core::AnalysisPipeline cold_pipe(*pop.chain, &pop.sources);
+  serve::QueryService cold_query;
+  store::DurableSweepConfig cold_sc;
+  cold_sc.journal_path = temp_journal(journal);
+  cold_sc.shard_size = 200;
+  cold_sc.record_sink = [&](std::span<const store::ContractRecord> records) {
+    cold_query.apply_records(records);
+  };
+  store::DurableSweep cold(cold_pipe, *pop.chain, &pop.sources, cold_sc);
+  const store::DurableSweepResult result = cold.run(follower.inputs());
+  ASSERT_TRUE(result.error.empty()) << result.error;
+  const std::shared_ptr<const serve::Snapshot> batch = cold_query.publish(head);
+
+  ASSERT_EQ(live->rows.size(), batch->rows.size());
+  EXPECT_EQ(live->proxies, batch->proxies);
+  EXPECT_EQ(live->quarantined, batch->quarantined);
+  const std::vector<core::VerdictRow> a = sorted_rows(*live);
+  const std::vector<core::VerdictRow> b = sorted_rows(*batch);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i], b[i]) << "row " << i << " (" << a[i].address.to_hex()
+                          << ") diverges from the cold batch sweep";
+  }
+}
+
+/// The real filesystem, counting whole-file reads of one path.
+class CountingVfs final : public util::Vfs {
+ public:
+  explicit CountingVfs(std::string watched) : watched_(std::move(watched)) {}
+
+  std::unique_ptr<util::VfsFile> open(const std::string& path, OpenMode mode,
+                                      util::VfsStatus* status) override {
+    return util::Vfs::real().open(path, mode, status);
+  }
+  std::optional<std::vector<std::uint8_t>> read_file(
+      const std::string& path) override {
+    std::optional<std::vector<std::uint8_t>> bytes =
+        util::Vfs::real().read_file(path);
+    if (path == watched_) {
+      ++reads;
+      read_bytes += bytes ? bytes->size() : 0;
+    }
+    return bytes;
+  }
+  util::VfsStatus rename(const std::string& from,
+                         const std::string& to) override {
+    return util::Vfs::real().rename(from, to);
+  }
+  util::VfsStatus remove(const std::string& path) override {
+    return util::Vfs::real().remove(path);
+  }
+  util::VfsStatus sync_dir(const std::string& path) override {
+    return util::Vfs::real().sync_dir(path);
+  }
+
+  std::uint64_t reads = 0;
+  std::uint64_t read_bytes = 0;
+
+ private:
+  std::string watched_;
+};
+
+/// An archive whose code fetches for one address fail while `down` is set:
+/// an outage that quarantines exactly that contract.
+class OutageNode final : public chain::IArchiveNode {
+ public:
+  OutageNode(const chain::IArchiveNode& inner, const evm::Address& victim)
+      : inner_(inner), victim_(victim) {}
+
+  evm::U256 get_storage_at(const evm::Address& account, const evm::U256& slot,
+                           std::uint64_t block) const override {
+    return inner_.get_storage_at(account, slot, block);
+  }
+  std::vector<evm::U256> get_storage_at_many(
+      std::span<const chain::StorageQuery> queries) const override {
+    return inner_.get_storage_at_many(queries);
+  }
+  evm::Bytes get_code(const evm::Address& account) const override {
+    if (account == victim_) {
+      victim_fetches.fetch_add(1);
+      if (down.load()) {
+        throw chain::RpcError(chain::RpcErrorKind::kExhausted,
+                              "victim unreachable");
+      }
+    }
+    return inner_.get_code(account);
+  }
+  std::uint64_t latest_block() const override { return inner_.latest_block(); }
+  std::uint64_t get_storage_at_calls() const override {
+    return inner_.get_storage_at_calls();
+  }
+  std::uint64_t get_code_calls() const override {
+    return inner_.get_code_calls();
+  }
+  void reset_counters() const override { inner_.reset_counters(); }
+
+  std::atomic<bool> down{true};
+  mutable std::atomic<std::uint64_t> victim_fetches{0};
+
+ private:
+  const chain::IArchiveNode& inner_;
+  evm::Address victim_;
+};
+
+const core::VerdictRow* row_of(const serve::Snapshot& snap,
+                                   const evm::Address& a) {
+  const auto it = snap.by_address.find(a);
+  return it == snap.by_address.end() ? nullptr : &snap.rows[it->second];
 }
 
 /// Absorb the population generator's open-block tail: one empty block plus a
@@ -191,36 +318,7 @@ TEST(ChainFollower, SnapshotMatchesColdBatchAfterFollowedMutations) {
   pop.chain->mine_block();
   follower.poll();
 
-  const std::uint64_t head = pop.chain->height();
-  const std::shared_ptr<const serve::Snapshot> live = query.snapshot();
-  EXPECT_EQ(live->head_block, head);
-
-  // Cold: a fresh pipeline + sweep over the follower's own input list at the
-  // same head must produce bit-identical verdict rows.
-  const std::vector<core::SweepInput> inputs = follower.inputs();
-  core::AnalysisPipeline cold_pipe(*pop.chain, &pop.sources, config);
-  serve::QueryService cold_query;
-  store::DurableSweepConfig cold_sc;
-  cold_sc.journal_path = temp_journal("identity_cold.journal");
-  cold_sc.shard_size = 200;
-  cold_sc.record_sink = [&](std::span<const store::ContractRecord> records) {
-    cold_query.apply_records(records);
-  };
-  store::DurableSweep cold(cold_pipe, *pop.chain, &pop.sources, cold_sc);
-  const store::DurableSweepResult result = cold.run(inputs);
-  ASSERT_TRUE(result.error.empty()) << result.error;
-  cold_query.publish(head);
-  const std::shared_ptr<const serve::Snapshot> batch = cold_query.snapshot();
-
-  ASSERT_EQ(live->rows.size(), batch->rows.size());
-  EXPECT_EQ(live->proxies, batch->proxies);
-  EXPECT_EQ(live->quarantined, batch->quarantined);
-  const std::vector<core::VerdictRow> a = sorted_rows(*live);
-  const std::vector<core::VerdictRow> b = sorted_rows(*batch);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "row " << i << " (" << a[i].address.to_hex()
-                          << ") diverges from the cold batch sweep";
-  }
+  expect_matches_cold(pop, follower, query, "identity_cold.journal");
 }
 
 TEST(ChainFollower, EmptyBlockFastForwardsWithoutResweep) {
@@ -255,10 +353,12 @@ TEST(ChainFollower, ImplSlotWriteToQuarantinedContractHeals) {
   store::DurableSweepConfig sc;
   sc.journal_path = temp_journal("heal.journal");
   sc.shard_size = 200;
-  serve::QueryService query;
-  serve::ChainFollower follower(pipeline, *pop.chain, &pop.sources, sc, query,
-                                pop.sweep_inputs(), follower_config());
-  settle(pop, follower);
+  {
+    serve::QueryService query;
+    serve::ChainFollower follower(pipeline, *pop.chain, &pop.sources, sc,
+                                  query, pop.sweep_inputs(), follower_config());
+    settle(pop, follower);
+  }
 
   const evm::Address victim =
       find_archetype(pop, datagen::Archetype::kEip1967Proxy);
@@ -267,8 +367,9 @@ TEST(ChainFollower, ImplSlotWriteToQuarantinedContractHeals) {
   ASSERT_FALSE(victim.is_zero());
   ASSERT_FALSE(new_logic.is_zero());
 
-  // Quarantine the victim in the journal, as a crash-adjacent RPC outage
-  // would have: last-wins, so it supersedes the healthy record.
+  // While the service is down, quarantine the victim in the journal, as a
+  // crash-adjacent RPC outage would have: last-wins, so it supersedes the
+  // healthy record.
   const auto replay = store::read_journal(sc.journal_path);
   ASSERT_TRUE(replay.has_value());
   std::optional<store::ContractRecord> injected;
@@ -289,22 +390,25 @@ TEST(ChainFollower, ImplSlotWriteToQuarantinedContractHeals) {
     ASSERT_TRUE(writer->sync());
   }
 
-  // The very contract the journal now quarantines gets an impl-slot write:
-  // the next lap must recompute it, not replay the poisoned record.
+  // The very contract the journal now quarantines gets an impl-slot write
+  // before the restart: the restarted follower must recompute it, not
+  // replay the poisoned record.
   pop.chain->set_storage(victim, datagen::ContractFactory::eip1967_slot(),
                          new_logic.to_word());
   pop.chain->mine_block();
+  serve::QueryService query;
+  serve::ChainFollower follower(pipeline, *pop.chain, &pop.sources, sc, query,
+                                pop.sweep_inputs(), follower_config());
   follower.poll();
   EXPECT_EQ(follower.last_error(), "");
 
   const std::shared_ptr<const serve::Snapshot> snap = query.snapshot();
-  const auto it = snap->by_address.find(victim);
-  ASSERT_NE(it, snap->by_address.end());
-  const core::VerdictRow& row = snap->rows[it->second];
-  EXPECT_FALSE(row.quarantined);
-  EXPECT_EQ(row.verdict, core::ProxyVerdict::kProxy);
-  EXPECT_EQ(row.logic_address, new_logic);
-  EXPECT_EQ(row.logic_source, core::LogicSource::kStorageSlot);
+  const core::VerdictRow* row = row_of(*snap, victim);
+  ASSERT_NE(row, nullptr);
+  EXPECT_FALSE(row->quarantined);
+  EXPECT_EQ(row->verdict, core::ProxyVerdict::kProxy);
+  EXPECT_EQ(row->logic_address, new_logic);
+  EXPECT_EQ(row->logic_source, core::LogicSource::kStorageSlot);
 }
 
 TEST(ChainFollower, DeployAndSameBlockUpgradeServesPostUpgradeImpl) {
@@ -339,6 +443,263 @@ TEST(ChainFollower, DeployAndSameBlockUpgradeServesPostUpgradeImpl) {
   EXPECT_EQ(row.verdict, core::ProxyVerdict::kProxy);
   EXPECT_EQ(row.standard, core::ProxyStandard::kEip1967);
   EXPECT_EQ(row.logic_address, impl);
+}
+
+// ---------------------------------------------------------------------------
+// Following semantics of the dirty-set laps, each checked against a cold
+// batch sweep of the same chain.
+
+TEST(ChainFollower, SetCodeOnKnownAddressIsReanalyzedNextLap) {
+  datagen::Population pop = make_population();
+  core::AnalysisPipeline pipeline(*pop.chain, &pop.sources);
+  store::DurableSweepConfig sc;
+  sc.journal_path = temp_journal("setcode.journal");
+  serve::QueryService query;
+  serve::ChainFollower follower(pipeline, *pop.chain, &pop.sources, sc, query,
+                                pop.sweep_inputs(), follower_config());
+  settle(pop, follower);
+
+  // The representative (first member) of a clone family: replacing its
+  // code also hands the family's dedup representative role to the next
+  // member, whose record must change with it.
+  const std::shared_ptr<const serve::Snapshot> before = query.snapshot();
+  evm::Address target;
+  for (const core::SweepInput& input : follower.inputs()) {
+    const crypto::Hash256& hash = row_of(*before, input.address)->code_hash;
+    if (before->by_code_hash.find(hash)->second.size() >= 2) {
+      target = input.address;
+      break;
+    }
+  }
+  ASSERT_FALSE(target.is_zero()) << "population lost its clone families";
+  const evm::Bytes code = datagen::ContractFactory::token_contract(4242);
+  pop.chain->set_code(target, code);
+  pop.chain->mine_block();
+  const std::uint64_t laps = follower.stats().laps.load();
+  follower.poll();
+
+  EXPECT_EQ(follower.stats().laps.load(), laps + 1);
+  EXPECT_GE(follower.stats().last_lap_recomputed.load(), 2u);
+  const core::VerdictRow* row = row_of(*query.snapshot(), target);
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->code_hash, evm::code_hash(code));
+  expect_matches_cold(pop, follower, query, "setcode_cold.journal");
+}
+
+TEST(ChainFollower, NonImplementationSlotWriteRecomputesNothing) {
+  datagen::Population pop = make_population();
+  core::AnalysisPipeline pipeline(*pop.chain, &pop.sources);
+  store::DurableSweepConfig sc;
+  sc.journal_path = temp_journal("otherslot.journal");
+  serve::QueryService query;
+  serve::ChainFollower follower(pipeline, *pop.chain, &pop.sources, sc, query,
+                                pop.sweep_inputs(), follower_config());
+  settle(pop, follower);
+
+  const evm::Address proxy =
+      find_archetype(pop, datagen::Archetype::kEip1967Proxy, 1);
+  ASSERT_FALSE(proxy.is_zero());
+  const std::uint64_t version = query.snapshot()->version;
+  pop.chain->set_storage(proxy, evm::U256{0x5151}, evm::U256{7});
+  pop.chain->mine_block();
+  const std::uint64_t laps = follower.stats().laps.load();
+  follower.poll();
+
+  EXPECT_EQ(follower.stats().laps.load(), laps + 1);
+  EXPECT_GE(follower.stats().last_lap_touched.load(), 1u);
+  EXPECT_EQ(follower.stats().last_lap_recomputed.load(), 0u);
+  // Only the lap-end stamp publish: no row changed.
+  EXPECT_EQ(query.snapshot()->version, version + 1);
+  expect_matches_cold(pop, follower, query, "otherslot_cold.journal");
+}
+
+TEST(ChainFollower, RestartReadsJournalOnceThenStaysIdenticalToCold) {
+  datagen::Population pop = make_population(400);
+  store::DurableSweepConfig sc;
+  sc.journal_path = temp_journal("restart.journal");
+  CountingVfs vfs(sc.journal_path);
+  sc.vfs = &vfs;
+  const evm::U256 slot = datagen::ContractFactory::eip1967_slot();
+  const evm::Address logic = find_archetype(pop, datagen::Archetype::kToken);
+  {
+    core::AnalysisPipeline pipeline(*pop.chain, &pop.sources);
+    serve::QueryService query;
+    serve::ChainFollower follower(pipeline, *pop.chain, &pop.sources, sc,
+                                  query, pop.sweep_inputs(), follower_config());
+    settle(pop, follower);
+    pop.chain->set_storage(
+        find_archetype(pop, datagen::Archetype::kEip1967Proxy), slot,
+        logic.to_word());
+    pop.chain->mine_block();
+    follower.poll();
+  }
+
+  // The restarted service boots from the journal: one read...
+  vfs.reads = 0;
+  core::AnalysisPipeline pipeline(*pop.chain, &pop.sources);
+  serve::QueryService query;
+  serve::ChainFollower follower(pipeline, *pop.chain, &pop.sources, sc, query,
+                                pop.sweep_inputs(), follower_config());
+  follower.poll();
+  EXPECT_EQ(vfs.reads, 1u);
+
+  // ...and none over further laps: a deployment, an upgrade, empty blocks.
+  const evm::Address deployer = evm::Address::from_label("restart-deployer");
+  pop.chain->deploy_runtime(deployer,
+                            datagen::ContractFactory::token_contract(91));
+  pop.chain->mine_block();
+  follower.poll();
+  pop.chain->set_storage(
+      find_archetype(pop, datagen::Archetype::kEip1967Proxy, 2), slot,
+      logic.to_word());
+  pop.chain->mine_block();
+  follower.poll();
+  pop.chain->mine_block();
+  follower.poll();
+  pop.chain->mine_block();
+  follower.poll();
+  EXPECT_EQ(vfs.reads, 1u);
+  EXPECT_GE(follower.stats().laps.load(), 3u);
+  expect_matches_cold(pop, follower, query, "restart_cold.journal");
+}
+
+TEST(ChainFollower, QuarantinedContractIsRetriedEveryLap) {
+  datagen::Population pop = make_population(400);
+  const evm::Address victim =
+      find_archetype(pop, datagen::Archetype::kEip1967Proxy);
+  const evm::Address other = find_archetype(pop, datagen::Archetype::kToken);
+  ASSERT_FALSE(victim.is_zero());
+  ASSERT_FALSE(other.is_zero());
+  chain::ArchiveNode base(*pop.chain);
+  OutageNode outage(base, victim);
+  core::PipelineConfig config;
+  config.archive_node = &outage;
+  core::AnalysisPipeline pipeline(*pop.chain, &pop.sources, config);
+  store::DurableSweepConfig sc;
+  sc.journal_path = temp_journal("retry.journal");
+  serve::QueryService query;
+  serve::ChainFollower follower(pipeline, *pop.chain, &pop.sources, sc, query,
+                                pop.sweep_inputs(), follower_config());
+  settle(pop, follower);
+  const core::VerdictRow* row = row_of(*query.snapshot(), victim);
+  ASSERT_NE(row, nullptr);
+  ASSERT_TRUE(row->quarantined);
+
+  // A lap for an unrelated write still retries the quarantined contract.
+  for (std::uint64_t v = 1; v <= 2; ++v) {
+    const std::uint64_t fetches = outage.victim_fetches.load();
+    pop.chain->set_storage(other, evm::U256{0x77}, evm::U256{v});
+    pop.chain->mine_block();
+    follower.poll();
+    EXPECT_GT(outage.victim_fetches.load(), fetches) << "lap " << v;
+    EXPECT_GE(follower.stats().last_lap_touched.load(), 2u);
+    EXPECT_TRUE(row_of(*query.snapshot(), victim)->quarantined);
+  }
+
+  // The outage ends: the next lap heals it without any write to it.
+  outage.down.store(false);
+  pop.chain->set_storage(other, evm::U256{0x77}, evm::U256{3});
+  pop.chain->mine_block();
+  follower.poll();
+  EXPECT_FALSE(row_of(*query.snapshot(), victim)->quarantined);
+  expect_matches_cold(pop, follower, query, "retry_cold.journal");
+}
+
+/// What one lap cost, read off counters (no timing).
+struct LapWork {
+  std::uint64_t journal_read_bytes = 0;
+  std::uint64_t code_fetches = 0;
+  std::uint64_t keccaks = 0;
+  std::uint64_t rows_changed = 0;
+  std::uint64_t row_chunks_copied = 0;
+  std::uint64_t ff_rows_changed = 0;
+  std::uint64_t ff_row_chunks_copied = 0;
+};
+
+/// Follows a population of `scale` contracts and measures one upgrade lap
+/// of a proxy whose whole history is the same at every scale, then one
+/// fast-forward.
+LapWork one_proxy_upgrade_lap(std::uint32_t scale) {
+  datagen::Population pop = make_population(scale);
+  chain::ArchiveNode archive(*pop.chain);
+  core::PipelineConfig config;
+  config.archive_node = &archive;
+  core::AnalysisPipeline pipeline(*pop.chain, &pop.sources, config);
+  store::DurableSweepConfig sc;
+  sc.journal_path = temp_journal("work_" + std::to_string(scale) + ".journal");
+  CountingVfs vfs(sc.journal_path);
+  sc.vfs = &vfs;
+  serve::QueryService query;
+  serve::ChainFollower follower(pipeline, *pop.chain, &pop.sources, sc, query,
+                                pop.sweep_inputs(), follower_config());
+  settle(pop, follower);
+
+  const evm::U256 slot = datagen::ContractFactory::eip1967_slot();
+  const evm::Address deployer = evm::Address::from_label("work-deployer");
+  const evm::Address logic_a = pop.chain->deploy_runtime(
+      deployer, datagen::ContractFactory::token_contract(9001));
+  const evm::Address logic_b = pop.chain->deploy_runtime(
+      deployer, datagen::ContractFactory::token_contract(9002));
+  const evm::Address logic_c = pop.chain->deploy_runtime(
+      deployer, datagen::ContractFactory::token_contract(9003));
+  const evm::Address proxy = pop.chain->deploy_runtime(
+      deployer, datagen::ContractFactory::eip1967_proxy());
+  pop.chain->set_storage(proxy, slot, logic_a.to_word());
+  auto block = [&] {
+    pop.chain->mine_block();
+    follower.poll();
+  };
+  block();
+  block();
+  // A warm-up upgrade, so process-wide memos have seen these logic
+  // contracts' functions before the measured lap at either scale. Every
+  // upgrade names a new logic contract: Algorithm 1 cannot see an A-B-A
+  // history whose probes straddle B, and which probes do depends on the
+  // chain height.
+  pop.chain->set_storage(proxy, slot, logic_b.to_word());
+  block();
+  block();
+
+  LapWork w;
+  vfs.read_bytes = 0;
+  archive.reset_counters();
+  const std::uint64_t keccaks = crypto::keccak_invocations();
+  const serve::PublishStats p0 = query.publish_stats();
+  pop.chain->set_storage(proxy, slot, logic_c.to_word());
+  block();
+  w.journal_read_bytes = vfs.read_bytes;
+  w.code_fetches = archive.get_code_calls();
+  w.keccaks = crypto::keccak_invocations() - keccaks;
+  const serve::PublishStats p1 = query.publish_stats();
+  w.rows_changed = p1.rows_changed - p0.rows_changed;
+  w.row_chunks_copied = p1.row_chunks_copied - p0.row_chunks_copied;
+  EXPECT_EQ(row_of(*query.snapshot(), proxy)->logic_address, logic_c);
+
+  block();  // the inclusive rescan of the upgrade block: a no-change lap
+  const std::uint64_t ffs = follower.stats().fast_forwards.load();
+  const serve::PublishStats p2 = query.publish_stats();
+  block();
+  EXPECT_EQ(follower.stats().fast_forwards.load(), ffs + 1);
+  const serve::PublishStats p3 = query.publish_stats();
+  w.ff_rows_changed = p3.rows_changed - p2.rows_changed;
+  w.ff_row_chunks_copied = p3.row_chunks_copied - p2.row_chunks_copied;
+  return w;
+}
+
+TEST(FollowerWorkCount, OneProxyUpgradeLapCostsTheSameAt2kAnd8k) {
+  const LapWork small = one_proxy_upgrade_lap(2'000);
+  const LapWork large = one_proxy_upgrade_lap(8'000);
+  for (const LapWork* w : {&small, &large}) {
+    EXPECT_EQ(w->journal_read_bytes, 0u);
+    EXPECT_EQ(w->rows_changed, 1u);
+    EXPECT_LE(w->row_chunks_copied, w->rows_changed);
+    EXPECT_EQ(w->ff_rows_changed, 0u);
+    EXPECT_EQ(w->ff_row_chunks_copied, 0u);
+  }
+  EXPECT_GT(small.code_fetches, 0u);
+  EXPECT_EQ(small.code_fetches, large.code_fetches);
+  EXPECT_GT(small.keccaks, 0u);
+  EXPECT_EQ(small.keccaks, large.keccaks);
 }
 
 // The TSan leg: readers hammer the snapshot and the JSON renderers while
@@ -396,6 +757,58 @@ TEST(ChainFollower, ConcurrentScrapeDuringSnapshotSwap) {
   follower.stop();
   EXPECT_GT(reads.load(), 0u);
   EXPECT_GE(follower.stats().laps.load(), 6u);
+}
+
+// The TSan leg for stop(): it resets the fence flags a concurrent
+// wait_synced() reads, so it must do that under the fence's lock and wake
+// the waiter.
+TEST(ChainFollower, StopDuringWaitSyncedIsRaceFree) {
+  datagen::Population pop = make_population(300);
+  core::AnalysisPipeline pipeline(*pop.chain, &pop.sources);
+  store::DurableSweepConfig sc;
+  sc.journal_path = temp_journal("stop.journal");
+  serve::QueryService query;
+  serve::ChainFollower follower(pipeline, *pop.chain, &pop.sources, sc, query,
+                                pop.sweep_inputs(), follower_config());
+  settle(pop, follower);
+  follower.start();
+  ASSERT_TRUE(follower.wait_synced(pop.chain->height()));
+
+  const std::uint64_t synced = pop.chain->height();
+  pop.chain->mine_block();  // flags the poll thread
+  std::atomic<bool> fenced{false};
+  const auto t0 = std::chrono::steady_clock::now();
+  std::thread waiter(
+      [&] { fenced.store(follower.wait_synced(synced, 30'000)); });
+  follower.stop();
+  waiter.join();
+  EXPECT_TRUE(fenced.load());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
+}
+
+TEST(ChainFollower, StatusEscapesControlCharactersInLastError) {
+  datagen::Population pop = make_population(200);
+  core::AnalysisPipeline pipeline(*pop.chain, &pop.sources);
+  const fs::path dir =
+      fs::temp_directory_path() / "proxion_serve_tests" / "no\nsuch\tdir";
+  fs::remove_all(dir);
+  store::DurableSweepConfig sc;
+  sc.journal_path = (dir / "x.journal").string();
+  sc.degrade_on_disk_failure = false;
+  serve::QueryService query;
+  serve::ChainFollower follower(pipeline, *pop.chain, &pop.sources, sc, query,
+                                pop.sweep_inputs(), follower_config());
+  follower.poll();
+  ASSERT_NE(follower.last_error().find('\n'), std::string::npos);
+
+  std::string body = follower.status_endpoint().body;
+  ASSERT_FALSE(body.empty());
+  EXPECT_EQ(body.back(), '\n');
+  body.pop_back();
+  for (const char c : body) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << "raw control byte";
+  }
+  EXPECT_NE(body.find("no\\nsuch\\tdir"), std::string::npos) << body;
 }
 
 // ---------------------------------------------------------------------------
@@ -547,7 +960,8 @@ TEST_F(QueryApiTest, StatusReportsFollowerCounters) {
         "\"staleness_blocks\":", "\"snapshot_version\":",
         "\"snapshot_entries\":", "\"laps\":", "\"fast_forwards\":",
         "\"blocks_processed\":", "\"contracts_discovered\":",
-        "\"last_lap_us\":", "\"degraded\":", "\"last_error\":"}) {
+        "\"last_lap_us\":", "\"last_lap_touched\":",
+        "\"last_lap_recomputed\":", "\"degraded\":", "\"last_error\":"}) {
     EXPECT_NE(r.body.find(field), std::string::npos) << field;
   }
   EXPECT_NE(r.body.find("\"staleness_blocks\":0"), std::string::npos);
