@@ -89,56 +89,6 @@ void BM_Keccak256_1KiB(benchmark::State& state) {
 }
 BENCHMARK(BM_Keccak256_1KiB);
 
-void BM_Keccak256Many_32B_x64(benchmark::State& state) {
-  // The batched entry point: 64 distinct 32-byte messages per call, hashed
-  // 4 lanes at a time (AVX2 when the CPU has it, SWAR otherwise).
-  std::vector<std::vector<std::uint8_t>> msgs(
-      64, std::vector<std::uint8_t>(32, 0xab));
-  for (std::size_t i = 0; i < msgs.size(); ++i) {
-    msgs[i][0] = static_cast<std::uint8_t>(i);
-  }
-  const std::span<const std::vector<std::uint8_t>> view(msgs);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::keccak256_many(view));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
-  state.SetLabel(crypto::keccak_batch_backend());
-}
-BENCHMARK(BM_Keccak256Many_32B_x64);
-
-void BM_Keccak256Loop_32B_x64(benchmark::State& state) {
-  // Scalar baseline for the batch bench above: same 64 messages, one
-  // keccak256() call each.
-  std::vector<std::vector<std::uint8_t>> msgs(
-      64, std::vector<std::uint8_t>(32, 0xab));
-  for (std::size_t i = 0; i < msgs.size(); ++i) {
-    msgs[i][0] = static_cast<std::uint8_t>(i);
-  }
-  for (auto _ : state) {
-    for (const auto& m : msgs) {
-      benchmark::DoNotOptimize(crypto::keccak256(m));
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
-}
-BENCHMARK(BM_Keccak256Loop_32B_x64);
-
-void BM_Keccak256Many_Ragged_x64(benchmark::State& state) {
-  // Mixed lengths (36..516 bytes) exercise the block-count bucketing: the
-  // batcher sorts by padded block count and fills 4-wide lanes per bucket.
-  std::vector<std::vector<std::uint8_t>> msgs;
-  for (std::size_t i = 0; i < 64; ++i) {
-    msgs.emplace_back(36 + (i % 16) * 32, static_cast<std::uint8_t>(i));
-  }
-  const std::span<const std::vector<std::uint8_t>> view(msgs);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::keccak256_many(view));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
-  state.SetLabel(crypto::keccak_batch_backend());
-}
-BENCHMARK(BM_Keccak256Many_Ragged_x64);
-
 void BM_Disassemble_Token(benchmark::State& state) {
   const Bytes code = ContractFactory::token_contract(1);
   for (auto _ : state) {

@@ -111,8 +111,7 @@ AnalysisPipeline::AnalysisPipeline(chain::Blockchain& chain,
     if (!config_.telemetry.trace_path.empty() ||
         !config_.telemetry.events_path.empty() ||
         config_.telemetry.live_spans) {
-      tracer_ = std::make_unique<obs::Tracer>(
-          clock_, config_.telemetry.trace_ring_capacity);
+      tracer_ = std::make_unique<obs::Tracer>(clock_);
       const std::size_t every = config_.telemetry.span_sample_every_n;
       tracer_->set_sample_every(
           static_cast<std::uint32_t>(every == 0 ? 1 : every));
@@ -167,19 +166,15 @@ AnalysisPipeline::AnalysisPipeline(chain::Blockchain& chain,
     }
   }
   if (config_.coalesce_archive_reads) {
-    coalescer_ = std::make_unique<chain::CoalescingArchiveNode>(
-        *wire, config_.coalescer_shards == 0 ? 1 : config_.coalescer_shards);
+    coalescer_ = std::make_unique<chain::CoalescingArchiveNode>(*wire);
   }
-  const unsigned shards = config_.cache_shards == 0 ? 1 : config_.cache_shards;
   if (config_.use_analysis_cache) {
-    cache_ = std::make_unique<AnalysisCache>(shards);
+    cache_ = std::make_unique<AnalysisCache>();
     if (config_.dedup_by_code_hash) {
       verdict_cache_ =
-          std::make_unique<StripedOnceMap<std::string, ProxyReport>>(shards);
+          std::make_unique<StripedOnceMap<std::string, ProxyReport>>();
     }
-  }
-  if (config_.use_analysis_cache) {
-    blob_cache_ = std::make_unique<CodeBlobMap>(shards);
+    blob_cache_ = std::make_unique<CodeBlobMap>();
   }
 }
 
@@ -274,8 +269,7 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
   // fresh computation would no longer produce. Only the pure per-bytecode
   // artifacts (AnalysisCache), the immutable code blobs, and the
   // address-keyed proxy verdicts persist across runs.
-  pair_cache_ = std::make_unique<StripedOnceMap<std::string, PairOutcome>>(
-      config_.cache_shards == 0 ? 1 : config_.cache_shards);
+  pair_cache_ = std::make_unique<StripedOnceMap<std::string, PairOutcome>>();
 
   std::vector<ContractAnalysis> out(inputs.size());
 
@@ -286,8 +280,7 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
   // warm sweep skips this phase's work). A failed fetch quarantines only its
   // own contract: the once-map clears the in-flight marker on throw, so a
   // later retry (or resume pass) recomputes instead of caching the failure.
-  CodeBlobMap run_local_blobs(config_.cache_shards == 0 ? 1
-                                                        : config_.cache_shards);
+  CodeBlobMap run_local_blobs;
   CodeBlobMap& blob_map = blob_cache_ ? *blob_cache_ : run_local_blobs;
   auto fetch_blob = [&](const Address& address) {
     return blob_map.get_or_compute(address, [&] {
@@ -422,10 +415,10 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
   std::unordered_map<std::string, const ProxyReport*> verdicts;
   std::unordered_map<std::string, ErrorRecord> failed_keys;
   verdicts.reserve(unique_indices.size());
-  last_static_skips_ = 0;
-  last_static_mismatches_ = 0;
-  last_layout_inferred_ = 0;
-  last_layout_reliable_ = 0;
+  std::uint64_t static_skips = 0;
+  std::uint64_t static_mismatches = 0;
+  std::uint64_t layout_inferred = 0;
+  std::uint64_t layout_reliable = 0;
   for (std::size_t u = 0; u < unique_indices.size(); ++u) {
     const std::size_t i = unique_indices[u];
     if (unique_errors[u]) {
@@ -436,14 +429,14 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
         case StaticTriage::kSkippedNoDelegatecall:
         case StaticTriage::kSkippedDeadDelegatecall:
         case StaticTriage::kSkippedMinimalProxy:
-          ++last_static_skips_;
+          ++static_skips;
           break;
         default:
           break;
       }
-      if (unique_reports[u].static_mismatch != 0) ++last_static_mismatches_;
-      if (unique_reports[u].layout_inferred) ++last_layout_inferred_;
-      if (unique_reports[u].layout_reliable) ++last_layout_reliable_;
+      if (unique_reports[u].static_mismatch != 0) ++static_mismatches;
+      if (unique_reports[u].layout_inferred) ++layout_inferred;
+      if (unique_reports[u].layout_reliable) ++layout_reliable;
       verdicts.emplace(key_of(i), &unique_reports[u]);
     }
   }
@@ -599,38 +592,35 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
   }
 
   const auto t_end = std::chrono::steady_clock::now();
-  last_source_free_pairs_ = 0;
-  for (const ContractAnalysis& a : out) {
-    last_source_free_pairs_ += a.collision_pairs_source_free;
-  }
   last_run_ms_ = ms_between(t_start, t_end);
   last_fetch_ms_ = ms_between(t_start, t_fetch);
   last_proxy_ms_ = ms_between(t_fetch, t_proxy);
   last_pairs_ms_ = ms_between(t_proxy, t_end);
-  last_pair_hits_ = pair_cache_->hits();
-  last_pair_misses_ = pair_cache_->misses();
-  last_pair_waits_ = pair_cache_->waits();
 
   if (config_.telemetry.enabled) {
     // Gauge snapshots of the run-scoped cache totals and the (monotonic)
     // resilience counters: set(), not add(), so repeat runs don't
     // double-count in the registry snapshot.
     registry_.gauge("sweep.pair_cache.hits")
-        .set(static_cast<std::int64_t>(last_pair_hits_));
+        .set(static_cast<std::int64_t>(pair_cache_->hits()));
     registry_.gauge("sweep.pair_cache.misses")
-        .set(static_cast<std::int64_t>(last_pair_misses_));
+        .set(static_cast<std::int64_t>(pair_cache_->misses()));
     registry_.gauge("sweep.pair_cache.waits")
-        .set(static_cast<std::int64_t>(last_pair_waits_));
+        .set(static_cast<std::int64_t>(pair_cache_->waits()));
     registry_.gauge("sweep.static.skips")
-        .set(static_cast<std::int64_t>(last_static_skips_));
+        .set(static_cast<std::int64_t>(static_skips));
     registry_.gauge("sweep.static.mismatches")
-        .set(static_cast<std::int64_t>(last_static_mismatches_));
+        .set(static_cast<std::int64_t>(static_mismatches));
     registry_.gauge("sweep.layout.inferred")
-        .set(static_cast<std::int64_t>(last_layout_inferred_));
+        .set(static_cast<std::int64_t>(layout_inferred));
     registry_.gauge("sweep.layout.reliable")
-        .set(static_cast<std::int64_t>(last_layout_reliable_));
+        .set(static_cast<std::int64_t>(layout_reliable));
+    std::uint64_t source_free_pairs = 0;
+    for (const ContractAnalysis& a : out) {
+      source_free_pairs += a.collision_pairs_source_free;
+    }
     registry_.gauge("sweep.layout.source_free_pairs")
-        .set(static_cast<std::int64_t>(last_source_free_pairs_));
+        .set(static_cast<std::int64_t>(source_free_pairs));
     if (resilient_) {
       registry_.gauge("sweep.rpc.retries")
           .set(static_cast<std::int64_t>(resilient_->retries()));
@@ -719,9 +709,11 @@ void AnalysisPipeline::annotate_run_stats(LandscapeStats& stats) const {
   stats.phase_proxy_ms = last_proxy_ms_;
   stats.phase_pairs_ms = last_pairs_ms_;
   if (cache_) stats.cache = cache_->stats();
-  stats.pair_cache_hits = last_pair_hits_;
-  stats.pair_cache_misses = last_pair_misses_;
-  stats.pair_cache_waits = last_pair_waits_;
+  if (pair_cache_) {
+    stats.pair_cache_hits = pair_cache_->hits();
+    stats.pair_cache_misses = pair_cache_->misses();
+    stats.pair_cache_waits = pair_cache_->waits();
+  }
   if (h_contract_ != nullptr) {
     stats.contract_latency_ns = h_contract_->summary();
     stats.rpc_latency_ns = h_rpc_->summary();

@@ -139,8 +139,6 @@ struct TelemetryConfig {
   /// argument formatting entirely (the PR-3 tracing-overhead fix). The
   /// first span per thread is always kept.
   std::size_t span_sample_every_n = 1;
-  /// Completed spans retained per recording thread before the ring wraps.
-  std::size_t trace_ring_capacity = 1 << 15;
   /// Monotonic nanosecond clock for spans and latency stopwatches; empty =
   /// std::chrono::steady_clock. Tests inject a fake for deterministic
   /// traces (the PR-2 testable-time convention).
@@ -185,8 +183,6 @@ struct PipelineConfig {
   /// either way; off reproduces the seed's recompute-everything behavior
   /// for ablations.
   bool use_analysis_cache = true;
-  /// Lock stripes for the analysis/pair caches (clamped to >= 1).
-  unsigned cache_shards = 16;
 
   // ---- fault tolerance --------------------------------------------------
   /// External archive backend (a FaultInjectingArchiveNode in tests, a real
@@ -203,8 +199,6 @@ struct PipelineConfig {
   /// bit-identical either way (tested); off reproduces the raw probe volume
   /// for ablations. The cache is dropped by shed_cross_run_state().
   bool coalesce_archive_reads = true;
-  /// Lock shards of the coalescer's slot-timeline cache (clamped to >= 1).
-  unsigned coalescer_shards = 16;
   /// Backoff shape for retried archive RPCs.
   util::RetryPolicy retry{};
   /// Per-backend circuit breaker (trips on consecutive failures, half-opens
@@ -560,16 +554,6 @@ class AnalysisPipeline {
   double last_fetch_ms_ = 0.0;
   double last_proxy_ms_ = 0.0;
   double last_pairs_ms_ = 0.0;
-  std::uint64_t last_pair_hits_ = 0;
-  std::uint64_t last_pair_misses_ = 0;
-  std::uint64_t last_pair_waits_ = 0;
-  /// Static-tier totals over the last run's unique blobs (gauge mirrors).
-  std::uint64_t last_static_skips_ = 0;
-  std::uint64_t last_static_mismatches_ = 0;
-  /// Layout-inference totals over the last run (gauge mirrors).
-  std::uint64_t last_layout_inferred_ = 0;
-  std::uint64_t last_layout_reliable_ = 0;
-  std::uint64_t last_source_free_pairs_ = 0;
 };
 
 }  // namespace proxion::core

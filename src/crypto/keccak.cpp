@@ -25,10 +25,7 @@ constexpr std::uint64_t rotl64(std::uint64_t x, unsigned n) noexcept {
   return (x << n) | (x >> (64 - n));
 }
 
-}  // namespace
-
-namespace detail {
-
+// The keccak-f[1600] permutation (24 rounds) over the 25-word state.
 void keccak_f1600(std::array<std::uint64_t, 25>& a) noexcept {
   for (int round = 0; round < kRounds; ++round) {
     // Theta
@@ -65,7 +62,7 @@ void keccak_f1600(std::array<std::uint64_t, 25>& a) noexcept {
   }
 }
 
-}  // namespace detail
+}  // namespace
 
 Keccak256::Keccak256() noexcept = default;
 
@@ -75,7 +72,7 @@ void Keccak256::absorb_block() noexcept {
     std::memcpy(&lane, buffer_.data() + i * 8, 8);  // little-endian hosts only
     state_[i] ^= lane;
   }
-  detail::keccak_f1600(state_);
+  keccak_f1600(state_);
   buffered_ = 0;
 }
 
@@ -110,12 +107,6 @@ std::uint64_t keccak_invocations() noexcept {
   return invocation_counter().value();
 }
 
-namespace detail {
-void count_keccak_digests(std::uint64_t n) noexcept {
-  invocation_counter().add(n);
-}
-}  // namespace detail
-
 Hash256 Keccak256::finalize() noexcept {
   invocation_counter().add(1);
   // Keccak padding: 0x01 ... 0x80 (multi-rate padding, first bit 1).
@@ -124,7 +115,6 @@ Hash256 Keccak256::finalize() noexcept {
   buffer_[buffer_.size() - 1] |= 0x80;
   buffered_ = buffer_.size();
   absorb_block();
-  finalized_ = true;
 
   Hash256 out{};
   std::memcpy(out.data(), state_.data(), out.size());

@@ -16,31 +16,13 @@ using Hash256 = std::array<std::uint8_t, 32>;
 /// Keccak-256 digest of an arbitrary byte string.
 Hash256 keccak256(std::span<const std::uint8_t> data);
 
-/// Process-wide count of digests computed (one per finalize; batch calls add
-/// one per input), monotonic and thread-safe. Lets perf tests assert that
-/// hashing work was amortized (e.g. the pipeline hashes each distinct logic
-/// blob once, not once per pair).
+/// Process-wide count of digests computed (one per finalize), monotonic and
+/// thread-safe. Lets perf tests assert that hashing work was amortized (e.g.
+/// the pipeline hashes each distinct logic blob once, not once per pair).
 std::uint64_t keccak_invocations() noexcept;
 
 /// Convenience overload hashing the raw bytes of a string (no terminator).
 Hash256 keccak256(std::string_view text);
-
-/// Lane count of the batched permutation: inputs are processed in groups of
-/// this many independent messages per keccak-f[1600] sweep.
-inline constexpr std::size_t kKeccakLanes = 4;
-
-/// Batched Keccak-256: hashes each input independently and returns digests in
-/// input order, bit-identical to calling keccak256() per element. Inputs of
-/// any (ragged) lengths are accepted; same-padded-block-count messages are
-/// grouped into kKeccakLanes-wide interleaved permutation sweeps (portable
-/// 64-bit SWAR, or AVX2 when built with PROXION_SIMD and the CPU supports it;
-/// leftovers fall back to the scalar reference).
-std::vector<Hash256> keccak256_many(std::span<const std::vector<std::uint8_t>> inputs);
-std::vector<Hash256> keccak256_many(std::span<const std::span<const std::uint8_t>> inputs);
-
-/// Name of the multi-lane backend selected at startup: "avx2" or "swar".
-/// Purely informational (benchmarks and tests print it).
-const char* keccak_batch_backend() noexcept;
 
 /// Incremental hasher for streaming input (used when hashing large code blobs
 /// chunk-by-chunk, e.g. while deduplicating a population of contracts).
@@ -60,7 +42,6 @@ class Keccak256 {
   std::array<std::uint64_t, 25> state_{};
   std::array<std::uint8_t, 136> buffer_{};  // rate = 1088 bits = 136 bytes
   std::size_t buffered_ = 0;
-  bool finalized_ = false;
 };
 
 /// Hex string ("deadbeef" or "0xdeadbeef") -> bytes. Throws std::invalid_argument
@@ -69,17 +50,5 @@ std::vector<std::uint8_t> from_hex(std::string_view hex);
 
 /// Bytes -> lowercase hex without 0x prefix.
 std::string to_hex(std::span<const std::uint8_t> data);
-
-namespace detail {
-
-/// The scalar keccak-f[1600] permutation (24 rounds) over the 25-word state.
-/// Exposed for the batch implementations, which must stay bit-identical to it.
-void keccak_f1600(std::array<std::uint64_t, 25>& a) noexcept;
-
-/// Bumps the process-wide digest counter by `n` (one per digest produced).
-/// Batch paths call this once per batch instead of once per input.
-void count_keccak_digests(std::uint64_t n) noexcept;
-
-}  // namespace detail
 
 }  // namespace proxion::crypto

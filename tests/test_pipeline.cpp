@@ -204,6 +204,37 @@ TEST_F(PipelineTest, SummaryReportsPhaseTimingsAndCacheStats) {
   EXPECT_GT(stats.pair_cache_hits + stats.pair_cache_misses, 0u);
 }
 
+TEST_F(PipelineTest, RunGaugesAgreeWithSummary) {
+  // The sweep.* gauges and the LandscapeStats fields describe the same run
+  // from two sides (registry scrape vs report accumulation); after a
+  // fault-free run they must agree exactly.
+  Population pop = make_population(600);
+  AnalysisPipeline pipeline(*pop.chain, &pop.sources);
+  const auto reports = pipeline.run(pop.sweep_inputs());
+  const LandscapeStats stats = pipeline.summarize(reports);
+  for (const auto& r : reports) ASSERT_FALSE(r.error);
+
+  const auto gauges = pipeline.registry().snapshot().gauges;
+  const auto gauge = [&](const char* name) {
+    return static_cast<std::uint64_t>(gauges.at(name));
+  };
+  EXPECT_EQ(gauge("sweep.pair_cache.hits"), stats.pair_cache_hits);
+  EXPECT_EQ(gauge("sweep.pair_cache.misses"), stats.pair_cache_misses);
+  EXPECT_EQ(gauge("sweep.pair_cache.waits"), stats.pair_cache_waits);
+  EXPECT_EQ(gauge("sweep.layout.inferred"), stats.layout_inferred);
+  EXPECT_EQ(gauge("sweep.layout.reliable"), stats.layout_reliable);
+  EXPECT_EQ(gauge("sweep.layout.source_free_pairs"),
+            stats.collision_pairs_source_free);
+  EXPECT_EQ(gauge("sweep.static.skips"),
+            stats.static_skipped_absent + stats.static_skipped_dead +
+                stats.static_skipped_minimal);
+  // Agreement at zero would prove little: the population exercises each.
+  EXPECT_GT(stats.pair_cache_hits, 0u);
+  EXPECT_GT(stats.pair_cache_misses, 0u);
+  EXPECT_GT(stats.layout_inferred, 0u);
+  EXPECT_GT(stats.static_skipped_absent, 0u);
+}
+
 TEST_F(PipelineTest, EachDistinctLogicBlobIsHashedOnce) {
   // M clones of one proxy blob all pointing at one logic contract: the
   // marginal cost of an extra clone must be ONE keccak (its Phase 0 code
