@@ -1,7 +1,8 @@
 // Chaos-recovery bench: what a power cut costs. Runs the durable sweep
 // through the fault-injecting model filesystem, fault-free first (boundary
 // census + baseline), then cuts power at a sample of mutating-op boundaries
-// and measures heal + reboot + resume time — asserting every resumed sweep
+// and measures heal + reboot + resume time (a fresh instance's booting
+// incremental() call) — asserting every resumed sweep
 // is verdict-identical to the fault-free run and never recomputes committed
 // work. Headline numbers are merged into BENCH_results.json (the chaos CI
 // job gates on them).
@@ -116,7 +117,7 @@ int main() {
     core::AnalysisPipeline p2(*pop.chain, &pop.sources, config);
     store::DurableSweep healer(p2, *pop.chain, &pop.sources, sweep_config(vfs));
     store::DurableSweepResult res;
-    sum_resume_ms += time_ms([&] { res = healer.resume(inputs); });
+    sum_resume_ms += time_ms([&] { res = healer.incremental(inputs, {}); });
     all_identical = all_identical && res.error.empty() && res.complete &&
                     same_verdicts(res.stats, ref.stats);
     committed_recomputed = committed_recomputed || res.replayed < committed;

@@ -1,7 +1,8 @@
 // Durable-sweep bench: what checkpointing costs and what it buys. Sections:
 //   1. journaling overhead — a fresh durable sharded sweep vs the monolithic
 //      pipeline over the same population (wall time + journal size);
-//   2. kill + resume parity — stop after half the shards, resume, and check
+//   2. kill + resume parity — stop after half the shards, resume (a fresh
+//      instance's booting incremental() call), and check
 //      the merged result is verdict-identical with zero recomputation of
 //      committed contracts;
 //   3. incremental fraction — upgrade ~1% of the slot-based proxies and
@@ -132,7 +133,8 @@ int main() {
     kc.max_shards = 0;
     store::DurableSweep resumed(p, *pop.chain, &pop.sources, kc);
     store::DurableSweepResult merged;
-    const double resume_ms = time_ms([&] { merged = resumed.resume(inputs); });
+    const double resume_ms =
+        time_ms([&] { merged = resumed.incremental(inputs, {}); });
 
     heading("kill after half the shards + resume");
     row("phase 1 (killed)", fmt(phase1_ms, " ms"));

@@ -5,13 +5,16 @@
 //   2. recovery at 5/10/20% injected fault rates — wall time, retries, and
 //      the bit-identity check (a faulty sweep with retries must produce
 //      exactly the fault-free reports, with nothing quarantined);
-//   3. outage + resume — retry budget exhausted on purpose, then the
-//      checkpoint/resume pass after the backend "recovers".
+//   3. outage + restart — a durable sweep with the retry budget exhausted on
+//      purpose, then a restarted sweep booting from its journal after the
+//      backend "recovers".
 // All headline numbers are merged into BENCH_results.json.
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "bench_common.h"
@@ -19,6 +22,9 @@
 #include "chain/archive_node.h"
 #include "chain/fault_injection.h"
 #include "core/pipeline.h"
+#include "store/durable_sweep.h"
+#include "store/journal.h"
+#include "store/records.h"
 
 namespace {
 
@@ -66,6 +72,28 @@ bool identical(const std::vector<core::ContractAnalysis>& a,
     if (!(a[i] == b[i])) return false;
   }
   return true;
+}
+
+/// The last journaled report per input, in input order (a report missing
+/// from the journal stays default-constructed and fails the comparison).
+std::vector<core::ContractAnalysis> journaled(
+    const std::string& path, const std::vector<core::SweepInput>& inputs) {
+  std::unordered_map<evm::Address, core::ContractAnalysis, evm::AddressHasher>
+      last;
+  if (const auto replay = store::read_journal(path)) {
+    for (const store::JournalFrame& frame : replay->frames) {
+      if (frame.type != store::RecordType::kContract) continue;
+      if (auto rec = store::decode_contract_record(frame.payload)) {
+        last.insert_or_assign(rec->analysis.address, std::move(rec->analysis));
+      }
+    }
+  }
+  std::vector<core::ContractAnalysis> out;
+  out.reserve(inputs.size());
+  for (const core::SweepInput& input : inputs) {
+    out.push_back(last[input.address]);
+  }
+  return out;
 }
 
 }  // namespace
@@ -135,7 +163,7 @@ int main() {
                 static_cast<double>(stats.rpc_retries));
   }
 
-  // ---- 3. outage + checkpoint/resume ------------------------------------
+  // ---- 3. outage + restart from the journal ----------------------------
   {
     chain::ArchiveNode inner(*pop.chain);
     FaultProfile profile;
@@ -148,28 +176,43 @@ int main() {
     config.archive_node = &faulty;
     config.retry = bench_retry();
     core::AnalysisPipeline pipeline(*pop.chain, &pop.sources, config);
-    std::vector<core::ContractAnalysis> reports;
-    const double outage_ms = time_ms([&] { reports = pipeline.run(inputs); });
-    const auto partial = pipeline.summarize(reports);
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "proxion_bench_fault";
+    std::filesystem::create_directories(dir);
+    store::DurableSweepConfig sc;
+    sc.journal_path = (dir / "outage.journal").string();
+    store::DurableSweepResult outage;
+    const double outage_ms = time_ms([&] {
+      outage = store::DurableSweep(pipeline, *pop.chain, &pop.sources, sc)
+                   .run(inputs);
+    });
 
     faulty.heal();
-    std::size_t still = 0;
+    store::DurableSweep restarted(pipeline, *pop.chain, &pop.sources, sc);
+    store::DurableSweepResult healed;
     const double resume_ms =
-        time_ms([&] { still = pipeline.resume(inputs, reports); });
+        time_ms([&] { healed = restarted.incremental(inputs, {}); });
+    const bool converged =
+        outage.error.empty() && healed.error.empty() &&
+        identical(journaled(sc.journal_path, inputs), raw_reports);
 
-    heading("outage (10% of requests dead) + resume after recovery");
-    row("outage sweep", fmt(outage_ms, " ms"));
-    row("quarantined by the outage", std::to_string(partial.quarantined));
+    heading("outage (10% of requests dead) + restart after recovery");
+    row("outage sweep (durable)", fmt(outage_ms, " ms"));
+    row("quarantined by the outage", std::to_string(outage.stats.quarantined));
     row("analyzed anyway (partial coverage)",
-        std::to_string(partial.analyzed_contracts));
-    row("resume pass", fmt(resume_ms, " ms"));
-    row("still quarantined after resume", std::to_string(still));
-    row("converged to fault-free reports",
-        identical(reports, raw_reports) ? "yes" : "NO");
+        std::to_string(outage.stats.analyzed_contracts));
+    row("restart pass (boot from journal)", fmt(resume_ms, " ms"));
+    row("recomputed by the restart", std::to_string(healed.recomputed));
+    row("still quarantined after restart",
+        std::to_string(healed.stats.quarantined));
+    row("converged to fault-free reports", converged ? "yes" : "NO");
     results.set("outage_sweep_ms", outage_ms);
-    results.set("outage_quarantined", static_cast<double>(partial.quarantined));
+    results.set("outage_quarantined",
+                static_cast<double>(outage.stats.quarantined));
     results.set("resume_ms", resume_ms);
-    results.set("resume_still_quarantined", static_cast<double>(still));
+    results.set("resume_recomputed", static_cast<double>(healed.recomputed));
+    results.set("resume_still_quarantined",
+                static_cast<double>(healed.stats.quarantined));
   }
 
   results.write();

@@ -10,8 +10,9 @@
 //   --checkpoint <path>   stream the sweep through the checkpoint journal
 //   --shard-size <n>      contracts per shard (default 1024)
 //   --max-shards <n>      stop after n shards (simulates a kill; resume later)
-//   --resume              continue a checkpointed sweep from its journal
-//   --incremental         re-sweep only contracts whose fingerprint changed
+//   --resume              continue from the journal: finish a cut-short
+//                         sweep and re-sweep only contracts whose
+//                         fingerprint changed since
 //
 // Live introspection (see README "Live introspection plane"):
 //   --serve <port>        serve /metrics, /healthz, /spans on 127.0.0.1
@@ -58,7 +59,6 @@ struct Options {
   std::size_t shard_size = 1024;
   std::size_t max_shards = 0;
   bool resume = false;
-  bool incremental = false;
   int serve_port = -1;       // >= 0 = introspection-plane serving mode
   std::size_t sweeps = 0;    // serve mode: sweeps to run; 0 = until killed
   std::uint32_t population = 4'000;
@@ -91,8 +91,6 @@ bool parse_options(int argc, char** argv, Options& opt) {
       opt.max_shards = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
     } else if (arg == "--resume") {
       opt.resume = true;
-    } else if (arg == "--incremental") {
-      opt.incremental = true;
     } else if (arg == "--serve") {
       const char* v = value("--serve");
       if (v == nullptr) return false;
@@ -119,21 +117,23 @@ bool parse_options(int argc, char** argv, Options& opt) {
     } else {
       std::fprintf(stderr,
                    "usage: landscape_survey [--checkpoint <journal> "
-                   "[--shard-size N] [--max-shards N] [--resume | "
-                   "--incremental]] [--serve PORT [--sweeps N]] "
+                   "[--shard-size N] [--max-shards N] [--resume]] "
+                   "[--serve PORT [--sweeps N]] "
                    "[--follow [--blocks N]] "
                    "[--population N] [--events <path>]\n");
       return false;
     }
   }
-  if ((opt.resume || opt.incremental) && opt.checkpoint.empty()) {
-    std::fprintf(stderr, "--resume/--incremental require --checkpoint\n");
+  if (opt.resume && opt.checkpoint.empty()) {
+    std::fprintf(stderr, "--resume requires --checkpoint\n");
     return false;
   }
   return true;
 }
 
-void print_stats(const core::LandscapeStats& stats) {
+/// `recomputed`: contracts a durable sweep ran through the pipeline.
+void print_stats(const core::LandscapeStats& stats,
+                 std::uint64_t recomputed = 0) {
   std::printf("Proxion sweep results:\n");
   std::printf("  contracts analyzed:        %llu\n",
               static_cast<unsigned long long>(stats.total_contracts));
@@ -171,7 +171,7 @@ void print_stats(const core::LandscapeStats& stats) {
                 "from journal, %llu re-analyzed\n",
                 static_cast<unsigned long long>(stats.sweep_shards),
                 static_cast<unsigned long long>(stats.journal_replayed),
-                static_cast<unsigned long long>(stats.incremental_reanalyzed));
+                static_cast<unsigned long long>(recomputed));
     if (stats.selfheal_shards > 0) {
       std::printf("  journal self-heal:         %llu corrupt region(s) "
                   "recomputed\n",
@@ -541,9 +541,7 @@ int main(int argc, char** argv) {
     store::DurableSweep sweep(pipeline, *pop.chain, &pop.sources, sweep_config);
     const std::vector<core::SweepInput> inputs = pop.sweep_inputs();
     store::DurableSweepResult result =
-        opt.incremental ? sweep.incremental(inputs, {})
-        : opt.resume    ? sweep.resume(inputs)
-                        : sweep.run(inputs);
+        opt.resume ? sweep.incremental(inputs, {}) : sweep.run(inputs);
     if (!result.error.empty()) {
       std::fprintf(stderr, "durable sweep failed: %s\n", result.error.c_str());
       return 1;
@@ -561,7 +559,7 @@ int main(int argc, char** argv) {
                   opt.checkpoint.c_str());
       return 0;
     }
-    print_stats(result.stats);
+    print_stats(result.stats, result.recomputed);
     std::printf("\nThe same sweep drives every bench/bench_* reproduction "
                 "binary at larger scale.\n");
     return 0;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <stdexcept>
 #include <thread>
-#include <unordered_set>
 
 #include "core/report.h"
 #include "crypto/keccak.h"
@@ -14,7 +13,7 @@ namespace proxion::core {
 namespace {
 
 /// Debug-mode enforcement of the external-serialization contract: entering
-/// run()/resume()/summarize() while another is in flight on the same
+/// run()/summarize() while another is in flight on the same
 /// pipeline trips the assert. Release builds compile this to nothing.
 class ReentrancyGuard {
  public:
@@ -22,7 +21,7 @@ class ReentrancyGuard {
 #ifndef NDEBUG
     const bool was_busy = busy_.exchange(true, std::memory_order_acquire);
     assert(!was_busy &&
-           "AnalysisPipeline::run/resume/summarize must be externally "
+           "AnalysisPipeline::run/summarize must be externally "
            "serialized per instance");
 #endif
   }
@@ -190,36 +189,6 @@ util::ThreadPool& AnalysisPipeline::pool() {
 std::vector<ContractAnalysis> AnalysisPipeline::run(
     const std::vector<SweepInput>& inputs) {
   ReentrancyGuard guard(busy_);
-  return run_internal(inputs, nullptr);
-}
-
-std::size_t AnalysisPipeline::resume(const std::vector<SweepInput>& inputs,
-                                     std::vector<ContractAnalysis>& reports) {
-  ReentrancyGuard guard(busy_);
-  if (reports.size() != inputs.size()) {
-    throw std::invalid_argument(
-        "resume: reports must come from a run over the same inputs");
-  }
-  bool any_quarantined = false;
-  for (const ContractAnalysis& r : reports) {
-    if (r.error) {
-      any_quarantined = true;
-      break;
-    }
-  }
-  if (!any_quarantined) return 0;
-
-  reports = run_internal(inputs, &reports);
-  std::size_t still_quarantined = 0;
-  for (const ContractAnalysis& r : reports) {
-    if (r.error) ++still_quarantined;
-  }
-  return still_quarantined;
-}
-
-std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
-    const std::vector<SweepInput>& inputs,
-    const std::vector<ContractAnalysis>* prior) {
   const auto t_start = std::chrono::steady_clock::now();
   util::ThreadPool& workers = pool();
 
@@ -236,13 +205,12 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
   }
   if (event_log != nullptr) {
     event_log->emit(obs::Severity::kInfo, "pipeline",
-                    (prior != nullptr ? "resume pass started over "
-                                      : "sweep started over ") +
-                        std::to_string(inputs.size()) + " contracts");
+                    "sweep started over " + std::to_string(inputs.size()) +
+                        " contracts");
   }
 
   // Each run entry asserts the backend is worth talking to again; a breaker
-  // left open by a previous run's outage must not fast-fail a resume pass.
+  // left open by a previous run's outage must not fast-fail a retry.
   if (resilient_) resilient_->breaker().reset();
 
   // Telemetry scope is one run: the histograms behind the LandscapeStats
@@ -279,7 +247,7 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
   // (seed semantics), ever when it is on (deployed code is immutable, so a
   // warm sweep skips this phase's work). A failed fetch quarantines only its
   // own contract: the once-map clears the in-flight marker on throw, so a
-  // later retry (or resume pass) recomputes instead of caching the failure.
+  // later retry recomputes instead of caching the failure.
   CodeBlobMap run_local_blobs;
   CodeBlobMap& blob_map = blob_cache_ ? *blob_cache_ : run_local_blobs;
   auto fetch_blob = [&](const Address& address) {
@@ -310,30 +278,13 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
   };
   const auto t_fetch = std::chrono::steady_clock::now();
 
-  // ---- resume bookkeeping ----------------------------------------------
-  // Code hashes touched by a previously-quarantined contract. Their healthy
-  // siblings are recomputed too: the prior (faulty) run may have promoted a
-  // different representative for the hash, and dedup metadata must converge
-  // to what a fault-free full run produces.
-  std::unordered_set<std::string> dirty_keys;
-  if (prior != nullptr) {
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      if ((*prior)[i].error && blobs[i]) dirty_keys.insert(key_of(i));
-    }
-  }
-  auto reuse_prior = [&](std::size_t i) {
-    return prior != nullptr && !(*prior)[i].error &&
-           (!blobs[i] || dirty_keys.count(key_of(i)) == 0);
-  };
-
   // ---- §7.1 source propagation: first verified address per code hash ----
   // The donor overlay (sharded sweeps) replaces the run-local construction:
   // a shard sees only its member contracts, but the donor for a code hash is
   // defined over the whole population, so the driver precomputes the global
   // map once and injects it here.
   std::unordered_map<std::string, Address> run_local_donor;
-  if (donor_overlay_.empty() && config_.propagate_source_by_code_hash &&
-      sources_ != nullptr) {
+  if (donor_overlay_.empty() && sources_ != nullptr) {
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       if (!blobs[i]) continue;
       if (sources_->has_source(inputs[i].address)) {
@@ -342,9 +293,7 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
     }
   }
   const std::unordered_map<std::string, Address>& source_donor =
-      (config_.propagate_source_by_code_hash && !donor_overlay_.empty())
-          ? donor_overlay_
-          : run_local_donor;
+      donor_overlay_.empty() ? run_local_donor : donor_overlay_;
   auto with_source_donor = [&](const std::string& hash,
                                const Address& original) {
     if (sources_ != nullptr && sources_->has_source(original)) {
@@ -453,14 +402,6 @@ std::vector<ContractAnalysis> AnalysisPipeline::run_internal(
     obs::Span phase_span(tracer_.get(), "phase:pairs");
     workers.parallel_for(inputs.size(), [&](std::size_t i) {
       ContractAnalysis& a = out[i];
-      if (reuse_prior(i)) {
-        a = (*prior)[i];
-        if (c_contracts_ != nullptr) c_contracts_->add();
-        if (status != nullptr) {
-          status->contracts_done.fetch_add(1, std::memory_order_relaxed);
-        }
-        return;
-      }
       // Per-contract latency stopwatch + trace span around the whole pair
       // phase for this contract; the body runs as an immediately-invoked
       // lambda so its early returns still land on the record below.
@@ -729,8 +670,9 @@ void AnalysisPipeline::shed_cross_run_state() {
   if (blob_cache_) blob_cache_->clear();
   if (verdict_cache_) verdict_cache_->clear();
   // Dropping whole AnalysisCache entries also sheds the memoized
-  // StorageLayout side table — a resumed lap must re-infer layouts so its
-  // reports stay bit-identical with a cold run over the same population.
+  // StorageLayout side table — the next shard or lap must re-infer layouts
+  // so its reports stay bit-identical with a cold run over the same
+  // population.
   if (cache_) cache_->clear();
   // Gauges are last-writer-wins facts about ONE run; a serving-mode daemon
   // shedding state between sweeps must not keep exposing the previous run's

@@ -9,8 +9,8 @@
 // retries transient RpcErrors with backoff behind a circuit breaker. Every
 // per-contract unit of work runs under a try/catch plus a wall-clock
 // watchdog: a failing contract becomes a quarantined ErrorRecord on its
-// ContractAnalysis instead of aborting the sweep, and resume() re-enters the
-// run to retry only the quarantined set.
+// ContractAnalysis instead of aborting the sweep; the durable driver
+// (store/durable_sweep.h) retries quarantined contracts on its next pass.
 #pragma once
 
 #include <atomic>
@@ -66,7 +66,7 @@ std::string_view to_string(ErrorKind kind) noexcept;
 
 /// Per-contract failure record. A report carrying one is "quarantined":
 /// its analysis is partial (whatever phases completed before the failure)
-/// and resume() will retry it.
+/// and the durable driver's next pass retries it.
 struct ErrorRecord {
   ErrorKind kind = ErrorKind::kInternal;
   std::string phase;   // "fetch" | "proxy" | "pairs"
@@ -167,10 +167,6 @@ struct PipelineConfig {
   bool dedup_by_code_hash = true;   // §6.1's re-analysis avoidance
   bool detect_collisions = true;
   bool find_logic_history = true;
-  /// §7.1: "we assign the source code of a contract to all other contracts
-  /// with the same bytecode hash" — lets clones of one verified contract be
-  /// analyzed in source mode.
-  bool propagate_source_by_code_hash = true;
   /// Re-probe DELEGATECALL-bearing non-proxies with tx-harvested selectors
   /// to catch EIP-2535 diamonds (§8.2 future work, implemented).
   bool probe_diamonds = false;
@@ -202,7 +198,7 @@ struct PipelineConfig {
   /// Backoff shape for retried archive RPCs.
   util::RetryPolicy retry{};
   /// Per-backend circuit breaker (trips on consecutive failures, half-opens
-  /// on a probe after its cooldown). Reset at each run()/resume() entry.
+  /// on a probe after its cooldown). Reset at each run() entry.
   util::CircuitBreakerConfig breaker{};
   /// Wall-clock budget per contract in the pair phase; 0 = unlimited. A
   /// contract exceeding it quarantines as kEmulationLimit at the next
@@ -260,11 +256,8 @@ struct LandscapeStats {
   /// Shards the durable driver ran (or replayed) to produce these stats.
   std::uint64_t sweep_shards = 0;
   /// Contracts whose reports were replayed from the checkpoint journal
-  /// instead of being recomputed (resume / incremental modes).
+  /// instead of being recomputed (an incremental() boot).
   std::uint64_t journal_replayed = 0;
-  /// Contracts the incremental mode re-analyzed because their
-  /// (code hash, implementation-slot head) fingerprint changed.
-  std::uint64_t incremental_reanalyzed = 0;
   /// 1 when the durable driver lost its disk mid-sweep (ENOSPC/persistent
   /// write or fsync failure) and finished in in-memory degraded mode:
   /// verdicts are complete and correct, but nothing past the last good
@@ -276,8 +269,8 @@ struct LandscapeStats {
 
   // ---- fault / coverage accounting --------------------------------------
   /// Contracts whose reports carry an ErrorRecord (excluded from the
-  /// aggregates above: the sweep's coverage is partial until resume()
-  /// clears them).
+  /// aggregates above: the sweep's coverage is partial until a later
+  /// pass clears them).
   std::uint64_t quarantined = 0;
   /// total_contracts - quarantined.
   std::uint64_t analyzed_contracts = 0;
@@ -334,7 +327,7 @@ struct LandscapeStats {
 
   // ---- latency distributions (telemetry; all-zero when disabled) --------
   /// Phase-B wall time per contract, nanoseconds (count = contracts that
-  /// went through the pair phase this run, excluding resume carry-overs).
+  /// went through the pair phase this run).
   obs::HistogramSummary contract_latency_ns;
   /// Per-RPC-attempt latency, nanoseconds — each retry is its own sample,
   /// matching §6.1's call-level accounting.
@@ -363,28 +356,17 @@ class AnalysisPipeline {
   ///
   /// Fault containment: a contract whose analysis fails (RPC exhausted,
   /// watchdog, internal error) is returned with `error` set rather than
-  /// aborting the run; see resume().
+  /// aborting the run.
   ///
   /// Concurrency contract: the parallelism lives *inside* a run (the pool
   /// reads the chain concurrently, which must therefore be read-safe).
-  /// run(), resume(), and summarize() must be EXTERNALLY SERIALIZED per
+  /// run() and summarize() must be EXTERNALLY SERIALIZED per
   /// pipeline instance — concurrent calls on one AnalysisPipeline race on
   /// the per-run pair memo, the run-scoped histograms, and the timing
   /// fields. Debug builds enforce this with a re-entrancy guard (assert);
   /// release builds do not check. Distinct AnalysisPipeline instances are
   /// independent and may run concurrently over a read-safe chain.
   std::vector<ContractAnalysis> run(const std::vector<SweepInput>& inputs);
-
-  /// Checkpoint/resume: retries only the quarantined contracts of a prior
-  /// run over the same `inputs`, patching `reports` in place. Healthy
-  /// reports are carried over untouched — except contracts sharing a code
-  /// hash with a quarantined one, which are recomputed so dedup metadata
-  /// (representative choice, probe seeding) converges to exactly what a
-  /// fault-free run over the full population produces. The breaker is reset
-  /// on entry (the caller is asserting the backend recovered). Returns the
-  /// number of contracts still quarantined.
-  std::size_t resume(const std::vector<SweepInput>& inputs,
-                     std::vector<ContractAnalysis>& reports);
 
   /// Aggregates reports into the landscape statistics. Quarantined reports
   /// count toward `quarantined` / `errors_by_kind` only. Same external-
@@ -475,12 +457,6 @@ class AnalysisPipeline {
       StripedOnceMap<Address, std::shared_ptr<const CodeBlob>,
                      evm::AddressHasher>;
 
-  /// The sweep body. `prior` non-null = resume semantics (recompute only
-  /// quarantined contracts and their code-hash siblings).
-  std::vector<ContractAnalysis> run_internal(
-      const std::vector<SweepInput>& inputs,
-      const std::vector<ContractAnalysis>* prior);
-
   util::ThreadPool& pool();
   /// The backend every archive RPC goes through. Decorator stack, outermost
   /// first: coalescing (probe dedup + interval cache; its hits never touch
@@ -546,7 +522,7 @@ class AnalysisPipeline {
   std::unordered_map<std::string, Address> donor_overlay_;
 
   /// Debug-only re-entrancy guard for the external-serialization contract
-  /// (run/resume/summarize must not overlap on one instance). mutable so
+  /// (run/summarize must not overlap on one instance). mutable so
   /// the const summarize() can participate.
   mutable std::atomic<bool> busy_{false};
 

@@ -170,10 +170,6 @@ std::string render_landscape_text(const LandscapeStats& stats) {
   if (stats.sweep_shards > 0) {
     out << "durable sweep:       " << stats.sweep_shards << " shards, "
         << stats.journal_replayed << " replayed from journal";
-    if (stats.incremental_reanalyzed > 0) {
-      out << ", " << stats.incremental_reanalyzed
-          << " re-analyzed (incremental)";
-    }
     if (stats.selfheal_shards > 0) {
       out << ", " << stats.selfheal_shards
           << " corrupt region(s) self-healed";

@@ -40,19 +40,24 @@ Address masked_head(const U256& word) {
   return Address::from_word(word & ((U256{1} << U256{160}) - U256{1}));
 }
 
-/// One code-hash group: member input indices in input order (the first is
-/// the global dedup representative).
+/// Whether the pipeline got as far as handing `a` its group's verdict. A
+/// contract quarantined by its own code fetch or by its representative's
+/// Phase A carries no dedup flag in a cold sweep.
+bool has_verdict(const ContractAnalysis& a) {
+  return !a.error || a.error->phase == "pairs";
+}
+
+/// One code-hash group to run: member input indices in input order.
 struct Group {
   crypto::Hash256 hash{};
   std::vector<std::size_t> members;
-};
-
-/// A Phase-A verdict to pre-seed before the owning shard runs (built from
-/// a journaled report, slot head already patched to current chain state).
-struct Seed {
-  crypto::Hash256 hash{};
-  Address representative;
-  core::ProxyReport report;
+  /// The group's representative stands and is not among `members`: they
+  /// journal as dedup clones of it.
+  bool clones = false;
+  /// Phase-A verdicts to pre-seed before the owning shard runs, as
+  /// (address, the representative's report with the slot head re-read at
+  /// that address).
+  std::vector<std::pair<Address, core::ProxyReport>> seeds;
 };
 
 /// What planning needs of a contract's last record: its fingerprint (code
@@ -79,120 +84,31 @@ struct Plan {
   std::vector<std::size_t> reused;
   /// Groups with members to recompute (only those members).
   std::vector<Group> rerun_groups;
-  /// Re-run members that must journal as dedup clones: their group's
-  /// representative was reused, so the unique-codehash count must not
-  /// double.
-  std::unordered_set<std::size_t> dedup_patch;
-  std::unordered_map<crypto::Hash256, Seed, HashKey> seeds;
   std::uint64_t upgraded = 0;
 };
-
-/// The last record's fingerprint of an address, if it has one.
-using LastFingerprint =
-    std::function<std::optional<Fingerprint>(const Address&)>;
-/// The Phase-A report a healthy record of `hash` at the address carries.
-using DonorReport =
-    std::function<const core::ProxyReport&(const crypto::Hash256&,
-                                           const Address&)>;
-
-/// Decides one code-hash group for resume() and incremental(): which of
-/// `examine` (a subset of `members`, both ascending input indices) reuse
-/// their last record and which re-run. A boot passes every member; a lap
-/// passes its dirty members, against the same full membership.
-void plan_group(const crypto::Hash256& hash,
-                const std::vector<std::size_t>& members,
-                const std::vector<std::size_t>& examine,
-                const std::vector<SweepInput>& inputs, bool resume, bool dedup,
-                chain::Blockchain& chain, const LastFingerprint& last,
-                const DonorReport& donor_report, Plan& plan) {
-  auto healthy = [&](const std::optional<Fingerprint>& fp) {
-    return fp && !fp->quarantined && fp->code_hash == hash;
-  };
-  std::vector<std::size_t> rerun;
-  std::vector<std::size_t> keep;
-  for (const std::size_t i : examine) {
-    const std::optional<Fingerprint> fp = last(inputs[i].address);
-    bool reusable = healthy(fp);
-    if (reusable && !resume) {
-      if (fp->logic_source == core::LogicSource::kStorageSlot &&
-          masked_head(chain.get_storage(inputs[i].address, fp->logic_slot)) !=
-              fp->logic_address) {
-        // Same code, moved implementation slot: the journaled
-        // logic_address IS the masked head at analysis time.
-        reusable = false;
-        ++plan.upgraded;
-      } else if (fp->deduplicated != (dedup && i != members.front())) {
-        // The group's representative changed under it (a member's code
-        // moved): the dedup flag, so the record, must follow.
-        reusable = false;
-      }
-    }
-    (reusable ? keep : rerun).push_back(i);
-  }
-  if (!rerun.empty() && resume) {
-    // Resume recomputes incomplete groups WHOLE: the journal may have been
-    // cut mid-group (or hold a quarantined member), and dedup metadata must
-    // converge to a fault-free full run's.
-    plan.rerun_groups.push_back(Group{hash, members});
-    return;
-  }
-  plan.reused.insert(plan.reused.end(), keep.begin(), keep.end());
-  if (rerun.empty()) return;
-  if (dedup && rerun.front() == members.front()) {
-    // While a quarantined representative's code fetch fails, the pipeline
-    // promotes the next member to representative (dedup flag off). Retry
-    // that interim one alongside it, so its flag follows the outcome.
-    const std::optional<Fingerprint> front = last(inputs[members.front()].address);
-    if (front && front->quarantined) {
-      for (const std::size_t i : members) {
-        const std::optional<Fingerprint> fp = last(inputs[i].address);
-        if (!healthy(fp) || fp->deduplicated) continue;
-        const auto at = std::lower_bound(rerun.begin(), rerun.end(), i);
-        if (at == rerun.end() || *at != i) rerun.insert(at, i);
-      }
-    }
-  }
-  if (members.front() != rerun.front()) {
-    for (const std::size_t i : rerun) plan.dedup_patch.insert(i);
-  }
-  // Seed Phase A from any healthy same-code record so unchanged bytecode is
-  // never re-emulated; patch slot-read fields to the sub-run
-  // representative's CURRENT head, exactly as Phase B's dedup re-read would.
-  for (const std::size_t i : members) {
-    if (!healthy(last(inputs[i].address))) continue;
-    Seed seed;
-    seed.hash = hash;
-    seed.representative = inputs[rerun.front()].address;
-    seed.report = donor_report(hash, inputs[i].address);
-    if (seed.report.logic_source == core::LogicSource::kStorageSlot) {
-      seed.report.logic_address = masked_head(
-          chain.get_storage(seed.representative, seed.report.logic_slot));
-    }
-    plan.seeds.emplace(hash, std::move(seed));
-    break;
-  }
-  plan.rerun_groups.push_back(Group{hash, std::move(rerun)});
-}
 
 }  // namespace
 
 /// The in-memory state incremental() keeps between calls: the last
-/// record's fingerprint for every input it covers, one Phase-A report per
-/// code hash to seed from, the code-hash groups, the quarantined set, the
-/// §7.1 donor candidates, and the open journal writer.
+/// record's fingerprint for every input it covers, each representative's
+/// own Phase-A verdict to seed from, the code-hash groups, the quarantined
+/// set, the §7.1 donor candidates, and the open journal writer.
 struct DurableSweep::LiveIndex {
   struct Entry {
     std::size_t input = 0;  // index into the inputs list
     Fingerprint last;
   };
+  /// A healthy non-clone record's Phase-A report: the verdict its group's
+  /// clones carry, computed at `owner`.
+  struct Verdict {
+    Address owner;
+    core::ProxyReport report;
+  };
 
   /// Inputs covered: a prefix of every later call's inputs.
   std::size_t covered = 0;
   std::unordered_map<Address, Entry, evm::AddressHasher> by_address;
-  /// The Phase-A report of a healthy record per code hash. Every healthy
-  /// member of a group carries its representative's report (the logic
-  /// address aside, which seeding re-reads), so one per hash suffices.
-  std::unordered_map<crypto::Hash256, core::ProxyReport, HashKey> reports;
+  std::unordered_map<crypto::Hash256, Verdict, HashKey> verdicts;
   /// Code hash -> member input indices, ascending; the front is the
   /// group's global dedup representative.
   std::unordered_map<crypto::Hash256, std::vector<std::size_t>, HashKey>
@@ -217,9 +133,77 @@ struct DurableSweep::LiveIndex {
       quarantined.insert(a);
     } else {
       quarantined.erase(a);
-      reports.insert_or_assign(rec.code_hash, rec.analysis.proxy);
+      if (!rec.analysis.deduplicated) {
+        verdicts.insert_or_assign(rec.code_hash,
+                                  Verdict{a, rec.analysis.proxy});
+      }
     }
     by_address.insert_or_assign(a, Entry{input, fingerprint_of(rec)});
+  }
+
+  /// The recompute rule, shared by boot and lap: decides which of
+  /// `examine` (ascending input indices of the group `hash`) reuse their
+  /// last record and which re-run. A record is reused only where a cold
+  /// sweep of the current chain would write the same one:
+  ///   - it is healthy, has the group's code hash and the same
+  ///     implementation-slot head, and its dedup flag matches its position
+  ///     (clone unless it is the group's front);
+  ///   - re-run members are seeded with the representative's own verdict
+  ///     (slot head re-read), since the crafted probe selector is seeded
+  ///     from the representative's address and clones carry it;
+  ///   - when the representative's last record is not its own healthy
+  ///     verdict of this code, the group's clones hold another address's
+  ///     verdict, so the whole group re-runs unseeded.
+  void plan_group(const crypto::Hash256& hash,
+                  const std::vector<std::size_t>& examine,
+                  const std::vector<SweepInput>& inputs, bool dedup,
+                  chain::Blockchain& chain, Plan& plan) const {
+    const std::vector<std::size_t>& members = groups.at(hash);
+    const std::size_t front = members.front();
+    auto healthy = [&](const Fingerprint* fp) {
+      return fp != nullptr && !fp->quarantined && fp->code_hash == hash;
+    };
+    Group group{hash, {}};
+    std::vector<std::size_t> keep;
+    for (const std::size_t i : examine) {
+      const Fingerprint* fp = find(inputs[i].address);
+      bool reusable =
+          healthy(fp) && fp->deduplicated == (dedup && i != front);
+      if (healthy(fp) && fp->logic_source == core::LogicSource::kStorageSlot &&
+          masked_head(chain.get_storage(inputs[i].address, fp->logic_slot)) !=
+              fp->logic_address) {
+        // Same code, moved implementation slot: the journaled
+        // logic_address IS the masked head at analysis time.
+        reusable = false;
+        ++plan.upgraded;
+      }
+      (reusable ? keep : group.members).push_back(i);
+    }
+    if (dedup && !group.members.empty()) {
+      const Address& rep = inputs[front].address;
+      const Fingerprint* fp = find(rep);
+      const auto own = verdicts.find(hash);
+      if (!healthy(fp) || fp->deduplicated || own == verdicts.end() ||
+          own->second.owner != rep) {
+        group.members = members;
+        plan.rerun_groups.push_back(std::move(group));
+        return;
+      }
+      // Seed every re-run clone, not only the sub-run's first: should its
+      // code fetch fail, the next one must not emulate a verdict of its own.
+      group.clones = group.members.front() != front;
+      for (const std::size_t i : group.members) {
+        if (!group.clones && i != front) break;
+        core::ProxyReport report = own->second.report;
+        if (report.logic_source == core::LogicSource::kStorageSlot) {
+          report.logic_address = masked_head(
+              chain.get_storage(inputs[i].address, report.logic_slot));
+        }
+        group.seeds.emplace_back(inputs[i].address, std::move(report));
+      }
+    }
+    plan.reused.insert(plan.reused.end(), keep.begin(), keep.end());
+    if (!group.members.empty()) plan.rerun_groups.push_back(std::move(group));
   }
 };
 
@@ -238,22 +222,17 @@ DurableSweep::~DurableSweep() = default;
 
 DurableSweepResult DurableSweep::run(const std::vector<SweepInput>& inputs) {
   live_.reset();
-  return sweep(inputs, Mode::kFresh, {});
-}
-
-DurableSweepResult DurableSweep::resume(const std::vector<SweepInput>& inputs) {
-  live_.reset();
-  return sweep(inputs, Mode::kResume, {});
+  return sweep(inputs, /*fresh=*/true, {});
 }
 
 DurableSweepResult DurableSweep::incremental(
     const std::vector<SweepInput>& inputs, const AddressSet& touched) {
   if (live_ && inputs.size() < live_->covered) live_.reset();
-  return sweep(inputs, Mode::kIncremental, touched);
+  return sweep(inputs, /*fresh=*/false, touched);
 }
 
 DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
-                                       Mode mode, const AddressSet& touched) {
+                                       bool fresh, const AddressSet& touched) {
   DurableSweepResult result;
   util::Vfs& vfs = config_.vfs != nullptr ? *config_.vfs : util::Vfs::real();
   // Per-sweep gauges start clean (a prior degraded sweep on the same
@@ -265,11 +244,11 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
   }
 
   // A lap plans against the index the previous incremental() call left;
-  // every other call boots and fingerprints the whole population. Only
-  // incremental() builds an index — run() and resume() retain nothing.
+  // every other call fingerprints the whole population. Only incremental()
+  // builds an index: run() retains nothing.
   const bool lap = live_ != nullptr;
   std::unique_ptr<LiveIndex> booted;
-  if (!lap && mode == Mode::kIncremental) booted = std::make_unique<LiveIndex>();
+  if (!lap && !fresh) booted = std::make_unique<LiveIndex>();
   LiveIndex* index = lap ? live_.get() : booted.get();
   std::optional<JournalWriter> boot_writer;
   std::optional<JournalWriter>& writer = lap ? live_->writer : boot_writer;
@@ -280,15 +259,15 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     return result;
   };
 
-  const bool dedup = pipeline_.config().dedup_by_code_hash;
-  Plan plan;
-  Mode effective = mode;
   std::uint64_t prior_shards = 0;
   std::uint64_t heal_gaps = 0;
   std::vector<crypto::Hash256> hashes;  // boot: the fingerprint per input
   std::unordered_map<Address, ContractRecord, evm::AddressHasher> records;
   std::optional<JournalReplay> replay;
   bool donors_changed = false;
+  // A lap's contracts to plan, as (input index, current code hash)
+  // ascending; every other call plans every input.
+  std::vector<std::pair<std::size_t, crypto::Hash256>> examine;
 
   if (lap) {
     // ---- lap: the dirty set ----------------------------------------------
@@ -312,7 +291,6 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     // ---- fingerprint it; move code-changed members between groups -------
     // A group whose representative changes re-examines the old and the new
     // one: the dedup flag follows the representative.
-    std::vector<std::pair<std::size_t, crypto::Hash256>> examine;
     std::vector<std::size_t> fronts;
     for (const std::size_t i : dirty) {
       const Address& a = inputs[i].address;
@@ -357,31 +335,8 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
                                 return x.first == y.first;
                               }),
                   examine.end());
-    result.examined = examine.size();
-
-    // ---- plan the examined members, group by group -----------------------
-    std::vector<Group> candidates;
-    std::unordered_map<crypto::Hash256, std::size_t, HashKey> slot_of;
-    for (const auto& [i, hash] : examine) {
-      const auto [it, inserted] = slot_of.try_emplace(hash, candidates.size());
-      if (inserted) candidates.push_back(Group{hash, {}});
-      candidates[it->second].members.push_back(i);
-    }
-    const LastFingerprint last =
-        [index](const Address& a) -> std::optional<Fingerprint> {
-      const Fingerprint* fp = index->find(a);
-      return fp == nullptr ? std::nullopt : std::optional<Fingerprint>(*fp);
-    };
-    const DonorReport report = [index](const crypto::Hash256& hash,
-                                       const Address&) -> const core::ProxyReport& {
-      return index->reports.at(hash);
-    };
-    for (const Group& c : candidates) {
-      plan_group(c.hash, index->groups.at(c.hash), c.members, inputs,
-                 /*resume=*/false, dedup, chain_, last, report, plan);
-    }
   } else {
-    // ---- boot: fingerprint the population --------------------------------
+    // ---- fingerprint the population --------------------------------------
     // One code fetch + keccak per input; the blob is dropped immediately, so
     // this phase holds 32 bytes per contract — population *metadata* may be
     // O(N), it is the per-contract artifacts that must stay O(shard).
@@ -389,28 +344,13 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       hashes[i] = evm::code_hash(chain_.code_at(inputs[i].address));
     }
-    result.examined = inputs.size();
 
-    // ---- hash-affine grouping (first-occurrence order) -------------------
-    std::vector<Group> groups;
-    {
-      std::unordered_map<crypto::Hash256, std::size_t, HashKey> index_of;
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        const auto [it, inserted] =
-            index_of.try_emplace(hashes[i], groups.size());
-        if (inserted) groups.push_back(Group{hashes[i], {}});
-        groups[it->second].members.push_back(i);
-      }
-    }
-
-    // ---- replay the journal (resume / incremental), once -----------------
-    // Last-wins per address: a record appended by a later resume/incremental
-    // pass supersedes the original.
-    if (mode != Mode::kFresh) {
-      // Salvage replay: a bit-rotted region mid-journal loses only the
-      // records it physically destroyed — valid frames past it still count.
-      // The destroyed records' hash groups simply come up short below and
-      // get recomputed whole: that IS the self-heal, scoped to the damage.
+    // ---- boot: replay the journal, once -----------------------------------
+    // Last-wins per address: a record appended by a later pass supersedes
+    // the original. Salvage replay: a bit-rotted region mid-journal loses
+    // only the records it physically destroyed — valid frames past it still
+    // count, and the plan below recomputes exactly what they leave missing.
+    if (index != nullptr) {
       replay = read_journal(config_.journal_path, vfs,
                             ReplayOptions{.salvage = true});
     }
@@ -456,31 +396,45 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
       // Only the scan's extent is needed from here on (to open the writer).
       replay->frames = {};
     }
-    effective = (mode != Mode::kFresh && !replay) ? Mode::kFresh : mode;
-
-    // ---- plan: replay vs recompute per contract --------------------------
-    if (effective == Mode::kFresh) {
-      plan.rerun_groups = std::move(groups);
-    } else {
-      const LastFingerprint last =
-          [&records](const Address& a) -> std::optional<Fingerprint> {
-        const auto it = records.find(a);
-        if (it == records.end()) return std::nullopt;
-        return fingerprint_of(it->second);
-      };
-      const DonorReport report =
-          [&records](const crypto::Hash256&,
-                     const Address& a) -> const core::ProxyReport& {
-        return records.at(a).analysis.proxy;
-      };
-      for (const Group& group : groups) {
-        plan_group(group.hash, group.members, group.members, inputs,
-                   effective == Mode::kResume, dedup, chain_, last, report,
-                   plan);
+    // The index a lap would hold: every input's group, and the fingerprint
+    // of every input the journal has a record for.
+    if (index != nullptr) {
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        index->groups[hashes[i]].push_back(i);
+        if (const auto it = records.find(inputs[i].address);
+            it != records.end()) {
+          index->put(i, it->second);
+        }
       }
     }
   }
+  result.examined = lap ? examine.size() : inputs.size();
 
+  // ---- plan the examined contracts, group by group -----------------------
+  // Groups in first-occurrence order; run() re-runs every group whole.
+  Plan plan;
+  {
+    std::unordered_map<crypto::Hash256, std::size_t, HashKey> slot_of;
+    auto add = [&](std::size_t i, const crypto::Hash256& hash) {
+      const auto [it, inserted] =
+          slot_of.try_emplace(hash, plan.rerun_groups.size());
+      if (inserted) plan.rerun_groups.push_back(Group{hash, {}});
+      plan.rerun_groups[it->second].members.push_back(i);
+    };
+    if (lap) {
+      for (const auto& [i, hash] : examine) add(i, hash);
+    } else {
+      for (std::size_t i = 0; i < inputs.size(); ++i) add(i, hashes[i]);
+    }
+  }
+  if (index != nullptr) {
+    const bool dedup = pipeline_.config().dedup_by_code_hash;
+    std::vector<Group> candidates = std::move(plan.rerun_groups);
+    plan.rerun_groups.clear();
+    for (const Group& c : candidates) {
+      index->plan_group(c.hash, c.members, inputs, dedup, chain_, plan);
+    }
+  }
   metrics_.counter("store.sweep.contracts_upgraded").add(plan.upgraded);
 
   // ---- open the journal -------------------------------------------------
@@ -513,12 +467,14 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     }
     return true;
   };
-  // A lap keeps the writer the previous call left open and scans the
-  // journal again only to reopen it after a disk failure — and only when
-  // it has something to write.
+  // run(), and a boot that finds no journal, start a new one. A lap keeps
+  // the writer the previous call left open and scans the journal again
+  // only to reopen it after a disk failure — and only when it has
+  // something to write.
+  const bool new_journal = !lap && !replay;
   if (!writer && (!lap || !plan.rerun_groups.empty())) {
     IoResult open_why;
-    if (effective == Mode::kFresh) {
+    if (new_journal) {
       writer = JournalWriter::create(config_.journal_path, vfs, &open_why);
     } else if (replay) {
       writer =
@@ -531,7 +487,7 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
                   " (" + open_why.message() + ")");
     }
   }
-  if (writer && effective == Mode::kFresh) {
+  if (writer && new_journal) {
     const std::vector<std::uint8_t> begin = encode_sweep_begin(
         {inputs.size(), static_cast<std::uint64_t>(config_.shard_size)});
     if (IoResult r = writer->append(RecordType::kSweepBegin, begin); !r) {
@@ -599,7 +555,6 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     for (const std::size_t i : plan.reused) {
       const auto it = records.find(inputs[i].address);
       acc.add(it->second.analysis);
-      if (index != nullptr) index->put(i, it->second);
       replayed.push_back(std::move(it->second));
     }
     records.clear();
@@ -632,18 +587,17 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     }
     std::vector<SweepInput> shard_inputs;
     std::vector<std::size_t> shard_globals;
-    std::vector<const crypto::Hash256*> shard_hashes;
+    std::vector<const Group*> shard_groups;
     for (const Group* group : shard) {
-      if (const auto it = plan.seeds.find(group->hash); it != plan.seeds.end()) {
-        // Seeded AFTER the previous shard's shed (which empties the verdict
-        // memo) and before this run, so it is alive exactly when needed.
-        pipeline_.seed_verdict(it->second.hash, it->second.representative,
-                               it->second.report);
+      // Seeded AFTER the previous shard's shed (which empties the verdict
+      // memo) and before this run, so they are alive exactly when needed.
+      for (const auto& [address, report] : group->seeds) {
+        pipeline_.seed_verdict(group->hash, address, report);
       }
       for (const std::size_t i : group->members) {
         shard_inputs.push_back(inputs[i]);
         shard_globals.push_back(i);
-        shard_hashes.push_back(&group->hash);
+        shard_groups.push_back(group);
       }
     }
 
@@ -682,9 +636,11 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     if (keep_records) shard_records.reserve(reports.size());
     for (std::size_t j = 0; j < reports.size(); ++j) {
       ContractAnalysis& report = reports[j];
-      if (plan.dedup_patch.contains(shard_globals[j])) report.deduplicated = true;
+      if (shard_groups[j]->clones && has_verdict(report)) {
+        report.deduplicated = true;
+      }
       acc.add(report);
-      ContractRecord rec{std::move(report), *shard_hashes[j]};
+      ContractRecord rec{std::move(report), shard_groups[j]->hash};
       if (writer && io.ok) {
         io = writer->append(RecordType::kContract, encode_contract_record(rec));
       }
@@ -760,13 +716,14 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
 
     // Bounded memory: everything keyed per address/hash goes; the next
     // shard is hash-disjoint, so nothing dropped here would have hit.
-    if (config_.shed_between_shards) pipeline_.shed_cross_run_state();
+    pipeline_.shed_cross_run_state();
   }
 
   // ---- finish -----------------------------------------------------------
   // Degraded mode: the population IS fully covered in memory, so the sweep
   // is complete — there is just no kSweepEnd to journal (the checkpoint
-  // honestly stops at the last good commit, and resume() picks up there).
+  // honestly stops at the last good commit, and the next boot picks up
+  // there).
   // A lap that recomputed nothing leaves the journal as it was.
   result.complete = !stopped;
   if (result.complete && writer && (!lap || result.shards_run > 0)) {
@@ -796,9 +753,6 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
       live_.reset();
     } else {
       if (!lap) {
-        for (std::size_t i = 0; i < inputs.size(); ++i) {
-          index->groups[hashes[i]].push_back(i);
-        }
         index->writer = std::move(boot_writer);
         live_ = std::move(booted);
       }
@@ -825,8 +779,6 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
           : 0.0;
   stats.sweep_shards = prior_shards + result.shards_run;
   stats.journal_replayed = result.replayed;
-  stats.incremental_reanalyzed =
-      effective == Mode::kIncremental ? result.recomputed : 0;
   stats.sweep_degraded = result.degraded ? 1 : 0;
   stats.selfheal_shards = heal_gaps;
   metrics_.gauge("sweep.selfheal_shards").set(

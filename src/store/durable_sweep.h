@@ -3,22 +3,23 @@
 // into code-hash-affine shards, runs each through the pipeline, flushes the
 // per-contract results to the checkpoint journal (journal.h), and frees the
 // pipeline's cross-run memos between shards so peak memory is O(shard), not
-// O(population). Three entry points:
+// O(population). Two entry points:
 //
 //   run()         — fresh sweep into a new journal
-//   resume()      — replay the journal's completed work, recompute the rest
-//   incremental() — keep the verdict set current on a mutating chain. The
-//                   first call boots: it reads the journal once (a missing
-//                   journal degrades to run()), diffs every input's
-//                   (code hash, impl-slot head) fingerprint against the
-//                   chain, re-analyzes what moved, and keeps an in-memory
-//                   index of the last record per contract plus the open
-//                   journal writer. Each later call (a lap) plans only the
-//                   caller's dirty set, newly appended inputs and
-//                   quarantined contracts against that index, so a lap
-//                   costs what changed, not the population. Upgraded
-//                   proxies skip Phase A emulation via a seeded verdict and
-//                   re-run the pair phase only.
+//   incremental() — keep the verdict set current, across restarts and on a
+//                   mutating chain. The first call on an instance boots: it
+//                   reads the journal once (a missing journal degrades to
+//                   run()), diffs every input's (code hash, impl-slot head)
+//                   fingerprint against the chain, recomputes what a cold
+//                   sweep would write differently — which finishes a sweep
+//                   cut short by a crash — and keeps an in-memory index of
+//                   the last record per contract plus the open journal
+//                   writer. Each later call (a lap) plans only the caller's
+//                   dirty set, newly appended inputs and quarantined
+//                   contracts against that index, so a lap costs what
+//                   changed, not the population. Upgraded proxies skip
+//                   Phase A emulation via a seeded verdict and re-run the
+//                   pair phase only.
 //
 // Bit-identity with a monolithic pipeline.run() over the same inputs rests
 // on four invariants this driver maintains:
@@ -29,12 +30,13 @@
 //      injected as an overlay, so a shard resolves the same donors a
 //      monolithic run would even when a logic blob's donor lives in another
 //      shard;
-//   3. resume recomputes incomplete hash groups WHOLE (never a partial
-//      group), so representative choice and dedup metadata converge;
-//   4. boot and lap decide each hash group with the same plan function,
-//      which re-runs a member whose dedup flag no longer matches its
-//      group's representative (a member's code moved), so what a lap keeps
-//      is what a boot over the same chain would keep.
+//   3. boot and lap decide each hash group with one rule: a record is
+//      reused only when it is healthy, of the same code and slot head, and
+//      its dedup flag matches its position in the group;
+//   4. a verdict is not address-free (the crafted probe selector is seeded
+//      from the representative's address), so re-run clones are seeded with
+//      the representative's own verdict, and a group whose representative
+//      has no such record re-runs whole.
 #pragma once
 
 #include <cstdint>
@@ -75,9 +77,6 @@ struct DurableSweepConfig {
   /// resume tests and benches — the on-disk state is the same one a crash
   /// after the Nth commit leaves behind.
   std::size_t max_shards = 0;
-  /// Drop the pipeline's cross-run memos between shards (the bounded-memory
-  /// contract). Off trades memory back for cross-shard cache hits.
-  bool shed_between_shards = true;
   /// Metrics sink for the store.journal.* / store.sweep.* counters and the
   /// flush-latency histogram. Null = obs::Registry::global().
   obs::Registry* registry = nullptr;
@@ -124,12 +123,12 @@ struct DurableSweepResult {
   std::uint64_t examined = 0;
   /// True when the whole population is covered (kSweepEnd journaled, or
   /// swept in memory under degraded mode).
-  /// False after a max_shards stop — call resume() to finish.
+  /// False after a max_shards stop — call incremental() to finish.
   bool complete = false;
   /// The disk failed mid-sweep and degrade_on_disk_failure carried the
   /// sweep to completion in memory: stats/verdicts are valid, but work
-  /// after the last good shard commit is not checkpointed (a later
-  /// resume() recomputes it).
+  /// after the last good shard commit is not checkpointed (the next boot
+  /// recomputes it).
   bool degraded = false;
   /// First disk failure (kind kDiskIo, errno detail in the text) — set
   /// whenever `degraded` is true or `error` names a journal failure.
@@ -153,26 +152,20 @@ class DurableSweep {
   /// Fresh sweep: creates/truncates the journal and sweeps `inputs`.
   DurableSweepResult run(const std::vector<core::SweepInput>& inputs);
 
-  /// Crash-safe resume: replays the journal's valid prefix, feeds completed
-  /// hash groups straight to the aggregates (zero recomputation), and
-  /// re-runs every group that is missing members or carries a quarantined
-  /// record — whole, so dedup metadata converges (see file comment).
-  /// A missing journal degrades to run().
-  DurableSweepResult resume(const std::vector<core::SweepInput>& inputs);
-
-  /// Incremental re-sweep against a mutating chain (see the file comment).
-  /// A contract's last record is reused iff its code hash matches the
-  /// chain's current code, its implementation-slot head (storage-slot
-  /// proxies) is unchanged, and its dedup flag still matches its hash
-  /// group's representative. Upgraded proxies re-enter the pipeline with
-  /// their Phase A verdict pre-seeded; new, code-changed and quarantined
-  /// contracts re-analyze in full.
+  /// Incremental sweep (see the file comment): a restart, a resume after a
+  /// crash or a max_shards stop, and a lap on a mutating chain are all this
+  /// call. A contract's last record is reused iff it is healthy, its code
+  /// hash matches the chain's current code, its implementation-slot head
+  /// (storage-slot proxies) is unchanged, and its dedup flag still matches
+  /// its position in its hash group. Re-run members are seeded with their
+  /// representative's own Phase A verdict; a group whose representative
+  /// has no healthy verdict of its own re-runs whole and unseeded.
   ///
   /// A call boots when the instance has no index yet (first call, after
-  /// run()/resume(), after a failed or max_shards-stopped call, or when
-  /// `inputs` shrank): it reads the journal once, checks every input and
-  /// ignores `touched`; a missing journal degrades to run(). A later call
-  /// checks only `touched`, inputs appended since the previous call and
+  /// run(), after a failed or max_shards-stopped call, or when `inputs`
+  /// shrank): it reads the journal once, checks every input and ignores
+  /// `touched`; a missing journal degrades to run(). A later call checks
+  /// only `touched`, inputs appended since the previous call and
   /// quarantined contracts. So `inputs` must extend the previous call's
   /// list, and `touched` must name every known input whose code or storage
   /// changed since that call; extra addresses cost one fingerprint each.
@@ -183,21 +176,20 @@ class DurableSweep {
                                  const AddressSet& touched);
 
  private:
-  enum class Mode { kFresh, kResume, kIncremental };
-
   /// What incremental() keeps between calls (defined in the .cpp).
   struct LiveIndex;
 
+  /// `fresh` = run(): new journal, every group re-run, no index kept.
   DurableSweepResult sweep(const std::vector<core::SweepInput>& inputs,
-                           Mode mode, const AddressSet& touched);
+                           bool fresh, const AddressSet& touched);
 
   core::AnalysisPipeline& pipeline_;
   chain::Blockchain& chain_;
   const sourcemeta::SourceRepository* sources_;
   DurableSweepConfig config_;
   obs::Registry& metrics_;
-  /// Null until an incremental() call boots; dropped by run(), resume()
-  /// and any call that fails or stops early.
+  /// Null until an incremental() call boots; dropped by run() and any
+  /// call that fails or stops early.
   std::unique_ptr<LiveIndex> live_;
 };
 

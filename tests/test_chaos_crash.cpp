@@ -1,7 +1,8 @@
 // The chaos matrix: a durable sweep over the fault-injecting model
 // filesystem, power-cut at EVERY mutating-op boundary, then heal + reboot +
-// resume — asserting the resumed sweep is bit-identical to a fault-free run
-// and that committed work is never recomputed. Plus the three targeted
+// a booting incremental() — asserting the resumed journal is
+// record-identical to a fault-free run's and that committed work is never
+// recomputed. Plus the three targeted
 // disasters: ENOSPC mid-sweep (graceful in-memory degradation), fsync
 // failure (fsyncgate fail-stop: the failed file is never synced again), and
 // at-rest bit rot in a committed shard (self-heal recomputes exactly the
@@ -17,6 +18,7 @@
 #include "core/report.h"
 #include "datagen/population.h"
 #include "obs/metrics.h"
+#include "record_oracle.h"
 #include "store/durable_sweep.h"
 #include "store/journal.h"
 #include "store/records.h"
@@ -82,13 +84,15 @@ store::DurableSweepResult run_sweep(datagen::Population& pop,
   return sweep.run(inputs);
 }
 
+/// What a restarted process runs: a fresh instance's first incremental()
+/// call boots from the journal and finishes the sweep.
 store::DurableSweepResult resume_sweep(
     datagen::Population& pop, const std::vector<core::SweepInput>& inputs,
     util::Vfs& vfs, obs::Registry* reg = nullptr) {
   core::AnalysisPipeline pipeline(*pop.chain, &pop.sources, {});
   store::DurableSweep sweep(pipeline, *pop.chain, &pop.sources,
                             sweep_config(vfs, reg));
-  return sweep.resume(inputs);
+  return sweep.incremental(inputs, {});
 }
 
 TEST(ChaosCrash, PowerCutAtEveryBoundaryResumesBitIdentical) {
@@ -106,6 +110,9 @@ TEST(ChaosCrash, PowerCutAtEveryBoundaryResumesBitIdentical) {
                                    "shards for a meaningful matrix";
   const std::uint64_t boundaries = ref_vfs.mutating_ops();
   ASSERT_GT(boundaries, 20u);
+  const test_oracle::RecordMap ref_records =
+      test_oracle::last_records(kJournal, ref_vfs);
+  ASSERT_EQ(ref_records.size(), inputs.size());
 
   std::uint64_t cuts_with_commits = 0;
   for (std::uint64_t b = 0; b < boundaries; ++b) {
@@ -140,6 +147,9 @@ TEST(ChaosCrash, PowerCutAtEveryBoundaryResumesBitIdentical) {
     EXPECT_GE(res.replayed, committed);
     EXPECT_EQ(res.replayed + res.recomputed, inputs.size());
     expect_same_verdicts(res.stats, ref.stats);
+    // Same chain, same height: every last record matches exactly.
+    test_oracle::expect_same_records(test_oracle::last_records(kJournal, vfs),
+                                     ref_records);
 
     // The journal reads back whole after the resume, and the manifest
     // records full coverage.
@@ -312,7 +322,7 @@ TEST(ChaosCrash, BitRotInCommittedShardSelfHealsExactlyThatGroup) {
   ASSERT_TRUE(
       vfs.flip_byte(kJournal, victim_frame->payload_off + victim_frame->len / 2));
 
-  // Resume: the salvage replay loses exactly the destroyed record, its hash
+  // Boot: the salvage replay loses exactly the destroyed record, its hash
   // group comes up short, and the whole group — nothing else — recomputes.
   obs::Registry reg;
   const store::DurableSweepResult healed = resume_sweep(pop, inputs, vfs, &reg);

@@ -1,18 +1,25 @@
 // End-to-end tests for the durable sharded sweep: bit-identity with a
-// monolithic run, kill-at-mid-sweep + resume with zero recomputation of
-// committed work, torn-tail recovery, incremental re-sweep after an
-// upgrade wave, and quarantine healing through the journal.
+// monolithic run, kill-at-mid-sweep + a booting incremental() with zero
+// recomputation of committed work, torn-tail recovery, incremental re-sweep
+// after an upgrade wave, quarantine healing through the journal, and
+// record-level identity with a cold sweep after code moves and outages.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "chain/archive_node.h"
+#include "chain/fault_injection.h"
 #include "core/pipeline.h"
 #include "core/report.h"
 #include "datagen/population.h"
+#include "record_oracle.h"
 #include "store/durable_sweep.h"
 #include "store/journal.h"
 #include "store/records.h"
@@ -130,7 +137,7 @@ TEST(DurableSweep, KillMidSweepThenResumeIsBitIdentical) {
 
   sc.max_shards = 0;
   store::DurableSweep resumed(piped, *pop.chain, &pop.sources, sc);
-  const store::DurableSweepResult result = resumed.resume(inputs);
+  const store::DurableSweepResult result = resumed.incremental(inputs, {});
   ASSERT_TRUE(result.error.empty()) << result.error;
   EXPECT_TRUE(result.complete);
   // Zero recomputation of committed work: every journaled contract replays.
@@ -138,7 +145,6 @@ TEST(DurableSweep, KillMidSweepThenResumeIsBitIdentical) {
   EXPECT_EQ(result.recomputed, inputs.size() - partial.recomputed);
   expect_same_verdicts(result.stats, mono_stats);
   EXPECT_EQ(result.stats.journal_replayed, result.replayed);
-  EXPECT_EQ(result.stats.incremental_reanalyzed, 0u);
 
   const auto manifest =
       store::load_manifest(store::manifest_path_for(sc.journal_path));
@@ -174,7 +180,7 @@ TEST(DurableSweep, ResumeSurvivesTornTail) {
 
   sc.max_shards = 0;
   store::DurableSweep resumed(piped, *pop.chain, &pop.sources, sc);
-  const store::DurableSweepResult result = resumed.resume(inputs);
+  const store::DurableSweepResult result = resumed.incremental(inputs, {});
   ASSERT_TRUE(result.error.empty()) << result.error;
   EXPECT_TRUE(result.complete);
   EXPECT_EQ(result.replayed, partial.recomputed);
@@ -205,7 +211,6 @@ TEST(DurableSweep, IncrementalWithoutChangesRecomputesNothing) {
   EXPECT_TRUE(second.complete);
   EXPECT_EQ(second.recomputed, 0u);
   EXPECT_EQ(second.replayed, inputs.size());
-  EXPECT_EQ(second.stats.incremental_reanalyzed, 0u);
   expect_same_verdicts(second.stats, first.stats);
 }
 
@@ -298,7 +303,6 @@ TEST(DurableSweep, IncrementalAfterUpgradeWaveReanalyzesOnlyChanges) {
   // Only the upgraded proxies re-enter the pipeline; the other ~1200 replay.
   EXPECT_EQ(inc.recomputed, upgraded.size());
   EXPECT_EQ(inc.replayed, inputs.size() - upgraded.size());
-  EXPECT_EQ(inc.stats.incremental_reanalyzed, upgraded.size());
 
   // The merged result equals a from-scratch sweep of the mutated chain.
   core::AnalysisPipeline fresh(*pop.chain, &pop.sources, config);
@@ -351,6 +355,7 @@ TEST(DurableSweep, ResumeRetriesQuarantinedRecords) {
     }
   }
   ASSERT_TRUE(victim.has_value());
+  ASSERT_FALSE(victim->analysis.deduplicated);  // the group's representative
   const std::size_t victim_group = group_size(victim->code_hash);
   victim->analysis.error = core::ErrorRecord{core::ErrorKind::kRpcExhausted,
                                              "pairs", "injected outage"};
@@ -362,38 +367,17 @@ TEST(DurableSweep, ResumeRetriesQuarantinedRecords) {
     ASSERT_TRUE(writer->sync());
   }
 
-  const store::DurableSweepResult healed = sweep.resume(inputs);
+  // run() keeps no index, so this boots and reads the journal.
+  const store::DurableSweepResult healed = sweep.incremental(inputs, {});
   ASSERT_TRUE(healed.error.empty()) << healed.error;
   EXPECT_TRUE(healed.complete);
-  // The victim's whole hash group re-ran (dedup metadata must converge);
-  // everything else replayed.
+  // The victim is its group's representative: with no healthy verdict of
+  // its own to seed from, its whole hash group re-ran; everything else
+  // replayed.
   EXPECT_EQ(healed.recomputed, victim_group);
   EXPECT_EQ(healed.replayed + healed.recomputed, inputs.size());
   EXPECT_EQ(healed.stats.quarantined, 0u);
   expect_same_verdicts(healed.stats, clean_stats);
-}
-
-TEST(DurableSweep, ShedBetweenShardsDoesNotChangeResults) {
-  datagen::Population pop = make_population(600);
-  const auto inputs = pop.sweep_inputs();
-  core::PipelineConfig config;
-
-  core::AnalysisPipeline p1(*pop.chain, &pop.sources, config);
-  store::DurableSweepConfig sc;
-  sc.journal_path = temp_journal("shed_on.journal");
-  sc.shard_size = 100;
-  const auto shed_on =
-      store::DurableSweep(p1, *pop.chain, &pop.sources, sc).run(inputs);
-  ASSERT_TRUE(shed_on.error.empty()) << shed_on.error;
-
-  core::AnalysisPipeline p2(*pop.chain, &pop.sources, config);
-  sc.journal_path = temp_journal("shed_off.journal");
-  sc.shed_between_shards = false;
-  const auto shed_off =
-      store::DurableSweep(p2, *pop.chain, &pop.sources, sc).run(inputs);
-  ASSERT_TRUE(shed_off.error.empty()) << shed_off.error;
-
-  expect_same_verdicts(shed_on.stats, shed_off.stats);
 }
 
 TEST(DurableSweep, ShardSizeZeroDegeneratesToOneShard) {
@@ -410,6 +394,235 @@ TEST(DurableSweep, ShardSizeZeroDegeneratesToOneShard) {
   EXPECT_TRUE(result.complete);
   EXPECT_EQ(result.shards_run, 1u);
   EXPECT_EQ(result.recomputed, inputs.size());
+}
+
+/// Cold reference: a fresh pipeline's durable run() over the chain as it is
+/// now, into its own journal.
+void cold_sweep(datagen::Population& pop,
+                const std::vector<core::SweepInput>& inputs,
+                const std::string& journal, core::PipelineConfig config = {}) {
+  core::AnalysisPipeline cold(*pop.chain, &pop.sources, config);
+  store::DurableSweepConfig sc;
+  sc.journal_path = journal;
+  sc.shard_size = 200;
+  const auto result =
+      store::DurableSweep(cold, *pop.chain, &pop.sources, sc).run(inputs);
+  ASSERT_TRUE(result.error.empty()) << result.error;
+  ASSERT_TRUE(result.complete);
+}
+
+/// The members, in input order, of the largest clone family of emulated
+/// proxies in a journal. Their verdicts carry the representative's
+/// address-seeded probe selector (static-tier skips, such as EIP-1167
+/// clones, carry none); the representative is the first member.
+std::vector<evm::Address> largest_emulated_family(
+    const std::string& journal, const std::vector<core::SweepInput>& inputs) {
+  std::map<crypto::Hash256, std::vector<evm::Address>> families;
+  const test_oracle::RecordMap journaled = test_oracle::last_records(journal);
+  for (const auto& input : inputs) {
+    const store::ContractRecord& rec = journaled.at(input.address);
+    if (rec.analysis.proxy.is_proxy() &&
+        rec.analysis.proxy.probe_selector != 0) {
+      families[rec.code_hash].push_back(input.address);
+    }
+  }
+  std::vector<evm::Address> largest;
+  for (auto& [hash, members] : families) {
+    if (members.size() > largest.size()) largest = std::move(members);
+  }
+  return largest;
+}
+
+/// An archive whose code fetches for one address always fail.
+class CodeOutageNode final : public chain::IArchiveNode {
+ public:
+  CodeOutageNode(const chain::IArchiveNode& inner, const evm::Address& victim)
+      : inner_(inner), victim_(victim) {}
+
+  evm::U256 get_storage_at(const evm::Address& account, const evm::U256& slot,
+                           std::uint64_t block) const override {
+    return inner_.get_storage_at(account, slot, block);
+  }
+  std::vector<evm::U256> get_storage_at_many(
+      std::span<const chain::StorageQuery> queries) const override {
+    return inner_.get_storage_at_many(queries);
+  }
+  evm::Bytes get_code(const evm::Address& account) const override {
+    if (account == victim_) {
+      throw chain::RpcError(chain::RpcErrorKind::kExhausted,
+                            "victim unreachable");
+    }
+    return inner_.get_code(account);
+  }
+  std::uint64_t latest_block() const override { return inner_.latest_block(); }
+  std::uint64_t get_storage_at_calls() const override {
+    return inner_.get_storage_at_calls();
+  }
+  std::uint64_t get_code_calls() const override {
+    return inner_.get_code_calls();
+  }
+  void reset_counters() const override { inner_.reset_counters(); }
+
+ private:
+  const chain::IArchiveNode& inner_;
+  evm::Address victim_;
+};
+
+TEST(DurableSweep, SetCodeOnRepresentativeLapMatchesColdSweepRecords) {
+  datagen::Population pop = make_population();
+  const auto inputs = pop.sweep_inputs();
+
+  core::PipelineConfig config;
+  core::AnalysisPipeline piped(*pop.chain, &pop.sources, config);
+  store::DurableSweepConfig sc;
+  sc.journal_path = temp_journal("setcode.journal");
+  sc.shard_size = 200;
+  store::DurableSweep sweep(piped, *pop.chain, &pop.sources, sc);
+  ASSERT_TRUE(sweep.run(inputs).error.empty());
+  const store::DurableSweepResult boot = sweep.incremental(inputs, {});
+  ASSERT_TRUE(boot.error.empty()) << boot.error;
+  ASSERT_EQ(boot.recomputed, 0u);
+
+  const std::vector<evm::Address> family =
+      largest_emulated_family(sc.journal_path, inputs);
+  ASSERT_GE(family.size(), 3u);
+
+  // The representative's code moves to bytecode no other contract has (its
+  // own plus a trailing STOP), so the family's next member becomes the
+  // representative, and its clones must carry that member's verdict.
+  const evm::Address moved = family.front();
+  evm::Bytes code = pop.chain->code_at(moved);
+  code.push_back(0x00);
+  pop.chain->set_code(moved, code);
+  pop.chain->mine_block();
+
+  const store::DurableSweepResult lap = sweep.incremental(inputs, {moved});
+  ASSERT_TRUE(lap.error.empty()) << lap.error;
+  EXPECT_TRUE(lap.complete);
+  // The remaining family (size - 1) re-runs whole, plus the moved contract.
+  EXPECT_EQ(lap.recomputed, family.size());
+
+  const std::string cold = temp_journal("setcode_cold.journal");
+  cold_sweep(pop, inputs, cold);
+  // Records the lap kept were computed a block earlier than the cold
+  // sweep's.
+  test_oracle::expect_same_records(sc.journal_path, cold,
+                                   /*same_height=*/false);
+}
+
+TEST(DurableSweep, OutageHealedByBootMatchesColdSweepRecords) {
+  datagen::Population pop = make_population(600);
+  const auto inputs = pop.sweep_inputs();
+
+  chain::ArchiveNode inner(*pop.chain);
+  chain::FaultProfile profile;
+  profile.seed = 99;
+  profile.transient_rate = 0.10;
+  profile.failures_per_fault = 1'000'000;  // outlasts the retry budget
+  chain::FaultInjectingArchiveNode faulty(inner, profile);
+  core::PipelineConfig config;
+  config.archive_node = &faulty;
+  config.retry.base_delay_us = 1;
+  config.retry.max_delay_us = 20;
+  core::AnalysisPipeline piped(*pop.chain, &pop.sources, config);
+  store::DurableSweepConfig sc;
+  sc.journal_path = temp_journal("outage.journal");
+  sc.shard_size = 200;
+  const store::DurableSweepResult outage =
+      store::DurableSweep(piped, *pop.chain, &pop.sources, sc).run(inputs);
+  ASSERT_TRUE(outage.error.empty()) << outage.error;
+  ASSERT_GT(outage.stats.quarantined, 0u);
+
+  // The outage must have failed the code fetch of a clone family's
+  // representative, so the pipeline promoted an interim representative,
+  // and the family's verdict must be address-specific (an emulated probe).
+  bool representative_quarantined = false;
+  {
+    const test_oracle::RecordMap journaled =
+        test_oracle::last_records(sc.journal_path);
+    std::map<crypto::Hash256, bool> emulated;
+    for (const auto& [address, rec] : journaled) {
+      emulated[rec.code_hash] = emulated[rec.code_hash] ||
+                                rec.analysis.proxy.probe_selector != 0;
+    }
+    std::map<crypto::Hash256, bool> seen;
+    for (const auto& input : inputs) {
+      const store::ContractRecord& rec = journaled.at(input.address);
+      if (std::exchange(seen[rec.code_hash], true)) continue;
+      representative_quarantined =
+          representative_quarantined ||
+          (rec.analysis.quarantined() && rec.analysis.error->phase == "fetch" &&
+           emulated[rec.code_hash]);
+    }
+  }
+  ASSERT_TRUE(representative_quarantined);
+
+  // The backend recovers; a restarted service boots from the journal.
+  faulty.heal();
+  store::DurableSweep restarted(piped, *pop.chain, &pop.sources, sc);
+  const store::DurableSweepResult healed = restarted.incremental(inputs, {});
+  ASSERT_TRUE(healed.error.empty()) << healed.error;
+  EXPECT_TRUE(healed.complete);
+  EXPECT_EQ(healed.stats.quarantined, 0u);
+
+  const std::string cold = temp_journal("outage_cold.journal");
+  cold_sweep(pop, inputs, cold);
+  test_oracle::expect_same_records(sc.journal_path, cold);
+}
+
+TEST(DurableSweep, RerunClonesMatchColdSweepRecordsWhenOneFetchFails) {
+  // Two clones of an emulated family re-run without their representative,
+  // and the first one's code fetch fails. A cold sweep through the same
+  // archive gives that clone no dedup flag and the other the
+  // representative's verdict; the boot must journal the same.
+  datagen::Population pop = make_population();
+  const auto inputs = pop.sweep_inputs();
+
+  store::DurableSweepConfig sc;
+  sc.journal_path = temp_journal("clones.journal");
+  sc.shard_size = 200;
+  {
+    core::AnalysisPipeline clean(*pop.chain, &pop.sources, {});
+    ASSERT_TRUE(store::DurableSweep(clean, *pop.chain, &pop.sources, sc)
+                    .run(inputs)
+                    .error.empty());
+  }
+  const std::vector<evm::Address> family =
+      largest_emulated_family(sc.journal_path, inputs);
+  ASSERT_GE(family.size(), 3u);
+
+  // Quarantine the family's second and third members, as an outage would
+  // have journaled them (last record wins).
+  {
+    const test_oracle::RecordMap journaled =
+        test_oracle::last_records(sc.journal_path);
+    auto writer = store::JournalWriter::open_append(sc.journal_path);
+    ASSERT_TRUE(writer.has_value());
+    for (const evm::Address& clone : {family[1], family[2]}) {
+      store::ContractRecord rec = journaled.at(clone);
+      rec.analysis.error = core::ErrorRecord{core::ErrorKind::kRpcExhausted,
+                                             "pairs", "injected outage"};
+      ASSERT_TRUE(writer->append(store::RecordType::kContract,
+                                 store::encode_contract_record(rec)));
+    }
+    ASSERT_TRUE(writer->sync());
+  }
+
+  chain::ArchiveNode inner(*pop.chain);
+  CodeOutageNode outage(inner, family[1]);
+  core::PipelineConfig config;
+  config.archive_node = &outage;
+  core::AnalysisPipeline piped(*pop.chain, &pop.sources, config);
+  const store::DurableSweepResult boot =
+      store::DurableSweep(piped, *pop.chain, &pop.sources, sc)
+          .incremental(inputs, {});
+  ASSERT_TRUE(boot.error.empty()) << boot.error;
+  EXPECT_EQ(boot.recomputed, 2u);
+  EXPECT_EQ(boot.stats.quarantined, 1u);
+
+  const std::string cold = temp_journal("clones_cold.journal");
+  cold_sweep(pop, inputs, cold, config);
+  test_oracle::expect_same_records(sc.journal_path, cold);
 }
 
 }  // namespace

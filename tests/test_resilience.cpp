@@ -2,11 +2,13 @@
 // breaker state machine, deterministic fault injection, retry convergence,
 // and the pipeline-level acceptance properties — a faulty sweep with retries
 // is bit-identical to a fault-free one, exhausted retries quarantine instead
-// of aborting, resume() converges, and adversarial bytecode halts at the
-// step fuse instead of hanging the sweep.
+// of aborting, a durable sweep's next boot converges, and adversarial
+// bytecode halts at the step fuse instead of hanging the sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "chain/archive_node.h"
@@ -16,6 +18,8 @@
 #include "core/pipeline.h"
 #include "datagen/contract_factory.h"
 #include "datagen/population.h"
+#include "record_oracle.h"
+#include "store/durable_sweep.h"
 #include "util/resilience.h"
 
 namespace {
@@ -371,6 +375,29 @@ class FaultSweepTest : public ::testing::Test {
     cfg.retry = fast_retry();
     return cfg;
   }
+
+  /// A durable-sweep config journaling to a fresh temp file named `name`.
+  static store::DurableSweepConfig sweep_config(const std::string& name) {
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() / "proxion_resilience_tests";
+    fs::create_directories(dir);
+    store::DurableSweepConfig sc;
+    sc.journal_path = (dir / name).string();
+    fs::remove(sc.journal_path);
+    fs::remove(store::manifest_path_for(sc.journal_path));
+    return sc;
+  }
+
+  /// The last journaled report per input, in input order.
+  static std::vector<ContractAnalysis> journaled(
+      const std::string& journal, const std::vector<SweepInput>& inputs) {
+    const test_oracle::RecordMap records = test_oracle::last_records(journal);
+    std::vector<ContractAnalysis> out;
+    for (const SweepInput& input : inputs) {
+      out.push_back(records.at(input.address).analysis);
+    }
+    return out;
+  }
 };
 
 TEST_F(FaultSweepTest, TenPercentFaultsWithRetriesIsBitIdenticalToFaultFree) {
@@ -421,7 +448,11 @@ TEST_F(FaultSweepTest, ExhaustedRetriesQuarantineAndResumeConverges) {
   FaultInjectingArchiveNode faulty(inner, profile);
 
   AnalysisPipeline pipeline(*pop.chain, &pop.sources, faulted_config(&faulty));
-  auto reports = pipeline.run(inputs);
+  const store::DurableSweepConfig sc = sweep_config("outage.journal");
+  const store::DurableSweepResult outage =
+      store::DurableSweep(pipeline, *pop.chain, &pop.sources, sc).run(inputs);
+  ASSERT_TRUE(outage.error.empty()) << outage.error;
+  auto reports = journaled(sc.journal_path, inputs);
 
   const LandscapeStats partial = pipeline.summarize(reports);
   ASSERT_GT(partial.quarantined, 0u) << "the outage quarantined nothing";
@@ -441,18 +472,22 @@ TEST_F(FaultSweepTest, ExhaustedRetriesQuarantineAndResumeConverges) {
     }
   }
 
-  // The backend recovers; resume retries only the quarantined set and the
-  // final reports converge to exactly the fault-free run's.
+  // The backend recovers; a restarted service boots from the journal,
+  // retries the quarantined set, and the journaled reports converge to
+  // exactly the fault-free run's.
   faulty.heal();
-  const std::size_t still = pipeline.resume(inputs, reports);
-  EXPECT_EQ(still, 0u);
+  store::DurableSweep restarted(pipeline, *pop.chain, &pop.sources, sc);
+  const store::DurableSweepResult healed = restarted.incremental(inputs, {});
+  ASSERT_TRUE(healed.error.empty()) << healed.error;
+  EXPECT_EQ(healed.stats.quarantined, 0u);
+  EXPECT_GT(healed.recomputed, 0u);
+  reports = journaled(sc.journal_path, inputs);
   ASSERT_EQ(reports.size(), clean.size());
   for (std::size_t i = 0; i < reports.size(); ++i) {
-    EXPECT_EQ(reports[i], clean[i]) << "resumed report " << i << " diverged";
+    EXPECT_EQ(reports[i], clean[i]) << "healed report " << i << " diverged";
   }
-  EXPECT_EQ(pipeline.summarize(reports).quarantined, 0u);
-  // A second resume over healthy reports is a no-op.
-  EXPECT_EQ(pipeline.resume(inputs, reports), 0u);
+  // A lap over healthy records is a no-op.
+  EXPECT_EQ(restarted.incremental(inputs, {}).recomputed, 0u);
 }
 
 TEST_F(FaultSweepTest, RetriesDisabledQuarantinesEveryFaultedContract) {
@@ -523,7 +558,11 @@ TEST_F(FaultSweepTest, WallClockWatchdogQuarantinesAsEmulationLimit) {
   PipelineConfig cfg;
   cfg.contract_wall_budget_ms = 1e-9;  // everything blows the budget
   AnalysisPipeline pipeline(*pop.chain, &pop.sources, cfg);
-  auto reports = pipeline.run(inputs);
+  const store::DurableSweepConfig sc = sweep_config("watchdog.journal");
+  ASSERT_TRUE(store::DurableSweep(pipeline, *pop.chain, &pop.sources, sc)
+                  .run(inputs)
+                  .error.empty());
+  auto reports = journaled(sc.journal_path, inputs);
 
   std::uint64_t dogged = 0;
   for (const auto& r : reports) {
@@ -533,13 +572,17 @@ TEST_F(FaultSweepTest, WallClockWatchdogQuarantinesAsEmulationLimit) {
   }
   EXPECT_GT(dogged, 0u) << "watchdog never fired";
 
-  // Raising the budget back to unlimited and resuming clears the quarantine
-  // and converges to the plain run.
+  // Restarting with the budget back at unlimited clears the quarantine and
+  // converges to the plain run.
   AnalysisPipeline clean_pipeline(*pop.chain, &pop.sources);
   const auto clean = clean_pipeline.run(inputs);
   AnalysisPipeline retry_pipeline(*pop.chain, &pop.sources);
-  const std::size_t still = retry_pipeline.resume(inputs, reports);
-  EXPECT_EQ(still, 0u);
+  const store::DurableSweepResult healed =
+      store::DurableSweep(retry_pipeline, *pop.chain, &pop.sources, sc)
+          .incremental(inputs, {});
+  ASSERT_TRUE(healed.error.empty()) << healed.error;
+  EXPECT_EQ(healed.stats.quarantined, 0u);
+  reports = journaled(sc.journal_path, inputs);
   for (std::size_t i = 0; i < reports.size(); ++i) {
     EXPECT_EQ(reports[i], clean[i]);
   }
