@@ -202,9 +202,9 @@ int main() {
     results.set("incremental_speedup", mono_ms / inc_ms);
   }
 
-  // ---- 4. bounded memory: sharded+shed vs monolithic at 4x scale ---------
+  // ---- 4. bounded memory: sharded vs monolithic at 4x scale --------------
   {
-    heading("peak-RSS above the fixture (shard size 512, shed between shards)");
+    heading("peak-RSS above the fixture (shard size 512, one run per shard)");
     const std::uint32_t base_n = 2'500;
     auto sweep_delta_mb = [&](std::uint32_t n, bool sharded) {
       datagen::PopulationSpec spec;

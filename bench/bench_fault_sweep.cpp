@@ -46,8 +46,7 @@ double best_sweep_ms(datagen::Population& pop, core::PipelineConfig config,
                      std::vector<core::ContractAnalysis>* out, int reps = 3) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
-    // A fresh pipeline per rep: cross-run caches must not turn later reps
-    // into warm sweeps of earlier ones.
+    // A fresh pipeline per rep, so every rep also starts its pool cold.
     core::AnalysisPipeline pipeline(*pop.chain, &pop.sources, config);
     std::vector<core::ContractAnalysis> reports;
     const double ms =

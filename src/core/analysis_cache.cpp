@@ -14,7 +14,7 @@ AnalysisCache::AnalysisCache(unsigned shards) {
 
 std::shared_ptr<AnalysisCache::Entry> AnalysisCache::entry_for(
     const crypto::Hash256& code_hash) {
-  Shard& s = *shards_[HashKey{}(code_hash) % shards_.size()];
+  Shard& s = *shards_[crypto::Hash256Hasher{}(code_hash) % shards_.size()];
   std::lock_guard<std::mutex> lk(s.mu);
   auto [it, inserted] = s.map.try_emplace(code_hash);
   if (inserted) {

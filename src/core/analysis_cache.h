@@ -5,14 +5,15 @@
 // storage profile — once per stage and once per proxy/logic pair, even
 // though all three are pure functions of the code blob. This cache computes
 // each artifact at most once per distinct code hash and shares it across
-// stages, contracts, and pipeline runs.
+// the stages and contracts of one pipeline run; the pipeline empties it
+// before run() returns.
 //
 // Concurrency: the entry table is sharded N ways (lock striping on the code
 // hash) so the sweep's workers rarely contend; each entry then carries its
 // own mutex, so two workers racing on the *same* blob serialize only with
 // each other and the loser reuses the winner's artifact instead of
-// recomputing it. Entries are never evicted — determinism with the cache on
-// vs off is part of the contract (tested).
+// recomputing it. Entries are never evicted within a run — determinism with
+// the cache on vs off is part of the contract (tested).
 #pragma once
 
 #include <condition_variable>
@@ -42,7 +43,9 @@ struct AnalysisCacheStats {
   std::uint64_t static_misses = 0;
   std::uint64_t layout_hits = 0;
   std::uint64_t layout_misses = 0;
-  std::uint64_t entries = 0;  // distinct code hashes ever seen
+  /// Entries created over the cache's lifetime: one per distinct code hash
+  /// per run.
+  std::uint64_t entries = 0;
 
   std::uint64_t hits() const noexcept {
     return disassembly_hits + selector_hits + profile_hits + static_hits +
@@ -79,8 +82,8 @@ class AnalysisCache {
       const crypto::Hash256& code_hash, evm::BytesView code);
 
   /// The static-tier report (CFG recovery + DELEGATECALL provenance): a pure
-  /// function of the bytecode, so a warm sweep pays zero static-analysis
-  /// cost. Also computed off the cached disassembly.
+  /// function of the bytecode, computed once per blob per run. Also computed
+  /// off the cached disassembly.
   std::shared_ptr<const static_analysis::StaticReport> static_report(
       const crypto::Hash256& code_hash, evm::BytesView code);
 
@@ -96,10 +99,10 @@ class AnalysisCache {
   }
 
   /// Drops every cached entry. Requires quiescence (no concurrent accessor
-  /// calls). The hit/miss counters keep their lifetime totals; `entries`
-  /// stays "distinct code hashes ever seen". The durable sharded sweep
-  /// calls this between shards so peak memory tracks the shard, not the
-  /// population — correctness is unaffected (pure caches).
+  /// calls). The counters, `entries` included, keep their lifetime totals.
+  /// The pipeline calls this before every run() returns, so peak memory
+  /// tracks one run's working set and no entry outlives the run that
+  /// filled it.
   void clear();
 
  private:
@@ -111,16 +114,11 @@ class AnalysisCache {
     std::shared_ptr<const static_analysis::StaticReport> static_report;
     std::shared_ptr<const static_analysis::StorageLayout> layout;
   };
-  struct HashKey {
-    std::size_t operator()(const crypto::Hash256& h) const noexcept {
-      std::size_t out = 0;
-      for (std::size_t i = 0; i < sizeof(out); ++i) out = (out << 8) | h[i];
-      return out;
-    }
-  };
   struct Shard {
     std::mutex mu;
-    std::unordered_map<crypto::Hash256, std::shared_ptr<Entry>, HashKey> map;
+    std::unordered_map<crypto::Hash256, std::shared_ptr<Entry>,
+                       crypto::Hash256Hasher>
+        map;
   };
 
   std::shared_ptr<Entry> entry_for(const crypto::Hash256& code_hash);
@@ -150,7 +148,7 @@ class AnalysisCache {
 };
 
 /// Striped "compute at most once per key" map, used for the pipeline's
-/// proxy/logic pair outcomes (and its per-run logic-blob table). Unlike a
+/// per-run proxy/logic pair outcomes and code-blob table. Unlike a
 /// plain guarded map, an entry being computed leaves an in-flight marker:
 /// a second thread asking for the same key *waits* for the first result
 /// instead of redundantly running the (expensive) computation — the seed's

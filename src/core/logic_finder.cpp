@@ -53,7 +53,7 @@ LogicHistory LogicFinder::find(const Address& proxy,
   // Algorithm 1, run breadth-first: instead of recursing one range at a
   // time, all open ranges of the current depth emit their uncached
   // endpoints as ONE batched get_storage_at_many probe — the archive stack
-  // (retry ladder, trace span, coalescer pass) then handles a frontier per
+  // (retry ladder, trace span) then handles a frontier per
   // round trip instead of a call per endpoint. The ranges visited, the
   // heights probed, and api_calls are exactly those of the recursive
   // formulation (endpoints are memoized in `cache` just as the recursive
@@ -85,7 +85,7 @@ LogicHistory LogicFinder::find(const Address& proxy,
       }
       // Paper semantics: api_calls counts distinct heights the search needed
       // (§6.1's ~26 per proxy), independent of how the archive stack
-      // coalesces or batches them.
+      // batches them.
       api_calls += need.size();
     }
 

@@ -4,7 +4,7 @@
 // needing ~log2(blocks) * upgrades calls instead of one call per block.
 // The search runs breadth-first and emits each depth's probe frontier as a
 // single get_storage_at_many batch, so the archive decorator stack (retries,
-// tracing, coalescing) pays per frontier instead of per endpoint; the probe
+// tracing) pays per frontier instead of per endpoint; the probe
 // set and resulting LogicHistory are identical to the recursive formulation.
 #pragma once
 

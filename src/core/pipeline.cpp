@@ -42,19 +42,6 @@ std::string hash_key(const crypto::Hash256& h) {
   return std::string(reinterpret_cast<const char*>(h.data()), h.size());
 }
 
-// Cross-run verdict reuse is only sound at the exact address the verdict was
-// computed for: the crafted probe selector is seeded from the address, and a
-// slot-proxy's logic target is read from that address's storage. Keying the
-// memo by (code hash, representative address) makes a warm sweep whose
-// representative for a hash changed recompute at the new address — exactly
-// what the cache-off pipeline would do — instead of inheriting another
-// address's report.
-std::string verdict_key(const std::string& code_key, const Address& a) {
-  std::string k = code_key;
-  k.append(reinterpret_cast<const char*>(a.bytes.data()), a.bytes.size());
-  return k;
-}
-
 unsigned thread_count(unsigned configured) {
   if (configured != 0) return configured;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -118,12 +105,9 @@ AnalysisPipeline::AnalysisPipeline(chain::Blockchain& chain,
     }
   }
 
-  // Archive decorator stack, innermost out: backend -> tracing -> resilient
-  // -> coalescing. Tracing sits under the retry layer so every *attempt*
-  // (including the ones a retry absorbs) is a latency sample and a span; the
-  // coalescer sits outermost so its cache hits skip the retry ladder, the
-  // trace spans, and the backend call counters entirely — what the counters
-  // report is true backend probe volume.
+  // Archive decorator stack, innermost out: backend -> tracing -> resilient.
+  // Tracing sits under the retry layer so every *attempt* (including the
+  // ones a retry absorbs) is a latency sample and a span.
   const chain::IArchiveNode* wire = backend_;
   if (h_rpc_ != nullptr || tracer_ != nullptr) {
     tracing_node_ = std::make_unique<chain::TracingArchiveNode>(
@@ -164,17 +148,7 @@ AnalysisPipeline::AnalysisPipeline(chain::Blockchain& chain,
           });
     }
   }
-  if (config_.coalesce_archive_reads) {
-    coalescer_ = std::make_unique<chain::CoalescingArchiveNode>(*wire);
-  }
-  if (config_.use_analysis_cache) {
-    cache_ = std::make_unique<AnalysisCache>();
-    if (config_.dedup_by_code_hash) {
-      verdict_cache_ =
-          std::make_unique<StripedOnceMap<std::string, ProxyReport>>();
-    }
-    blob_cache_ = std::make_unique<CodeBlobMap>();
-  }
+  if (config_.use_analysis_cache) cache_ = std::make_unique<AnalysisCache>();
 }
 
 AnalysisPipeline::~AnalysisPipeline() = default;
@@ -187,7 +161,8 @@ util::ThreadPool& AnalysisPipeline::pool() {
 }
 
 std::vector<ContractAnalysis> AnalysisPipeline::run(
-    const std::vector<SweepInput>& inputs) {
+    const std::vector<SweepInput>& inputs, const VerdictSeeds& seeds,
+    const SourceDonors* donors) {
   ReentrancyGuard guard(busy_);
   const auto t_start = std::chrono::steady_clock::now();
   util::ThreadPool& workers = pool();
@@ -230,26 +205,20 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
     return (every_n <= 1 || i % every_n == 0) ? tracer_.get() : nullptr;
   };
 
-  // The pair memo never outlives a run, with or without the analysis cache:
-  // a PairOutcome depends on run-local state — the §7.1 donor map is built
-  // from *this* run's population, and exploit verification reads the proxy's
-  // live storage — so a cross-run hit could silently reuse a result that a
-  // fresh computation would no longer produce. Only the pure per-bytecode
-  // artifacts (AnalysisCache), the immutable code blobs, and the
-  // address-keyed proxy verdicts persist across runs.
+  // No memo outlives the run that filled it: a code blob, an artifact or a
+  // pair outcome computed before a chain mutation would silently answer for
+  // the mutated chain (and a PairOutcome also depends on this run's donor
+  // map and the proxy's live storage).
   pair_cache_ = std::make_unique<StripedOnceMap<std::string, PairOutcome>>();
 
   std::vector<ContractAnalysis> out(inputs.size());
 
   // ---- fetch code and hash it ------------------------------------------
   // Each distinct address is fetched (through the fault-tolerant archive
-  // seam) and keccak'd exactly once — per run when the analysis cache is off
-  // (seed semantics), ever when it is on (deployed code is immutable, so a
-  // warm sweep skips this phase's work). A failed fetch quarantines only its
-  // own contract: the once-map clears the in-flight marker on throw, so a
-  // later retry recomputes instead of caching the failure.
-  CodeBlobMap run_local_blobs;
-  CodeBlobMap& blob_map = blob_cache_ ? *blob_cache_ : run_local_blobs;
+  // seam) and keccak'd exactly once per run. A failed fetch quarantines only
+  // its own contract: the once-map clears the in-flight marker on throw, so
+  // a later retry recomputes instead of caching the failure.
+  CodeBlobMap blob_map;
   auto fetch_blob = [&](const Address& address) {
     return blob_map.get_or_compute(address, [&] {
       auto b = std::make_shared<CodeBlob>();
@@ -279,22 +248,21 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
   const auto t_fetch = std::chrono::steady_clock::now();
 
   // ---- §7.1 source propagation: first verified address per code hash ----
-  // The donor overlay (sharded sweeps) replaces the run-local construction:
-  // a shard sees only its member contracts, but the donor for a code hash is
-  // defined over the whole population, so the driver precomputes the global
-  // map once and injects it here.
-  std::unordered_map<std::string, Address> run_local_donor;
-  if (donor_overlay_.empty() && sources_ != nullptr) {
+  // A caller's map (sharded sweeps) replaces the run-local construction: a
+  // shard sees only its member contracts, but the donor for a code hash is
+  // defined over the whole population.
+  SourceDonors run_local_donors;
+  if (donors == nullptr && sources_ != nullptr) {
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       if (!blobs[i]) continue;
       if (sources_->has_source(inputs[i].address)) {
-        run_local_donor.emplace(key_of(i), inputs[i].address);
+        run_local_donors.emplace(blobs[i]->hash, inputs[i].address);
       }
     }
   }
-  const std::unordered_map<std::string, Address>& source_donor =
-      donor_overlay_.empty() ? run_local_donor : donor_overlay_;
-  auto with_source_donor = [&](const std::string& hash,
+  const SourceDonors& source_donor =
+      donors != nullptr ? *donors : run_local_donors;
+  auto with_source_donor = [&](const crypto::Hash256& hash,
                                const Address& original) {
     if (sources_ != nullptr && sources_->has_source(original)) {
       return original;
@@ -331,26 +299,23 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
       obs::Span contract_span(span_tracer(i), "contract");
       contract_span.arg("index", static_cast<std::int64_t>(i));
       try {
-        auto analyze = [&] {
-          // Spanned inside the verdict memo: a cross-run cache hit reuses
-          // the verdict without emulating, so it rightly shows no
-          // proxy-detect span.
+        const auto seed = seeds.find(inputs[i].address);
+        if (seed != seeds.end() && seed->second.code_hash == blobs[i]->hash) {
+          // A seeded verdict is reused without emulating, so it rightly
+          // shows no proxy-detect span.
+          unique_reports[u] = seed->second.report;
+        } else {
           obs::Span detect_span(span_tracer(i), "proxy-detect");
           ProxyDetectorConfig detector_config;
           detector_config.step_limit = config_.emulation_step_limit;
           detector_config.static_tier = config_.static_tier;
           ProxyDetector detector(chain_, detector_config, cache_.get());
-          return detector.analyze_code(inputs[i].address, blobs[i]->code,
-                                       blobs[i]->hash);
-        };
-        unique_reports[u] =
-            verdict_cache_
-                ? verdict_cache_->get_or_compute(
-                      verdict_key(key_of(i), inputs[i].address), analyze)
-                : analyze();
+          unique_reports[u] = detector.analyze_code(
+              inputs[i].address, blobs[i]->code, blobs[i]->hash);
+        }
         if (h_steps_ != nullptr &&
             unique_reports[u].has_delegatecall_opcode) {
-          // Deterministic per (address, code), so cached verdicts replay
+          // Deterministic per (address, code), so seeded verdicts replay
           // the same sample the original emulation produced.
           h_steps_->record(unique_reports[u].emulation_steps);
         }
@@ -481,9 +446,9 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
                     // (§7.1): a clone of a verified contract is analyzed as
                     // if verified itself.
                     const Address proxy_lookup =
-                        with_source_donor(key_of(i), a.address);
+                        with_source_donor(blobs[i]->hash, a.address);
                     const Address logic_lookup =
-                        with_source_donor(blob->key, logic);
+                        with_source_donor(blob->hash, logic);
                     o.function_collision =
                         fn_detector
                             .detect(proxy_lookup, blobs[i]->code,
@@ -572,18 +537,12 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
       registry_.gauge("sweep.rpc.breaker_trips")
           .set(static_cast<std::int64_t>(resilient_->breaker().trips()));
     }
-    if (coalescer_) {
-      const chain::CoalescingArchiveNode::Stats cs = coalescer_->stats();
-      registry_.gauge("sweep.coalescer.exact_hits")
-          .set(static_cast<std::int64_t>(cs.exact_hits));
-      registry_.gauge("sweep.coalescer.interval_hits")
-          .set(static_cast<std::int64_t>(cs.interval_hits));
-      registry_.gauge("sweep.coalescer.misses")
-          .set(static_cast<std::int64_t>(cs.misses));
-      registry_.gauge("sweep.coalescer.inflight_waits")
-          .set(static_cast<std::int64_t>(cs.inflight_waits));
-    }
   }
+  // Every memo read is done: drop the entries, outside the phase timings
+  // (the counters stay for annotate_run_stats).
+  pair_cache_->clear();
+  if (cache_) cache_->clear();
+
   // Trace files are written after t_end so export cost never pollutes the
   // phase timings; the parallel_for joins above provide the quiescence the
   // tracer's bulk read requires.
@@ -663,41 +622,6 @@ void AnalysisPipeline::annotate_run_stats(LandscapeStats& stats) const {
   if (tracer_) {
     stats.trace_spans_recorded = tracer_->recorded();
     stats.trace_spans_dropped = tracer_->dropped();
-  }
-}
-
-void AnalysisPipeline::shed_cross_run_state() {
-  if (blob_cache_) blob_cache_->clear();
-  if (verdict_cache_) verdict_cache_->clear();
-  // Dropping whole AnalysisCache entries also sheds the memoized
-  // StorageLayout side table — the next shard or lap must re-infer layouts
-  // so its reports stay bit-identical with a cold run over the same
-  // population.
-  if (cache_) cache_->clear();
-  // Gauges are last-writer-wins facts about ONE run; a serving-mode daemon
-  // shedding state between sweeps must not keep exposing the previous run's
-  // cache/RPC totals until the next run happens to overwrite them.
-  registry_.reset_gauges("sweep.");
-  // The coalescer's sealed observations assume the chain was not mutated;
-  // shedding is exactly the moment that assumption is surrendered (the
-  // durable driver may feed a mutated chain into the next pass).
-  if (coalescer_) coalescer_->clear();
-}
-
-bool AnalysisPipeline::seed_verdict(const crypto::Hash256& code_hash,
-                                    const Address& representative,
-                                    const ProxyReport& report) {
-  if (!verdict_cache_) return false;
-  verdict_cache_->get_or_compute(
-      verdict_key(hash_key(code_hash), representative), [&] { return report; });
-  return true;
-}
-
-void AnalysisPipeline::set_source_donor_overlay(
-    std::vector<std::pair<crypto::Hash256, Address>> donors) {
-  donor_overlay_.clear();
-  for (const auto& [hash, address] : donors) {
-    donor_overlay_.emplace(hash_key(hash), address);
   }
 }
 

@@ -25,7 +25,6 @@
 
 #include "chain/archive_node.h"
 #include "chain/blockchain.h"
-#include "chain/coalescing_node.h"
 #include "chain/resilient_node.h"
 #include "chain/tracing_node.h"
 #include "core/analysis_cache.h"
@@ -170,14 +169,11 @@ struct PipelineConfig {
   /// Re-probe DELEGATECALL-bearing non-proxies with tx-harvested selectors
   /// to catch EIP-2535 diamonds (§8.2 future work, implemented).
   bool probe_diamonds = false;
-  /// Memoize across stages AND across runs of the same pipeline everything
-  /// that is a pure function of immutable chain state: per-bytecode
-  /// artifacts (disassembly, selectors, storage profiles), per-address code
-  /// blobs, and proxy verdicts keyed by (code hash, analyzed address).
-  /// Pair collision outcomes are always per-run — they depend on run-local
-  /// donor resolution and live proxy storage. Results are bit-identical
-  /// either way; off reproduces the seed's recompute-everything behavior
-  /// for ablations.
+  /// Share per-bytecode artifacts (disassembly, selectors, storage
+  /// profiles, static reports, layouts) across the stages of one run. The
+  /// entries are dropped before run() returns. Results are bit-identical
+  /// either way (tested); off recomputes every artifact per stage, the
+  /// reference side of that oracle.
   bool use_analysis_cache = true;
 
   // ---- fault tolerance --------------------------------------------------
@@ -189,12 +185,6 @@ struct PipelineConfig {
   /// Wrap the backend in ResilientArchiveNode (retry + breaker). Off, every
   /// RpcError immediately quarantines its contract (kRpcTransient).
   bool enable_retries = true;
-  /// Wrap the archive stack in a CoalescingArchiveNode (outermost layer):
-  /// identical (account, slot, height) probes dedup in flight, and sealed
-  /// observations answer interval-covered probes from cache. Results are
-  /// bit-identical either way (tested); off reproduces the raw probe volume
-  /// for ablations. The cache is dropped by shed_cross_run_state().
-  bool coalesce_archive_reads = true;
   /// Backoff shape for retried archive RPCs.
   util::RetryPolicy retry{};
   /// Per-backend circuit breaker (trips on consecutive failures, half-opens
@@ -341,6 +331,24 @@ struct LandscapeStats {
   std::uint64_t trace_spans_dropped = 0;
 };
 
+/// A known-good Phase A verdict for one address: Phase A reuses it instead
+/// of emulating when that address represents its code blob in a run and its
+/// code still hashes to `code_hash`. store::DurableSweep seeds re-run members
+/// of a clone family with the representative's journaled verdict (slot-read
+/// fields patched to the current head), because the crafted probe selector
+/// is seeded from the representative's address.
+struct VerdictSeed {
+  crypto::Hash256 code_hash{};
+  ProxyReport report;
+};
+using VerdictSeeds =
+    std::unordered_map<Address, VerdictSeed, evm::AddressHasher>;
+
+/// §7.1 source donors: code hash -> the verified address whose source every
+/// contract with that bytecode is analyzed with.
+using SourceDonors =
+    std::unordered_map<crypto::Hash256, Address, crypto::Hash256Hasher>;
+
 class AnalysisPipeline {
  public:
   AnalysisPipeline(chain::Blockchain& chain,
@@ -349,10 +357,17 @@ class AnalysisPipeline {
   ~AnalysisPipeline();
 
   /// Analyzes every input contract; returns per-contract reports in input
-  /// order. The worker pool and the content-keyed caches persist across
-  /// calls, so repeat sweeps over overlapping populations run warm; results
-  /// assume the chain was not mutated between runs (the same assumption the
-  /// per-run dedup already made).
+  /// order. The result depends only on the chain, the config and the
+  /// arguments: every memo keyed by address or code hash lives for one call,
+  /// so a run after a chain mutation sees the mutated chain. Only the worker
+  /// pool, the archive decorators (the breaker is reset at every entry) and
+  /// lifetime counters persist across calls.
+  ///
+  /// `seeds` supplies Phase A verdicts to reuse (see VerdictSeed). `donors`
+  /// is the §7.1 donor map to resolve source lookups with; null builds it
+  /// from the inputs (the first verified input per code hash). A sharded
+  /// sweep passes the whole population's map, so a shard resolves the same
+  /// donors a monolithic run would.
   ///
   /// Fault containment: a contract whose analysis fails (RPC exhausted,
   /// watchdog, internal error) is returned with `error` set rather than
@@ -366,7 +381,9 @@ class AnalysisPipeline {
   /// fields. Debug builds enforce this with a re-entrancy guard (assert);
   /// release builds do not check. Distinct AnalysisPipeline instances are
   /// independent and may run concurrently over a read-safe chain.
-  std::vector<ContractAnalysis> run(const std::vector<SweepInput>& inputs);
+  std::vector<ContractAnalysis> run(const std::vector<SweepInput>& inputs,
+                                    const VerdictSeeds& seeds = {},
+                                    const SourceDonors* donors = nullptr);
 
   /// Aggregates reports into the landscape statistics. Quarantined reports
   /// count toward `quarantined` / `errors_by_kind` only. Same external-
@@ -381,35 +398,10 @@ class AnalysisPipeline {
   /// incrementally across shards and only needs the annotation step.
   void annotate_run_stats(LandscapeStats& stats) const;
 
-  /// Drops every cross-run memo keyed per address or per code hash — the
-  /// address->blob map, the (code hash, address) verdict memo, and the
-  /// artifact cache entries — so peak memory tracks the working set instead
-  /// of the population. The sharded driver calls this between shards; with
-  /// code-hash-affine shards the dropped state would not have hit again
-  /// anyway. Requires quiescence (no run in flight). Results are unaffected:
-  /// these are pure caches.
-  void shed_cross_run_state();
-
-  /// Pre-seeds the cross-run verdict memo with a known-good ProxyReport for
-  /// (code_hash, representative). The incremental sweep uses this to skip
-  /// Phase A emulation for journaled contracts whose bytecode did not
-  /// change; the caller must patch slot-read fields (logic_address) to the
-  /// current chain head first, exactly as Phase B's dedup re-read would.
-  /// No-op (returns false) when dedup or the analysis cache is off.
-  bool seed_verdict(const crypto::Hash256& code_hash,
-                    const Address& representative, const ProxyReport& report);
-
-  /// Replaces the run-local §7.1 source-donor map with a caller-provided
-  /// one for subsequent runs (empty map = back to run-local construction).
-  /// The sharded driver passes the whole-population donor map so a shard
-  /// containing a clone still resolves the same donor a monolithic run
-  /// would, keeping sharded results bit-identical to unsharded ones.
-  void set_source_donor_overlay(
-      std::vector<std::pair<crypto::Hash256, Address>> donors);
-
   const PipelineConfig& config() const noexcept { return config_; }
 
-  /// The artifact cache (null when config.use_analysis_cache is false).
+  /// The artifact cache (null when config.use_analysis_cache is false). Empty
+  /// between runs; its hit/miss counters keep their lifetime totals.
   /// Exposed for benches/tests that inspect hit/miss accounting.
   AnalysisCache* analysis_cache() noexcept { return cache_.get(); }
 
@@ -417,12 +409,6 @@ class AnalysisPipeline {
   /// false). Exposed for tests/benches inspecting retry accounting.
   const chain::ResilientArchiveNode* resilient_node() const noexcept {
     return resilient_.get();
-  }
-
-  /// The coalescing layer (null when coalesce_archive_reads is false).
-  /// Exposed for tests/benches inspecting hit/miss accounting.
-  const chain::CoalescingArchiveNode* coalescing_node() const noexcept {
-    return coalescer_.get();
   }
 
   /// This pipeline's metric registry (per-instance, distinct from
@@ -447,7 +433,8 @@ class AnalysisPipeline {
     bool family_source_free = false;
   };
   /// One account's code blob, fetched and hashed exactly once per distinct
-  /// address — however many sweep inputs or proxy/logic pairs touch it.
+  /// address in a run — however many sweep inputs or proxy/logic pairs
+  /// touch it.
   struct CodeBlob {
     evm::Bytes code;
     crypto::Hash256 hash{};
@@ -459,13 +446,9 @@ class AnalysisPipeline {
 
   util::ThreadPool& pool();
   /// The backend every archive RPC goes through. Decorator stack, outermost
-  /// first: coalescing (probe dedup + interval cache; its hits never touch
-  /// the layers below, so retries/tracing/counters only see true backend
-  /// probes) -> resilient (retry/breaker) -> tracing (per-attempt
-  /// latency/spans) -> raw backend; each layer is present only when
-  /// configured.
+  /// first: resilient (retry/breaker) -> tracing (per-attempt latency/spans)
+  /// -> raw backend; each layer is present only when configured.
   const chain::IArchiveNode& rpc() const noexcept {
-    if (coalescer_) return *coalescer_;
     if (resilient_) return *resilient_;
     if (tracing_node_) return *tracing_node_;
     return *backend_;
@@ -476,7 +459,6 @@ class AnalysisPipeline {
   chain::IArchiveNode* backend_ = nullptr;  // config override or &node_
   std::unique_ptr<chain::TracingArchiveNode> tracing_node_;
   std::unique_ptr<chain::ResilientArchiveNode> resilient_;
-  std::unique_ptr<chain::CoalescingArchiveNode> coalescer_;
   const sourcemeta::SourceRepository* sources_;
   PipelineConfig config_;
 
@@ -499,27 +481,13 @@ class AnalysisPipeline {
   /// Non-null when an export path is configured or live_spans is on.
   std::unique_ptr<obs::Tracer> tracer_;
 
+  /// Entries dropped before every run() returns.
   std::unique_ptr<AnalysisCache> cache_;  // null when disabled
   std::unique_ptr<util::ThreadPool> pool_;  // created lazily on first run
-  /// Cross-run proxy-verdict memo, keyed by (code hash, representative
-  /// address) — a verdict is only reusable at the exact address it was
-  /// computed for (address-seeded probe selector, slot reads). Only
-  /// consulted when dedup is on — with dedup off every clone must genuinely
-  /// re-run, that's the ablation.
-  std::unique_ptr<StripedOnceMap<std::string, ProxyReport>> verdict_cache_;
-  /// Per-run pair-outcome memo with in-flight markers, rebuilt at the start
-  /// of every run() (outcomes depend on run-local donor resolution and live
-  /// proxy storage, so they must not leak across runs).
+  /// The pair-outcome memo with in-flight markers, rebuilt at every run()
+  /// entry and emptied before it returns; kept as a member only so
+  /// annotate_run_stats() can read the last run's hit/miss/wait counts.
   std::unique_ptr<StripedOnceMap<std::string, PairOutcome>> pair_cache_;
-  /// Cross-run address -> (code, hash, key) memo. Deployed code is immutable
-  /// on-chain, so a warm sweep skips the whole fetch+keccak phase; like the
-  /// verdict/pair memos it assumes the chain is not mutated between runs
-  /// (only kept when the analysis cache is enabled).
-  std::unique_ptr<CodeBlobMap> blob_cache_;
-
-  /// §7.1 donor overlay (code-hash key -> donor address); empty = build the
-  /// donor map run-locally from the inputs, the monolithic default.
-  std::unordered_map<std::string, Address> donor_overlay_;
 
   /// Debug-only re-entrancy guard for the external-serialization contract
   /// (run/summarize must not overlap on one instance). mutable so

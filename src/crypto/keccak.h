@@ -3,6 +3,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -12,6 +13,15 @@
 namespace proxion::crypto {
 
 using Hash256 = std::array<std::uint8_t, 32>;
+
+/// Hash-table hasher for digests: the leading bytes are already uniform.
+struct Hash256Hasher {
+  std::size_t operator()(const Hash256& h) const noexcept {
+    std::size_t out = 0;
+    for (std::size_t i = 0; i < sizeof(out); ++i) out = (out << 8) | h[i];
+    return out;
+  }
+};
 
 /// Keccak-256 digest of an arbitrary byte string.
 Hash256 keccak256(std::span<const std::uint8_t> data);

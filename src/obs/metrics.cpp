@@ -206,13 +206,6 @@ void Registry::reset() {
   for (auto& [name, h] : histograms_) h->reset();
 }
 
-void Registry::reset_gauges(std::string_view prefix) {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (auto& [name, g] : gauges_) {
-    if (std::string_view(name).substr(0, prefix.size()) == prefix) g->reset();
-  }
-}
-
 Registry& Registry::global() {
   static Registry* instance = new Registry();  // leaked: outlives all users
   return *instance;

@@ -237,13 +237,6 @@ class Registry {
   /// Zero every metric (bench/test convenience; quiescence required).
   void reset();
 
-  /// Zero every gauge whose name starts with `prefix` (empty = all gauges).
-  /// Counters and histograms are untouched. Serving-mode hygiene: gauges are
-  /// last-writer-wins facts about ONE run, so a daemon's shed-state step
-  /// resets `sweep.`-prefixed gauges between sweeps rather than exposing the
-  /// previous run's values until the next one overwrites them.
-  void reset_gauges(std::string_view prefix);
-
   /// The process-wide instance absorbing the formerly scattered counters
   /// (crypto.keccak.*, chain.archive.*, threadpool.*).
   static Registry& global();

@@ -35,14 +35,6 @@
 
 namespace proxion::serve {
 
-struct CodeHashHasher {
-  std::size_t operator()(const crypto::Hash256& h) const noexcept {
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < sizeof(out); ++i) out = (out << 8) | h[i];
-    return out;
-  }
-};
-
 /// The vulnerability classes /v1/vulns?class=... accepts, by their
 /// canonical names (the same flags VerdictRow carries).
 enum class VulnClass : std::uint8_t {
@@ -71,7 +63,7 @@ struct Snapshot {
   ChunkedVector<core::VerdictRow, kRowChunk> rows;  // first-seen address order
   ShardedMap<evm::Address, std::uint32_t, evm::AddressHasher, kIndexShards>
       by_address;
-  ShardedMap<crypto::Hash256, std::vector<std::uint32_t>, CodeHashHasher,
+  ShardedMap<crypto::Hash256, std::vector<std::uint32_t>, crypto::Hash256Hasher,
              kIndexShards>
       by_code_hash;
   std::array<std::vector<std::uint32_t>, kVulnClassCount> by_vuln;

@@ -77,18 +77,9 @@ class SourceRepository {
   const SourceRecord* lookup_by_code_hash(const crypto::Hash256& hash) const;
 
  private:
-  struct HashKey {
-    std::size_t operator()(const crypto::Hash256& h) const noexcept {
-      std::size_t out = 0;
-      for (std::size_t i = 0; i < sizeof(out); ++i) {
-        out = (out << 8) | h[i];
-      }
-      return out;
-    }
-  };
-
   std::unordered_map<Address, SourceRecord, evm::AddressHasher> records_;
-  std::unordered_map<crypto::Hash256, Address, HashKey> by_code_hash_;
+  std::unordered_map<crypto::Hash256, Address, crypto::Hash256Hasher>
+      by_code_hash_;
 };
 
 }  // namespace proxion::sourcemeta

@@ -19,14 +19,6 @@ using core::SweepInput;
 using evm::Address;
 using evm::U256;
 
-struct HashKey {
-  std::size_t operator()(const crypto::Hash256& h) const noexcept {
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < sizeof(out); ++i) out = (out << 8) | h[i];
-    return out;
-  }
-};
-
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -54,10 +46,9 @@ struct Group {
   /// The group's representative stands and is not among `members`: they
   /// journal as dedup clones of it.
   bool clones = false;
-  /// Phase-A verdicts to pre-seed before the owning shard runs, as
-  /// (address, the representative's report with the slot head re-read at
-  /// that address).
-  std::vector<std::pair<Address, core::ProxyReport>> seeds;
+  /// Phase-A verdicts the owning shard's run() reuses: per member, the
+  /// representative's report with the slot head re-read at that address.
+  core::VerdictSeeds seeds;
 };
 
 /// What planning needs of a contract's last record: its fingerprint (code
@@ -76,6 +67,15 @@ Fingerprint fingerprint_of(const ContractRecord& rec) {
   return Fingerprint{rec.code_hash,         rec.analysis.error.has_value(),
                      rec.analysis.deduplicated, p.logic_source,
                      p.logic_slot,          p.logic_address};
+}
+
+/// The §7.1 donor map of verified contracts listed in input order: the
+/// first address per code hash.
+core::SourceDonors donor_map_of(
+    const std::vector<std::pair<crypto::Hash256, Address>>& verified) {
+  core::SourceDonors map;
+  for (const auto& [hash, address] : verified) map.emplace(hash, address);
+  return map;
 }
 
 /// What a sweep call decided to do with each contract it examined.
@@ -108,16 +108,19 @@ struct DurableSweep::LiveIndex {
   /// Inputs covered: a prefix of every later call's inputs.
   std::size_t covered = 0;
   std::unordered_map<Address, Entry, evm::AddressHasher> by_address;
-  std::unordered_map<crypto::Hash256, Verdict, HashKey> verdicts;
+  std::unordered_map<crypto::Hash256, Verdict, crypto::Hash256Hasher>
+      verdicts;
   /// Code hash -> member input indices, ascending; the front is the
   /// group's global dedup representative.
-  std::unordered_map<crypto::Hash256, std::vector<std::size_t>, HashKey>
+  std::unordered_map<crypto::Hash256, std::vector<std::size_t>,
+                     crypto::Hash256Hasher>
       groups;
   /// Covered inputs whose last record is quarantined: retried every lap.
   std::unordered_set<Address, evm::AddressHasher> quarantined;
   /// Verified inputs as (code hash, address) in input order; grows by
-  /// appends. The first per code hash is the donor the overlay pins.
+  /// appends. The first per code hash is its donor in `donor_map`.
   std::vector<std::pair<crypto::Hash256, Address>> donors;
+  core::SourceDonors donor_map;
   /// Empty after a disk failure; the next lap reopens it.
   std::optional<JournalWriter> writer;
   std::uint64_t shards_committed = 0;
@@ -199,7 +202,8 @@ struct DurableSweep::LiveIndex {
           report.logic_address = masked_head(
               chain.get_storage(inputs[i].address, report.logic_slot));
         }
-        group.seeds.emplace_back(inputs[i].address, std::move(report));
+        group.seeds.emplace(inputs[i].address,
+                            core::VerdictSeed{hash, std::move(report)});
       }
     }
     plan.reused.insert(plan.reused.end(), keep.begin(), keep.end());
@@ -414,7 +418,8 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
   // Groups in first-occurrence order; run() re-runs every group whole.
   Plan plan;
   {
-    std::unordered_map<crypto::Hash256, std::size_t, HashKey> slot_of;
+    std::unordered_map<crypto::Hash256, std::size_t, crypto::Hash256Hasher>
+        slot_of;
     auto add = [&](std::size_t i, const crypto::Hash256& hash) {
       const auto [it, inserted] =
           slot_of.try_emplace(hash, plan.rerun_groups.size());
@@ -496,28 +501,30 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     }
   }
 
-  // ---- global §7.1 donor overlay ----------------------------------------
+  // ---- global §7.1 donor map -------------------------------------------
   // Built over the WHOLE population so every shard resolves the same donors
   // a monolithic run would (first verified address per code hash wins). A
-  // lap re-pins it only when a verified contract joined or changed code.
+  // lap rebuilds it only when a verified contract joined or changed code.
+  core::SourceDonors run_donors;
+  core::SourceDonors& donors = index != nullptr ? index->donor_map : run_donors;
   if (!lap) {
-    std::vector<std::pair<crypto::Hash256, Address>> donors;
+    std::vector<std::pair<crypto::Hash256, Address>> verified;
     if (sources_ != nullptr) {
       for (std::size_t i = 0; i < inputs.size(); ++i) {
         if (sources_->has_source(inputs[i].address)) {
-          donors.emplace_back(hashes[i], inputs[i].address);
+          verified.emplace_back(hashes[i], inputs[i].address);
         }
       }
     }
-    if (index != nullptr) index->donors = donors;
-    pipeline_.set_source_donor_overlay(std::move(donors));
+    donors = donor_map_of(verified);
+    if (index != nullptr) index->donors = std::move(verified);
   } else if (donors_changed) {
-    pipeline_.set_source_donor_overlay(index->donors);
+    donors = donor_map_of(index->donors);
   }
 
   // ---- pack rerun groups into shards (groups are atomic) ----------------
-  std::vector<std::vector<const Group*>> shards;
-  for (const Group& group : plan.rerun_groups) {
+  std::vector<std::vector<Group*>> shards;
+  for (Group& group : plan.rerun_groups) {
     std::size_t current = 0;
     if (!shards.empty()) {
       for (const Group* g : shards.back()) current += g->members.size();
@@ -580,7 +587,7 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
   std::uint64_t contracts_committed = result.replayed;
   bool stopped = false;
 
-  for (const std::vector<const Group*>& shard : shards) {
+  for (const std::vector<Group*>& shard : shards) {
     if (config_.max_shards != 0 && result.shards_run >= config_.max_shards) {
       stopped = true;
       break;
@@ -588,12 +595,9 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     std::vector<SweepInput> shard_inputs;
     std::vector<std::size_t> shard_globals;
     std::vector<const Group*> shard_groups;
-    for (const Group* group : shard) {
-      // Seeded AFTER the previous shard's shed (which empties the verdict
-      // memo) and before this run, so they are alive exactly when needed.
-      for (const auto& [address, report] : group->seeds) {
-        pipeline_.seed_verdict(group->hash, address, report);
-      }
+    core::VerdictSeeds seeds;
+    for (Group* group : shard) {
+      seeds.merge(group->seeds);
       for (const std::size_t i : group->members) {
         shard_inputs.push_back(inputs[i]);
         shard_globals.push_back(i);
@@ -601,7 +605,8 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
       }
     }
 
-    std::vector<ContractAnalysis> reports = pipeline_.run(shard_inputs);
+    std::vector<ContractAnalysis> reports =
+        pipeline_.run(shard_inputs, seeds, &donors);
 
     // Per-run perf accounting, summed across shards (the pipeline resets
     // its run-scoped histograms/timers at every run entry).
@@ -713,10 +718,6 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     result.recomputed += reports.size();
     ++result.shards_run;
     ++shard_index;
-
-    // Bounded memory: everything keyed per address/hash goes; the next
-    // shard is hash-disjoint, so nothing dropped here would have hit.
-    pipeline_.shed_cross_run_state();
   }
 
   // ---- finish -----------------------------------------------------------

@@ -1,9 +1,9 @@
 // The durable sharded sweep driver: converts AnalysisPipeline's batch
 // run() into a restartable streaming system. It partitions the population
-// into code-hash-affine shards, runs each through the pipeline, flushes the
-// per-contract results to the checkpoint journal (journal.h), and frees the
-// pipeline's cross-run memos between shards so peak memory is O(shard), not
-// O(population). Two entry points:
+// into code-hash-affine shards, runs each through one pipeline run() (which
+// keeps nothing keyed by address or code hash past its return, so peak
+// memory is O(shard), not O(population)), and flushes the per-contract
+// results to the checkpoint journal (journal.h). Two entry points:
 //
 //   run()         — fresh sweep into a new journal
 //   incremental() — keep the verdict set current, across restarts and on a
@@ -18,8 +18,8 @@
 //                   dirty set, newly appended inputs and quarantined
 //                   contracts against that index, so a lap costs what
 //                   changed, not the population. Upgraded proxies skip
-//                   Phase A emulation via a seeded verdict and re-run the
-//                   pair phase only.
+//                   Phase A emulation via a verdict seed passed to run()
+//                   and re-run the pair phase only.
 //
 // Bit-identity with a monolithic pipeline.run() over the same inputs rests
 // on four invariants this driver maintains:
@@ -27,7 +27,7 @@
 //      order, so a group's dedup representative is the same global-first
 //      contract a monolithic run picks;
 //   2. the §7.1 source-donor map is computed over the WHOLE population and
-//      injected as an overlay, so a shard resolves the same donors a
+//      passed to every shard's run(), so a shard resolves the same donors a
 //      monolithic run would even when a logic blob's donor lives in another
 //      shard;
 //   3. boot and lap decide each hash group with one rule: a record is
@@ -141,7 +141,7 @@ struct DurableSweepResult {
 class DurableSweep {
  public:
   /// `pipeline` and `chain` must outlive the driver; `sources` may be null
-  /// (it feeds the global §7.1 donor overlay and must be the same
+  /// (it feeds the global §7.1 donor map and must be the same
   /// repository the pipeline was built with). The driver is the journal's
   /// single writer; one sweep call runs at a time.
   DurableSweep(core::AnalysisPipeline& pipeline, chain::Blockchain& chain,

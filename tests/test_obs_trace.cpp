@@ -189,8 +189,8 @@ TEST_F(PipelineTraceTest, SweepEmitsAllPhaseAndSubAnalysisSpans) {
   EXPECT_TRUE(contains_span(spans, "logic-search"));
   EXPECT_TRUE(contains_span(spans, "collision-check"));
   EXPECT_TRUE(contains_span(spans, "rpc:get_code"));
-  // Storage reads are batched through the coalescer, so the RPC span the
-  // tracing decorator emits is the batch variant.
+  // LogicFinder batches each probe frontier, so the RPC span the tracing
+  // decorator emits is the batch variant.
   EXPECT_TRUE(contains_span(spans, "rpc:get_storage_at_many"));
 
   // The exports exist and carry the phase spans.

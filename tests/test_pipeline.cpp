@@ -285,10 +285,10 @@ TEST_F(PipelineTest, EachDistinctLogicBlobIsHashedOnce) {
 
 TEST_F(PipelineTest, WarmRunRecomputesVerdictForNewSameHashAddress) {
   // Two EIP-1967 proxies share one bytecode but store different logic
-  // pointers. Sweep A first, then B in a *second* (warm) run: B is its own
-  // run's representative, so the cross-run verdict memo must not hand it
-  // A's report (A's probe selector, A's slot read) — every field must match
-  // what the cache-off pipeline computes fresh at B.
+  // pointers. Sweep A first, then B in a *second* run: B is its own run's
+  // representative, so nothing from the first run may hand it A's report
+  // (A's probe selector, A's slot read) — every field must match what the
+  // cache-off pipeline computes fresh at B.
   using datagen::ContractFactory;
   chain::Blockchain chain;
   const Address deployer = Address::from_label("warm-same-hash-deployer");
@@ -327,9 +327,8 @@ TEST_F(PipelineTest, WarmRunRecomputesVerdictForNewSameHashAddress) {
 }
 
 TEST_F(PipelineTest, WarmRerunOfSamePopulationIsBitIdentical) {
-  // The advertised warm-sweep use case: re-running the same population on
-  // one pipeline serves blobs/verdicts/artifacts from the persistent caches
-  // and must reproduce the cold results byte for byte.
+  // Re-running the same population on one pipeline must reproduce the first
+  // run's results byte for byte.
   Population pop = make_population(300);
   AnalysisPipeline pipeline(*pop.chain, &pop.sources);
   const auto cold = pipeline.run(pop.sweep_inputs());
@@ -338,6 +337,45 @@ TEST_F(PipelineTest, WarmRerunOfSamePopulationIsBitIdentical) {
   for (std::size_t i = 0; i < cold.size(); ++i) {
     EXPECT_TRUE(cold[i] == warm[i]) << "contract " << i << " diverged warm";
   }
+}
+
+TEST_F(PipelineTest, RepeatRunAfterSetCodeMatchesFreshPipeline) {
+  // run() keeps nothing keyed by address or code hash past its return, so a
+  // second run over a mutated chain must match a fresh pipeline's run.
+  Population pop = make_population(300);
+  const auto inputs = pop.sweep_inputs();
+  AnalysisPipeline pipeline(*pop.chain, &pop.sources);
+  const auto first = pipeline.run(inputs);
+
+  // A healthy non-proxy takes over the code of a later emulated proxy that
+  // represents its clone family, so it becomes the family's representative:
+  // its own report and every clone's (address-seeded probe selector) change.
+  std::size_t target = first.size();
+  std::size_t proxy = first.size();
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    if (target == first.size()) {
+      if (!first[i].quarantined() && !first[i].proxy.is_proxy()) target = i;
+    } else if (first[i].proxy.is_proxy() && !first[i].deduplicated &&
+               first[i].proxy.probe_selector != 0) {
+      proxy = i;
+      break;
+    }
+  }
+  ASSERT_LT(proxy, first.size());
+  pop.chain->set_code(inputs[target].address,
+                      pop.chain->code_at(inputs[proxy].address));
+  pop.chain->mine_block();
+
+  const auto second = pipeline.run(inputs);
+  AnalysisPipeline fresh(*pop.chain, &pop.sources);
+  const auto expected = fresh.run(inputs);
+  ASSERT_FALSE(expected[target] == first[target]);
+  ASSERT_EQ(second.size(), expected.size());
+  std::size_t differ = 0;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    if (!(second[i] == expected[i])) ++differ;
+  }
+  EXPECT_EQ(differ, 0u) << "reports differing from a fresh pipeline's";
 }
 
 TEST_F(PipelineTest, CollisionDetectionCanBeDisabled) {

@@ -2,11 +2,13 @@
 # Docs consistency gate (CI "docs" job):
 #   1. every relative markdown link in *.md and docs/*.md resolves to a file
 #      that exists in the repo (external http(s)/mailto links are skipped);
-#   2. every PipelineConfig knob documented in README.md's knob table exists
+#   2. the README knob table and PipelineConfig agree: every knob row exists
 #      in src/core/pipeline.h (dotted knobs like `static_tier.enabled` are
-#      checked by their leaf member name);
-#   3. every DurableSweepConfig knob documented in README.md's sweep-knob
-#      table exists in src/store/durable_sweep.h;
+#      checked by their leaf member name), and every field of
+#      `struct PipelineConfig` has a `<field>` or `<field>.*` row;
+#   3. the README sweep-knob table and DurableSweepConfig agree exactly:
+#      every row exists in src/store/durable_sweep.h, and every field of
+#      `struct DurableSweepConfig` has a row;
 #   4. the README knob table and TelemetryConfig agree exactly: every field
 #      of `struct TelemetryConfig` in src/core/pipeline.h has a
 #      `telemetry.<field>` row, and every `telemetry.*` row names a real
@@ -26,6 +28,27 @@ set -eu
 cd "$(dirname "$0")/.."
 
 fail=0
+
+# struct_fields <struct> <header>: the data members of `struct <struct>`,
+# one name per line. Members sit one per line at two-space indentation;
+# the name is the last word before any initializer.
+struct_fields() {
+  awk -v name="$1" 'index($0, "struct " name " {") == 1 { in_struct = 1; next }
+                    in_struct && /^\};/ { in_struct = 0 }
+                    in_struct && /^  [^ \/]/' "$2" |
+    sed 's/ = .*//; s/{.*//; s/;.*//; s/.*[ *&]//'
+}
+
+# missing_rows <knobs> <fields> <what>: fails each field that no knob row
+# names, either exactly or as the `<field>.` prefix of a dotted knob.
+missing_rows() {
+  for field in $2; do
+    if ! printf '%s\n' "$1" | grep -q -e "^$field\$" -e "^$field\."; then
+      echo "docs_check: $3 field '$field' has no row in README.md" >&2
+      fail=1
+    fi
+  done
+}
 
 # ---- 1. relative markdown links ------------------------------------------
 for f in *.md docs/*.md; do
@@ -60,6 +83,12 @@ for knob in $knobs; do
     fail=1
   fi
 done
+pipeline_fields=$(struct_fields PipelineConfig src/core/pipeline.h)
+if [ -z "$pipeline_fields" ]; then
+  echo "docs_check: could not parse PipelineConfig fields from src/core/pipeline.h" >&2
+  fail=1
+fi
+missing_rows "$knobs" "$pipeline_fields" PipelineConfig
 
 # ---- 3. README DurableSweepConfig knobs vs durable_sweep.h ---------------
 sweep_knobs=$(awk '/^\| Sweep knob \| Default \| Meaning \|/ { in_table = 1; next }
@@ -78,12 +107,15 @@ for knob in $sweep_knobs; do
     fail=1
   fi
 done
+sweep_fields=$(struct_fields DurableSweepConfig src/store/durable_sweep.h)
+if [ -z "$sweep_fields" ]; then
+  echo "docs_check: could not parse DurableSweepConfig fields from src/store/durable_sweep.h" >&2
+  fail=1
+fi
+missing_rows "$sweep_knobs" "$sweep_fields" DurableSweepConfig
 
 # ---- 4. TelemetryConfig fields vs README telemetry.* rows (both ways) ----
-telemetry_fields=$(awk '/^struct TelemetryConfig \{/ { in_struct = 1; next }
-                        in_struct && /^\};/ { in_struct = 0 }
-                        in_struct' src/core/pipeline.h |
-  sed -n 's/^ *[A-Za-z_][A-Za-z_0-9:<>]*[ *&][ *&]*\([a-z_][a-z_0-9]*\)\( = [^;]*\)\{0,1\};$/\1/p')
+telemetry_fields=$(struct_fields TelemetryConfig src/core/pipeline.h)
 if [ -z "$telemetry_fields" ]; then
   echo "docs_check: could not parse TelemetryConfig fields from src/core/pipeline.h" >&2
   fail=1
@@ -183,7 +215,9 @@ if [ "$fail" -eq 0 ]; then
   echo "docs_check: all markdown links resolve;" \
     "all $(echo "$knobs" | wc -l | tr -d ' ') documented pipeline knobs and" \
     "$(echo "$sweep_knobs" | wc -l | tr -d ' ') sweep knobs exist;" \
-    "all $(echo "$telemetry_fields" | wc -l | tr -d ' ') TelemetryConfig" \
+    "all $(echo "$pipeline_fields" | wc -l | tr -d ' ') PipelineConfig," \
+    "$(echo "$sweep_fields" | wc -l | tr -d ' ') DurableSweepConfig and" \
+    "$(echo "$telemetry_fields" | wc -l | tr -d ' ') TelemetryConfig" \
     "fields documented;" \
     "$(echo "$endpoints" | wc -l | tr -d ' ') endpoints and" \
     "$(echo "$service_knobs" | wc -l | tr -d ' ') service knobs wired;" \
