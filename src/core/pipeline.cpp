@@ -162,7 +162,12 @@ util::ThreadPool& AnalysisPipeline::pool() {
 
 std::vector<ContractAnalysis> AnalysisPipeline::run(
     const std::vector<SweepInput>& inputs, const VerdictSeeds& seeds,
-    const SourceDonors* donors) {
+    const SourceDonors* donors, std::span<const crypto::Hash256> code_hashes) {
+  if (!code_hashes.empty() && code_hashes.size() != inputs.size()) {
+    throw std::invalid_argument(
+        "AnalysisPipeline::run: code_hashes must be empty or parallel to "
+        "inputs");
+  }
   ReentrancyGuard guard(busy_);
   const auto t_start = std::chrono::steady_clock::now();
   util::ThreadPool& workers = pool();
@@ -215,15 +220,18 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
 
   // ---- fetch code and hash it ------------------------------------------
   // Each distinct address is fetched (through the fault-tolerant archive
-  // seam) and keccak'd exactly once per run. A failed fetch quarantines only
-  // its own contract: the once-map clears the in-flight marker on throw, so
-  // a later retry recomputes instead of caching the failure.
+  // seam) exactly once per run and keccak'd at most once: an input whose
+  // code hash the caller supplied (a durable sweep's fingerprint) takes it
+  // instead of being hashed again. A failed fetch quarantines only its own
+  // contract: the once-map clears the in-flight marker on throw, so a later
+  // retry recomputes instead of caching the failure.
   CodeBlobMap blob_map;
-  auto fetch_blob = [&](const Address& address) {
+  auto fetch_blob = [&](const Address& address,
+                        const crypto::Hash256* known_hash = nullptr) {
     return blob_map.get_or_compute(address, [&] {
       auto b = std::make_shared<CodeBlob>();
       b->code = rpc().get_code(address);
-      b->hash = evm::code_hash(b->code);
+      b->hash = known_hash != nullptr ? *known_hash : evm::code_hash(b->code);
       b->key = hash_key(b->hash);
       return std::shared_ptr<const CodeBlob>(std::move(b));
     });
@@ -234,7 +242,9 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
     obs::Span phase_span(tracer_.get(), "phase:fetch");
     workers.parallel_for(inputs.size(), [&](std::size_t i) {
       try {
-        blobs[i] = fetch_blob(inputs[i].address);
+        blobs[i] = fetch_blob(inputs[i].address, code_hashes.empty()
+                                                     ? nullptr
+                                                     : &code_hashes[i]);
       } catch (const chain::RpcError& e) {
         out[i].error = record_of(e, "fetch");
       } catch (const std::exception& e) {

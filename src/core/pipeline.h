@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -369,6 +370,15 @@ class AnalysisPipeline {
   /// sweep passes the whole population's map, so a shard resolves the same
   /// donors a monolithic run would.
   ///
+  /// `code_hashes` is empty or parallel to `inputs` (std::invalid_argument
+  /// otherwise). Empty, run() keccaks every fetched input blob. Given, the
+  /// fetch phase still fetches each input's code through the archive seam
+  /// but takes `code_hashes[i]` as its hash instead of hashing it again.
+  /// Precondition: `code_hashes[i]` is the keccak of the code the archive
+  /// serves for `inputs[i]`; it is trusted, not checked, and it keys the
+  /// code-hash dedup, the artifact cache and the pair memo. A durable sweep
+  /// passes the fingerprints it journals, so each blob is hashed once.
+  ///
   /// Fault containment: a contract whose analysis fails (RPC exhausted,
   /// watchdog, internal error) is returned with `error` set rather than
   /// aborting the run.
@@ -381,9 +391,10 @@ class AnalysisPipeline {
   /// fields. Debug builds enforce this with a re-entrancy guard (assert);
   /// release builds do not check. Distinct AnalysisPipeline instances are
   /// independent and may run concurrently over a read-safe chain.
-  std::vector<ContractAnalysis> run(const std::vector<SweepInput>& inputs,
-                                    const VerdictSeeds& seeds = {},
-                                    const SourceDonors* donors = nullptr);
+  std::vector<ContractAnalysis> run(
+      const std::vector<SweepInput>& inputs, const VerdictSeeds& seeds = {},
+      const SourceDonors* donors = nullptr,
+      std::span<const crypto::Hash256> code_hashes = {});
 
   /// Aggregates reports into the landscape statistics. Quarantined reports
   /// count toward `quarantined` / `errors_by_kind` only. Same external-
@@ -432,9 +443,9 @@ class AnalysisPipeline {
     bool family_checked = false;
     bool family_source_free = false;
   };
-  /// One account's code blob, fetched and hashed exactly once per distinct
-  /// address in a run — however many sweep inputs or proxy/logic pairs
-  /// touch it.
+  /// One account's code blob, fetched exactly once per distinct address in
+  /// a run — however many sweep inputs or proxy/logic pairs touch it — and
+  /// hashed at most once (not at all when run() was handed its hash).
   struct CodeBlob {
     evm::Bytes code;
     crypto::Hash256 hash{};

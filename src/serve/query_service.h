@@ -1,11 +1,14 @@
-// The lock-free query plane over sweep verdicts: an immutable Snapshot of
+// The snapshot query plane over sweep verdicts: an immutable Snapshot of
 // VerdictRows (with address, code-hash, and vulnerability-class indexes)
 // published through std::atomic<std::shared_ptr<const Snapshot>>. Exactly
 // one writer — the chain follower's record sink, or a batch sweep feeding
 // apply_records() by hand — builds the next snapshot privately and swaps
-// the pointer; readers load it wait-free and keep their shared_ptr alive
-// for as long as they render, so a publish never invalidates an in-flight
-// read and a read never blocks a publish.
+// the pointer; readers load it and keep their shared_ptr alive for as long
+// as they render, so a publish never invalidates an in-flight read and a
+// read never waits for a snapshot to be built. The load is not wait-free:
+// libstdc++ 12 takes a lock bit in the control-block word and bumps the
+// snapshot's one shared refcount, so loads and the swap serialize for a
+// few instructions and concurrent readers contend on that cache line.
 //
 // Publishing is a delta: the next snapshot starts from the previous one and
 // copies only the row chunks and index shards its changed rows touch
@@ -102,7 +105,7 @@ class QueryService {
   /// What every publish so far copied (writer side, like publish()).
   const PublishStats& publish_stats() const noexcept { return stats_; }
 
-  // ---- reader side (any thread, wait-free) --------------------------------
+  // ---- reader side (any thread; a short lock-bit load, see above) ---------
   std::shared_ptr<const Snapshot> snapshot() const {
     return published_.load(std::memory_order_acquire);
   }

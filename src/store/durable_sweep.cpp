@@ -293,8 +293,9 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
 
     // ---- fingerprint it; move code-changed members between groups -------
-    // A group whose representative changes re-examines the old and the new
-    // one: the dedup flag follows the representative.
+    // As at boot, these fingerprints are the lap's only hash of a blob: its
+    // run() takes them. A group whose representative changes re-examines the
+    // old and the new one: the dedup flag follows the representative.
     std::vector<std::size_t> fronts;
     for (const std::size_t i : dirty) {
       const Address& a = inputs[i].address;
@@ -343,7 +344,10 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     // ---- fingerprint the population --------------------------------------
     // One code fetch + keccak per input; the blob is dropped immediately, so
     // this phase holds 32 bytes per contract — population *metadata* may be
-    // O(N), it is the per-contract artifacts that must stay O(shard).
+    // O(N), it is the per-contract artifacts that must stay O(shard). This
+    // is the sweep's only hash of an input blob: each shard's run() takes
+    // its members' fingerprints (its groups' hashes) instead of re-hashing
+    // the code it fetches, and they are what its records journal.
     hashes.resize(inputs.size());
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       hashes[i] = evm::code_hash(chain_.code_at(inputs[i].address));
@@ -593,6 +597,7 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
       break;
     }
     std::vector<SweepInput> shard_inputs;
+    std::vector<crypto::Hash256> shard_hashes;
     std::vector<std::size_t> shard_globals;
     std::vector<const Group*> shard_groups;
     core::VerdictSeeds seeds;
@@ -600,13 +605,14 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
       seeds.merge(group->seeds);
       for (const std::size_t i : group->members) {
         shard_inputs.push_back(inputs[i]);
+        shard_hashes.push_back(group->hash);
         shard_globals.push_back(i);
         shard_groups.push_back(group);
       }
     }
 
     std::vector<ContractAnalysis> reports =
-        pipeline_.run(shard_inputs, seeds, &donors);
+        pipeline_.run(shard_inputs, seeds, &donors, shard_hashes);
 
     // Per-run perf accounting, summed across shards (the pipeline resets
     // its run-scoped histograms/timers at every run entry).

@@ -240,7 +240,6 @@ IoResult JournalWriter::append(RecordType type,
   if (file_ == nullptr || payload.size() > kMaxFramePayload) {
     return IoResult::failure("append", EINVAL, offset_, path_);
   }
-  pending_.reserve(pending_.size() + kFrameOverhead + payload.size());
   const std::size_t frame_start = pending_.size();
   put_u32(pending_, static_cast<std::uint32_t>(payload.size()));
   pending_.push_back(static_cast<std::uint8_t>(type));

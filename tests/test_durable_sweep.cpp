@@ -10,6 +10,7 @@
 #include <map>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +19,8 @@
 #include "chain/fault_injection.h"
 #include "core/pipeline.h"
 #include "core/report.h"
+#include "crypto/eth.h"
+#include "crypto/keccak.h"
 #include "datagen/population.h"
 #include "record_oracle.h"
 #include "store/durable_sweep.h"
@@ -106,6 +109,68 @@ TEST(DurableSweep, MatchesMonolithicRun) {
   ASSERT_TRUE(manifest.has_value());
   EXPECT_TRUE(manifest->complete);
   EXPECT_EQ(manifest->contracts_committed, inputs.size());
+}
+
+TEST(DurableSweep, ColdSweepHashesEachInputBlobOnce) {
+  // The driver fingerprints every input and hands those hashes to the
+  // pipeline, so a cold durable sweep spends no more keccaks than the
+  // monolithic run over the same inputs. One shard keeps the comparison
+  // exact: with several, a logic blob delegated to from several shards is
+  // fetched and hashed once per such shard, as a separate run() must. The
+  // selector memo is process-wide: clearing it before each side makes both
+  // pay for their own selectors. The standard slot constants are hashed
+  // once per process, on first use: a warm-up run pays for them first.
+  datagen::Population pop = make_population();
+  const auto inputs = pop.sweep_inputs();
+  core::PipelineConfig config;
+  (void)core::AnalysisPipeline(*pop.chain, &pop.sources, config).run(inputs);
+
+  crypto::clear_selector_memo();
+  core::AnalysisPipeline piped(*pop.chain, &pop.sources, config);
+  store::DurableSweepConfig sc;
+  sc.journal_path = temp_journal("hash_once.journal");
+  sc.shard_size = 0;  // one shard
+  store::DurableSweep sweep(piped, *pop.chain, &pop.sources, sc);
+  const std::uint64_t durable_before = crypto::keccak_invocations();
+  const store::DurableSweepResult result = sweep.run(inputs);
+  const std::uint64_t durable = crypto::keccak_invocations() - durable_before;
+  ASSERT_TRUE(result.error.empty()) << result.error;
+  ASSERT_EQ(result.shards_run, 1u);
+
+  crypto::clear_selector_memo();
+  core::AnalysisPipeline mono(*pop.chain, &pop.sources, config);
+  const std::uint64_t mono_before = crypto::keccak_invocations();
+  const auto mono_stats = mono.summarize(mono.run(inputs));
+  const std::uint64_t monolithic = crypto::keccak_invocations() - mono_before;
+
+  expect_same_verdicts(result.stats, mono_stats);
+  EXPECT_GE(monolithic, inputs.size());
+  EXPECT_LE(durable, monolithic) << "monolithic run: " << monolithic;
+}
+
+TEST(DurableSweep, RunWithGivenCodeHashesMatchesRunThatHashes) {
+  // Handing run() each input's code hash changes what it hashes, not what
+  // it reports.
+  datagen::Population pop = make_population(300);
+  const auto inputs = pop.sweep_inputs();
+  std::vector<crypto::Hash256> hashes;
+  for (const auto& input : inputs) {
+    hashes.push_back(evm::code_hash(pop.chain->code_at(input.address)));
+  }
+  core::AnalysisPipeline hashing(*pop.chain, &pop.sources);
+  const auto expected = hashing.run(inputs);
+  core::AnalysisPipeline given(*pop.chain, &pop.sources);
+  const std::uint64_t before = crypto::keccak_invocations();
+  const auto reports = given.run(inputs, {}, nullptr, hashes);
+  const std::uint64_t spent = crypto::keccak_invocations() - before;
+  ASSERT_EQ(reports.size(), expected.size());
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    EXPECT_EQ(reports[i], expected[i]) << "input " << i;
+  }
+  EXPECT_LT(spent, inputs.size()) << "the inputs were hashed again";
+  EXPECT_THROW(given.run(inputs, {}, nullptr,
+                         std::span(hashes).first(hashes.size() - 1)),
+               std::invalid_argument);
 }
 
 TEST(DurableSweep, KillMidSweepThenResumeIsBitIdentical) {

@@ -1,17 +1,54 @@
 // Torture tests for the checkpoint journal: frame round-trips, empty and
 // missing journals, truncated tails, corrupted CRC frames, record
-// serialization fidelity, and the manifest's atomic-replace protocol.
+// serialization fidelity, the append buffer's growth, and the manifest's
+// atomic-replace protocol.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "store/crc32.h"
 #include "store/journal.h"
 #include "store/records.h"
+
+// Counting replacements of the global scalar operator new/delete: while
+// `g_count_allocations` is set, every allocation this binary makes is
+// counted, so a test can bound how often a buffer reallocates without
+// timing anything.
+namespace {
+std::atomic<bool> g_count_allocations{false};
+std::atomic<std::size_t> g_allocations{0};
+
+void* counted_alloc(std::size_t n) noexcept {
+  if (g_count_allocations.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::malloc(n == 0 ? 1 : n);
+}
+// Out of line, so the compiler never pairs an inlined free() with a new
+// expression's pointer.
+[[gnu::noinline]] void counted_free(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (void* p = counted_alloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 
 namespace {
 
@@ -255,6 +292,30 @@ TEST(Journal, DecodeRejectsOutOfRangeEnum) {
   // 4 pairs-family-checked + 4 pairs-source-free).
   payload[34] = 0x77;
   EXPECT_FALSE(decode_contract_record(payload).has_value());
+}
+
+TEST(Journal, AppendBufferGrowsGeometrically) {
+  // Past a MiB of ~190-byte frames with no sync(), the append buffer
+  // reallocates a logarithmic number of times in the bytes appended, not
+  // once per frame (an exact-size reserve per append would copy the whole
+  // buffer every time).
+  const std::string path = temp_path("growth.journal");
+  auto writer = JournalWriter::create(path);
+  ASSERT_TRUE(writer.has_value());
+  const std::vector<std::uint8_t> payload(190 - kFrameOverhead, 0x5a);
+  std::size_t appended = 0;
+  bool ok = true;
+  g_allocations = 0;
+  g_count_allocations = true;
+  while (ok && appended < (std::size_t{1} << 20) + 4096) {
+    ok = writer->append(RecordType::kContract, payload).ok;
+    appended += kFrameOverhead + payload.size();
+  }
+  g_count_allocations = false;
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(writer->frames_appended(), appended / 190);
+  EXPECT_LE(g_allocations.load(), 2 * std::bit_width(appended))
+      << "allocations while appending " << appended << " bytes";
 }
 
 TEST(Manifest, RoundTripAndAtomicReplace) {

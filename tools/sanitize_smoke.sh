@@ -5,10 +5,11 @@
 # per flavor — sanitizers cannot be mixed in one binary.
 #
 # Usage: tools/sanitize_smoke.sh [test-regex]
-#   test-regex defaults to the fault-injection + concurrency suites.
+#   test-regex defaults to the fault-injection + concurrency suites, plus
+#   the keccak known answers (the hand-unrolled permutation's UB check).
 set -eu
 
-TESTS="${1:-test_resilience|test_archive_batch|test_thread_pool|test_pipeline|test_analysis_cache|test_obs_metrics|test_obs_trace|test_obs_export|test_static_analysis|test_static_tier|test_layout|test_fuzz|test_store_journal|test_durable_sweep|test_vfs_fault|test_journal_fuzz|test_query_service}"
+TESTS="${1:-test_keccak|test_resilience|test_archive_batch|test_thread_pool|test_pipeline|test_analysis_cache|test_obs_metrics|test_obs_trace|test_obs_export|test_static_analysis|test_static_tier|test_layout|test_fuzz|test_store_journal|test_durable_sweep|test_vfs_fault|test_journal_fuzz|test_query_service}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 # CI runs one flavor per job; default is both.
 FLAVORS="${PROXION_SANITIZE_FLAVORS:-address thread}"
@@ -19,11 +20,11 @@ for flavor in ${FLAVORS}; do
   cmake -B "${dir}" -S . -DPROXION_SANITIZE="${flavor}" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "${dir}" -j "${JOBS}" --target \
-    test_resilience test_archive_batch test_thread_pool test_pipeline \
-    test_analysis_cache test_obs_metrics test_obs_trace test_obs_export \
-    test_static_analysis test_static_tier test_layout test_fuzz \
-    test_store_journal test_durable_sweep test_vfs_fault test_journal_fuzz \
-    test_query_service
+    test_keccak test_resilience test_archive_batch test_thread_pool \
+    test_pipeline test_analysis_cache test_obs_metrics test_obs_trace \
+    test_obs_export test_static_analysis test_static_tier test_layout \
+    test_fuzz test_store_journal test_durable_sweep test_vfs_fault \
+    test_journal_fuzz test_query_service
 
   echo "== ctest under ${flavor} sanitizer =="
   if [ "${flavor}" = "thread" ]; then
