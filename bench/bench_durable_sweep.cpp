@@ -230,7 +230,7 @@ int main() {
     // entries — that the shard loop keeps bounded. So the claim under test
     // is relative: at 4x population the sharded sweep's high-water delta
     // must stay well under the monolithic pipeline's, which retains every
-    // report and cache entry until summarize().
+    // report until summarize().
     const double sharded_1x = sweep_delta_mb(base_n, true);
     const double sharded_4x = sweep_delta_mb(4 * base_n, true);
     const double mono_4x = sweep_delta_mb(4 * base_n, false);

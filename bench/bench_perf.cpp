@@ -13,7 +13,6 @@
 #include "bench_common.h"
 #include "bench_results.h"
 #include "chain/archive_node.h"
-#include "core/analysis_cache.h"
 #include "core/function_collision.h"
 #include "core/logic_finder.h"
 #include "core/proxy_detector.h"
@@ -196,8 +195,8 @@ void BM_SelectorGrind_HashRate(benchmark::State& state) {
 BENCHMARK(BM_SelectorGrind_HashRate);
 
 void BM_Artifacts_Recompute(benchmark::State& state) {
-  // What every stage of the seed pipeline paid per contract: disassemble,
-  // extract selectors, profile storage — from scratch each time.
+  // The per-blob artifacts the collision stage derives for each side of a
+  // pair: disassemble, extract selectors, profile storage.
   const Bytes code = ContractFactory::token_contract(1);
   for (auto _ : state) {
     evm::Disassembly dis(code);
@@ -206,20 +205,6 @@ void BM_Artifacts_Recompute(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Artifacts_Recompute);
-
-void BM_Artifacts_WarmCacheLookup(benchmark::State& state) {
-  // The same three artifacts served from the code-hash-keyed cache.
-  const Bytes code = ContractFactory::token_contract(1);
-  const crypto::Hash256 hash = evm::code_hash(code);
-  core::AnalysisCache cache;
-  cache.storage_profile(hash, code);  // warm all three artifacts
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.disassembly(hash, code).get());
-    benchmark::DoNotOptimize(cache.selectors(hash, code)->size());
-    benchmark::DoNotOptimize(cache.storage_profile(hash, code).get());
-  }
-}
-BENCHMARK(BM_Artifacts_WarmCacheLookup);
 
 constexpr std::size_t kParallelItems = 256;
 
@@ -369,38 +354,6 @@ void macro_section() {
     results.set("dedup_speedup_x", ms_no_dedup / std::max(ms_dedup, 0.001));
     (void)reports;
     (void)reports2;
-  }
-
-  // Analysis cache on vs off: the artifact cache shares per-bytecode work
-  // across the stages of one run, and must not change a single report.
-  {
-    const auto timed_run = [&](bool use_cache, double& ms) {
-      core::PipelineConfig config;
-      config.use_analysis_cache = use_cache;
-      core::AnalysisPipeline pipeline(*pop.chain, &pop.sources, config);
-      const auto t0 = std::chrono::steady_clock::now();
-      auto reports = pipeline.run(pop.sweep_inputs());
-      ms = std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-               .count();
-      return reports;
-    };
-    double on_ms = 0;
-    double off_ms = 0;
-    const auto on = timed_run(true, on_ms);
-    const auto off = timed_run(false, off_ms);
-    bool identical = on.size() == off.size();
-    for (std::size_t i = 0; identical && i < on.size(); ++i) {
-      identical = on[i] == off[i];
-    }
-
-    heading("analysis cache: on vs off (one sweep each)");
-    row("cache ON sweep", fmt(on_ms, " ms"));
-    row("cache OFF sweep", fmt(off_ms, " ms"));
-    row("cache ON bit-identical to cache OFF", identical ? "yes" : "NO");
-    results.set("cache_on_ms", on_ms);
-    results.set("cache_off_ms", off_ms);
-    results.set("cache_on_off_identical", identical ? 1.0 : 0.0);
   }
 
   // Ablation: the selector-hash memo. Nothing else outlives a run, so a

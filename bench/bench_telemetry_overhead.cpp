@@ -1,10 +1,9 @@
 // The telemetry overhead contract, measured. Microbenches pin the per-op
 // cost of the primitives (counter add, histogram record, disabled span = one
 // null-pointer branch), and the macro section sweeps the bench population
-// four ways — telemetry off, histograms on (the default), full span
-// tracing with export, and 1-in-8 sampled tracing — reporting the relative
-// overhead and dumping the registry snapshot of the traced sweep into
-// BENCH_results.json.
+// three ways — telemetry off, histograms on (the default), and full span
+// tracing with export — reporting the relative overhead and dumping the
+// registry snapshot of the traced sweep into BENCH_results.json.
 // The introspection-plane leg measures the serving-mode configuration —
 // background exporter + structured event log + live span ring — against the
 // default, gating the "observability is nearly free" claim (<= 2% wall).
@@ -167,21 +166,13 @@ void macro_section() {
   coarse.telemetry.live_spans = true;
   coarse.telemetry.coarse_clock = true;
 
-  // Sampled tracing: 1-in-8 spans kept. Sampled-out spans skip the clock
-  // read and argument formatting entirely, so this leg measures how close
-  // sampling brings full tracing back to the histograms-only cost.
-  core::PipelineConfig sampled = traced;
-  sampled.telemetry.trace_path = BenchResults::path() + ".trace_sampled.json";
-  sampled.telemetry.span_sample_every_n = 8;
-
   // Three reps, legs INTERLEAVED round-robin and a per-leg minimum:
   // overhead ratios in the low-single-digit-percent range drown in
   // machine-load drift if each leg's reps run back to back (the drift then
   // lands on whole legs instead of averaging out), and the minimum is the
   // least-noisy estimator of true cost on a shared machine.
-  core::LandscapeStats on_stats, traced_stats, sampled_stats;
-  double off_ms = 0, on_ms = 0, traced_ms = 0, coarse_ms = 0, sampled_ms = 0,
-         plane_ms = 0;
+  core::LandscapeStats on_stats, traced_stats;
+  double off_ms = 0, on_ms = 0, traced_ms = 0, coarse_ms = 0, plane_ms = 0;
   for (int rep = 0; rep < 3; ++rep) {
     const bool first = rep == 0;
     auto keep = [first](double& best, double ms) {
@@ -192,7 +183,6 @@ void macro_section() {
                             first ? &on_stats : nullptr));
     keep(traced_ms, timed_sweep(traced, first ? &traced_stats : nullptr));
     keep(coarse_ms, timed_sweep(coarse));
-    keep(sampled_ms, timed_sweep(sampled, first ? &sampled_stats : nullptr));
     // The live introspection plane (exporter + event log + status
     // publishing) added on top of the identical live-ring tracing config —
     // the delta against the coarse leg isolates exactly what serving costs.
@@ -202,7 +192,6 @@ void macro_section() {
   const double on_overhead = 100.0 * (on_ms - off_ms) / off_ms;
   const double traced_overhead = 100.0 * (traced_ms - off_ms) / off_ms;
   const double coarse_overhead = 100.0 * (coarse_ms - off_ms) / off_ms;
-  const double sampled_overhead = 100.0 * (sampled_ms - off_ms) / off_ms;
   const double plane_overhead = 100.0 * (plane_ms - coarse_ms) / coarse_ms;
 
   heading("sweep overhead: telemetry off vs histograms vs full tracing");
@@ -213,12 +202,8 @@ void macro_section() {
   row("  overhead vs OFF", fmt(traced_overhead, "%"));
   row("span tracing, coarse clock, live ring", fmt(coarse_ms, " ms"));
   row("  overhead vs OFF (<=15% budget)", fmt(coarse_overhead, "%"));
-  row("span tracing, 1-in-8 sampled", fmt(sampled_ms, " ms"));
-  row("  overhead vs OFF", fmt(sampled_overhead, "%"));
   row("introspection plane live", fmt(plane_ms, " ms"));
   row("  overhead vs live-ring leg (<=2% budget)", fmt(plane_overhead, "%"));
-  row("spans recorded (sampled sweep)",
-      std::to_string(sampled_stats.trace_spans_recorded));
   row("spans recorded (traced sweep)",
       std::to_string(traced_stats.trace_spans_recorded) + " (" +
           std::to_string(traced_stats.trace_spans_dropped) + " dropped)");
@@ -236,12 +221,8 @@ void macro_section() {
   results.set("tracing_overhead_pct", traced_overhead);
   results.set("sweep_tracing_coarse_ms", coarse_ms);
   results.set("tracing_coarse_overhead_pct", coarse_overhead);
-  results.set("sweep_tracing_sampled_ms", sampled_ms);
-  results.set("tracing_sampled_overhead_pct", sampled_overhead);
   results.set("sweep_plane_ms", plane_ms);
   results.set("plane_overhead_pct", plane_overhead);
-  results.set("trace_spans_recorded_sampled",
-              static_cast<double>(sampled_stats.trace_spans_recorded));
   results.set("trace_spans_recorded",
               static_cast<double>(traced_stats.trace_spans_recorded));
   results.set("trace_spans_dropped",

@@ -79,9 +79,7 @@ class TracingArchiveNode final : public IArchiveNode {
   void finish(const char* name, std::uint64_t start, bool ok) const {
     const std::uint64_t dur = clock_() - start;
     if (latency_ != nullptr) latency_->record(dur);
-    // sample_this_span() runs before any argument marshalling so sampled-out
-    // spans cost one TLS decrement, not a record() call.
-    if (tracer_ != nullptr && tracer_->sample_this_span()) {
+    if (tracer_ != nullptr) {
       tracer_->record(name, start, dur, "ok", ok ? 1 : 0);
     }
   }
@@ -89,7 +87,7 @@ class TracingArchiveNode final : public IArchiveNode {
   void finish_batch(std::uint64_t start, std::int64_t n) const {
     const std::uint64_t dur = clock_() - start;
     if (latency_ != nullptr) latency_->record(dur);
-    if (tracer_ != nullptr && tracer_->sample_this_span()) {
+    if (tracer_ != nullptr) {
       tracer_->record("rpc:get_storage_at_many", start, dur, "n", n);
     }
   }

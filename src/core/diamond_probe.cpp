@@ -56,13 +56,7 @@ std::vector<std::uint32_t> DiamondProber::harvest_selectors(
   // (b) PUSH4 candidates in the contract's own bytecode: registered facet
   // selectors often appear in the diamondCut bookkeeping code.
   const evm::Bytes code = chain_.get_code(contract);
-  std::vector<std::uint32_t> push4;
-  if (cache_ != nullptr) {
-    push4 = cache_->disassembly(evm::code_hash(code), code)->push4_values();
-  } else {
-    push4 = evm::Disassembly(code).push4_values();
-  }
-  for (const std::uint32_t s : push4) {
+  for (const std::uint32_t s : evm::Disassembly(code).push4_values()) {
     if (seen.insert(s).second) hints.push_back(s);
   }
   return hints;

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "chain/blockchain.h"
-#include "core/analysis_cache.h"
 #include "core/proxy_detector.h"
 
 namespace proxion::core {
@@ -35,12 +34,9 @@ struct DiamondReport {
 
 class DiamondProber {
  public:
-  /// `cache` may be null; with a cache the selector harvest reuses the
-  /// pipeline's memoized disassembly instead of re-sweeping the bytecode.
   explicit DiamondProber(chain::Blockchain& chain,
-                         DiamondProbeConfig config = {},
-                         AnalysisCache* cache = nullptr)
-      : chain_(chain), config_(config), cache_(cache) {}
+                         DiamondProbeConfig config = {})
+      : chain_(chain), config_(config) {}
 
   /// Re-examines a contract that the plain detector called "not a proxy"
   /// despite a DELEGATECALL opcode: probes with selector hints harvested
@@ -54,7 +50,6 @@ class DiamondProber {
  private:
   chain::Blockchain& chain_;
   DiamondProbeConfig config_;
-  AnalysisCache* cache_;
 };
 
 }  // namespace proxion::core

@@ -7,8 +7,7 @@
 namespace proxion::core {
 
 std::vector<std::uint32_t> FunctionCollisionDetector::selectors_for(
-    const Address& address, BytesView code, const crypto::Hash256* code_hash,
-    bool& from_source) const {
+    const Address& address, BytesView code, bool& from_source) const {
   if (sources_ != nullptr) {
     if (const auto* record = sources_->lookup(address)) {
       from_source = true;
@@ -16,29 +15,17 @@ std::vector<std::uint32_t> FunctionCollisionDetector::selectors_for(
     }
   }
   from_source = false;
-  if (cache_ != nullptr && code_hash != nullptr) {
-    return *cache_->selectors(*code_hash, code);  // sorted + deduped
-  }
   return extract_selectors(code);  // sorted + deduped
 }
 
 FunctionCollisionResult FunctionCollisionDetector::detect(
     const Address& proxy, BytesView proxy_code, const Address& logic,
     BytesView logic_code) const {
-  return detect(proxy, proxy_code, nullptr, logic, logic_code, nullptr);
-}
-
-FunctionCollisionResult FunctionCollisionDetector::detect(
-    const Address& proxy, BytesView proxy_code,
-    const crypto::Hash256* proxy_hash, const Address& logic,
-    BytesView logic_code, const crypto::Hash256* logic_hash) const {
   FunctionCollisionResult result;
   bool proxy_from_source = false;
   bool logic_from_source = false;
-  result.proxy_selectors =
-      selectors_for(proxy, proxy_code, proxy_hash, proxy_from_source);
-  result.logic_selectors =
-      selectors_for(logic, logic_code, logic_hash, logic_from_source);
+  result.proxy_selectors = selectors_for(proxy, proxy_code, proxy_from_source);
+  result.logic_selectors = selectors_for(logic, logic_code, logic_from_source);
 
   if (proxy_from_source && logic_from_source) {
     result.mode = CollisionMode::kSourceSource;

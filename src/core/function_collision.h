@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/analysis_cache.h"
 #include "evm/types.h"
 #include "sourcemeta/source.h"
 
@@ -35,32 +34,21 @@ struct FunctionCollisionResult {
 
 class FunctionCollisionDetector {
  public:
-  /// `sources` may be null (pure bytecode mode); `cache` may be null
-  /// (standalone use — selector extraction runs per call).
+  /// `sources` may be null (pure bytecode mode).
   explicit FunctionCollisionDetector(
-      const sourcemeta::SourceRepository* sources = nullptr,
-      AnalysisCache* cache = nullptr)
-      : sources_(sources), cache_(cache) {}
+      const sourcemeta::SourceRepository* sources = nullptr)
+      : sources_(sources) {}
 
   FunctionCollisionResult detect(const Address& proxy, BytesView proxy_code,
                                  const Address& logic,
                                  BytesView logic_code) const;
 
-  /// Cache-keyed variant: hashes (when non-null) key the memoized selector
-  /// lists, so the sweep never re-extracts a blob it has seen before.
-  FunctionCollisionResult detect(const Address& proxy, BytesView proxy_code,
-                                 const crypto::Hash256* proxy_hash,
-                                 const Address& logic, BytesView logic_code,
-                                 const crypto::Hash256* logic_hash) const;
-
  private:
   std::vector<std::uint32_t> selectors_for(const Address& address,
                                            BytesView code,
-                                           const crypto::Hash256* code_hash,
                                            bool& from_source) const;
 
   const sourcemeta::SourceRepository* sources_;
-  AnalysisCache* cache_;
 };
 
 }  // namespace proxion::core

@@ -98,9 +98,6 @@ AnalysisPipeline::AnalysisPipeline(chain::Blockchain& chain,
         !config_.telemetry.events_path.empty() ||
         config_.telemetry.live_spans) {
       tracer_ = std::make_unique<obs::Tracer>(clock_);
-      const std::size_t every = config_.telemetry.span_sample_every_n;
-      tracer_->set_sample_every(
-          static_cast<std::uint32_t>(every == 0 ? 1 : every));
       tracer_->set_coarse_clock(config_.telemetry.coarse_clock);
     }
   }
@@ -148,7 +145,6 @@ AnalysisPipeline::AnalysisPipeline(chain::Blockchain& chain,
           });
     }
   }
-  if (config_.use_analysis_cache) cache_ = std::make_unique<AnalysisCache>();
 }
 
 AnalysisPipeline::~AnalysisPipeline() = default;
@@ -202,18 +198,11 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
     h_steps_->reset();
   }
   if (tracer_) tracer_->clear();
-  // Per-contract span sampling: histograms always see every sample, only
-  // the trace timeline is thinned.
-  const std::size_t every_n = config_.telemetry.sample_every_n;
-  auto span_tracer = [&](std::size_t i) -> obs::Tracer* {
-    if (!tracer_) return nullptr;
-    return (every_n <= 1 || i % every_n == 0) ? tracer_.get() : nullptr;
-  };
 
-  // No memo outlives the run that filled it: a code blob, an artifact or a
-  // pair outcome computed before a chain mutation would silently answer for
-  // the mutated chain (and a PairOutcome also depends on this run's donor
-  // map and the proxy's live storage).
+  // No memo outlives the run that filled it: a code blob or a pair outcome
+  // computed before a chain mutation would silently answer for the mutated
+  // chain (and a PairOutcome also depends on this run's donor map and the
+  // proxy's live storage).
   pair_cache_ = std::make_unique<StripedOnceMap<std::string, PairOutcome>>();
 
   std::vector<ContractAnalysis> out(inputs.size());
@@ -306,7 +295,7 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
     obs::Span phase_span(tracer_.get(), "phase:proxy");
     workers.parallel_for(unique_indices.size(), [&](std::size_t u) {
       const std::size_t i = unique_indices[u];
-      obs::Span contract_span(span_tracer(i), "contract");
+      obs::Span contract_span(tracer_.get(), "contract");
       contract_span.arg("index", static_cast<std::int64_t>(i));
       try {
         const auto seed = seeds.find(inputs[i].address);
@@ -315,13 +304,13 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
           // shows no proxy-detect span.
           unique_reports[u] = seed->second.report;
         } else {
-          obs::Span detect_span(span_tracer(i), "proxy-detect");
+          obs::Span detect_span(tracer_.get(), "proxy-detect");
           ProxyDetectorConfig detector_config;
           detector_config.step_limit = config_.emulation_step_limit;
           detector_config.static_tier = config_.static_tier;
-          ProxyDetector detector(chain_, detector_config, cache_.get());
-          unique_reports[u] = detector.analyze_code(
-              inputs[i].address, blobs[i]->code, blobs[i]->hash);
+          ProxyDetector detector(chain_, detector_config);
+          unique_reports[u] =
+              detector.analyze_code(inputs[i].address, blobs[i]->code);
         }
         if (h_steps_ != nullptr &&
             unique_reports[u].has_delegatecall_opcode) {
@@ -382,7 +371,7 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
       // lambda so its early returns still land on the record below.
       const std::uint64_t t0 = h_contract_ != nullptr ? clock_() : 0;
       {
-        obs::Span contract_span(span_tracer(i), "contract");
+        obs::Span contract_span(tracer_.get(), "contract");
         contract_span.arg("index", static_cast<std::int64_t>(i));
         [&] {
           a.address = inputs[i].address;
@@ -408,7 +397,7 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
             if (!a.proxy.is_proxy()) {
               if (config_.probe_diamonds && a.proxy.has_delegatecall_opcode &&
                   a.proxy.verdict == ProxyVerdict::kNotProxy) {
-                DiamondProber prober(chain_, {}, cache_.get());
+                DiamondProber prober(chain_);
                 a.diamond = prober.probe(a.address, a.proxy);
               }
               return;
@@ -427,7 +416,7 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
 
             watchdog.check("logic-history");
             if (config_.find_logic_history) {
-              obs::Span logic_span(span_tracer(i), "logic-search");
+              obs::Span logic_span(tracer_.get(), "logic-search");
               LogicFinder finder(rpc());
               a.logic_history = finder.find(a.address, a.proxy);
             } else if (!a.proxy.logic_address.is_zero()) {
@@ -448,10 +437,9 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
                     // Spanned inside the pair memo: a hit reuses the outcome
                     // without running the detectors, so it shows no
                     // collision-check span.
-                    obs::Span pair_span(span_tracer(i), "collision-check");
+                    obs::Span pair_span(tracer_.get(), "collision-check");
                     PairOutcome o;
-                    FunctionCollisionDetector fn_detector(sources_,
-                                                          cache_.get());
+                    FunctionCollisionDetector fn_detector(sources_);
                     // Source-mode lookups go through same-bytecode donors
                     // (§7.1): a clone of a verified contract is analyzed as
                     // if verified itself.
@@ -462,17 +450,16 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
                     o.function_collision =
                         fn_detector
                             .detect(proxy_lookup, blobs[i]->code,
-                                    &blobs[i]->hash, logic_lookup, blob->code,
-                                    &blob->hash)
+                                    logic_lookup, blob->code)
                             .has_collision();
                     StorageCollisionConfig st_config;
                     st_config.compare_families =
                         config_.static_tier.infer_layout;
-                    StorageCollisionDetector st_detector(
-                        chain_, st_config, cache_.get(), sources_);
+                    StorageCollisionDetector st_detector(chain_, st_config,
+                                                         sources_);
                     const StorageCollisionResult st = st_detector.detect(
-                        a.address, blobs[i]->code, &blobs[i]->hash, logic,
-                        blob->code, &blob->hash, &proxy_lookup, &logic_lookup);
+                        a.address, blobs[i]->code, logic, blob->code,
+                        &proxy_lookup, &logic_lookup);
                     o.storage_collision = st.has_collision();
                     o.storage_exploitable = st.has_verified_exploit();
                     o.family_collision = st.has_family_collision();
@@ -514,7 +501,7 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
   last_pairs_ms_ = ms_between(t_proxy, t_end);
 
   if (config_.telemetry.enabled) {
-    // Gauge snapshots of the run-scoped cache totals and the (monotonic)
+    // Gauge snapshots of the run-scoped pair-memo totals and the (monotonic)
     // resilience counters: set(), not add(), so repeat runs don't
     // double-count in the registry snapshot.
     registry_.gauge("sweep.pair_cache.hits")
@@ -551,7 +538,6 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
   // Every memo read is done: drop the entries, outside the phase timings
   // (the counters stay for annotate_run_stats).
   pair_cache_->clear();
-  if (cache_) cache_->clear();
 
   // Trace files are written after t_end so export cost never pollutes the
   // phase timings; the parallel_for joins above provide the quiescence the
@@ -618,11 +604,9 @@ void AnalysisPipeline::annotate_run_stats(LandscapeStats& stats) const {
   stats.phase_fetch_ms = last_fetch_ms_;
   stats.phase_proxy_ms = last_proxy_ms_;
   stats.phase_pairs_ms = last_pairs_ms_;
-  if (cache_) stats.cache = cache_->stats();
   if (pair_cache_) {
-    stats.pair_cache_hits = pair_cache_->hits();
-    stats.pair_cache_misses = pair_cache_->misses();
-    stats.pair_cache_waits = pair_cache_->waits();
+    stats.cache = MemoCounts(pair_cache_->hits(), pair_cache_->misses(),
+                             pair_cache_->waits());
   }
   if (h_contract_ != nullptr) {
     stats.contract_latency_ns = h_contract_->summary();

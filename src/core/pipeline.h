@@ -28,10 +28,10 @@
 #include "chain/blockchain.h"
 #include "chain/resilient_node.h"
 #include "chain/tracing_node.h"
-#include "core/analysis_cache.h"
 #include "core/diamond_probe.h"
 #include "core/function_collision.h"
 #include "core/logic_finder.h"
+#include "core/once_map.h"
 #include "core/proxy_detector.h"
 #include "core/storage_collision.h"
 #include "obs/eventlog.h"
@@ -107,7 +107,7 @@ struct ContractAnalysis {
 
   bool quarantined() const noexcept { return error.has_value(); }
 
-  /// Field-for-field equality — the cache on/off and threads=1 vs N
+  /// Field-for-field equality — the threads=1 vs N and repeat-run
   /// bit-identity tests compare entire reports with this.
   friend bool operator==(const ContractAnalysis&,
                          const ContractAnalysis&) = default;
@@ -128,17 +128,6 @@ struct TelemetryConfig {
   std::string trace_path;
   /// NDJSON span log (one JSON object per line), same gating as trace_path.
   std::string events_path;
-  /// Record per-contract spans only for every n-th sweep index (1 = all).
-  /// Histograms are never sampled — percentiles stay exact over the
-  /// population; sampling only thins the trace timeline.
-  std::size_t sample_every_n = 1;
-  /// Tracer-level span sampling: keep only every n-th span per recording
-  /// thread (1 = all, the default). Unlike sample_every_n (which selects
-  /// whole contracts), this thins every span family — phases, per-contract,
-  /// and rpc:* spans — and the sampled-out spans skip clock reads and
-  /// argument formatting entirely (the PR-3 tracing-overhead fix). The
-  /// first span per thread is always kept.
-  std::size_t span_sample_every_n = 1;
   /// Monotonic nanosecond clock for spans and latency stopwatches; empty =
   /// std::chrono::steady_clock. Tests inject a fake for deterministic
   /// traces (the PR-2 testable-time convention).
@@ -170,12 +159,6 @@ struct PipelineConfig {
   /// Re-probe DELEGATECALL-bearing non-proxies with tx-harvested selectors
   /// to catch EIP-2535 diamonds (§8.2 future work, implemented).
   bool probe_diamonds = false;
-  /// Share per-bytecode artifacts (disassembly, selectors, storage
-  /// profiles, static reports, layouts) across the stages of one run. The
-  /// entries are dropped before run() returns. Results are bit-identical
-  /// either way (tested); off recomputes every artifact per stage, the
-  /// reference side of that oracle.
-  bool use_analysis_cache = true;
 
   // ---- fault tolerance --------------------------------------------------
   /// External archive backend (a FaultInjectingArchiveNode in tests, a real
@@ -216,6 +199,33 @@ struct PipelineConfig {
 
   // ---- observability ----------------------------------------------------
   TelemetryConfig telemetry{};
+};
+
+/// Hit/miss/wait counts of the pipeline's proxy/logic pair memo: hits reuse
+/// a finished pair outcome, waits blocked on another worker's in-flight
+/// computation of the same pair.
+class MemoCounts {
+ public:
+  MemoCounts() = default;
+  MemoCounts(std::uint64_t hits, std::uint64_t misses,
+             std::uint64_t waits) noexcept
+      : hits_(hits), misses_(misses), waits_(waits) {}
+
+  std::uint64_t hits() const noexcept { return hits_; }
+  std::uint64_t misses() const noexcept { return misses_; }
+  std::uint64_t waits() const noexcept { return waits_; }
+
+  MemoCounts& operator+=(const MemoCounts& o) noexcept {
+    hits_ += o.hits_;
+    misses_ += o.misses_;
+    waits_ += o.waits_;
+    return *this;
+  }
+
+ private:
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t waits_ = 0;
 };
 
 struct LandscapeStats {
@@ -281,14 +291,9 @@ struct LandscapeStats {
   double phase_fetch_ms = 0.0;
   double phase_proxy_ms = 0.0;
   double phase_pairs_ms = 0.0;
-  /// Artifact-cache effectiveness (all zeros when the cache is disabled).
-  AnalysisCacheStats cache;
-  /// Proxy/logic pair outcome cache: hits reuse a finished pair result,
-  /// waits blocked on another worker's in-flight computation of the same
-  /// pair (the seed recomputed in that race).
-  std::uint64_t pair_cache_hits = 0;
-  std::uint64_t pair_cache_misses = 0;
-  std::uint64_t pair_cache_waits = 0;
+  /// The proxy/logic pair memo over the last run (summed over a durable
+  /// sweep's shards).
+  MemoCounts cache;
 
   // ---- static triage tier (all-zero when static_tier.enabled is false) --
   /// Unique blobs triaged per outcome. *_skipped_* blobs paid zero
@@ -376,8 +381,8 @@ class AnalysisPipeline {
   /// but takes `code_hashes[i]` as its hash instead of hashing it again.
   /// Precondition: `code_hashes[i]` is the keccak of the code the archive
   /// serves for `inputs[i]`; it is trusted, not checked, and it keys the
-  /// code-hash dedup, the artifact cache and the pair memo. A durable sweep
-  /// passes the fingerprints it journals, so each blob is hashed once.
+  /// code-hash dedup and the pair memo. A durable sweep passes the
+  /// fingerprints it journals, so each blob is hashed once.
   ///
   /// Fault containment: a contract whose analysis fails (RPC exhausted,
   /// watchdog, internal error) is returned with `error` set rather than
@@ -402,7 +407,7 @@ class AnalysisPipeline {
   LandscapeStats summarize(const std::vector<ContractAnalysis>& reports) const;
 
   /// Copies the pipeline-scoped perf/coverage fields of the LAST run into
-  /// `stats`: phase wall times, cache + pair-memo counters, resilience
+  /// `stats`: phase wall times, pair-memo counters, resilience
   /// totals, RPC call counts, latency histogram summaries, and tracer
   /// accounting. summarize() = LandscapeAccumulator over the reports + this.
   /// Exposed for the durable sharded driver, which aggregates reports
@@ -410,11 +415,6 @@ class AnalysisPipeline {
   void annotate_run_stats(LandscapeStats& stats) const;
 
   const PipelineConfig& config() const noexcept { return config_; }
-
-  /// The artifact cache (null when config.use_analysis_cache is false). Empty
-  /// between runs; its hit/miss counters keep their lifetime totals.
-  /// Exposed for benches/tests that inspect hit/miss accounting.
-  AnalysisCache* analysis_cache() noexcept { return cache_.get(); }
 
   /// The resilience wrapper around the backend (null when enable_retries is
   /// false). Exposed for tests/benches inspecting retry accounting.
@@ -424,8 +424,8 @@ class AnalysisPipeline {
 
   /// This pipeline's metric registry (per-instance, distinct from
   /// obs::Registry::global()): the sweep histograms plus end-of-run gauge
-  /// snapshots of the cache/resilience totals. Exposed for benches that dump
-  /// a full snapshot into BENCH_results.json.
+  /// snapshots of the pair-memo/resilience totals. Exposed for benches that
+  /// dump a full snapshot into BENCH_results.json.
   const obs::Registry& registry() const noexcept { return registry_; }
 
   /// The span tracer (null unless telemetry.enabled and an export path was
@@ -492,8 +492,6 @@ class AnalysisPipeline {
   /// Non-null when an export path is configured or live_spans is on.
   std::unique_ptr<obs::Tracer> tracer_;
 
-  /// Entries dropped before every run() returns.
-  std::unique_ptr<AnalysisCache> cache_;  // null when disabled
   std::unique_ptr<util::ThreadPool> pool_;  // created lazily on first run
   /// The pair-outcome memo with in-flight markers, rebuilt at every run()
   /// entry and emptied before it returns; kept as a member only so

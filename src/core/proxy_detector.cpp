@@ -5,6 +5,7 @@
 
 #include "crypto/eth.h"
 #include "obs/metrics.h"
+#include "static/layout.h"
 
 namespace proxion::core {
 
@@ -309,23 +310,8 @@ ProxyReport ProxyDetector::analyze(const Address& contract) {
 ProxyReport ProxyDetector::analyze_code(const Address& contract,
                                         BytesView code) {
   if (code.empty()) return ProxyReport{};
-  if (cache_ != nullptr) {
-    return analyze_code(contract, code, evm::code_hash(code));
-  }
   const evm::Disassembly dis(code);
-  return analyze_disassembled(contract, code, dis, nullptr);
-}
-
-ProxyReport ProxyDetector::analyze_code(const Address& contract,
-                                        BytesView code,
-                                        const crypto::Hash256& code_hash) {
-  if (code.empty()) return ProxyReport{};
-  if (cache_ == nullptr) {
-    const evm::Disassembly dis(code);
-    return analyze_disassembled(contract, code, dis, &code_hash);
-  }
-  const auto dis = cache_->disassembly(code_hash, code);
-  return analyze_disassembled(contract, code, *dis, &code_hash);
+  return analyze_disassembled(contract, code, dis);
 }
 
 std::uint8_t ProxyDetector::static_vs_emulation_mismatch(
@@ -369,8 +355,7 @@ std::uint8_t ProxyDetector::static_vs_emulation_mismatch(
 }
 
 ProxyReport ProxyDetector::analyze_disassembled(
-    const Address& contract, BytesView code, const evm::Disassembly& dis,
-    const crypto::Hash256* code_hash) {
+    const Address& contract, BytesView code, const evm::Disassembly& dis) {
   ProxyReport report;
 
   // ---- Phase 1: opcode prefilter (§4.1) --------------------------------
@@ -383,16 +368,9 @@ ProxyReport ProxyDetector::analyze_disassembled(
   }
 
   // ---- Static triage tier (CFG recovery + provenance) -------------------
-  std::shared_ptr<const static_analysis::StaticReport> st_owned;
-  const static_analysis::StaticReport* st = nullptr;
+  std::optional<static_analysis::StaticReport> st;
   if (config_.static_tier.enabled) {
-    if (cache_ != nullptr && code_hash != nullptr) {
-      st_owned = cache_->static_report(*code_hash, code);
-    } else {
-      st_owned = std::make_shared<const static_analysis::StaticReport>(
-          static_analysis::analyze(dis));
-    }
-    st = st_owned.get();
+    st.emplace(static_analysis::analyze(dis));
 
     if (st->minimal_proxy_target.has_value()) {
       // Byte-exact EIP-1167 runtime: the fallback unconditionally forwards
@@ -482,23 +460,18 @@ ProxyReport ProxyDetector::analyze_disassembled(
 
   report.standard = classify(report, code);
 
-  if (st != nullptr && config_.static_tier.cross_check) {
+  if (st && config_.static_tier.cross_check) {
     report.static_mismatch = static_vs_emulation_mismatch(*st, report);
   }
 
   // ---- Layout oracle (storage-layout inference cross-check) -------------
-  if (st != nullptr && config_.static_tier.infer_layout) {
-    std::shared_ptr<const static_analysis::StorageLayout> layout;
-    if (cache_ != nullptr && code_hash != nullptr) {
-      layout = cache_->layout(*code_hash, code);
-    } else {
-      layout = std::make_shared<const static_analysis::StorageLayout>(
-          static_analysis::infer_layout(dis, st->cfg));
-    }
+  if (st && config_.static_tier.infer_layout) {
+    const static_analysis::StorageLayout layout =
+        static_analysis::infer_layout(dis, st->cfg);
     report.layout_inferred = true;
-    report.layout_reliable = layout->reliable();
+    report.layout_reliable = layout.reliable();
     if (report.layout_reliable) {
-      report.static_mismatch |= layout_vs_emulation_mismatch(*layout, observer);
+      report.static_mismatch |= layout_vs_emulation_mismatch(layout, observer);
       obs::Registry& reg = obs::Registry::global();
       static obs::Counter& slot_mismatches = reg.counter("layout.mismatch.slot");
       static obs::Counter& width_mismatches =

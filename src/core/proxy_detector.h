@@ -13,10 +13,10 @@
 // standard (Table 4) and seeds the logic-finder's archive-node search (§4.3).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 
-#include "core/analysis_cache.h"
 #include "evm/disassembler.h"
 #include "evm/host.h"
 #include "evm/interpreter.h"
@@ -131,11 +131,11 @@ struct ProxyDetectorConfig {
 
 class ProxyDetector {
  public:
-  /// `cache` may be null (standalone use, no memoization). With a cache the
-  /// phase-1 disassembly is shared across every stage touching this blob.
+  /// The third parameter only keeps callers that still pass `nullptr` there
+  /// compiling; it carries nothing.
   explicit ProxyDetector(evm::Host& state, ProxyDetectorConfig config = {},
-                         AnalysisCache* cache = nullptr)
-      : state_(state), config_(config), cache_(cache) {}
+                         std::nullptr_t = nullptr)
+      : state_(state), config_(config) {}
 
   /// Analyzes the contract deployed at `contract` (code read via the host).
   ProxyReport analyze(const Address& contract);
@@ -143,11 +143,6 @@ class ProxyDetector {
   /// Analyzes explicit bytecode as if deployed at `contract` (used when
   /// sweeping code blobs deduplicated by hash).
   ProxyReport analyze_code(const Address& contract, BytesView code);
-
-  /// Same, with the blob's hash precomputed by the caller so the cache key
-  /// costs nothing extra (the pipeline already hashed every blob for dedup).
-  ProxyReport analyze_code(const Address& contract, BytesView code,
-                           const crypto::Hash256& code_hash);
 
   /// The crafted probe selector for a given code blob: deterministic, and
   /// guaranteed to differ from every 4-byte immediate following a PUSH4
@@ -162,15 +157,11 @@ class ProxyDetector {
       const static_analysis::StaticReport& st, const ProxyReport& emulated);
 
  private:
-  /// `code_hash` may be null (no cache key precomputed); with a cache and a
-  /// hash the static report is memoized per blob.
   ProxyReport analyze_disassembled(const Address& contract, BytesView code,
-                                   const evm::Disassembly& dis,
-                                   const crypto::Hash256* code_hash);
+                                   const evm::Disassembly& dis);
 
   evm::Host& state_;
   ProxyDetectorConfig config_;
-  AnalysisCache* cache_;
 };
 
 }  // namespace proxion::core

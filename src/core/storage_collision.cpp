@@ -79,19 +79,14 @@ std::vector<FamilyView> StorageCollisionDetector::inferred_families(
 
 void StorageCollisionDetector::compare_family_layouts(
     const Address& proxy_lookup, BytesView proxy_code,
-    const crypto::Hash256* proxy_hash, const Address& logic_lookup,
-    BytesView logic_code, const crypto::Hash256* logic_hash,
+    const Address& logic_lookup, BytesView logic_code,
     StorageCollisionResult& result) const {
   const sourcemeta::SourceRecord* proxy_src =
       sources_ != nullptr ? sources_->lookup(proxy_lookup) : nullptr;
   const sourcemeta::SourceRecord* logic_src =
       sources_ != nullptr ? sources_->lookup(logic_lookup) : nullptr;
 
-  auto inferred = [&](BytesView code,
-                      const crypto::Hash256* hash) -> std::vector<FamilyView> {
-    if (cache_ != nullptr && hash != nullptr) {
-      return inferred_families(*cache_->layout(*hash, code));
-    }
+  auto inferred = [](BytesView code) {
     return inferred_families(
         static_analysis::infer_layout(evm::Disassembly(code)));
   };
@@ -104,8 +99,8 @@ void StorageCollisionDetector::compare_family_layouts(
     logic_views = declared_families(*logic_src);
   } else {
     result.family_source_free = true;
-    proxy_views = inferred(proxy_code, proxy_hash);
-    logic_views = inferred(logic_code, logic_hash);
+    proxy_views = inferred(proxy_code);
+    logic_views = inferred(logic_code);
   }
   result.family_checked = true;
 
@@ -144,35 +139,20 @@ void StorageCollisionDetector::compare_family_layouts(
 
 StorageCollisionResult StorageCollisionDetector::detect(
     const Address& proxy, BytesView proxy_code, const Address& logic,
-    BytesView logic_code) const {
-  return detect(proxy, proxy_code, nullptr, logic, logic_code, nullptr);
-}
-
-StorageCollisionResult StorageCollisionDetector::detect(
-    const Address& proxy, BytesView proxy_code,
-    const crypto::Hash256* proxy_hash, const Address& logic,
-    BytesView logic_code, const crypto::Hash256* logic_hash,
-    const Address* proxy_source_lookup,
+    BytesView logic_code, const Address* proxy_source_lookup,
     const Address* logic_source_lookup) const {
-  const bool cached = cache_ != nullptr;
   StorageCollisionResult result;
-  result.proxy_profile = cached && proxy_hash != nullptr
-                             ? *cache_->storage_profile(*proxy_hash, proxy_code)
-                             : profile_storage(proxy_code);
-  result.logic_profile = cached && logic_hash != nullptr
-                             ? *cache_->storage_profile(*logic_hash, logic_code)
-                             : profile_storage(logic_code);
+  result.proxy_profile = profile_storage(proxy_code);
+  result.logic_profile = profile_storage(logic_code);
 
   // The probe list for exploit verification is also a pure function of the
-  // logic blob; share it across every finding (and, via the cache, across
-  // every pair touching this blob).
+  // logic blob; extract it once, on the first finding that needs it, and
+  // share it across the rest.
   std::vector<std::uint32_t> probes;
   bool probes_ready = false;
   auto probe_selectors = [&]() -> const std::vector<std::uint32_t>& {
     if (!probes_ready) {
-      probes = cached && logic_hash != nullptr
-                   ? *cache_->selectors(*logic_hash, logic_code)
-                   : extract_selectors(logic_code);
+      probes = extract_selectors(logic_code);
       probes_ready = true;
     }
     return probes;
@@ -225,9 +205,9 @@ StorageCollisionResult StorageCollisionDetector::detect(
   if (config_.compare_families) {
     compare_family_layouts(
         proxy_source_lookup != nullptr ? *proxy_source_lookup : proxy,
-        proxy_code, proxy_hash,
+        proxy_code,
         logic_source_lookup != nullptr ? *logic_source_lookup : logic,
-        logic_code, logic_hash, result);
+        logic_code, result);
   }
   return result;
 }

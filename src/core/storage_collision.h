@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/analysis_cache.h"
 #include "core/storage_profile.h"
 #include "evm/host.h"
 #include "evm/types.h"
@@ -115,30 +114,20 @@ struct StorageCollisionConfig {
 
 class StorageCollisionDetector {
  public:
-  /// `cache` may be null (standalone use — profiles and probe selectors are
-  /// recomputed per call). `sources` (may be null) supplies declared layouts
-  /// for the family comparison; without it (or without records for the
-  /// pair), compare_families falls back to bytecode-inferred layouts.
+  /// `sources` (may be null) supplies declared layouts for the family
+  /// comparison; without it (or without records for the pair),
+  /// compare_families falls back to bytecode-inferred layouts.
   explicit StorageCollisionDetector(
       evm::Host& state, StorageCollisionConfig config = {},
-      AnalysisCache* cache = nullptr,
       const sourcemeta::SourceRepository* sources = nullptr)
-      : state_(state), config_(config), cache_(cache), sources_(sources) {}
+      : state_(state), config_(config), sources_(sources) {}
 
-  StorageCollisionResult detect(const Address& proxy, BytesView proxy_code,
-                                const Address& logic,
-                                BytesView logic_code) const;
-
-  /// Cache-keyed variant: hashes (when non-null) key the memoized storage
-  /// profiles, inferred layouts, and the logic's probe-selector list.
   /// `proxy_source_lookup`/`logic_source_lookup` (when non-null) are the
   /// addresses to query sourcemeta with — the pipeline passes §7.1 donor
   /// addresses so same-bytecode clones of verified contracts count as
   /// verified; null falls back to `proxy`/`logic` themselves.
   StorageCollisionResult detect(const Address& proxy, BytesView proxy_code,
-                                const crypto::Hash256* proxy_hash,
                                 const Address& logic, BytesView logic_code,
-                                const crypto::Hash256* logic_hash,
                                 const Address* proxy_source_lookup = nullptr,
                                 const Address* logic_source_lookup = nullptr)
       const;
@@ -159,15 +148,12 @@ class StorageCollisionDetector {
 
   void compare_family_layouts(const Address& proxy_lookup,
                               BytesView proxy_code,
-                              const crypto::Hash256* proxy_hash,
                               const Address& logic_lookup,
                               BytesView logic_code,
-                              const crypto::Hash256* logic_hash,
                               StorageCollisionResult& result) const;
 
   evm::Host& state_;
   StorageCollisionConfig config_;
-  AnalysisCache* cache_;
   const sourcemeta::SourceRepository* sources_;
 };
 

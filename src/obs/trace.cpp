@@ -23,16 +23,8 @@ struct TlsRingCache {
 };
 thread_local TlsRingCache t_ring_cache;
 
-/// Per-thread sampling countdown, keyed the same way as the ring cache so a
-/// new tracer starts each thread at countdown 0 (first span always kept).
-struct TlsSampleCache {
-  std::uint64_t tracer_id = 0;
-  std::uint32_t countdown = 0;
-};
-thread_local TlsSampleCache t_sample_cache;
-
 /// Per-thread coarse-clock cache: one real steady_clock read amortized over
-/// kCoarseRefresh now() calls. Keyed by tracer id like the caches above so a
+/// kCoarseRefresh now() calls. Keyed by tracer id like the ring cache so a
 /// fresh tracer never reuses a stale countdown.
 struct TlsCoarseCache {
   std::uint64_t tracer_id = 0;
@@ -147,21 +139,6 @@ Tracer::Tracer(TraceClock clock, std::size_t ring_capacity)
       clock_(clock ? std::move(clock) : TraceClock(&steady_now_ns)) {}
 
 Tracer::~Tracer() = default;
-
-bool Tracer::sample_this_span() noexcept {
-  const std::uint32_t every = sample_every_.load(std::memory_order_relaxed);
-  if (every <= 1) return true;
-  if (t_sample_cache.tracer_id != id_) {
-    t_sample_cache.tracer_id = id_;
-    t_sample_cache.countdown = 0;  // first span on this thread is kept
-  }
-  if (t_sample_cache.countdown == 0) {
-    t_sample_cache.countdown = every - 1;
-    return true;
-  }
-  --t_sample_cache.countdown;
-  return false;
-}
 
 Tracer::Ring& Tracer::ring_for_this_thread() {
   if (t_ring_cache.tracer_id == id_) {

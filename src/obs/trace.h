@@ -104,21 +104,6 @@ class Tracer {
   void record(const char* name, std::uint64_t start_ns, std::uint64_t dur_ns,
               const char* arg_name = nullptr, std::int64_t arg = 0);
 
-  /// Keep only every Nth span per thread (1 = keep all, the default; 0 is
-  /// treated as 1). The decision runs BEFORE any clock read or argument
-  /// formatting, so a sampled-out span costs one TLS countdown decrement.
-  /// The first span on each thread is always kept, so span-existence
-  /// assertions hold at any rate. Direct record() calls bypass sampling.
-  void set_sample_every(std::uint32_t n) noexcept {
-    sample_every_.store(n == 0 ? 1 : n, std::memory_order_relaxed);
-  }
-  std::uint32_t sample_every() const noexcept {
-    return sample_every_.load(std::memory_order_relaxed);
-  }
-  /// Per-thread deterministic sampling decision (a countdown, not a RNG):
-  /// true when the caller should record the span it is about to build.
-  bool sample_this_span() noexcept;
-
   /// All retained spans, sorted by (start, longest-first, tid) so parents
   /// precede their children at equal timestamps. Safe to call while other
   /// threads record: records the writers were overwriting during the copy
@@ -172,7 +157,6 @@ class Tracer {
   const std::size_t capacity_;
   const bool default_clock_;
   std::atomic<bool> coarse_{false};
-  std::atomic<std::uint32_t> sample_every_{1};
   TraceClock clock_;
   mutable std::mutex mu_;  // guards ring registration and the rings_ vector
   std::vector<std::unique_ptr<Ring>> rings_;
@@ -180,15 +164,11 @@ class Tracer {
 
 /// RAII span: times construction -> destruction against the tracer's clock.
 /// A null tracer makes every operation a no-op (one branch), which is the
-/// telemetry-disabled hot path. The sampling decision is taken here in the
-/// constructor — a sampled-out span degrades to the null-tracer no-op before
-/// any clock read or argument formatting happens.
+/// telemetry-disabled hot path.
 class Span {
  public:
   Span(Tracer* tracer, const char* name) noexcept
-      : tracer_(tracer != nullptr && tracer->sample_this_span() ? tracer
-                                                                : nullptr),
-        name_(name), start_(tracer_ ? tracer_->now() : 0) {}
+      : tracer_(tracer), name_(name), start_(tracer_ ? tracer_->now() : 0) {}
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;

@@ -206,8 +206,7 @@ struct Cfg {
   std::string to_string() const;
 };
 
-/// Recovers the CFG of `dis` from pc 0. Pure function of the bytecode —
-/// results are memoized per code hash by core::AnalysisCache.
+/// Recovers the CFG of `dis` from pc 0. Pure function of the bytecode.
 Cfg recover_cfg(const evm::Disassembly& dis, const CfgOptions& options = {});
 
 }  // namespace proxion::static_analysis

@@ -85,8 +85,7 @@ struct SlotFamily {
   friend bool operator==(const SlotFamily&, const SlotFamily&) = default;
 };
 
-/// Inferred storage layout of one contract. Pure function of the bytecode —
-/// memoized per code hash by core::AnalysisCache.
+/// Inferred storage layout of one contract. Pure function of the bytecode.
 struct StorageLayout {
   std::vector<LayoutMember> members;  // sorted by (slot, offset, width)
   std::vector<SlotFamily> families;   // sorted by (base_slot, depth, path)

@@ -4,7 +4,7 @@
 // minimal-proxy runtime, and derives the two proof facts the detector's
 // triage tier consumes — "no DELEGATECALL is reachable" and "the probe
 // provably terminates cleanly". Everything here is a pure function of the
-// bytecode; core::AnalysisCache memoizes the report under the code-hash key.
+// bytecode.
 #pragma once
 
 #include <cstdint>

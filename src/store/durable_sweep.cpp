@@ -579,7 +579,7 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
   // ---- per-shard streaming loop -----------------------------------------
   obs::HistogramSnapshot sum_contract_ns, sum_rpc_ns, sum_steps;
   double sum_fetch_ms = 0, sum_proxy_ms = 0, sum_pairs_ms = 0;
-  std::uint64_t sum_pair_hits = 0, sum_pair_misses = 0, sum_pair_waits = 0;
+  core::MemoCounts sum_pair_memo;
   obs::Histogram& h_flush = metrics_.histogram("store.journal.flush_ns");
   std::uint64_t shard_index = prior_shards;
   // Replayed contracts sit inside the journal's valid prefix, which every
@@ -621,9 +621,7 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     sum_fetch_ms += shard_annot.phase_fetch_ms;
     sum_proxy_ms += shard_annot.phase_proxy_ms;
     sum_pairs_ms += shard_annot.phase_pairs_ms;
-    sum_pair_hits += shard_annot.pair_cache_hits;
-    sum_pair_misses += shard_annot.pair_cache_misses;
-    sum_pair_waits += shard_annot.pair_cache_waits;
+    sum_pair_memo += shard_annot.cache;
     const obs::Registry& preg = pipeline_.registry();
     if (const obs::Histogram* h = preg.find_histogram("sweep.contract_latency_ns")) {
       sum_contract_ns.merge(h->snapshot());
@@ -773,9 +771,7 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
   stats.phase_fetch_ms = sum_fetch_ms;
   stats.phase_proxy_ms = sum_proxy_ms;
   stats.phase_pairs_ms = sum_pairs_ms;
-  stats.pair_cache_hits = sum_pair_hits;
-  stats.pair_cache_misses = sum_pair_misses;
-  stats.pair_cache_waits = sum_pair_waits;
+  stats.cache = sum_pair_memo;
   stats.contract_latency_ns = sum_contract_ns.summary();
   stats.rpc_latency_ns = sum_rpc_ns.summary();
   stats.emulation_steps = sum_steps.summary();

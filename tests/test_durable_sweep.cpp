@@ -280,9 +280,8 @@ TEST(DurableSweep, IncrementalWithoutChangesRecomputesNothing) {
 }
 
 TEST(DurableSweep, MappingKeyFlipBetweenLapsStaysBitIdentical) {
-  // run() drops the layout memo side table (with the whole AnalysisCache
-  // entry) before it returns, so a second lap over a chain whose *storage*
-  // mutated between laps — here a mapping element flipped under a
+  // run() keeps no memo past its return, so a second lap over a chain whose
+  // *storage* mutated between laps — here a mapping element flipped under a
   // keccak-derived slot — must be bit-identical to a cold pipeline over the
   // mutated chain. A stale cross-lap memo would show up as a
   // verdict/aggregate drift.
@@ -639,61 +638,86 @@ TEST(DurableSweep, RerunClonesMatchColdSweepRecordsWhenOneFetchFails) {
   // Two clones of an emulated family re-run without their representative,
   // and the first one's code fetch fails. A cold sweep through the same
   // archive gives that clone no dedup flag and the other the
-  // representative's verdict; the boot must journal the same, with the
-  // analysis cache on or off (seeds are run() arguments, not cache state).
+  // representative's verdict; the boot must journal the same (seeds are
+  // run() arguments, not pipeline state).
   datagen::Population pop = make_population();
   const auto inputs = pop.sweep_inputs();
 
-  for (const bool use_cache : {true, false}) {
-    SCOPED_TRACE(use_cache ? "analysis cache on" : "analysis cache off");
-    const std::string tag = use_cache ? "_on" : "_off";
-    store::DurableSweepConfig sc;
-    sc.journal_path = temp_journal("clones" + tag + ".journal");
-    sc.shard_size = 200;
-    core::PipelineConfig config;
-    config.use_analysis_cache = use_cache;
-    {
-      core::AnalysisPipeline clean(*pop.chain, &pop.sources, config);
-      ASSERT_TRUE(store::DurableSweep(clean, *pop.chain, &pop.sources, sc)
-                      .run(inputs)
-                      .error.empty());
-    }
-    const std::vector<evm::Address> family =
-        largest_emulated_family(sc.journal_path, inputs);
-    ASSERT_GE(family.size(), 3u);
-
-    // Quarantine the family's second and third members, as an outage would
-    // have journaled them (last record wins).
-    {
-      const test_oracle::RecordMap journaled =
-          test_oracle::last_records(sc.journal_path);
-      auto writer = store::JournalWriter::open_append(sc.journal_path);
-      ASSERT_TRUE(writer.has_value());
-      for (const evm::Address& clone : {family[1], family[2]}) {
-        store::ContractRecord rec = journaled.at(clone);
-        rec.analysis.error = core::ErrorRecord{
-            core::ErrorKind::kRpcExhausted, "pairs", "injected outage"};
-        ASSERT_TRUE(writer->append(store::RecordType::kContract,
-                                   store::encode_contract_record(rec)));
-      }
-      ASSERT_TRUE(writer->sync());
-    }
-
-    chain::ArchiveNode inner(*pop.chain);
-    CodeOutageNode outage(inner, family[1]);
-    config.archive_node = &outage;
-    core::AnalysisPipeline piped(*pop.chain, &pop.sources, config);
-    const store::DurableSweepResult boot =
-        store::DurableSweep(piped, *pop.chain, &pop.sources, sc)
-            .incremental(inputs, {});
-    ASSERT_TRUE(boot.error.empty()) << boot.error;
-    EXPECT_EQ(boot.recomputed, 2u);
-    EXPECT_EQ(boot.stats.quarantined, 1u);
-
-    const std::string cold = temp_journal("clones_cold" + tag + ".journal");
-    cold_sweep(pop, inputs, cold, config);
-    test_oracle::expect_same_records(sc.journal_path, cold);
+  store::DurableSweepConfig sc;
+  sc.journal_path = temp_journal("clones.journal");
+  sc.shard_size = 200;
+  core::PipelineConfig config;
+  {
+    core::AnalysisPipeline clean(*pop.chain, &pop.sources, config);
+    ASSERT_TRUE(store::DurableSweep(clean, *pop.chain, &pop.sources, sc)
+                    .run(inputs)
+                    .error.empty());
   }
+  const std::vector<evm::Address> family =
+      largest_emulated_family(sc.journal_path, inputs);
+  ASSERT_GE(family.size(), 3u);
+
+  // Quarantine the family's second and third members, as an outage would
+  // have journaled them (last record wins).
+  {
+    const test_oracle::RecordMap journaled =
+        test_oracle::last_records(sc.journal_path);
+    auto writer = store::JournalWriter::open_append(sc.journal_path);
+    ASSERT_TRUE(writer.has_value());
+    for (const evm::Address& clone : {family[1], family[2]}) {
+      store::ContractRecord rec = journaled.at(clone);
+      rec.analysis.error = core::ErrorRecord{
+          core::ErrorKind::kRpcExhausted, "pairs", "injected outage"};
+      ASSERT_TRUE(writer->append(store::RecordType::kContract,
+                                 store::encode_contract_record(rec)));
+    }
+    ASSERT_TRUE(writer->sync());
+  }
+
+  chain::ArchiveNode inner(*pop.chain);
+  CodeOutageNode outage(inner, family[1]);
+  config.archive_node = &outage;
+  core::AnalysisPipeline piped(*pop.chain, &pop.sources, config);
+  const store::DurableSweepResult boot =
+      store::DurableSweep(piped, *pop.chain, &pop.sources, sc)
+          .incremental(inputs, {});
+  ASSERT_TRUE(boot.error.empty()) << boot.error;
+  EXPECT_EQ(boot.recomputed, 2u);
+  EXPECT_EQ(boot.stats.quarantined, 1u);
+
+  const std::string cold = temp_journal("clones_cold.journal");
+  cold_sweep(pop, inputs, cold, config);
+  test_oracle::expect_same_records(sc.journal_path, cold);
+}
+
+TEST(DurableSweep, PairMemoCountsCoverOneRunOnly) {
+  // LandscapeStats::cache counts the pair memo of the sweep that produced
+  // the stats, not the pipeline's lifetime: two identical cold sweeps on
+  // one pipeline report the same hits and misses, and so do two identical
+  // monolithic runs summarized one after the other.
+  datagen::Population pop = make_population();
+  const auto inputs = pop.sweep_inputs();
+  core::AnalysisPipeline piped(*pop.chain, &pop.sources);
+
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> sweeps;
+  for (const char* name : {"memo_scope_a.journal", "memo_scope_b.journal"}) {
+    store::DurableSweepConfig sc;
+    sc.journal_path = temp_journal(name);
+    sc.shard_size = 200;
+    const store::DurableSweepResult r =
+        store::DurableSweep(piped, *pop.chain, &pop.sources, sc).run(inputs);
+    ASSERT_TRUE(r.error.empty()) << r.error;
+    sweeps.emplace_back(r.stats.cache.hits(), r.stats.cache.misses());
+  }
+  EXPECT_GT(sweeps[0].first, 0u);
+  EXPECT_GT(sweeps[0].second, 0u);
+  EXPECT_EQ(sweeps[1], sweeps[0]);
+
+  const auto first = piped.summarize(piped.run(inputs)).cache;
+  const auto second = piped.summarize(piped.run(inputs)).cache;
+  EXPECT_GT(first.misses(), 0u);
+  EXPECT_EQ(second.hits(), first.hits());
+  EXPECT_EQ(second.misses(), first.misses());
 }
 
 }  // namespace

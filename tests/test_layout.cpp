@@ -1,17 +1,12 @@
 // Storage-layout inference (src/static/layout): static slots with packed
 // sub-word members, keccak-derived mapping/array slot families, guard and
-// provenance facts, the reliability contract, AnalysisCache memoization,
-// and the source-free family-collision mode's equivalence with the
-// declared-layout mode.
+// provenance facts, the reliability contract, and the source-free
+// family-collision mode's equivalence with the declared-layout mode.
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "chain/blockchain.h"
-#include "core/analysis_cache.h"
 #include "core/storage_collision.h"
 #include "core/storage_profile.h"
-#include "crypto/eth.h"
 #include "datagen/assembler.h"
 #include "datagen/contract_factory.h"
 #include "evm/disassembler.h"
@@ -223,32 +218,6 @@ TEST(StorageProfileRegression, FullWordReadOverlapsEveryPackedMember) {
 }
 
 // ---------------------------------------------------------------------------
-// Memoization (AnalysisCache)
-
-TEST(LayoutCache, LayoutIsMemoizedPerCodeHash) {
-  core::AnalysisCache cache;
-  const Bytes code = ContractFactory::mapping_token_contract(5);
-  const crypto::Hash256 hash = crypto::keccak256(code);
-
-  const auto first = cache.layout(hash, code);
-  const auto second = cache.layout(hash, code);
-  EXPECT_EQ(first.get(), second.get());
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.layout_misses, 1u);
-  EXPECT_EQ(stats.layout_hits, 1u);
-}
-
-TEST(LayoutCache, LayoutDoesNotInflateStaticTriageCounters) {
-  core::AnalysisCache cache;
-  const Bytes code = ContractFactory::token_contract(1);
-  const crypto::Hash256 hash = crypto::keccak256(code);
-  (void)cache.layout(hash, code);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.static_hits, 0u);
-  EXPECT_EQ(stats.static_misses, 0u);
-}
-
-// ---------------------------------------------------------------------------
 // Source-free family collision mode
 
 sourcemeta::SourceRecord mapping_token_record() {
@@ -293,8 +262,6 @@ TEST(FamilyCollision, SourceFreeModeMatchesSourceAttachedVerdict) {
       chain.deploy_runtime(deployer, ContractFactory::mapping_token_contract(9));
   const Bytes proxy_code = chain.get_code(proxy_addr);
   const Bytes logic_code = chain.get_code(logic_addr);
-  const crypto::Hash256 proxy_hash = crypto::keccak256(proxy_code);
-  const crypto::Hash256 logic_hash = crypto::keccak256(logic_code);
 
   StorageCollisionConfig config;
   config.compare_families = true;
@@ -303,20 +270,16 @@ TEST(FamilyCollision, SourceFreeModeMatchesSourceAttachedVerdict) {
   sourcemeta::SourceRepository sources;
   sources.publish(proxy_addr, mapping_token_record());
   sources.publish(logic_addr, mapping_token_record());
-  core::AnalysisCache cache_attached;
-  StorageCollisionDetector attached(chain, config, &cache_attached, &sources);
+  StorageCollisionDetector attached(chain, config, &sources);
   const auto attached_result =
-      attached.detect(proxy_addr, proxy_code, &proxy_hash, logic_addr,
-                      logic_code, &logic_hash);
+      attached.detect(proxy_addr, proxy_code, logic_addr, logic_code);
   EXPECT_TRUE(attached_result.family_checked);
   EXPECT_FALSE(attached_result.family_source_free);
 
   // Source-free: same pair, sourcemeta detached.
-  core::AnalysisCache cache_free;
-  StorageCollisionDetector source_free(chain, config, &cache_free, nullptr);
+  StorageCollisionDetector source_free(chain, config, nullptr);
   const auto free_result =
-      source_free.detect(proxy_addr, proxy_code, &proxy_hash, logic_addr,
-                         logic_code, &logic_hash);
+      source_free.detect(proxy_addr, proxy_code, logic_addr, logic_code);
   EXPECT_TRUE(free_result.family_checked);
   EXPECT_TRUE(free_result.family_source_free);
 
@@ -338,12 +301,8 @@ TEST(FamilyCollision, NoFindingWhenFamiliesAgree) {
 
   StorageCollisionConfig config;
   config.compare_families = true;
-  core::AnalysisCache cache;
-  StorageCollisionDetector detector(chain, config, &cache, nullptr);
-  const crypto::Hash256 a_hash = crypto::keccak256(a_code);
-  const crypto::Hash256 b_hash = crypto::keccak256(b_code);
-  const auto result =
-      detector.detect(a_addr, a_code, &a_hash, b_addr, b_code, &b_hash);
+  StorageCollisionDetector detector(chain, config, nullptr);
+  const auto result = detector.detect(a_addr, a_code, b_addr, b_code);
   EXPECT_TRUE(result.family_checked);
   EXPECT_FALSE(result.has_family_collision());
 }

@@ -266,32 +266,6 @@ TEST_F(PipelineTraceTest, TraceFilesAreByteIdenticalAcrossRuns) {
   EXPECT_EQ(slurp(p1 + ".ndjson"), slurp(p2 + ".ndjson"));
 }
 
-TEST_F(PipelineTraceTest, SamplingThinsContractSpansButKeepsPhases) {
-  Population pop = make_population(120);
-  PipelineConfig config = traced_config(
-      ::testing::TempDir() + "proxion_sampled.json", "");
-  config.telemetry.sample_every_n = 10;
-  AnalysisPipeline pipeline(*pop.chain, &pop.sources, config);
-  const auto reports = pipeline.run(pop.sweep_inputs());
-  const auto spans = pipeline.tracer()->spans();
-
-  std::size_t phase_count = 0, contract_count = 0;
-  for (const SpanRecord& s : spans) {
-    const std::string_view name(s.name);
-    if (name.substr(0, 6) == "phase:") ++phase_count;
-    if (name == "contract") ++contract_count;
-  }
-  EXPECT_EQ(phase_count, 3u);
-  EXPECT_GT(contract_count, 0u);
-  // At 1-in-10 sampling the trace holds far fewer contract spans than the
-  // population (Phase A + Phase B each contribute at most ceil(n/10)).
-  EXPECT_LE(contract_count, 2 * (reports.size() / 10 + 1));
-
-  // Sampling thins the trace only — histograms still see every contract.
-  const LandscapeStats stats = pipeline.summarize(reports);
-  EXPECT_EQ(stats.contract_latency_ns.count, reports.size());
-}
-
 TEST_F(PipelineTraceTest, DisabledTelemetryReportsNothing) {
   Population pop = make_population(100);
   PipelineConfig config;

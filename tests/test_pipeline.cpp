@@ -197,11 +197,10 @@ TEST_F(PipelineTest, SummaryReportsPhaseTimingsAndCacheStats) {
   EXPECT_GE(stats.phase_fetch_ms, 0.0);
   EXPECT_GE(stats.phase_proxy_ms, 0.0);
   EXPECT_GE(stats.phase_pairs_ms, 0.0);
-  // The clone-heavy population must produce artifact reuse...
+  // The clone-heavy population must produce pair-level reuse (every
+  // proxy/logic pair computed at most once).
+  EXPECT_GT(stats.cache.misses(), 0u);
   EXPECT_GT(stats.cache.hits(), 0u);
-  EXPECT_GT(stats.cache.entries, 0u);
-  // ...and pair-level reuse (every proxy/logic pair computed at most once).
-  EXPECT_GT(stats.pair_cache_hits + stats.pair_cache_misses, 0u);
 }
 
 TEST_F(PipelineTest, RunGaugesAgreeWithSummary) {
@@ -218,9 +217,9 @@ TEST_F(PipelineTest, RunGaugesAgreeWithSummary) {
   const auto gauge = [&](const char* name) {
     return static_cast<std::uint64_t>(gauges.at(name));
   };
-  EXPECT_EQ(gauge("sweep.pair_cache.hits"), stats.pair_cache_hits);
-  EXPECT_EQ(gauge("sweep.pair_cache.misses"), stats.pair_cache_misses);
-  EXPECT_EQ(gauge("sweep.pair_cache.waits"), stats.pair_cache_waits);
+  EXPECT_EQ(gauge("sweep.pair_cache.hits"), stats.cache.hits());
+  EXPECT_EQ(gauge("sweep.pair_cache.misses"), stats.cache.misses());
+  EXPECT_EQ(gauge("sweep.pair_cache.waits"), stats.cache.waits());
   EXPECT_EQ(gauge("sweep.layout.inferred"), stats.layout_inferred);
   EXPECT_EQ(gauge("sweep.layout.reliable"), stats.layout_reliable);
   EXPECT_EQ(gauge("sweep.layout.source_free_pairs"),
@@ -229,8 +228,8 @@ TEST_F(PipelineTest, RunGaugesAgreeWithSummary) {
             stats.static_skipped_absent + stats.static_skipped_dead +
                 stats.static_skipped_minimal);
   // Agreement at zero would prove little: the population exercises each.
-  EXPECT_GT(stats.pair_cache_hits, 0u);
-  EXPECT_GT(stats.pair_cache_misses, 0u);
+  EXPECT_GT(stats.cache.hits(), 0u);
+  EXPECT_GT(stats.cache.misses(), 0u);
   EXPECT_GT(stats.layout_inferred, 0u);
   EXPECT_GT(stats.static_skipped_absent, 0u);
 }
@@ -287,8 +286,8 @@ TEST_F(PipelineTest, WarmRunRecomputesVerdictForNewSameHashAddress) {
   // Two EIP-1967 proxies share one bytecode but store different logic
   // pointers. Sweep A first, then B in a *second* run: B is its own run's
   // representative, so nothing from the first run may hand it A's report
-  // (A's probe selector, A's slot read) — every field must match what the
-  // cache-off pipeline computes fresh at B.
+  // (A's probe selector, A's slot read) — every field must match what a
+  // fresh pipeline computes at B.
   using datagen::ContractFactory;
   chain::Blockchain chain;
   const Address deployer = Address::from_label("warm-same-hash-deployer");
@@ -303,27 +302,24 @@ TEST_F(PipelineTest, WarmRunRecomputesVerdictForNewSameHashAddress) {
   chain.set_storage(a, ContractFactory::eip1967_slot(), logic1.to_word());
   chain.set_storage(b, ContractFactory::eip1967_slot(), logic2.to_word());
 
-  AnalysisPipeline cached(chain, nullptr);  // default config: cache ON
-  PipelineConfig off;
-  off.use_analysis_cache = false;
-  AnalysisPipeline uncached(chain, nullptr, off);
+  AnalysisPipeline reused(chain, nullptr);
 
   const std::vector<SweepInput> first{{a, 2020, false, false}};
   const std::vector<SweepInput> second{{b, 2021, false, false}};
 
-  const auto c1 = cached.run(first);
-  const auto u1 = uncached.run(first);
-  ASSERT_EQ(c1.size(), 1u);
-  EXPECT_TRUE(c1[0] == u1[0]);
-  ASSERT_TRUE(c1[0].proxy.is_proxy());
-  EXPECT_EQ(c1[0].proxy.logic_address, logic1);
+  const auto r1 = reused.run(first);
+  ASSERT_EQ(r1.size(), 1u);
+  ASSERT_TRUE(r1[0].proxy.is_proxy());
+  EXPECT_EQ(r1[0].proxy.logic_address, logic1);
 
-  const auto c2 = cached.run(second);
-  const auto u2 = uncached.run(second);
-  ASSERT_EQ(c2.size(), 1u);
-  EXPECT_TRUE(c2[0] == u2[0]) << "warm run inherited another address's state";
-  ASSERT_TRUE(c2[0].proxy.is_proxy());
-  EXPECT_EQ(c2[0].proxy.logic_address, logic2);
+  const auto r2 = reused.run(second);
+  const auto fresh = AnalysisPipeline(chain, nullptr).run(second);
+  ASSERT_EQ(r2.size(), 1u);
+  ASSERT_EQ(fresh.size(), 1u);
+  EXPECT_TRUE(r2[0] == fresh[0])
+      << "warm run inherited another address's state";
+  ASSERT_TRUE(r2[0].proxy.is_proxy());
+  EXPECT_EQ(r2[0].proxy.logic_address, logic2);
 }
 
 TEST_F(PipelineTest, WarmRerunOfSamePopulationIsBitIdentical) {

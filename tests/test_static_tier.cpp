@@ -2,7 +2,7 @@
 // the tier off vs on (the acceptance bar — skips must never change what the
 // sweep concludes), zero cross-check mismatches over the archetype corpus,
 // per-kind skip accounting in LandscapeStats, the emulation fallback on the
-// computed-jump adversary, cache memoization of static reports, registry
+// computed-jump adversary, dedup-off clones each triaged alike, registry
 // gauges, text-report rendering, and unit tests of the typed mismatch oracle.
 #include <gtest/gtest.h>
 
@@ -77,11 +77,6 @@ TEST(StaticTierTest, PopulationSweepHasZeroMismatchesAndRealSkips) {
   // minimal proxies fast-path, and real slot proxies still emulate.
   EXPECT_GT(stats.static_skipped_absent, 0u);
   EXPECT_GT(stats.static_emulated, 0u);
-  // Every unique blob past the phase-1 opcode test consulted the memoized
-  // static report exactly once (cold cache, dedup on => all misses).
-  EXPECT_EQ(stats.cache.static_misses,
-            stats.static_skipped_dead + stats.static_skipped_minimal +
-                stats.static_emulated);
 
   // Registry gauges mirror the totals for dashboard scrape.
   const auto snap = pipeline.registry().snapshot();
@@ -181,9 +176,9 @@ TEST(StaticTierTest, ComputedJumpFallsBackToEmulationAndStaysDetected) {
       << "an incomplete CFG must make no contradictable claim";
 }
 
-TEST(StaticTierTest, StaticReportsAreMemoizedAcrossClones) {
-  // With dedup off every clone re-runs the detector; the static report must
-  // be computed once per blob and served from the cache afterwards.
+TEST(StaticTierTest, DedupOffClonesEachTriageAndEmulateAsProxies) {
+  // With dedup off every clone re-runs the detector, static tier included;
+  // each must still route to emulation and reach the proxy verdict.
   MiniSweep s;
   const Address logic = s.chain.deploy_runtime(
       s.deployer, ContractFactory::token_contract(44));
@@ -196,9 +191,7 @@ TEST(StaticTierTest, StaticReportsAreMemoizedAcrossClones) {
   config.dedup_by_code_hash = false;
   AnalysisPipeline pipeline(s.chain, nullptr, config);
   const auto reports = pipeline.run(s.inputs);
-  const LandscapeStats stats = pipeline.summarize(reports);
-  EXPECT_EQ(stats.cache.static_misses, 1u);
-  EXPECT_EQ(stats.cache.static_hits, 2u);
+  ASSERT_EQ(reports.size(), 3u);
   for (const auto& r : reports) {
     EXPECT_EQ(r.proxy.verdict, ProxyVerdict::kProxy);
     EXPECT_EQ(r.proxy.static_triage, StaticTriage::kEmulated);

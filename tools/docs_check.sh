@@ -2,13 +2,12 @@
 # Docs consistency gate (CI "docs" job):
 #   1. every relative markdown link in *.md and docs/*.md resolves to a file
 #      that exists in the repo (external http(s)/mailto links are skipped);
-#   2. the README knob table and PipelineConfig agree: every knob row exists
-#      in src/core/pipeline.h (dotted knobs like `static_tier.enabled` are
-#      checked by their leaf member name), and every field of
-#      `struct PipelineConfig` has a `<field>` or `<field>.*` row;
-#   3. the README sweep-knob table and DurableSweepConfig agree exactly:
-#      every row exists in src/store/durable_sweep.h, and every field of
-#      `struct DurableSweepConfig` has a row;
+#   2. the README knob table and PipelineConfig agree: every knob row names
+#      a field of `struct PipelineConfig` in src/core/pipeline.h (a dotted
+#      knob like `static_tier.enabled` by the part before its first dot),
+#      and every field has a `<field>` or `<field>.*` row;
+#   3. the README sweep-knob table and DurableSweepConfig agree the same way
+#      against `struct DurableSweepConfig` in src/store/durable_sweep.h;
 #   4. the README knob table and TelemetryConfig agree exactly: every field
 #      of `struct TelemetryConfig` in src/core/pipeline.h has a
 #      `telemetry.<field>` row, and every `telemetry.*` row names a real
@@ -50,6 +49,20 @@ missing_rows() {
   done
 }
 
+# unknown_rows <knobs> <fields> <what>: fails each knob row that names no
+# field, matching an undotted knob whole and a dotted knob by the part
+# before its first dot (a comment naming a deleted field does not count).
+unknown_rows() {
+  for knob in $1; do
+    head=${knob%%.*}
+    if ! printf '%s\n' "$2" | grep -q "^$head\$"; then
+      echo "docs_check: README documents $3 knob '$knob' but $3 has no" \
+        "field '$head'" >&2
+      fail=1
+    fi
+  done
+}
+
 # ---- 1. relative markdown links ------------------------------------------
 for f in *.md docs/*.md; do
   [ -f "$f" ] || continue
@@ -75,19 +88,12 @@ if [ -z "$knobs" ]; then
   echo "docs_check: could not find the PipelineConfig knob table in README.md" >&2
   fail=1
 fi
-for knob in $knobs; do
-  leaf=${knob##*.}
-  if ! grep -q -w "$leaf" src/core/pipeline.h; then
-    echo "docs_check: README documents PipelineConfig knob '$knob' but" \
-      "'$leaf' does not appear in src/core/pipeline.h" >&2
-    fail=1
-  fi
-done
 pipeline_fields=$(struct_fields PipelineConfig src/core/pipeline.h)
 if [ -z "$pipeline_fields" ]; then
   echo "docs_check: could not parse PipelineConfig fields from src/core/pipeline.h" >&2
   fail=1
 fi
+unknown_rows "$knobs" "$pipeline_fields" PipelineConfig
 missing_rows "$knobs" "$pipeline_fields" PipelineConfig
 
 # ---- 3. README DurableSweepConfig knobs vs durable_sweep.h ---------------
@@ -99,19 +105,12 @@ if [ -z "$sweep_knobs" ]; then
   echo "docs_check: could not find the DurableSweepConfig knob table in README.md" >&2
   fail=1
 fi
-for knob in $sweep_knobs; do
-  leaf=${knob##*.}
-  if ! grep -q -w "$leaf" src/store/durable_sweep.h; then
-    echo "docs_check: README documents DurableSweepConfig knob '$knob' but" \
-      "'$leaf' does not appear in src/store/durable_sweep.h" >&2
-    fail=1
-  fi
-done
 sweep_fields=$(struct_fields DurableSweepConfig src/store/durable_sweep.h)
 if [ -z "$sweep_fields" ]; then
   echo "docs_check: could not parse DurableSweepConfig fields from src/store/durable_sweep.h" >&2
   fail=1
 fi
+unknown_rows "$sweep_knobs" "$sweep_fields" DurableSweepConfig
 missing_rows "$sweep_knobs" "$sweep_fields" DurableSweepConfig
 
 # ---- 4. TelemetryConfig fields vs README telemetry.* rows (both ways) ----
