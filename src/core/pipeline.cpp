@@ -328,28 +328,12 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
   std::unordered_map<std::string, const ProxyReport*> verdicts;
   std::unordered_map<std::string, ErrorRecord> failed_keys;
   verdicts.reserve(unique_indices.size());
-  std::uint64_t static_skips = 0;
-  std::uint64_t static_mismatches = 0;
-  std::uint64_t layout_inferred = 0;
-  std::uint64_t layout_reliable = 0;
   for (std::size_t u = 0; u < unique_indices.size(); ++u) {
     const std::size_t i = unique_indices[u];
     if (unique_errors[u]) {
       out[i].error = *unique_errors[u];
       failed_keys.emplace(key_of(i), *unique_errors[u]);
     } else {
-      switch (unique_reports[u].static_triage) {
-        case StaticTriage::kSkippedNoDelegatecall:
-        case StaticTriage::kSkippedDeadDelegatecall:
-        case StaticTriage::kSkippedMinimalProxy:
-          ++static_skips;
-          break;
-        default:
-          break;
-      }
-      if (unique_reports[u].static_mismatch != 0) ++static_mismatches;
-      if (unique_reports[u].layout_inferred) ++layout_inferred;
-      if (unique_reports[u].layout_reliable) ++layout_reliable;
       verdicts.emplace(key_of(i), &unique_reports[u]);
     }
   }
@@ -501,29 +485,9 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
   last_pairs_ms_ = ms_between(t_proxy, t_end);
 
   if (config_.telemetry.enabled) {
-    // Gauge snapshots of the run-scoped pair-memo totals and the (monotonic)
-    // resilience counters: set(), not add(), so repeat runs don't
-    // double-count in the registry snapshot.
-    registry_.gauge("sweep.pair_cache.hits")
-        .set(static_cast<std::int64_t>(pair_cache_->hits()));
-    registry_.gauge("sweep.pair_cache.misses")
-        .set(static_cast<std::int64_t>(pair_cache_->misses()));
-    registry_.gauge("sweep.pair_cache.waits")
-        .set(static_cast<std::int64_t>(pair_cache_->waits()));
-    registry_.gauge("sweep.static.skips")
-        .set(static_cast<std::int64_t>(static_skips));
-    registry_.gauge("sweep.static.mismatches")
-        .set(static_cast<std::int64_t>(static_mismatches));
-    registry_.gauge("sweep.layout.inferred")
-        .set(static_cast<std::int64_t>(layout_inferred));
-    registry_.gauge("sweep.layout.reliable")
-        .set(static_cast<std::int64_t>(layout_reliable));
-    std::uint64_t source_free_pairs = 0;
-    for (const ContractAnalysis& a : out) {
-      source_free_pairs += a.collision_pairs_source_free;
-    }
-    registry_.gauge("sweep.layout.source_free_pairs")
-        .set(static_cast<std::int64_t>(source_free_pairs));
+    // Gauge snapshots of the (monotonic, lifetime) resilience counters:
+    // set(), not add(), so repeat runs don't double-count in the registry
+    // snapshot. Per-run counts live in LandscapeStats only.
     if (resilient_) {
       registry_.gauge("sweep.rpc.retries")
           .set(static_cast<std::int64_t>(resilient_->retries()));

@@ -423,8 +423,9 @@ class AnalysisPipeline {
   }
 
   /// This pipeline's metric registry (per-instance, distinct from
-  /// obs::Registry::global()): the sweep histograms plus end-of-run gauge
-  /// snapshots of the pair-memo/resilience totals. Exposed for benches that
+  /// obs::Registry::global()): the sweep histograms, the `sweep.contracts`
+  /// counter and end-of-run gauge snapshots of the resilience totals.
+  /// Per-run counts live in LandscapeStats only. Exposed for benches that
   /// dump a full snapshot into BENCH_results.json.
   const obs::Registry& registry() const noexcept { return registry_; }
 

@@ -1,465 +1,10 @@
 #include "core/storage_profile.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace proxion::core {
 
-using evm::Instruction;
-using evm::Opcode;
 using evm::U256;
-
-namespace {
-
-/// Abstract value on the simulated operand stack.
-struct AbsVal {
-  enum class Kind : std::uint8_t {
-    kUnknown,
-    kConst,
-    kCaller,
-    kCalldata,
-    kSload,
-    kHashed,       // involves KECCAK256 (mapping/array slot)
-    kCallerCheck,  // boolean result of comparing something with CALLER
-    kPackedWrite,  // read-modify-write value ready for a packed SSTORE
-  };
-  Kind kind = Kind::kUnknown;
-  U256 constant;
-  U256 slot;               // kSload: which slot the value came from
-  int access_index = -1;   // kSload: index into profile.accesses
-  std::uint8_t width = 32;
-  std::uint8_t byte_offset = 0;  // kSload: bytes shifted off (packing)
-  bool negated = false;    // kCallerCheck: polarity after ISZERO chains
-
-  // Solidity's packed-write (read-modify-write) idiom:
-  //   sstore(slot, (sload(slot) & ~hole) | ((v & mask) << 8k))
-  // kSloadHole: a load with a contiguous byte range masked OUT.
-  // kShiftedValue: a typed value shifted into position.
-  bool is_hole = false;           // kind kSload + hole_* valid
-  std::uint8_t hole_offset = 0;
-  std::uint8_t hole_width = 0;
-  ValueOrigin shifted_origin = ValueOrigin::kUnknown;  // shifted value only
-
-  static AbsVal unknown() { return {}; }
-};
-
-/// Is `mask` a contiguous run of 0xff bytes somewhere in the word? Returns
-/// (byte offset from the LSB end, byte width).
-std::optional<std::pair<std::uint8_t, std::uint8_t>> contiguous_byte_mask(
-    const U256& mask) {
-  const auto be = mask.to_be_bytes();
-  int first = -1, last = -1;
-  for (int i = 0; i < 32; ++i) {
-    if (be[static_cast<std::size_t>(i)] == 0xff) {
-      if (first < 0) first = i;
-      last = i;
-    } else if (be[static_cast<std::size_t>(i)] != 0x00) {
-      return std::nullopt;  // partial byte: not a byte-granular mask
-    } else if (first >= 0 && last >= 0 && i > last &&
-               be[static_cast<std::size_t>(i)] != 0) {
-      return std::nullopt;
-    }
-  }
-  if (first < 0) return std::nullopt;
-  // Contiguity: everything between first and last must be 0xff.
-  for (int i = first; i <= last; ++i) {
-    if (be[static_cast<std::size_t>(i)] != 0xff) return std::nullopt;
-  }
-  // Offset counted from the least-significant (rightmost) byte.
-  const std::uint8_t offset = static_cast<std::uint8_t>(31 - last);
-  const std::uint8_t width = static_cast<std::uint8_t>(last - first + 1);
-  return std::make_pair(offset, width);
-}
-
-/// Is `mask` a contiguous low-byte mask (0xff, 0xffff, ..., 2^160-1, ...)?
-/// Returns its byte width, or nullopt.
-std::optional<std::uint8_t> low_mask_width(const U256& mask) {
-  const int bits = mask.bit_length();
-  if (bits == 0 || bits % 8 != 0 || bits > 256) return std::nullopt;
-  // mask + 1 must be a power of two.
-  const U256 plus1 = mask + U256{1};
-  if ((plus1 & mask) != U256{}) return std::nullopt;
-  return static_cast<std::uint8_t>(bits / 8);
-}
-
-class BlockAnalyzer {
- public:
-  BlockAnalyzer(StorageProfile& profile,
-                std::unordered_set<std::uint32_t>& guarded_pcs)
-      : profile_(profile), guarded_pcs_(guarded_pcs) {}
-
-  void run(const std::vector<Instruction>& ins, std::uint32_t first,
-           std::uint32_t count) {
-    stack_.clear();
-    for (std::uint32_t i = first; i < first + count; ++i) {
-      step(ins[i]);
-    }
-  }
-
- private:
-  AbsVal pop() {
-    if (stack_.empty()) return AbsVal::unknown();
-    AbsVal v = stack_.back();
-    stack_.pop_back();
-    return v;
-  }
-  void push(AbsVal v) { stack_.push_back(std::move(v)); }
-  void push_unknown(int n) {
-    for (int i = 0; i < n; ++i) push(AbsVal::unknown());
-  }
-
-  /// Narrows a loaded value's *read* record to (byte_offset, width). The
-  /// first interpretation refines the original SLOAD record in place; a
-  /// second, different interpretation of the same load gets its own record
-  /// (one physical read, two typed views).
-  void refine_read(AbsVal& v, std::uint8_t width) {
-    if (v.kind != AbsVal::Kind::kSload || v.access_index < 0) return;
-    width = std::min<std::uint8_t>(width,
-                                   static_cast<std::uint8_t>(32 - v.byte_offset));
-    auto& access = profile_.accesses[static_cast<std::size_t>(v.access_index)];
-    if (!refined_.contains(v.access_index)) {
-      access.width = width;
-      access.offset = v.byte_offset;
-      refined_.insert(v.access_index);
-    } else if (access.offset != v.byte_offset || access.width != width) {
-      StorageAccess extra = access;
-      extra.width = width;
-      extra.offset = v.byte_offset;
-      extra.caller_compared = false;
-      profile_.accesses.push_back(extra);
-      v.access_index = static_cast<int>(profile_.accesses.size()) - 1;
-      refined_.insert(v.access_index);
-    }
-    v.width = width;
-  }
-
-  void step(const Instruction& ins) {
-    const std::uint8_t byte = ins.byte;
-    const Opcode op = ins.opcode();
-
-    if (evm::is_push(byte)) {
-      AbsVal v;
-      v.kind = AbsVal::Kind::kConst;
-      v.constant = ins.push_value();
-      v.width = static_cast<std::uint8_t>(
-          std::max<std::size_t>(ins.immediate.size(), 1));
-      push(std::move(v));
-      return;
-    }
-    if (evm::is_dup(byte)) {
-      const std::size_t n = static_cast<std::size_t>(byte - 0x80) + 1;
-      push(n <= stack_.size() ? stack_[stack_.size() - n]
-                              : AbsVal::unknown());
-      return;
-    }
-    if (evm::is_swap(byte)) {
-      const std::size_t n = static_cast<std::size_t>(byte - 0x90) + 1;
-      if (n < stack_.size()) {
-        std::swap(stack_.back(), stack_[stack_.size() - 1 - n]);
-      } else {
-        stack_.clear();  // lost track; poison the block-local stack
-      }
-      return;
-    }
-
-    switch (op) {
-      case Opcode::CALLER: {
-        AbsVal v;
-        v.kind = AbsVal::Kind::kCaller;
-        v.width = 20;
-        push(std::move(v));
-        return;
-      }
-      case Opcode::CALLDATALOAD: {
-        pop();
-        AbsVal v;
-        v.kind = AbsVal::Kind::kCalldata;
-        push(std::move(v));
-        return;
-      }
-      case Opcode::KECCAK256: {
-        pop();
-        pop();
-        AbsVal v;
-        v.kind = AbsVal::Kind::kHashed;
-        push(std::move(v));
-        return;
-      }
-      case Opcode::SLOAD: {
-        const AbsVal slot = pop();
-        if (slot.kind == AbsVal::Kind::kConst) {
-          StorageAccess access;
-          access.slot = slot.constant;
-          access.is_write = false;
-          access.width = 32;
-          access.pc = ins.pc;
-          profile_.accesses.push_back(access);
-          AbsVal v;
-          v.kind = AbsVal::Kind::kSload;
-          v.slot = slot.constant;
-          v.access_index =
-              static_cast<int>(profile_.accesses.size()) - 1;
-          push(std::move(v));
-        } else {
-          if (slot.kind == AbsVal::Kind::kHashed) {
-            ++profile_.hashed_slot_accesses;
-          }
-          push(AbsVal::unknown());
-        }
-        return;
-      }
-      case Opcode::SSTORE: {
-        const AbsVal slot = pop();
-        const AbsVal value = pop();
-        if (slot.kind == AbsVal::Kind::kConst) {
-          StorageAccess access;
-          access.slot = slot.constant;
-          access.is_write = true;
-          access.width = value.width;
-          access.pc = ins.pc;
-          if (value.kind == AbsVal::Kind::kPackedWrite) {
-            // The read-modify-write idiom writes only the hole's bytes.
-            access.offset = value.byte_offset;
-            access.width = value.width;
-            access.value_origin = value.shifted_origin;
-            access.guarded_by_caller =
-                guarded_pcs_.contains(block_start_pc(ins));
-            profile_.accesses.push_back(access);
-            return;
-          }
-          switch (value.kind) {
-            case AbsVal::Kind::kConst:
-              access.value_origin = ValueOrigin::kConstant;
-              break;
-            case AbsVal::Kind::kCaller:
-              access.value_origin = ValueOrigin::kCaller;
-              access.width = 20;
-              break;
-            case AbsVal::Kind::kCalldata:
-              access.value_origin = ValueOrigin::kCalldata;
-              break;
-            case AbsVal::Kind::kSload:
-              access.value_origin = ValueOrigin::kStorage;
-              break;
-            default:
-              access.value_origin = ValueOrigin::kUnknown;
-              break;
-          }
-          access.guarded_by_caller = guarded_pcs_.contains(block_start_pc(ins));
-          profile_.accesses.push_back(access);
-        } else if (slot.kind == AbsVal::Kind::kHashed) {
-          ++profile_.hashed_slot_accesses;
-        }
-        return;
-      }
-      case Opcode::AND: {
-        AbsVal a = pop();
-        AbsVal b = pop();
-        if (a.kind == AbsVal::Kind::kConst &&
-            b.kind != AbsVal::Kind::kConst) {
-          std::swap(a, b);
-        }
-        // a = value, b = mask (if constant)
-        if (b.kind == AbsVal::Kind::kConst) {
-          if (const auto w = low_mask_width(b.constant)) {
-            if (a.kind == AbsVal::Kind::kSload) {
-              // Narrowing a loaded value types the *read*: width from the
-              // mask, offset from any preceding SHR (Solidity packing).
-              refine_read(a, *w);
-            } else {
-              a.width = std::min(a.width, *w);
-            }
-            push(std::move(a));
-            return;
-          }
-          // Hole mask: sload & ~(mask << 8k) — the first half of the
-          // packed-write read-modify-write idiom. The semantic variable
-          // touched is the hole, so the raw full-width load record is
-          // refined down to the hole's byte range.
-          if (a.kind == AbsVal::Kind::kSload) {
-            if (const auto hole = contiguous_byte_mask(~b.constant)) {
-              a.is_hole = true;
-              a.hole_offset = hole->first;
-              a.hole_width = hole->second;
-              const std::uint8_t saved_offset = a.byte_offset;
-              a.byte_offset = hole->first;
-              refine_read(a, hole->second);
-              a.byte_offset = saved_offset;
-              push(std::move(a));
-              return;
-            }
-          }
-        }
-        push(AbsVal::unknown());
-        return;
-      }
-      case Opcode::EQ: {
-        AbsVal a = pop();
-        AbsVal b = pop();
-        AbsVal* caller = nullptr;
-        AbsVal* other = nullptr;
-        if (a.kind == AbsVal::Kind::kCaller) {
-          caller = &a;
-          other = &b;
-        } else if (b.kind == AbsVal::Kind::kCaller) {
-          caller = &b;
-          other = &a;
-        }
-        if (caller != nullptr && other->kind == AbsVal::Kind::kSload &&
-            other->access_index >= 0) {
-          // Comparing against CALLER types the read as an address *at the
-          // read's packing offset*: refine through refine_read so a shifted
-          // load records (byte_offset, 20) — a direct width clobber used to
-          // leave offset 0, making a packed address read claim bytes of
-          // every lower-packed neighbor.
-          refine_read(*other, 20);
-          auto& access =
-              profile_.accesses[static_cast<std::size_t>(other->access_index)];
-          access.caller_compared = true;
-          AbsVal check;
-          check.kind = AbsVal::Kind::kCallerCheck;
-          check.width = 1;
-          push(std::move(check));
-          return;
-        }
-        push_unknown(1);
-        return;
-      }
-      case Opcode::ISZERO: {
-        AbsVal a = pop();
-        if (a.kind == AbsVal::Kind::kCallerCheck) {
-          a.negated = !a.negated;
-          push(std::move(a));
-          return;
-        }
-        // ISZERO of a *narrowed* load keeps the narrow width; an unmasked
-        // full-word truth test stays width 32 (testing the whole slot).
-        push_unknown(1);
-        return;
-      }
-      case Opcode::SHL: {
-        const AbsVal shift = pop();
-        AbsVal value = pop();
-        const bool typed = value.kind == AbsVal::Kind::kCaller ||
-                           value.kind == AbsVal::Kind::kCalldata ||
-                           value.kind == AbsVal::Kind::kConst;
-        if (typed && shift.kind == AbsVal::Kind::kConst &&
-            shift.constant.fits_u64() && shift.constant.low64() < 256 &&
-            shift.constant.low64() % 8 == 0) {
-          // Value shifted into packing position: remember where.
-          value.byte_offset =
-              static_cast<std::uint8_t>(shift.constant.low64() / 8);
-          switch (value.kind) {
-            case AbsVal::Kind::kCaller:
-              value.shifted_origin = ValueOrigin::kCaller;
-              break;
-            case AbsVal::Kind::kCalldata:
-              value.shifted_origin = ValueOrigin::kCalldata;
-              break;
-            default:
-              value.shifted_origin = ValueOrigin::kConstant;
-              break;
-          }
-          push(std::move(value));
-          return;
-        }
-        push_unknown(1);
-        return;
-      }
-      case Opcode::OR: {
-        AbsVal a = pop();
-        AbsVal b = pop();
-        // Packed write: (sload-with-hole) | (typed value shifted into the
-        // hole). Either operand order; an unshifted value fills a hole at
-        // offset 0.
-        if (b.is_hole && !a.is_hole) std::swap(a, b);
-        if (a.is_hole) {
-          ValueOrigin origin = ValueOrigin::kUnknown;
-          if (b.shifted_origin != ValueOrigin::kUnknown &&
-              b.byte_offset == a.hole_offset) {
-            origin = b.shifted_origin;
-          } else if (a.hole_offset == 0) {
-            switch (b.kind) {
-              case AbsVal::Kind::kCaller: origin = ValueOrigin::kCaller; break;
-              case AbsVal::Kind::kCalldata:
-                origin = ValueOrigin::kCalldata;
-                break;
-              case AbsVal::Kind::kConst:
-                origin = ValueOrigin::kConstant;
-                break;
-              default: break;
-            }
-          }
-          if (origin != ValueOrigin::kUnknown) {
-            AbsVal packed;
-            packed.kind = AbsVal::Kind::kPackedWrite;
-            packed.slot = a.slot;
-            packed.byte_offset = a.hole_offset;
-            packed.width = a.hole_width;
-            packed.shifted_origin = origin;
-            push(std::move(packed));
-            return;
-          }
-        }
-        push_unknown(1);
-        return;
-      }
-      case Opcode::SHR: {
-        const AbsVal shift = pop();
-        AbsVal value = pop();
-        if (value.kind == AbsVal::Kind::kSload &&
-            shift.kind == AbsVal::Kind::kConst &&
-            shift.constant.fits_u64() && shift.constant.low64() < 256 &&
-            shift.constant.low64() % 8 == 0) {
-          // (sload >> 8k): reading a packed variable at byte offset k.
-          value.byte_offset = static_cast<std::uint8_t>(
-              value.byte_offset + shift.constant.low64() / 8);
-          push(std::move(value));
-          return;
-        }
-        push_unknown(1);
-        return;
-      }
-      case Opcode::JUMPI: {
-        const AbsVal target = pop();
-        const AbsVal cond = pop();
-        if (cond.kind == AbsVal::Kind::kCallerCheck && !cond.negated &&
-            target.kind == AbsVal::Kind::kConst && target.constant.fits_u64()) {
-          guarded_pcs_.insert(
-              static_cast<std::uint32_t>(target.constant.low64()));
-        }
-        if (cond.kind == AbsVal::Kind::kCallerCheck && cond.negated) {
-          // Jump taken when the caller check FAILS: the fallthrough
-          // instruction starts the guarded region.
-          guarded_pcs_.insert(ins.pc + 1);
-        }
-        return;
-      }
-      default: {
-        const auto& info = ins.info();
-        for (int i = 0; i < info.stack_in; ++i) pop();
-        push_unknown(info.stack_out);
-        return;
-      }
-    }
-  }
-
-  /// Start pc of the block an instruction belongs to (filled by the caller).
-  std::uint32_t block_start_pc(const Instruction&) const {
-    return current_block_start_;
-  }
-
- public:
-  std::uint32_t current_block_start_ = 0;
-
- private:
-  StorageProfile& profile_;
-  std::unordered_set<std::uint32_t>& guarded_pcs_;
-  std::vector<AbsVal> stack_;
-  std::unordered_set<int> refined_;  // access indices already typed once
-};
-
-}  // namespace
 
 std::vector<U256> StorageProfile::slots() const {
   std::vector<U256> out;
@@ -513,21 +58,22 @@ bool StorageProfile::has_unguarded_write(const U256& slot) const {
 }
 
 StorageProfile profile_storage(const evm::Disassembly& dis) {
+  const static_analysis::StorageScan scan = static_analysis::scan_storage(dis);
   StorageProfile profile;
-  std::unordered_set<std::uint32_t> guarded_pcs;
-
-  // Two passes: the first pass discovers caller-guard jump targets; the
-  // second attributes guardedness to writes inside those targets' blocks.
-  for (int pass = 0; pass < 2; ++pass) {
-    if (pass == 1) {
-      profile = StorageProfile{};
-    }
-    BlockAnalyzer analyzer(profile, guarded_pcs);
-    for (const evm::BasicBlock& block : dis.blocks()) {
-      analyzer.current_block_start_ = block.start_pc;
-      analyzer.run(dis.instructions(), block.first_instruction,
-                   block.instruction_count);
-    }
+  profile.hashed_slot_accesses = scan.hashed_accesses;
+  profile.accesses.reserve(scan.accesses.size());
+  for (const static_analysis::ScannedAccess& a : scan.accesses) {
+    if (a.family_id >= 0) continue;
+    StorageAccess access;
+    access.slot = a.slot;
+    access.is_write = a.is_write;
+    access.width = a.width;
+    access.offset = a.offset;
+    access.caller_compared = a.caller_compared;
+    access.guarded_by_caller = a.guarded;
+    access.value_origin = a.origin;
+    access.pc = a.pc;
+    profile.accesses.push_back(access);
   }
   return profile;
 }

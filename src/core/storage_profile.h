@@ -1,10 +1,14 @@
-// CRUSH-style storage analysis (§5.2): program slicing plus lightweight
-// symbolic execution over the disassembly to recover, for every SLOAD /
-// SSTORE with a resolvable slot, the *byte width* the contract treats the
-// slot as (a bool read masks with 0xff, an address read masks with 2^160-1
-// or compares against CALLER, ...), whether the access sits behind a
-// caller-equality guard, and where written values come from. Two contracts
-// disagreeing on a slot's width is the storage-collision signal.
+// CRUSH-style storage profile (§5.2): for every SLOAD / SSTORE with a
+// constant slot, the *byte width* the contract treats the slot as (a bool
+// read masks with 0xff, an address read masks with 2^160-1 or compares
+// against CALLER, ...), whether the access sits behind a caller-equality
+// guard, and where written values come from. Two contracts disagreeing on a
+// slot's width is the storage-collision signal.
+//
+// The profile is a projection: the static-slot accesses of
+// static_analysis::scan_storage(), the same block-local scan storage-layout
+// inference runs. Mapping and array element accesses (slot families) are
+// left out, like CRUSH leaves out non-concrete slots.
 #pragma once
 
 #include <cstdint>
@@ -13,16 +17,11 @@
 
 #include "evm/disassembler.h"
 #include "evm/types.h"
+#include "static/layout.h"
 
 namespace proxion::core {
 
-enum class ValueOrigin : std::uint8_t {
-  kUnknown,
-  kConstant,
-  kCaller,    // derived from CALLER (msg.sender)
-  kCalldata,  // derived from CALLDATALOAD
-  kStorage,   // derived from another SLOAD
-};
+using ValueOrigin = static_analysis::WriteOrigin;
 
 struct StorageAccess {
   evm::U256 slot;
@@ -57,9 +56,9 @@ struct StorageAccess {
 
 struct StorageProfile {
   std::vector<StorageAccess> accesses;
-  /// Slots whose computation involved KECCAK256 (mappings / dynamic arrays)
-  /// — excluded from pairwise comparison, like CRUSH excludes non-concrete
-  /// slots.
+  /// SLOAD/SSTORE sites whose slot is a KECCAK256 value (mapping / dynamic
+  /// array elements, resolved to a slot family or not) — excluded from
+  /// pairwise comparison, like CRUSH excludes non-concrete slots.
   std::uint32_t hashed_slot_accesses = 0;
 
   /// All concrete slots read or written.
@@ -73,7 +72,7 @@ struct StorageProfile {
   bool has_unguarded_write(const evm::U256& slot) const;
 };
 
-/// Runs the abstract interpretation over every basic block.
+/// Projects static_analysis::scan_storage(dis) onto its static slots.
 StorageProfile profile_storage(const evm::Disassembly& dis);
 StorageProfile profile_storage(evm::BytesView code);
 

@@ -1,7 +1,6 @@
 #include "static/layout.h"
 
 #include <algorithm>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <unordered_set>
@@ -17,32 +16,8 @@ namespace {
 
 using KeyOrigin = AbstractValue::KeyOrigin;
 
-/// Family identity discovered during the scan, interned so stack values and
-/// raw accesses can reference it by index.
-struct FamilyKey {
-  U256 base;
-  std::uint8_t depth = 1;
-  std::uint8_t path = 0;
-  KeyOrigin key = KeyOrigin::kUnknown;
-};
-
-/// One raw (unaggregated) typed access the scanner recorded. family_id < 0
-/// means a static-slot access at `slot`.
-struct RawAccess {
-  int family_id = -1;
-  U256 slot;
-  std::uint8_t offset = 0;
-  std::uint8_t width = 32;
-  bool is_write = false;
-  bool caller_compared = false;
-  bool guarded = false;
-  WriteOrigin origin = WriteOrigin::kUnknown;
-  std::uint32_t pc = 0;
-};
-
 /// Is `mask` a contiguous run of 0xff bytes somewhere in the word? Returns
-/// (byte offset from the LSB end, byte width). Same convention as
-/// core::StorageAccess.
+/// (byte offset from the LSB end, byte width).
 std::optional<std::pair<std::uint8_t, std::uint8_t>> contiguous_byte_mask(
     const U256& mask) {
   const auto be = mask.to_be_bytes();
@@ -73,16 +48,15 @@ std::optional<std::uint8_t> low_mask_width(const U256& mask) {
   return static_cast<std::uint8_t>(bits / 8);
 }
 
-/// Block-local mask/shift scanner: core::storage_profile's slicing idioms
-/// (narrowing AND, packed-write hole/OR, CALLER comparisons, guard edges)
-/// extended with an abstract memory so KECCAK256 over recorded words
-/// resolves mapping/array slot families instead of poisoning to unknown.
-class LayoutScanner {
+/// Block-local mask/shift scanner: CRUSH's slicing idioms (narrowing AND,
+/// packed-write hole/OR, CALLER comparisons, guard edges) with an abstract
+/// memory so KECCAK256 over recorded words resolves mapping/array slot
+/// families instead of poisoning to unknown.
+class StorageScanner {
  public:
-  LayoutScanner(std::vector<RawAccess>& accesses,
-                std::vector<FamilyKey>& families,
-                std::unordered_set<std::uint32_t>& guarded_pcs)
-      : accesses_(accesses), families_(families), guarded_pcs_(guarded_pcs) {}
+  StorageScanner(StorageScan& scan,
+                 std::unordered_set<std::uint32_t>& guarded_pcs)
+      : scan_(scan), guarded_pcs_(guarded_pcs) {}
 
   void run(const std::vector<Instruction>& ins, std::uint32_t first,
            std::uint32_t count) {
@@ -109,7 +83,7 @@ class LayoutScanner {
     };
     Kind kind = Kind::kUnknown;
     U256 constant;
-    int access_index = -1;  // kSload: index into accesses_
+    int access_index = -1;  // kSload: index into scan_.accesses
     int family_id = -1;     // kHashed: resolved family; kSload: source family
     std::uint8_t width = 32;
     std::uint8_t byte_offset = 0;  // kSload: bytes shifted off (packing)
@@ -137,16 +111,16 @@ class LayoutScanner {
 
   int intern_family(const U256& base, std::uint8_t depth, std::uint8_t path,
                     KeyOrigin key) {
-    for (std::size_t i = 0; i < families_.size(); ++i) {
-      FamilyKey& f = families_[i];
+    for (std::size_t i = 0; i < scan_.families.size(); ++i) {
+      ScannedFamily& f = scan_.families[i];
       if (f.base == base && f.depth == depth && f.path == path) {
         if (f.key == KeyOrigin::kUnknown) f.key = key;
         if (key == KeyOrigin::kCalldata) f.key = key;
         return static_cast<int>(i);
       }
     }
-    families_.push_back({base, depth, path, key});
-    return static_cast<int>(families_.size()) - 1;
+    scan_.families.push_back({base, depth, path, key});
+    return static_cast<int>(scan_.families.size()) - 1;
   }
 
   /// Lifts one keccak over tracked memory into a resolved family value.
@@ -164,7 +138,8 @@ class LayoutScanner {
     }
     if (base.kind == Val::Kind::kHashed && base.family_id >= 0 &&
         !base.displaced) {
-      const FamilyKey inner = families_[static_cast<std::size_t>(base.family_id)];
+      const ScannedFamily inner =
+          scan_.families[static_cast<std::size_t>(base.family_id)];
       if (inner.depth < 8) {
         std::uint8_t path = inner.path;
         if (mapping) path |= static_cast<std::uint8_t>(1u << inner.depth);
@@ -184,18 +159,18 @@ class LayoutScanner {
     if (v.kind != Val::Kind::kSload || v.access_index < 0) return;
     width = std::min<std::uint8_t>(
         width, static_cast<std::uint8_t>(32 - v.byte_offset));
-    auto& access = accesses_[static_cast<std::size_t>(v.access_index)];
+    auto& access = scan_.accesses[static_cast<std::size_t>(v.access_index)];
     if (!refined_.contains(v.access_index)) {
       access.width = width;
       access.offset = v.byte_offset;
       refined_.insert(v.access_index);
     } else if (access.offset != v.byte_offset || access.width != width) {
-      RawAccess extra = access;
+      ScannedAccess extra = access;
       extra.width = width;
       extra.offset = v.byte_offset;
       extra.caller_compared = false;
-      accesses_.push_back(extra);
-      v.access_index = static_cast<int>(accesses_.size()) - 1;
+      scan_.accesses.push_back(extra);
+      v.access_index = static_cast<int>(scan_.accesses.size()) - 1;
       refined_.insert(v.access_index);
     }
     v.width = width;
@@ -208,26 +183,23 @@ class LayoutScanner {
       return;
     }
     const std::uint64_t o = off.constant.low64();
-    for (auto it = mem_.begin(); it != mem_.end();) {
-      const bool overlaps = it->first + 32 > o && it->first < o + 32;
-      if (overlaps && it->first != o) {
-        it = mem_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    mem_[o] = val;
+    std::erase_if(mem_, [o](const auto& word) {
+      return word.first + 32 > o && word.first < o + 32;
+    });
+    mem_.emplace_back(o, val);
   }
 
   Val mem_load(std::uint64_t o) const {
-    const auto it = mem_.find(o);
-    return it == mem_.end() ? Val::unknown() : it->second;
+    for (const auto& [at, val] : mem_) {
+      if (at == o) return val;
+    }
+    return Val::unknown();
   }
 
   void record_access(const Val& slot, bool is_write, std::uint8_t offset,
                      std::uint8_t width, WriteOrigin origin, bool guarded,
                      std::uint32_t pc) {
-    RawAccess access;
+    ScannedAccess access;
     if (slot.kind == Val::Kind::kConst) {
       access.slot = slot.constant;
     } else {
@@ -239,7 +211,7 @@ class LayoutScanner {
     access.origin = origin;
     access.guarded = guarded;
     access.pc = pc;
-    accesses_.push_back(access);
+    scan_.accesses.push_back(access);
   }
 
   static bool clobbers_memory(Opcode op) {
@@ -347,7 +319,8 @@ class LayoutScanner {
             b.kind != Val::Kind::kHashed) {
           a.displaced = true;
           if (b.kind == Val::Kind::kCalldata) {
-            FamilyKey& f = families_[static_cast<std::size_t>(a.family_id)];
+            ScannedFamily& f =
+                scan_.families[static_cast<std::size_t>(a.family_id)];
             f.key = KeyOrigin::kCalldata;
           }
           push(std::move(a));
@@ -358,6 +331,7 @@ class LayoutScanner {
       }
       case Opcode::SLOAD: {
         const Val slot = pop();
+        if (slot.kind == Val::Kind::kHashed) ++scan_.hashed_accesses;
         const bool resolved =
             slot.kind == Val::Kind::kConst ||
             (slot.kind == Val::Kind::kHashed && slot.family_id >= 0);
@@ -370,13 +344,14 @@ class LayoutScanner {
         Val v;
         v.kind = Val::Kind::kSload;
         v.family_id = slot.kind == Val::Kind::kHashed ? slot.family_id : -1;
-        v.access_index = static_cast<int>(accesses_.size()) - 1;
+        v.access_index = static_cast<int>(scan_.accesses.size()) - 1;
         push(std::move(v));
         return;
       }
       case Opcode::SSTORE: {
         const Val slot = pop();
         const Val value = pop();
+        if (slot.kind == Val::Kind::kHashed) ++scan_.hashed_accesses;
         const bool resolved =
             slot.kind == Val::Kind::kConst ||
             (slot.kind == Val::Kind::kHashed && slot.family_id >= 0);
@@ -458,11 +433,11 @@ class LayoutScanner {
         if (caller != nullptr && other->kind == Val::Kind::kSload &&
             other->access_index >= 0) {
           // CALLER comparison types the read as an address at the read's
-          // packing offset (refine_read, not a direct width clobber — same
-          // fix as core::storage_profile).
+          // packing offset (refine_read, not a direct width clobber, which
+          // would make a shifted address claim its lower neighbours' bytes).
           refine_read(*other, 20);
           auto& access =
-              accesses_[static_cast<std::size_t>(other->access_index)];
+              scan_.accesses[static_cast<std::size_t>(other->access_index)];
           access.caller_compared = true;
           Val check;
           check.kind = Val::Kind::kCallerCheck;
@@ -580,11 +555,10 @@ class LayoutScanner {
     }
   }
 
-  std::vector<RawAccess>& accesses_;
-  std::vector<FamilyKey>& families_;
+  StorageScan& scan_;
   std::unordered_set<std::uint32_t>& guarded_pcs_;
   std::vector<Val> stack_;
-  std::map<std::uint64_t, Val> mem_;
+  std::vector<std::pair<std::uint64_t, Val>> mem_;  // word offset -> value
   std::unordered_set<int> refined_;  // access indices already typed once
 };
 
@@ -676,26 +650,30 @@ std::string StorageLayout::to_string() const {
   return out.str();
 }
 
-StorageLayout infer_layout(const evm::Disassembly& dis, const Cfg& cfg) {
-  StorageLayout layout;
-  layout.cfg_complete = cfg.complete;
-
-  // ---- pass 1+2: block-local scan (guard discovery, then attribution) ----
-  std::vector<RawAccess> raw;
-  std::vector<FamilyKey> family_keys;
+StorageScan scan_storage(const evm::Disassembly& dis) {
+  StorageScan scan;
   std::unordered_set<std::uint32_t> guarded_pcs;
+  // Pass 1 discovers caller-guard jump targets; pass 2 attributes them to
+  // writes inside those targets' blocks.
   for (int pass = 0; pass < 2; ++pass) {
-    if (pass == 1) {
-      raw.clear();
-      family_keys.clear();
-    }
-    LayoutScanner scanner(raw, family_keys, guarded_pcs);
+    if (pass == 1) scan = StorageScan{};
+    StorageScanner scanner(scan, guarded_pcs);
     for (const evm::BasicBlock& block : dis.blocks()) {
       scanner.current_block_start_ = block.start_pc;
       scanner.run(dis.instructions(), block.first_instruction,
                   block.instruction_count);
     }
   }
+  return scan;
+}
+
+StorageLayout infer_layout(const evm::Disassembly& dis, const Cfg& cfg) {
+  StorageLayout layout;
+  layout.cfg_complete = cfg.complete;
+
+  StorageScan scan = scan_storage(dis);
+  std::vector<ScannedAccess>& raw = scan.accesses;
+  std::vector<ScannedFamily>& family_keys = scan.families;
 
   // ---- union with the CFG's path-sensitive storage facts -----------------
   // The scanner resolves widths/offsets/guards; the facts resolve slots the
@@ -703,13 +681,13 @@ StorageLayout infer_layout(const evm::Disassembly& dis, const Cfg& cfg) {
   // reliability: a reachable access neither stream resolves is a claim the
   // layout cannot make.
   std::unordered_set<std::uint32_t> scanned_pcs;
-  for (const RawAccess& a : raw) scanned_pcs.insert(a.pc);
+  for (const ScannedAccess& a : raw) scanned_pcs.insert(a.pc);
 
   for (const StorageFact& fact : cfg.storage_facts) {
     if (!fact.reachable) continue;
     if (fact.slot.is_const()) {
       if (!scanned_pcs.contains(fact.pc)) {
-        RawAccess access;
+        ScannedAccess access;
         access.slot = fact.slot.payload;
         access.is_write = fact.is_write;
         access.origin = origin_of(fact.value);
@@ -720,7 +698,7 @@ StorageLayout infer_layout(const evm::Disassembly& dis, const Cfg& cfg) {
     }
     if (fact.slot.is_hashed()) {
       if (!scanned_pcs.contains(fact.pc)) {
-        RawAccess access;
+        ScannedAccess access;
         access.family_id = -2;  // resolved below via fact_families
         access.is_write = fact.is_write;
         access.origin = origin_of(fact.value);
@@ -729,7 +707,7 @@ StorageLayout infer_layout(const evm::Disassembly& dis, const Cfg& cfg) {
         // Intern the fact's family identity alongside the scanner's.
         int id = -1;
         for (std::size_t i = 0; i < family_keys.size(); ++i) {
-          FamilyKey& f = family_keys[i];
+          ScannedFamily& f = family_keys[i];
           if (f.base == fact.slot.payload &&
               f.depth == fact.slot.hash_depth &&
               f.path == fact.slot.hash_path) {
@@ -751,7 +729,7 @@ StorageLayout infer_layout(const evm::Disassembly& dis, const Cfg& cfg) {
   }
 
   // ---- aggregate raw accesses into members and families ------------------
-  for (const RawAccess& a : raw) {
+  for (const ScannedAccess& a : raw) {
     if (a.family_id < 0) {
       LayoutMember* member = nullptr;
       for (LayoutMember& m : layout.members) {
@@ -776,7 +754,8 @@ StorageLayout infer_layout(const evm::Disassembly& dis, const Cfg& cfg) {
         member->write_origin = merge_origin(member->write_origin, a.origin);
       }
     } else {
-      const FamilyKey& key = family_keys[static_cast<std::size_t>(a.family_id)];
+      const ScannedFamily& key =
+          family_keys[static_cast<std::size_t>(a.family_id)];
       SlotFamily* family = nullptr;
       for (SlotFamily& f : layout.families) {
         if (f.base_slot == key.base && f.depth == key.depth &&

@@ -5,11 +5,12 @@
 // disassembly plus the abstract interpreter's storage facts (cfg.h).
 //
 // Two evidence streams are unioned:
-//   * a block-local mask/shift scanner (the width/offset conventions of
-//     core::StorageAccess: a bool read masks 0xff, an address masks 2^160-1
-//     or compares against CALLER, packed writes carve a hole) extended with
-//     an abstract memory so `keccak256(key ++ base_slot)` derivations
-//     resolve to slot families instead of being dropped;
+//   * scan_storage(), the repository's one storage-access scanner: a
+//     block-local mask/shift scanner (a bool read masks 0xff, an address
+//     masks 2^160-1 or compares against CALLER, packed writes carve a hole)
+//     with an abstract memory so `keccak256(key ++ base_slot)` derivations
+//     resolve to slot families instead of being dropped. Its static-slot
+//     accesses are also core::StorageProfile (§5.2's CRUSH-style widths);
 //   * the CFG's per-site StorageFacts, which are path-sensitive and catch
 //     cross-block slot computations the scanner misses.
 //
@@ -29,9 +30,8 @@
 
 namespace proxion::static_analysis {
 
-/// Provenance of the value written into a storage range (mirrors
-/// core::ValueOrigin; duplicated here because src/static cannot depend on
-/// src/core).
+/// Provenance of the value written into a storage range (core::ValueOrigin
+/// is this type).
 enum class WriteOrigin : std::uint8_t {
   kUnknown,
   kConstant,
@@ -116,6 +116,45 @@ struct StorageLayout {
 
   friend bool operator==(const StorageLayout&, const StorageLayout&) = default;
 };
+
+/// A slot family the scan discovered, interned so stack values and accesses
+/// can reference it by index (same identity as SlotFamily).
+struct ScannedFamily {
+  U256 base{};
+  std::uint8_t depth = 1;
+  std::uint8_t path = 0;
+  AbstractValue::KeyOrigin key = AbstractValue::KeyOrigin::kUnknown;
+};
+
+/// One typed SLOAD/SSTORE view the scan recorded, unaggregated. family_id < 0
+/// means a static-slot access at `slot`; otherwise it indexes
+/// StorageScan::families. A load read two ways yields two records.
+struct ScannedAccess {
+  int family_id = -1;
+  U256 slot{};
+  std::uint8_t offset = 0;
+  std::uint8_t width = 32;
+  bool is_write = false;
+  /// The loaded value is compared against CALLER downstream.
+  bool caller_compared = false;
+  /// This write sits in a block entered only past a caller-equality guard.
+  bool guarded = false;
+  WriteOrigin origin = WriteOrigin::kUnknown;  // writes only
+  std::uint32_t pc = 0;
+};
+
+struct StorageScan {
+  std::vector<ScannedAccess> accesses;  // in scan order
+  std::vector<ScannedFamily> families;
+  /// SLOAD/SSTORE sites whose slot is a keccak value, resolved to a family
+  /// or not.
+  std::uint32_t hashed_accesses = 0;
+};
+
+/// The block-local scan, two passes over dis.blocks(): the first discovers
+/// caller-guard jump targets, the second attributes them to writes. Pure;
+/// touches no counter.
+StorageScan scan_storage(const evm::Disassembly& dis);
 
 /// Infers the layout from the disassembly and its recovered CFG. Bumps the
 /// global obs counter `layout.inferred` once per (cold) invocation.

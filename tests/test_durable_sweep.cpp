@@ -19,7 +19,6 @@
 #include "chain/fault_injection.h"
 #include "core/pipeline.h"
 #include "core/report.h"
-#include "crypto/eth.h"
 #include "crypto/keccak.h"
 #include "datagen/population.h"
 #include "record_oracle.h"
@@ -117,15 +116,15 @@ TEST(DurableSweep, ColdSweepHashesEachInputBlobOnce) {
   // monolithic run over the same inputs. One shard keeps the comparison
   // exact: with several, a logic blob delegated to from several shards is
   // fetched and hashed once per such shard, as a separate run() must. The
-  // selector memo is process-wide: clearing it before each side makes both
-  // pay for their own selectors. The standard slot constants are hashed
-  // once per process, on first use: a warm-up run pays for them first.
+  // keccak count is process-wide, so a warm-up run pays first for what is
+  // hashed once per process: the standard slot constants and the selector
+  // memo. Both sides then hash only code, and two workers missing on one
+  // selector prototype at once cannot inflate either count.
   datagen::Population pop = make_population();
   const auto inputs = pop.sweep_inputs();
   core::PipelineConfig config;
   (void)core::AnalysisPipeline(*pop.chain, &pop.sources, config).run(inputs);
 
-  crypto::clear_selector_memo();
   core::AnalysisPipeline piped(*pop.chain, &pop.sources, config);
   store::DurableSweepConfig sc;
   sc.journal_path = temp_journal("hash_once.journal");
@@ -137,7 +136,6 @@ TEST(DurableSweep, ColdSweepHashesEachInputBlobOnce) {
   ASSERT_TRUE(result.error.empty()) << result.error;
   ASSERT_EQ(result.shards_run, 1u);
 
-  crypto::clear_selector_memo();
   core::AnalysisPipeline mono(*pop.chain, &pop.sources, config);
   const std::uint64_t mono_before = crypto::keccak_invocations();
   const auto mono_stats = mono.summarize(mono.run(inputs));

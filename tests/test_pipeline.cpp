@@ -203,31 +203,21 @@ TEST_F(PipelineTest, SummaryReportsPhaseTimingsAndCacheStats) {
   EXPECT_GT(stats.cache.hits(), 0u);
 }
 
-TEST_F(PipelineTest, RunGaugesAgreeWithSummary) {
-  // The sweep.* gauges and the LandscapeStats fields describe the same run
-  // from two sides (registry scrape vs report accumulation); after a
-  // fault-free run they must agree exactly.
+TEST_F(PipelineTest, RunCountsLiveInTheSummaryOnly) {
+  // Per-run counts have one source, LandscapeStats: the pipeline registry
+  // carries no gauge of its own for them (under DurableSweep such a gauge
+  // would describe only the last shard). Its gauges are the lifetime
+  // resilience totals.
   Population pop = make_population(600);
   AnalysisPipeline pipeline(*pop.chain, &pop.sources);
   const auto reports = pipeline.run(pop.sweep_inputs());
   const LandscapeStats stats = pipeline.summarize(reports);
   for (const auto& r : reports) ASSERT_FALSE(r.error);
 
-  const auto gauges = pipeline.registry().snapshot().gauges;
-  const auto gauge = [&](const char* name) {
-    return static_cast<std::uint64_t>(gauges.at(name));
-  };
-  EXPECT_EQ(gauge("sweep.pair_cache.hits"), stats.cache.hits());
-  EXPECT_EQ(gauge("sweep.pair_cache.misses"), stats.cache.misses());
-  EXPECT_EQ(gauge("sweep.pair_cache.waits"), stats.cache.waits());
-  EXPECT_EQ(gauge("sweep.layout.inferred"), stats.layout_inferred);
-  EXPECT_EQ(gauge("sweep.layout.reliable"), stats.layout_reliable);
-  EXPECT_EQ(gauge("sweep.layout.source_free_pairs"),
-            stats.collision_pairs_source_free);
-  EXPECT_EQ(gauge("sweep.static.skips"),
-            stats.static_skipped_absent + stats.static_skipped_dead +
-                stats.static_skipped_minimal);
-  // Agreement at zero would prove little: the population exercises each.
+  for (const auto& [name, value] : pipeline.registry().snapshot().gauges) {
+    EXPECT_EQ(name.rfind("sweep.rpc.", 0), 0u) << name;
+  }
+  // The population exercises each count.
   EXPECT_GT(stats.cache.hits(), 0u);
   EXPECT_GT(stats.cache.misses(), 0u);
   EXPECT_GT(stats.layout_inferred, 0u);

@@ -4,13 +4,16 @@
 #include <gtest/gtest.h>
 
 #include "core/storage_profile.h"
+#include "datagen/assembler.h"
 #include "datagen/contract_factory.h"
 
 namespace {
 
 using namespace proxion::core;
+using proxion::datagen::Assembler;
 using proxion::datagen::BodyKind;
 using proxion::datagen::ContractFactory;
+using proxion::evm::Opcode;
 using proxion::evm::U256;
 
 const StorageAccess* find_access(const StorageProfile& p, const U256& slot,
@@ -114,6 +117,34 @@ TEST(StorageProfile, MappingAccessesAreExcluded) {
   for (const auto& a : profile.accesses) {
     EXPECT_NE(a.slot, U256{});  // no bogus concrete slot-0 record from it
   }
+}
+
+TEST(StorageProfile, MappingElementCallerCheckGuardsTheWrite) {
+  // if (msg.sender == admins[calldataload(4)]) sstore(1, calldataload(36)),
+  // with `admins` a mapping at slot 2. The loaded element stays a typed
+  // value, so its CALLER comparison guards the slot-1 write: an
+  // access-controlled write must not count as unguarded.
+  Assembler a;
+  a.push(U256{4}, 1).op(Opcode::CALLDATALOAD).push(U256{0}, 1);
+  a.op(Opcode::MSTORE);
+  a.push(U256{2}, 1).push(U256{0x20}, 1).op(Opcode::MSTORE);
+  a.push(U256{0x40}, 1).push(U256{0}, 1).op(Opcode::KECCAK256);
+  a.op(Opcode::SLOAD).op(Opcode::CALLER).op(Opcode::EQ);
+  a.push_label("ok").op(Opcode::JUMPI);
+  a.push(U256{0}, 1).push(U256{0}, 1).op(Opcode::REVERT);
+  a.jumpdest("ok");
+  a.push(U256{36}, 1).op(Opcode::CALLDATALOAD).push(U256{1}, 1);
+  a.op(Opcode::SSTORE).op(Opcode::STOP);
+  const auto profile = profile_storage(a.assemble());
+
+  const auto* write = find_access(profile, U256{1}, true);
+  ASSERT_NE(write, nullptr);
+  EXPECT_TRUE(write->guarded_by_caller);
+  EXPECT_EQ(write->value_origin, ValueOrigin::kCalldata);
+  EXPECT_FALSE(profile.has_unguarded_write(U256{1}));
+  // The element read is a slot family, not a static slot.
+  EXPECT_EQ(profile.hashed_slot_accesses, 1u);
+  EXPECT_EQ(profile.accesses.size(), 1u);
 }
 
 TEST(StorageProfile, ProxyFallbackReadsImplSlotAsAddress) {

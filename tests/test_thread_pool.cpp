@@ -5,7 +5,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -67,18 +69,24 @@ TEST(ThreadPoolTest, StealsWorkUnderSkewedTaskSizes) {
   EXPECT_GT(pool.steal_count(), steals_before);
 }
 
-TEST(ThreadPoolTest, SkewedLoadFinishesFasterThanSerial) {
-  // 4 items of ~50 ms each across 4 workers must overlap: well under the
-  // 200 ms serial time even on a loaded CI box.
+TEST(ThreadPoolTest, FourItemsRunAtOnceOnFourWorkers) {
+  // A rendezvous, not a stopwatch: each of 4 items waits until all 4 are
+  // running at the same time. A pool that serializes never gets there; the
+  // shared deadline makes it fail after a few seconds instead of hanging.
   ThreadPool pool(4);
-  const auto t0 = std::chrono::steady_clock::now();
+  std::mutex mu;
+  std::condition_variable cv;
+  int running = 0;
+  int met = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
   pool.parallel_for(4, [&](std::size_t) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    std::unique_lock<std::mutex> lock(mu);
+    ++running;
+    cv.notify_all();
+    if (cv.wait_until(lock, deadline, [&] { return running == 4; })) ++met;
   });
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-  EXPECT_LT(ms, 195.0);
+  EXPECT_EQ(met, 4);
 }
 
 TEST(ThreadPoolTest, ExceptionPropagatesAndPoolSurvives) {
