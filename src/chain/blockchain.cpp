@@ -206,8 +206,13 @@ Bytes Blockchain::get_code(const Address& a) {
 }
 
 Bytes Blockchain::code_at(const Address& a) const {
+  const BytesView code = code_view(a);
+  return Bytes(code.begin(), code.end());
+}
+
+BytesView Blockchain::code_view(const Address& a) const {
   const auto it = accounts_.find(a);
-  return it == accounts_.end() ? Bytes{} : it->second.code;
+  return it == accounts_.end() ? BytesView{} : BytesView(it->second.code);
 }
 
 U256 Blockchain::get_storage(const Address& a, const U256& slot) {

@@ -119,6 +119,9 @@ class Blockchain final : public evm::Host {
   /// read-only twin of Host::get_code, which must stay non-const for the
   /// interpreter's Host contract.
   Bytes code_at(const Address& account) const;
+  /// code_at() without the copy: borrows the stored code (empty for an
+  /// unknown account). Valid until `account`'s code next changes.
+  BytesView code_view(const Address& account) const;
 
   const std::vector<InternalTx>& internal_txs() const noexcept {
     return internal_txs_;

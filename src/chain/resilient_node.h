@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -81,8 +82,9 @@ class ResilientArchiveNode final : public IArchiveNode {
  private:
   template <typename Fn>
   auto with_retries(const char* what, Fn&& fn) const -> decltype(fn()) {
-    util::BackoffSequence backoff(
-        policy_, jitter_salt_.fetch_add(1, std::memory_order_relaxed));
+    // Salted on the first retry, so a call that succeeds first time
+    // touches no shared counter.
+    std::optional<util::BackoffSequence> backoff;
     for (unsigned attempt = 1;; ++attempt) {
       if (!breaker_.allow()) {
         giveups_.fetch_add(1, std::memory_order_relaxed);
@@ -104,7 +106,11 @@ class ResilientArchiveNode final : public IArchiveNode {
                              " attempts; last error: " + e.what());
         }
         retries_.fetch_add(1, std::memory_order_relaxed);
-        sleep_(backoff.next());
+        if (!backoff) {
+          backoff.emplace(policy_,
+                          jitter_salt_.fetch_add(1, std::memory_order_relaxed));
+        }
+        sleep_(backoff->next());
       }
     }
   }

@@ -1,5 +1,5 @@
 // Striped "compute at most once per key" map, used for the pipeline's
-// per-run proxy/logic pair outcomes and code-blob table.
+// per-run proxy/logic pair outcomes and logic code blobs.
 #pragma once
 
 #include <condition_variable>

@@ -38,10 +38,6 @@ class ReentrancyGuard {
   [[maybe_unused]] std::atomic<bool>& busy_;
 };
 
-std::string hash_key(const crypto::Hash256& h) {
-  return std::string(reinterpret_cast<const char*>(h.data()), h.size());
-}
-
 unsigned thread_count(unsigned configured) {
   if (configured != 0) return configured;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -203,7 +199,8 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
   // computed before a chain mutation would silently answer for the mutated
   // chain (and a PairOutcome also depends on this run's donor map and the
   // proxy's live storage).
-  pair_cache_ = std::make_unique<StripedOnceMap<std::string, PairOutcome>>();
+  pair_cache_ =
+      std::make_unique<StripedOnceMap<PairKey, PairOutcome, PairKeyHasher>>();
 
   std::vector<ContractAnalysis> out(inputs.size());
 
@@ -211,25 +208,32 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
   // Each distinct address is fetched (through the fault-tolerant archive
   // seam) exactly once per run and keccak'd at most once: an input whose
   // code hash the caller supplied (a durable sweep's fingerprint) takes it
-  // instead of being hashed again. A failed fetch quarantines only its own
-  // contract: the once-map clears the in-flight marker on throw, so a later
-  // retry recomputes instead of caching the failure.
-  CodeBlobMap blob_map;
+  // instead of being hashed again. Every distinct input address owns one
+  // `blobs` slot, filled by its first occurrence's task without a lock; a
+  // repeated address shares that blob (or that failure). A failed fetch
+  // quarantines only its own contract.
   auto fetch_blob = [&](const Address& address,
-                        const crypto::Hash256* known_hash = nullptr) {
-    return blob_map.get_or_compute(address, [&] {
-      auto b = std::make_shared<CodeBlob>();
-      b->code = rpc().get_code(address);
-      b->hash = known_hash != nullptr ? *known_hash : evm::code_hash(b->code);
-      b->key = hash_key(b->hash);
-      return std::shared_ptr<const CodeBlob>(std::move(b));
-    });
+                        const crypto::Hash256* known_hash) {
+    auto b = std::make_shared<CodeBlob>();
+    b->code = rpc().get_code(address);
+    b->hash = known_hash != nullptr ? *known_hash : evm::code_hash(b->code);
+    return std::shared_ptr<const CodeBlob>(std::move(b));
   };
+
+  // Address -> first input index, built before any fetch and read-only
+  // afterwards (Phase B's logic lookups consult it without a lock).
+  std::unordered_map<Address, std::size_t, evm::AddressHasher> input_index;
+  input_index.reserve(inputs.size());
+  std::vector<std::size_t> first_of(inputs.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    first_of[i] = input_index.try_emplace(inputs[i].address, i).first->second;
+  }
 
   std::vector<std::shared_ptr<const CodeBlob>> blobs(inputs.size());
   {
     obs::Span phase_span(tracer_.get(), "phase:fetch");
     workers.parallel_for(inputs.size(), [&](std::size_t i) {
+      if (first_of[i] != i) return;
       try {
         blobs[i] = fetch_blob(inputs[i].address, code_hashes.empty()
                                                      ? nullptr
@@ -240,9 +244,14 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
         out[i].error = ErrorRecord{ErrorKind::kInternal, "fetch", e.what()};
       }
     });
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      if (first_of[i] == i) continue;
+      blobs[i] = blobs[first_of[i]];
+      if (!blobs[i]) out[i].error = out[first_of[i]].error;
+    }
   }
-  auto key_of = [&](std::size_t i) -> const std::string& {
-    return blobs[i]->key;
+  auto key_of = [&](std::size_t i) -> const crypto::Hash256& {
+    return blobs[i]->hash;
   };
   const auto t_fetch = std::chrono::steady_clock::now();
 
@@ -271,7 +280,8 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
   };
 
   // ---- pick one representative per unique code blob ---------------------
-  std::unordered_map<std::string, std::size_t> representative;
+  std::unordered_map<crypto::Hash256, std::size_t, crypto::Hash256Hasher>
+      representative;
   std::vector<std::size_t> unique_indices;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     if (!blobs[i]) continue;  // fetch failed; quarantined above
@@ -325,8 +335,11 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
       }
     });
   }
-  std::unordered_map<std::string, const ProxyReport*> verdicts;
-  std::unordered_map<std::string, ErrorRecord> failed_keys;
+  std::unordered_map<crypto::Hash256, const ProxyReport*,
+                     crypto::Hash256Hasher>
+      verdicts;
+  std::unordered_map<crypto::Hash256, ErrorRecord, crypto::Hash256Hasher>
+      failed_keys;
   verdicts.reserve(unique_indices.size());
   for (std::size_t u = 0; u < unique_indices.size(); ++u) {
     const std::size_t i = unique_indices[u];
@@ -340,11 +353,22 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
   const auto t_proxy = std::chrono::steady_clock::now();
 
   // ---- Phase B: per-contract results (parallel) ---------------------------
-  // Logic blobs go through the same once-map as the sweep inputs: each
-  // distinct logic address is fetched and hashed at most once, however many
-  // proxies delegate to it (the seed re-hashed per pair). Every contract is
-  // its own failure domain: an RPC giving up mid-history or a watchdog
-  // expiry quarantines this contract and the sweep moves on.
+  // A logic address that is also a sweep input reuses that input's blob.
+  // Any other — or an input whose own fetch failed, which is retried here —
+  // goes through a once-map, so each distinct logic address is fetched and
+  // hashed at most once per attempt, however many proxies delegate to it
+  // (the seed re-hashed per pair). Every contract is its own failure domain:
+  // an RPC giving up mid-history or a watchdog expiry quarantines this
+  // contract and the sweep moves on.
+  CodeBlobMap logic_blobs;
+  auto logic_blob = [&](const Address& logic) {
+    if (const auto it = input_index.find(logic);
+        it != input_index.end() && blobs[it->second]) {
+      return blobs[it->second];
+    }
+    return logic_blobs.get_or_compute(
+        logic, [&] { return fetch_blob(logic, nullptr); });
+  };
   if (status != nullptr) status->set_phase(obs::SweepPhase::kPairs);
   {
     obs::Span phase_span(tracer_.get(), "phase:pairs");
@@ -410,14 +434,14 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
             if (!config_.detect_collisions) return;
             for (const Address& logic : a.logic_history.logic_addresses) {
               watchdog.check("pair-collisions");
-              const std::shared_ptr<const CodeBlob> blob = fetch_blob(logic);
+              const std::shared_ptr<const CodeBlob> blob = logic_blob(logic);
               if (blob->code.empty()) continue;
               a.logic_has_source =
                   a.logic_has_source ||
                   (sources_ != nullptr && sources_->has_source(logic));
 
               const PairOutcome outcome = pair_cache_->get_or_compute(
-                  key_of(i) + blob->key, [&] {
+                  PairKey{key_of(i), blob->hash}, [&] {
                     // Spanned inside the pair memo: a hit reuses the outcome
                     // without running the detectors, so it shows no
                     // collision-check span.

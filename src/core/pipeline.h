@@ -435,7 +435,7 @@ class AnalysisPipeline {
 
  private:
   /// Outcome of one proxy/logic pair's collision checks (memoized by the
-  /// concatenated code-hash pair key).
+  /// pair's code hashes).
   struct PairOutcome {
     bool function_collision = false;
     bool storage_collision = false;
@@ -444,14 +444,26 @@ class AnalysisPipeline {
     bool family_checked = false;
     bool family_source_free = false;
   };
+  /// The pair memo's key: the proxy's and the logic contract's code hash.
+  struct PairKey {
+    crypto::Hash256 proxy{};
+    crypto::Hash256 logic{};
+    bool operator==(const PairKey&) const = default;
+  };
+  struct PairKeyHasher {
+    std::size_t operator()(const PairKey& k) const noexcept {
+      const crypto::Hash256Hasher h;
+      return h(k.proxy) ^ (h(k.logic) * 0x9e3779b97f4a7c15ull);
+    }
+  };
   /// One account's code blob, fetched exactly once per distinct address in
   /// a run — however many sweep inputs or proxy/logic pairs touch it — and
   /// hashed at most once (not at all when run() was handed its hash).
   struct CodeBlob {
     evm::Bytes code;
     crypto::Hash256 hash{};
-    std::string key;
   };
+  /// Logic blobs that no sweep input supplied (see run()'s Phase B).
   using CodeBlobMap =
       StripedOnceMap<Address, std::shared_ptr<const CodeBlob>,
                      evm::AddressHasher>;
@@ -497,7 +509,8 @@ class AnalysisPipeline {
   /// The pair-outcome memo with in-flight markers, rebuilt at every run()
   /// entry and emptied before it returns; kept as a member only so
   /// annotate_run_stats() can read the last run's hit/miss/wait counts.
-  std::unique_ptr<StripedOnceMap<std::string, PairOutcome>> pair_cache_;
+  std::unique_ptr<StripedOnceMap<PairKey, PairOutcome, PairKeyHasher>>
+      pair_cache_;
 
   /// Debug-only re-entrancy guard for the external-serialization contract
   /// (run/summarize must not overlap on one instance). mutable so

@@ -1,8 +1,9 @@
 // CRC32C (Castagnoli) — the checksum framing every journal record. Chosen
 // over CRC32 (zlib polynomial) for its better burst-error detection and
-// because it is what LevelDB/RocksDB-style record logs use; implemented in
-// software (slice-by-one table) so the store layer has zero dependencies
-// beyond the standard library.
+// because it is what LevelDB/RocksDB-style record logs use. Portable
+// slice-by-8 software (eight 256-entry tables, one 8-byte little-endian word
+// per step, the tail bytewise) so the store layer has zero dependencies
+// beyond the standard library; no hardware dispatch, one code path.
 #pragma once
 
 #include <cstddef>

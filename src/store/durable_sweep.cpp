@@ -299,7 +299,7 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     std::vector<std::size_t> fronts;
     for (const std::size_t i : dirty) {
       const Address& a = inputs[i].address;
-      const crypto::Hash256 hash = evm::code_hash(chain_.code_at(a));
+      const crypto::Hash256 hash = evm::code_hash(chain_.code_view(a));
       examine.emplace_back(i, hash);
       const Fingerprint* rec = index->find(a);
       if (rec != nullptr && rec->code_hash == hash) continue;
@@ -342,15 +342,16 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
                   examine.end());
   } else {
     // ---- fingerprint the population --------------------------------------
-    // One code fetch + keccak per input; the blob is dropped immediately, so
-    // this phase holds 32 bytes per contract — population *metadata* may be
-    // O(N), it is the per-contract artifacts that must stay O(shard). This
-    // is the sweep's only hash of an input blob: each shard's run() takes
-    // its members' fingerprints (its groups' hashes) instead of re-hashing
-    // the code it fetches, and they are what its records journal.
+    // One keccak per input, hashed in place through a borrowed view of the
+    // chain's code (no copy), so this phase holds 32 bytes per contract —
+    // population *metadata* may be O(N), it is the per-contract artifacts
+    // that must stay O(shard). This is the sweep's only hash of an input
+    // blob: each shard's run() takes its members' fingerprints (its groups'
+    // hashes) instead of re-hashing the code it fetches, and they are what
+    // its records journal.
     hashes.resize(inputs.size());
     for (std::size_t i = 0; i < inputs.size(); ++i) {
-      hashes[i] = evm::code_hash(chain_.code_at(inputs[i].address));
+      hashes[i] = evm::code_hash(chain_.code_view(inputs[i].address));
     }
 
     // ---- boot: replay the journal, once -----------------------------------
@@ -528,15 +529,14 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
 
   // ---- pack rerun groups into shards (groups are atomic) ----------------
   std::vector<std::vector<Group*>> shards;
+  std::size_t current = 0;  // members in the open shard
   for (Group& group : plan.rerun_groups) {
-    std::size_t current = 0;
-    if (!shards.empty()) {
-      for (const Group* g : shards.back()) current += g->members.size();
-    }
     if (shards.empty() || (config_.shard_size > 0 && current >= config_.shard_size)) {
       shards.emplace_back();
+      current = 0;
     }
     shards.back().push_back(&group);
+    current += group.members.size();
   }
 
   // ---- shard-progress exposition ----------------------------------------

@@ -41,6 +41,7 @@ CircuitBreaker::CircuitBreaker(CircuitBreakerConfig config, Clock clock)
 }
 
 bool CircuitBreaker::allow() {
+  if (quiet_.load(std::memory_order_acquire)) return true;
   bool transitioned = false;
   bool admit = true;
   {
@@ -74,6 +75,8 @@ bool CircuitBreaker::allow() {
 }
 
 void CircuitBreaker::on_success() {
+  // Quiet already: a success changes nothing.
+  if (quiet_.load(std::memory_order_acquire)) return;
   bool transitioned;
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -81,6 +84,7 @@ void CircuitBreaker::on_success() {
     consecutive_failures_ = 0;
     probe_in_flight_ = false;
     state_ = State::kClosed;
+    quiet_.store(true, std::memory_order_release);
   }
   if (transitioned) notify(State::kClosed);
 }
@@ -89,6 +93,7 @@ void CircuitBreaker::on_failure() {
   bool tripped = false;
   {
     std::lock_guard<std::mutex> lk(mu_);
+    quiet_.store(false, std::memory_order_release);
     ++consecutive_failures_;
     if (state_ == State::kHalfOpen) {
       trip_locked(clock_());
@@ -110,6 +115,7 @@ void CircuitBreaker::reset() {
     state_ = State::kClosed;
     consecutive_failures_ = 0;
     probe_in_flight_ = false;
+    quiet_.store(true, std::memory_order_release);
   }
   if (transitioned) notify(State::kClosed);
 }

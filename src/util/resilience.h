@@ -55,7 +55,10 @@ struct CircuitBreakerConfig {
 };
 
 /// Classic three-state breaker. Thread-safe; the clock is injectable so the
-/// open -> half-open transition is testable without sleeping.
+/// open -> half-open transition is testable without sleeping. The healthy
+/// case takes no lock: while the breaker is quiet (closed, no consecutive
+/// failures, no probe in flight) allow() and on_success() only read an
+/// atomic flag, which every transition under the mutex sets or clears.
 class CircuitBreaker {
  public:
   enum class State : std::uint8_t { kClosed, kOpen, kHalfOpen };
@@ -107,6 +110,9 @@ class CircuitBreaker {
   unsigned consecutive_failures_ = 0;
   bool probe_in_flight_ = false;
   std::uint64_t reopen_at_us_ = 0;
+  /// Closed with zero consecutive failures and no probe in flight. Written
+  /// only under mu_; read without it by the allow()/on_success() fast path.
+  std::atomic<bool> quiet_{true};
   std::atomic<std::uint64_t> trips_{0};
 };
 

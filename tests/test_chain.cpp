@@ -42,6 +42,24 @@ TEST_F(ChainTest, DeployRuntimeInstallsCodeAndMeta) {
   EXPECT_FALSE(meta->has_incoming_tx);
 }
 
+TEST_F(ChainTest, CodeViewBorrowsWhatCodeAtCopies) {
+  const Bytes code = ContractFactory::token_contract(2);
+  const Address a = chain_.deploy_runtime(user_, code);
+  const BytesView view = chain_.code_view(a);
+  EXPECT_EQ(Bytes(view.begin(), view.end()), chain_.code_at(a));
+  EXPECT_EQ(evm::code_hash(view), evm::code_hash(code));
+  // Other accounts appearing (the account table growing) leave it valid.
+  for (int i = 0; i < 64; ++i) (void)chain_.deploy_runtime(user_, {0x00});
+  EXPECT_EQ(Bytes(view.begin(), view.end()), code);
+  EXPECT_TRUE(chain_.code_view(Address::from_label("nobody")).empty());
+
+  // After the code changes, a fresh view sees the new code.
+  const Bytes next = ContractFactory::token_contract(3);
+  chain_.set_code(a, next);
+  const BytesView after = chain_.code_view(a);
+  EXPECT_EQ(Bytes(after.begin(), after.end()), next);
+}
+
 TEST_F(ChainTest, DeployDistinctAddressesPerNonce) {
   const Address a = chain_.deploy_runtime(user_, {0x00});
   const Address b = chain_.deploy_runtime(user_, {0x00});

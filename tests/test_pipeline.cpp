@@ -3,6 +3,11 @@
 // thread-count invariance.
 #include <gtest/gtest.h>
 
+#include <mutex>
+#include <unordered_map>
+#include <unordered_set>
+
+#include "chain/archive_node.h"
 #include "chain/blockchain.h"
 #include "core/pipeline.h"
 #include "crypto/keccak.h"
@@ -18,6 +23,59 @@ using datagen::DeployedContract;
 using datagen::Population;
 using datagen::PopulationGenerator;
 using datagen::PopulationSpec;
+
+/// Counts eth_getCode attempts per address and fails the first attempt at
+/// each address in `fail_once` with a transient error (a fault that heals
+/// per key). Storage reads pass straight through.
+class CodeFetchCounter final : public chain::IArchiveNode {
+ public:
+  CodeFetchCounter(const chain::IArchiveNode& inner,
+                   std::unordered_set<Address, evm::AddressHasher> fail_once)
+      : inner_(inner), fail_once_(std::move(fail_once)) {}
+
+  U256 get_storage_at(const Address& account, const U256& slot,
+                      std::uint64_t block) const override {
+    return inner_.get_storage_at(account, slot, block);
+  }
+  std::vector<U256> get_storage_at_many(
+      std::span<const chain::StorageQuery> queries) const override {
+    return inner_.get_storage_at_many(queries);
+  }
+  evm::Bytes get_code(const Address& account) const override {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (attempts_[account]++ == 0 && fail_once_.contains(account)) {
+        throw chain::RpcError(chain::RpcErrorKind::kTransient,
+                              "injected first-attempt fault");
+      }
+    }
+    return inner_.get_code(account);
+  }
+  std::uint64_t latest_block() const override { return inner_.latest_block(); }
+  std::uint64_t get_storage_at_calls() const override {
+    return inner_.get_storage_at_calls();
+  }
+  std::uint64_t get_code_calls() const override {
+    return inner_.get_code_calls();
+  }
+  void reset_counters() const override { inner_.reset_counters(); }
+
+  unsigned attempts(const Address& account) const {
+    std::lock_guard<std::mutex> lk(mu_);
+    const auto it = attempts_.find(account);
+    return it == attempts_.end() ? 0 : it->second;
+  }
+  std::size_t addresses_fetched() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return attempts_.size();
+  }
+
+ private:
+  const chain::IArchiveNode& inner_;
+  const std::unordered_set<Address, evm::AddressHasher> fail_once_;
+  mutable std::mutex mu_;
+  mutable std::unordered_map<Address, unsigned, evm::AddressHasher> attempts_;
+};
 
 class PipelineTest : public ::testing::Test {
  protected:
@@ -270,6 +328,90 @@ TEST_F(PipelineTest, EachDistinctLogicBlobIsHashedOnce) {
   const std::uint64_t marginal = (large - small) / (kLarge - kSmall);
   EXPECT_GE(marginal, 1u);  // Phase 0 must hash every contract
   EXPECT_LE(marginal, 2u) << "an extra clone re-hashed shared blobs";
+}
+
+TEST_F(PipelineTest, EachDistinctAddressIsFetchedOnce) {
+  // Logic contracts are sweep inputs too, and every tenth input appears
+  // twice: still one eth_getCode per distinct address, whether it was asked
+  // for as an input, as a logic target, or as both.
+  Population pop = make_population(600);
+  std::vector<SweepInput> inputs = pop.sweep_inputs();
+  const std::size_t originals = inputs.size();
+  for (std::size_t i = 0; i < originals; i += 10) inputs.push_back(inputs[i]);
+
+  chain::ArchiveNode node(*pop.chain);
+  PipelineConfig cfg;
+  cfg.archive_node = &node;
+  AnalysisPipeline pipeline(*pop.chain, &pop.sources, cfg);
+  const auto reports = pipeline.run(inputs);
+
+  std::unordered_set<Address, evm::AddressHasher> distinct;
+  for (const SweepInput& in : inputs) distinct.insert(in.address);
+  const std::size_t input_addresses = distinct.size();
+  std::size_t logic_inputs = 0;
+  for (const ContractAnalysis& r : reports) {
+    ASSERT_FALSE(r.error) << r.error->detail;
+    for (const Address& logic : r.logic_history.logic_addresses) {
+      if (!distinct.insert(logic).second) ++logic_inputs;
+    }
+  }
+  ASSERT_EQ(input_addresses, originals);
+  ASSERT_GT(logic_inputs, 0u) << "no logic contract is also an input";
+  EXPECT_EQ(node.get_code_calls(), distinct.size());
+
+  // The duplicates carry their first occurrence's analysis.
+  for (std::size_t j = originals; j < inputs.size(); ++j) {
+    const ContractAnalysis& dup = reports[j];
+    const ContractAnalysis& first = reports[(j - originals) * 10];
+    EXPECT_EQ(dup.address, first.address);
+    EXPECT_EQ(dup.proxy.verdict, first.proxy.verdict);
+    EXPECT_EQ(dup.logic_history.logic_addresses,
+              first.logic_history.logic_addresses);
+  }
+}
+
+TEST_F(PipelineTest, FailedInputFetchIsRetriedOnceForItsProxies) {
+  // A logic contract's own fetch fails (retries off, so the fault
+  // quarantines it). The proxies delegating to it retry that fetch exactly
+  // once between them and then share the healed blob; nothing else is
+  // fetched twice.
+  using datagen::ContractFactory;
+  chain::Blockchain chain;
+  const Address deployer = Address::from_label("retry-once-deployer");
+  const Address shared_logic =
+      chain.deploy_runtime(deployer, ContractFactory::token_contract(7));
+  const Address outside_logic =
+      chain.deploy_runtime(deployer, ContractFactory::token_contract(8));
+  std::vector<SweepInput> inputs{{shared_logic, 2020, false, false}};
+  std::vector<Address> proxies;
+  for (int i = 0; i < 8; ++i) {
+    const Address p =
+        chain.deploy_runtime(deployer, ContractFactory::eip1967_proxy());
+    const Address& logic = i < 6 ? shared_logic : outside_logic;
+    chain.set_storage(p, ContractFactory::eip1967_slot(), logic.to_word());
+    proxies.push_back(p);
+    inputs.push_back({p, 2021, false, false});
+  }
+
+  chain::ArchiveNode node(chain);
+  CodeFetchCounter counter(node, {shared_logic});
+  PipelineConfig cfg;
+  cfg.archive_node = &counter;
+  cfg.enable_retries = false;
+  cfg.threads = 4;
+  AnalysisPipeline pipeline(chain, nullptr, cfg);
+  const auto reports = pipeline.run(inputs);
+
+  ASSERT_TRUE(reports[0].error);
+  EXPECT_EQ(reports[0].error->phase, "fetch");
+  for (std::size_t i = 1; i < reports.size(); ++i) {
+    ASSERT_FALSE(reports[i].error) << reports[i].error->detail;
+    ASSERT_TRUE(reports[i].proxy.is_proxy());
+  }
+  EXPECT_EQ(counter.attempts(shared_logic), 2u);
+  EXPECT_EQ(counter.attempts(outside_logic), 1u);
+  for (const Address& p : proxies) EXPECT_EQ(counter.attempts(p), 1u);
+  EXPECT_EQ(counter.addresses_fetched(), 2 + proxies.size());
 }
 
 TEST_F(PipelineTest, WarmRunRecomputesVerdictForNewSameHashAddress) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "chain/archive_node.h"
@@ -152,6 +153,76 @@ TEST(CircuitBreakerTest, FailedProbeReopensAndResetCloses) {
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
   EXPECT_TRUE(breaker.allow());
   EXPECT_EQ(breaker.trips(), 2u);  // history preserved
+}
+
+TEST(CircuitBreakerTest, SuccessZeroesTheFailureRunOnTheLockFreePath) {
+  // A success between two sub-threshold failure runs must restart the
+  // count even though a quiet breaker's success takes no lock.
+  FakeClock clock;
+  CircuitBreakerConfig cfg;
+  cfg.failure_threshold = 5;
+  cfg.cooldown_us = 100;
+  CircuitBreaker breaker(cfg, clock.fn());
+
+  for (unsigned i = 0; i + 1 < cfg.failure_threshold; ++i) {
+    ASSERT_TRUE(breaker.allow());
+    breaker.on_failure();
+  }
+  ASSERT_TRUE(breaker.allow());
+  breaker.on_success();
+  for (unsigned i = 0; i + 1 < cfg.failure_threshold; ++i) {
+    ASSERT_TRUE(breaker.allow());
+    breaker.on_failure();
+  }
+  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
+  EXPECT_EQ(breaker.trips(), 0u);
+
+  ASSERT_TRUE(breaker.allow());
+  breaker.on_failure();  // the threshold-th in a row
+  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
+  EXPECT_EQ(breaker.trips(), 1u);
+  EXPECT_FALSE(breaker.allow());
+
+  breaker.reset();
+  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
+  EXPECT_TRUE(breaker.allow());
+  EXPECT_TRUE(breaker.allow());
+}
+
+TEST(CircuitBreakerTest, ConcurrentTrafficWithFailureBurstsEndsClosed) {
+  // Four threads hammer the lock-free allow()/on_success() path while short
+  // failure bursts flip the breaker in and out of its locked states (three
+  // threads bursting at once can trip it; the zero cooldown half-opens it
+  // again). Under TSan this is the data-race check for the quiet flag.
+  CircuitBreakerConfig cfg;
+  cfg.failure_threshold = 8;
+  cfg.cooldown_us = 0;
+  CircuitBreaker breaker(cfg);
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&breaker, t] {
+      for (int i = 0; i < 20'000; ++i) {
+        if (!breaker.allow()) continue;
+        if ((i + t * 7) % 97 < 3) {
+          breaker.on_failure();
+        } else {
+          breaker.on_success();
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  ASSERT_TRUE(breaker.allow());
+  breaker.on_success();
+  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
+  // The final success left a zero failure run behind it.
+  for (unsigned i = 0; i + 1 < cfg.failure_threshold; ++i) {
+    ASSERT_TRUE(breaker.allow());
+    breaker.on_failure();
+  }
+  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
 }
 
 TEST(WatchdogTest, ZeroBudgetNeverExpiresAndTinyBudgetThrows) {
@@ -308,6 +379,39 @@ TEST_F(FaultNodeTest, RetriesAbsorbBoundedFaultsTransparently) {
   EXPECT_EQ(node.retries(), node.faults_seen());  // every fault was retried
   EXPECT_EQ(node.giveups(), 0u);
   EXPECT_GT(slept_us, 0u);  // backoff actually engaged
+}
+
+TEST_F(FaultNodeTest, SuccessfulCallsDoNotAdvanceTheJitterSalt) {
+  // The backoff salt is drawn when a call first fails, so a failing call
+  // sleeps the same sequence whether or not successful calls ran before it.
+  chain::ArchiveNode inner(chain_);
+  FaultProfile profile;
+  profile.seed = 5;
+  profile.transient_rate = 1.0;
+  profile.failures_per_fault = 4;
+  profile.fault_get_storage_at = false;  // storage reads always succeed
+
+  RetryPolicy policy = fast_retry();
+  policy.base_delay_us = 100;
+  policy.max_delay_us = 1'000'000;
+  auto failing_call_sleeps = [&](int successes_first) {
+    FaultInjectingArchiveNode faulty(inner, profile);
+    std::vector<std::uint32_t> sleeps;
+    ResilientArchiveNode node(faulty, policy, {},
+                              [&](std::uint32_t us) { sleeps.push_back(us); });
+    for (int i = 0; i < successes_first; ++i) {
+      (void)node.get_storage_at(targets_[i % targets_.size()], evm::U256{0},
+                                chain_.height());
+    }
+    EXPECT_TRUE(sleeps.empty());
+    EXPECT_EQ(node.get_code(targets_.front()), inner.get_code(targets_.front()));
+    return sleeps;
+  };
+
+  const std::vector<std::uint32_t> fresh = failing_call_sleeps(0);
+  ASSERT_EQ(fresh.size(), profile.failures_per_fault);
+  EXPECT_EQ(failing_call_sleeps(1), fresh);
+  EXPECT_EQ(failing_call_sleeps(37), fresh);
 }
 
 TEST_F(FaultNodeTest, ExhaustedBudgetSurfacesAsTerminalRpcError) {
