@@ -2,13 +2,17 @@
 // Algorithm 1): a binary-partition search over blockchain history that
 // queries the archive node's getStorageAt only where the slot value changes,
 // needing ~log2(blocks) * upgrades calls instead of one call per block.
-// The search runs breadth-first and emits each depth's probe frontier as a
-// single get_storage_at_many batch, so the archive decorator stack (retries,
-// tracing) pays per frontier instead of per endpoint; the probe
-// set and resulting LogicHistory are identical to the recursive formulation.
+// The search runs breadth-first and in lockstep over every target of one
+// call: each depth's probe frontier, across all the targets, is a single
+// get_storage_at_many batch, so a run pays one archive round trip per depth
+// instead of one per proxy per depth. Targets never share a probe, only a
+// round trip: each target's probe set, api_calls and LogicHistory are those
+// of the recursive formulation run for it alone.
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "chain/archive_node.h"
@@ -30,13 +34,38 @@ struct LogicHistory {
   friend bool operator==(const LogicHistory&, const LogicHistory&) = default;
 };
 
+/// One proxy to search: its address and its detector verdict (borrowed for
+/// the duration of the call).
+struct LogicTarget {
+  Address proxy;
+  const ProxyReport* report = nullptr;
+};
+
+/// A target's outcome: its history, or the archive error that ended its
+/// search (the history is then empty).
+struct LogicSearch {
+  LogicHistory history;
+  std::optional<chain::RpcError> error;
+};
+
 class LogicFinder {
  public:
   explicit LogicFinder(const chain::IArchiveNode& node) : node_(node) {}
 
-  /// Runs Algorithm 1 for the proxy's logic slot between the genesis block
-  /// and the latest block. For hard-coded (EIP-1167) proxies the history is
-  /// the single embedded address, with zero API calls.
+  /// Runs Algorithm 1 for every target's logic slot between the genesis
+  /// block and the latest block (read once, so every target searches up to
+  /// the same head); results[i] answers targets[i]. For hard-coded
+  /// (EIP-1167) proxies the history is the single embedded address, with
+  /// zero API calls; non-proxies get an empty history.
+  ///
+  /// Each target is its own failure domain. When a batch spanning several
+  /// targets gives up with an RpcError, that depth is asked again one target
+  /// at a time and the search continues that way; a failing single-target
+  /// batch ends only that target's search. No height already answered is
+  /// asked again.
+  std::vector<LogicSearch> find(std::span<const LogicTarget> targets) const;
+
+  /// The single-proxy search; throws the target's RpcError.
   LogicHistory find(const Address& proxy, const ProxyReport& report) const;
 
   /// The naive strawman: query every block in range. Used by the ablation

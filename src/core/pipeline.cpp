@@ -353,6 +353,11 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
   const auto t_proxy = std::chrono::steady_clock::now();
 
   // ---- Phase B: per-contract results (parallel) ---------------------------
+  // Algorithm 1 runs first, for every proxy of the run in lockstep on this
+  // thread: each search depth across all proxies is one archive batch, so
+  // the run pays one round trip per depth instead of one per proxy per
+  // depth. (Per-worker chunks cost the same CPU but each worker's malloc
+  // arena kept the search's frontier, raising peak RSS.)
   // A logic address that is also a sweep input reuses that input's blob.
   // Any other — or an input whose own fetch failed, which is retried here —
   // goes through a once-map, so each distinct logic address is fetched and
@@ -372,6 +377,29 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
   if (status != nullptr) status->set_phase(obs::SweepPhase::kPairs);
   {
     obs::Span phase_span(tracer_.get(), "phase:pairs");
+    // searches[search_of[i]] answers input i, a proxy whose verdict stands.
+    std::vector<LogicSearch> searches;
+    std::vector<std::uint32_t> search_of;
+    std::optional<ErrorRecord> search_error;
+    if (config_.find_logic_history) {
+      std::vector<LogicTarget> targets;
+      search_of.resize(inputs.size());
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        if (out[i].error) continue;
+        const auto vit = verdicts.find(key_of(i));
+        if (vit == verdicts.end() || !vit->second->is_proxy()) continue;
+        search_of[i] = static_cast<std::uint32_t>(targets.size());
+        targets.push_back({inputs[i].address, vit->second});
+      }
+      obs::Span logic_span(tracer_.get(), "logic-search");
+      try {
+        searches = LogicFinder(rpc()).find(targets);
+      } catch (const std::exception& e) {
+        // Archive failures stay per target inside the finder; anything else
+        // is a bug, charged to every contract the search was for.
+        search_error = ErrorRecord{ErrorKind::kInternal, "pairs", e.what()};
+      }
+    }
     workers.parallel_for(inputs.size(), [&](std::size_t i) {
       ContractAnalysis& a = out[i];
       // Per-contract latency stopwatch + trace span around the whole pair
@@ -424,9 +452,16 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
 
             watchdog.check("logic-history");
             if (config_.find_logic_history) {
-              obs::Span logic_span(tracer_.get(), "logic-search");
-              LogicFinder finder(rpc());
-              a.logic_history = finder.find(a.address, a.proxy);
+              if (search_error) {
+                a.error = *search_error;
+                return;
+              }
+              LogicSearch& found = searches[search_of[i]];
+              if (found.error) {
+                a.error = record_of(*found.error, "pairs");
+                return;
+              }
+              a.logic_history = std::move(found.history);
             } else if (!a.proxy.logic_address.is_zero()) {
               a.logic_history.logic_addresses.push_back(a.proxy.logic_address);
             }

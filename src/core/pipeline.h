@@ -176,7 +176,9 @@ struct PipelineConfig {
   util::CircuitBreakerConfig breaker{};
   /// Wall-clock budget per contract in the pair phase; 0 = unlimited. A
   /// contract exceeding it quarantines as kEmulationLimit at the next
-  /// cooperative checkpoint (between logic targets / history steps).
+  /// cooperative checkpoint (before taking its logic history, between logic
+  /// targets). The run-wide logic-history search is outside every
+  /// contract's budget.
   double contract_wall_budget_ms = 0.0;
   /// Interpreter step fuse for proxy-detection emulation (adversarial
   /// bytecode — infinite loops, unbounded recursion — halts here).
@@ -287,7 +289,8 @@ struct LandscapeStats {
 
   // ---- perf accounting for the last run ---------------------------------
   /// Wall-clock per phase: code fetch + hashing, proxy detection (Phase A),
-  /// logic history + pair collision checks (Phase B).
+  /// and Phase B: the run-wide logic-history search followed by the
+  /// per-contract pair collision checks.
   double phase_fetch_ms = 0.0;
   double phase_proxy_ms = 0.0;
   double phase_pairs_ms = 0.0;
@@ -323,7 +326,8 @@ struct LandscapeStats {
 
   // ---- latency distributions (telemetry; all-zero when disabled) --------
   /// Phase-B wall time per contract, nanoseconds (count = contracts that
-  /// went through the pair phase this run).
+  /// went through the pair phase this run); the run-wide logic-history
+  /// search is not part of any contract's sample.
   obs::HistogramSummary contract_latency_ns;
   /// Per-RPC-attempt latency, nanoseconds — each retry is its own sample,
   /// matching §6.1's call-level accounting.

@@ -1,6 +1,14 @@
 // Algorithm 1: binary-search recovery of every logic address ever stored in
-// a proxy's implementation slot, with API-call efficiency vs the naive scan.
+// a proxy's implementation slot, with API-call efficiency vs the naive scan,
+// and the lockstep search of many proxies against a recursive reference.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <set>
+#include <span>
+#include <utility>
 
 #include "chain/archive_node.h"
 #include "chain/blockchain.h"
@@ -16,6 +24,160 @@ using chain::ArchiveNode;
 using chain::Blockchain;
 using datagen::ContractFactory;
 using evm::U256;
+
+/// Counts what reaches the archive: storage batches, scalar storage calls,
+/// and every (account, block) asked. Single-threaded use only.
+class CountingNode final : public chain::IArchiveNode {
+ public:
+  explicit CountingNode(const chain::IArchiveNode& inner) : inner_(inner) {}
+
+  U256 get_storage_at(const Address& account, const U256& slot,
+                      std::uint64_t block) const override {
+    ++scalar_calls;
+    asked.emplace_back(account, block);
+    return inner_.get_storage_at(account, slot, block);
+  }
+  std::vector<U256> get_storage_at_many(
+      std::span<const chain::StorageQuery> queries) const override {
+    ++batches;
+    for (const chain::StorageQuery& q : queries) {
+      asked.emplace_back(q.account, q.block);
+    }
+    return inner_.get_storage_at_many(queries);
+  }
+  evm::Bytes get_code(const Address& account) const override {
+    return inner_.get_code(account);
+  }
+  std::uint64_t latest_block() const override { return inner_.latest_block(); }
+  std::uint64_t get_storage_at_calls() const override {
+    return inner_.get_storage_at_calls();
+  }
+  std::uint64_t get_code_calls() const override {
+    return inner_.get_code_calls();
+  }
+  void reset_counters() const override { inner_.reset_counters(); }
+
+  /// True when no (account, block) was asked twice.
+  bool each_height_asked_once() const {
+    std::set<std::pair<Address, std::uint64_t>> seen(asked.begin(),
+                                                     asked.end());
+    return seen.size() == asked.size();
+  }
+
+  mutable std::uint64_t batches = 0;
+  mutable std::uint64_t scalar_calls = 0;
+  mutable std::vector<std::pair<Address, std::uint64_t>> asked;
+
+ private:
+  const chain::IArchiveNode& inner_;
+};
+
+/// Fails every storage batch that asks `victim`'s slot at a height in
+/// [first, last], before the inner node sees the batch.
+class VictimFaultNode final : public chain::IArchiveNode {
+ public:
+  VictimFaultNode(const chain::IArchiveNode& inner, const Address& victim,
+                  std::uint64_t first, std::uint64_t last)
+      : inner_(inner), victim_(victim), first_(first), last_(last) {}
+
+  U256 get_storage_at(const Address& account, const U256& slot,
+                      std::uint64_t block) const override {
+    const chain::StorageQuery q{account, slot, block};
+    return get_storage_at_many(std::span(&q, 1)).front();
+  }
+  std::vector<U256> get_storage_at_many(
+      std::span<const chain::StorageQuery> queries) const override {
+    for (const chain::StorageQuery& q : queries) {
+      if (q.account == victim_ && q.block >= first_ && q.block <= last_) {
+        throw chain::RpcError(chain::RpcErrorKind::kExhausted,
+                              "victim slot unreachable");
+      }
+    }
+    return inner_.get_storage_at_many(queries);
+  }
+  evm::Bytes get_code(const Address& account) const override {
+    return inner_.get_code(account);
+  }
+  std::uint64_t latest_block() const override { return inner_.latest_block(); }
+  std::uint64_t get_storage_at_calls() const override {
+    return inner_.get_storage_at_calls();
+  }
+  std::uint64_t get_code_calls() const override {
+    return inner_.get_code_calls();
+  }
+  void reset_counters() const override { inner_.reset_counters(); }
+
+ private:
+  const chain::IArchiveNode& inner_;
+  Address victim_;
+  std::uint64_t first_;
+  std::uint64_t last_;
+};
+
+/// Algorithm 1 as the paper states it: recursive, one scalar probe per
+/// endpoint not asked before. Also reports the number of recursion levels
+/// that probed, which is the number of batches a breadth-first search of
+/// this target alone makes.
+struct Reference {
+  LogicHistory history;
+  std::uint64_t probe_levels = 0;
+};
+
+Reference reference_search(const chain::IArchiveNode& node,
+                           const Address& proxy, const ProxyReport& report) {
+  Reference ref;
+  if (!report.is_proxy()) return ref;
+  if (report.logic_source != LogicSource::kStorageSlot) {
+    if (!report.logic_address.is_zero()) {
+      ref.history.logic_addresses.push_back(report.logic_address);
+    }
+    return ref;
+  }
+  std::map<std::uint64_t, U256> memo;
+  std::map<std::uint64_t, U256> settled;
+  std::function<void(std::uint64_t, std::uint64_t, std::uint64_t)> search =
+      [&](std::uint64_t lo, std::uint64_t hi, std::uint64_t depth) {
+        auto value_at = [&](std::uint64_t block) {
+          const auto [it, fresh] = memo.try_emplace(block);
+          if (fresh) {
+            it->second = node.get_storage_at(proxy, report.logic_slot, block);
+            ref.probe_levels = std::max(ref.probe_levels, depth + 1);
+          }
+          return it->second;
+        };
+        const U256 v_lo = value_at(lo);
+        const U256 v_hi = value_at(hi);
+        if (v_lo == v_hi) {
+          settled[lo] = v_lo;
+        } else if (hi == lo + 1) {
+          settled[lo] = v_lo;
+          settled[hi] = v_hi;
+        } else {
+          const std::uint64_t mid = lo + (hi - lo) / 2;
+          search(lo, mid, depth + 1);
+          search(mid + 1, hi, depth + 1);
+        }
+      };
+  search(0, node.latest_block(), 0);
+
+  ref.history.api_calls = memo.size();
+  std::vector<U256> changes;  // the slot's value after each change
+  for (const auto& [block, value] : settled) {
+    if (changes.empty() || changes.back() != value) changes.push_back(value);
+  }
+  for (std::size_t k = 0; k < changes.size(); ++k) {
+    if (k > 0 && !changes[k - 1].is_zero() && !changes[k].is_zero()) {
+      ++ref.history.upgrade_events;
+    }
+    if (changes[k].is_zero()) continue;
+    const Address logic = Address::from_word(changes[k]);
+    auto& seen = ref.history.logic_addresses;
+    if (std::find(seen.begin(), seen.end(), logic) == seen.end()) {
+      seen.push_back(logic);
+    }
+  }
+  return ref;
+}
 
 class LogicFinderTest : public ::testing::Test {
  protected:
@@ -36,6 +198,26 @@ class LogicFinderTest : public ::testing::Test {
   ProxyReport slot_report(const Address& proxy) {
     ProxyDetector detector(chain_);
     return detector.analyze(proxy);
+  }
+
+  /// One slot write of a fleet's history.
+  struct SlotWrite {
+    std::uint64_t height;
+    Address proxy;
+    U256 slot;
+    Address logic;
+  };
+  /// Replays every write in height order, then mines to `final_height`.
+  void replay(std::vector<SlotWrite> writes, std::uint64_t final_height) {
+    std::sort(writes.begin(), writes.end(),
+              [](const SlotWrite& a, const SlotWrite& b) {
+                return a.height < b.height;
+              });
+    for (const SlotWrite& w : writes) {
+      chain_.mine_until(w.height);
+      chain_.set_storage(w.proxy, w.slot, w.logic.to_word());
+    }
+    chain_.mine_until(final_height);
   }
 
   Blockchain chain_;
@@ -174,6 +356,168 @@ TEST_F(LogicFinderTest, AlgorithmAssumptionRevertedValueIsMissed) {
   // genesis; the order must be first-seen.
   ASSERT_GE(h.logic_addresses.size(), 1u);
   EXPECT_EQ(h.logic_addresses[0], v1);
+}
+
+TEST_F(LogicFinderTest, LockstepSearchMatchesRecursiveReferencePerTarget) {
+  auto deploy_slot_proxy = [&](const U256& slot) {
+    return chain_.deploy_runtime(user_, ContractFactory::slot_proxy(slot));
+  };
+  const Address steady = deploy_slot_proxy(U256{0});
+  const Address busy = deploy_slot_proxy(U256{0});
+  const Address uninitialized = deploy_slot_proxy(U256{0});
+  const Address other_slot = deploy_slot_proxy(U256{7});
+  const Address late = deploy_slot_proxy(U256{0});
+  const Address clone = chain_.deploy_runtime(
+      user_, ContractFactory::minimal_proxy(Address::from_label("fixed")));
+  const Address token =
+      chain_.deploy_runtime(user_, ContractFactory::token_contract(1));
+
+  std::vector<SlotWrite> writes = {
+      {10, steady, U256{0}, Address::from_label("steady.v1")},
+      {20, other_slot, U256{7}, Address::from_label("slot7.v1")},
+      {4'000, other_slot, U256{7}, Address::from_label("slot7.v2")},
+      {9'990, late, U256{0}, Address::from_label("late.v1")},
+  };
+  for (int i = 0; i < 20; ++i) {
+    writes.push_back({static_cast<std::uint64_t>(100 + 300 * i), busy, U256{0},
+                      Address::from_label("busy.v" + std::to_string(i))});
+  }
+  replay(writes, 10'000);
+
+  const std::vector<Address> proxies = {
+      steady, busy, uninitialized, other_slot, late, clone, token};
+  std::vector<ProxyReport> reports;
+  for (const Address& a : proxies) reports.push_back(slot_report(a));
+  ASSERT_EQ(reports[0].logic_source, LogicSource::kStorageSlot);
+  ASSERT_EQ(reports[3].logic_slot, U256{7});
+  ASSERT_TRUE(reports[5].is_proxy());
+  ASSERT_NE(reports[5].logic_source, LogicSource::kStorageSlot);
+  ASSERT_FALSE(reports[6].is_proxy());
+
+  std::vector<LogicTarget> targets;
+  for (std::size_t i = 0; i < proxies.size(); ++i) {
+    targets.push_back({proxies[i], &reports[i]});
+  }
+  ArchiveNode node(chain_);
+  CountingNode counting(node);
+  const std::vector<LogicSearch> found = LogicFinder(counting).find(targets);
+  ASSERT_EQ(found.size(), targets.size());
+
+  std::uint64_t api_calls = 0;
+  std::uint64_t deepest = 0;
+  for (std::size_t i = 0; i < proxies.size(); ++i) {
+    const Reference ref = reference_search(node, proxies[i], reports[i]);
+    EXPECT_FALSE(found[i].error.has_value()) << i;
+    EXPECT_EQ(found[i].history, ref.history) << i;
+    // The single-proxy overload is the same search.
+    EXPECT_EQ(LogicFinder(node).find(proxies[i], reports[i]), ref.history)
+        << i;
+    api_calls += found[i].history.api_calls;
+    deepest = std::max(deepest, ref.probe_levels);
+  }
+  EXPECT_EQ(found[1].history.logic_addresses.size(), 20u);
+  EXPECT_EQ(found[1].history.upgrade_events, 19u);
+  EXPECT_TRUE(found[2].history.logic_addresses.empty());
+  EXPECT_EQ(found[5].history.api_calls, 0u);
+
+  // One batch per depth of the deepest search, every query some target's
+  // api_call, and no height of any proxy asked twice.
+  EXPECT_EQ(counting.scalar_calls, 0u);
+  EXPECT_EQ(counting.batches, deepest);
+  EXPECT_EQ(counting.asked.size(), api_calls);
+  EXPECT_TRUE(counting.each_height_asked_once());
+}
+
+TEST(LogicFinderLockstep, ChainAtHeightZeroProbesEachSlotOnce) {
+  Blockchain chain;
+  const Address user = Address::from_label("finder.user");
+  const Address logic = Address::from_label("logic.genesis");
+  const Address set =
+      chain.deploy_runtime(user, ContractFactory::slot_proxy(U256{0}));
+  const Address unset =
+      chain.deploy_runtime(user, ContractFactory::slot_proxy(U256{0}));
+  chain.set_storage(set, U256{0}, logic.to_word());
+  ASSERT_EQ(chain.height(), 0u);
+
+  ProxyDetector detector(chain);
+  const std::vector<Address> proxies = {set, unset};
+  std::vector<ProxyReport> reports;
+  for (const Address& a : proxies) reports.push_back(detector.analyze(a));
+  ASSERT_EQ(reports[0].logic_source, LogicSource::kStorageSlot);
+  std::vector<LogicTarget> targets;
+  for (std::size_t i = 0; i < proxies.size(); ++i) {
+    targets.push_back({proxies[i], &reports[i]});
+  }
+
+  ArchiveNode node(chain);
+  CountingNode counting(node);
+  const std::vector<LogicSearch> found = LogicFinder(counting).find(targets);
+  ASSERT_EQ(found.size(), 2u);
+  for (std::size_t i = 0; i < proxies.size(); ++i) {
+    EXPECT_EQ(found[i].history,
+              reference_search(node, proxies[i], reports[i]).history)
+        << i;
+  }
+  EXPECT_EQ(found[0].history.logic_addresses, std::vector<Address>{logic});
+  EXPECT_EQ(found[0].history.api_calls, 1u);
+  EXPECT_EQ(counting.batches, 1u);
+  EXPECT_EQ(counting.asked.size(),
+            found[0].history.api_calls + found[1].history.api_calls);
+  EXPECT_TRUE(counting.each_height_asked_once());
+}
+
+TEST_F(LogicFinderTest, FailingTargetEndsOnlyItsOwnSearch) {
+  auto deploy_slot_proxy = [&] {
+    return chain_.deploy_runtime(user_, ContractFactory::slot_proxy(U256{0}));
+  };
+  const Address before = deploy_slot_proxy();
+  const Address victim = deploy_slot_proxy();
+  const Address after = deploy_slot_proxy();
+  std::vector<SlotWrite> writes;
+  for (const Address& p : {before, victim, after}) {
+    writes.push_back({10, p, U256{0}, Address::from_label(p.to_hex() + "1")});
+    writes.push_back(
+        {6'000, p, U256{0}, Address::from_label(p.to_hex() + "2")});
+  }
+  replay(writes, 10'000);
+
+  const std::vector<Address> proxies = {before, victim, after};
+  std::vector<ProxyReport> reports;
+  for (const Address& a : proxies) reports.push_back(slot_report(a));
+  std::vector<LogicTarget> targets;
+  for (std::size_t i = 0; i < proxies.size(); ++i) {
+    targets.push_back({proxies[i], &reports[i]});
+  }
+
+  // The victim's endpoints (genesis and head) answer; every height between
+  // them fails, so the shared batch of depth 1 gives up and that depth is
+  // asked again one target at a time.
+  ArchiveNode node(chain_);
+  CountingNode answered(node);
+  VictimFaultNode faulty(answered, victim, 1, chain_.height() - 1);
+  const std::vector<LogicSearch> found = LogicFinder(faulty).find(targets);
+  ASSERT_EQ(found.size(), 3u);
+
+  ASSERT_TRUE(found[1].error.has_value());
+  EXPECT_EQ(found[1].error->kind(), chain::RpcErrorKind::kExhausted);
+  EXPECT_EQ(found[1].history, LogicHistory{});
+  for (const std::size_t i : {std::size_t{0}, std::size_t{2}}) {
+    EXPECT_FALSE(found[i].error.has_value()) << i;
+    const Reference ref = reference_search(node, proxies[i], reports[i]);
+    EXPECT_EQ(found[i].history, ref.history) << i;
+    EXPECT_EQ(found[i].history.logic_addresses.size(), 2u) << i;
+    const auto asked_of = std::count_if(
+        answered.asked.begin(), answered.asked.end(),
+        [&](const auto& q) { return q.first == proxies[i]; });
+    EXPECT_EQ(static_cast<std::uint64_t>(asked_of),
+              found[i].history.api_calls)
+        << i;
+  }
+  // The redo asks no height that an earlier batch already answered.
+  EXPECT_TRUE(answered.each_height_asked_once());
+
+  EXPECT_THROW((void)LogicFinder(faulty).find(victim, reports[1]),
+               chain::RpcError);
 }
 
 }  // namespace

@@ -189,8 +189,9 @@ TEST_F(PipelineTraceTest, SweepEmitsAllPhaseAndSubAnalysisSpans) {
   EXPECT_TRUE(contains_span(spans, "logic-search"));
   EXPECT_TRUE(contains_span(spans, "collision-check"));
   EXPECT_TRUE(contains_span(spans, "rpc:get_code"));
-  // LogicFinder batches each probe frontier, so the RPC span the tracing
-  // decorator emits is the batch variant.
+  // LogicFinder batches each depth's probe frontier across every proxy of
+  // the run, so the RPC span the tracing decorator emits is the batch
+  // variant.
   EXPECT_TRUE(contains_span(spans, "rpc:get_storage_at_many"));
 
   // The exports exist and carry the phase spans.
@@ -219,14 +220,21 @@ TEST_F(PipelineTraceTest, SpansNestByTimeContainment) {
   pipeline.run(pop.sweep_inputs());
   const auto spans = pipeline.tracer()->spans();
 
-  std::vector<SpanRecord> phases, contracts;
+  std::vector<SpanRecord> phases, contracts, pairs_phase, logic_searches;
   for (const SpanRecord& s : spans) {
     const std::string_view name(s.name);
     if (name.substr(0, 6) == "phase:") phases.push_back(s);
+    if (name == "phase:pairs") pairs_phase.push_back(s);
     if (name == "contract") contracts.push_back(s);
+    if (name == "logic-search") logic_searches.push_back(s);
   }
   ASSERT_EQ(phases.size(), 3u);
   ASSERT_FALSE(contracts.empty());
+  // Algorithm 1 runs once per run, for every proxy in lockstep, inside the
+  // pairs phase and before its per-contract work.
+  ASSERT_EQ(pairs_phase.size(), 1u);
+  ASSERT_EQ(logic_searches.size(), 1u);
+  EXPECT_TRUE(covers(pairs_phase.front(), logic_searches.front()));
 
   auto covered_by_any = [](const std::vector<SpanRecord>& outers,
                            const SpanRecord& inner) {
@@ -235,15 +243,15 @@ TEST_F(PipelineTraceTest, SpansNestByTimeContainment) {
     }
     return false;
   };
-  // Every contract span sits inside a phase span; every sub-analysis span
-  // sits inside a contract span (proxy-detect ⊂ contract ⊂ phase).
+  // Every contract span sits inside a phase span; every per-contract
+  // sub-analysis span sits inside a contract span (proxy-detect ⊂ contract
+  // ⊂ phase).
   for (const SpanRecord& c : contracts) {
     EXPECT_TRUE(covered_by_any(phases, c));
   }
   for (const SpanRecord& s : spans) {
     const std::string_view name(s.name);
-    if (name == "proxy-detect" || name == "logic-search" ||
-        name == "collision-check") {
+    if (name == "proxy-detect" || name == "collision-check") {
       EXPECT_TRUE(covered_by_any(contracts, s)) << name;
     }
   }

@@ -3,6 +3,8 @@
 // thread-count invariance.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -75,6 +77,45 @@ class CodeFetchCounter final : public chain::IArchiveNode {
   const std::unordered_set<Address, evm::AddressHasher> fail_once_;
   mutable std::mutex mu_;
   mutable std::unordered_map<Address, unsigned, evm::AddressHasher> attempts_;
+};
+
+/// Counts the storage reads that reach the backend: batches, scalar calls
+/// and queries (scalar calls plus batch elements).
+class StorageReadCounter final : public chain::IArchiveNode {
+ public:
+  explicit StorageReadCounter(const chain::IArchiveNode& inner)
+      : inner_(inner) {}
+
+  U256 get_storage_at(const Address& account, const U256& slot,
+                      std::uint64_t block) const override {
+    scalar_calls.fetch_add(1);
+    queries.fetch_add(1);
+    return inner_.get_storage_at(account, slot, block);
+  }
+  std::vector<U256> get_storage_at_many(
+      std::span<const chain::StorageQuery> batch) const override {
+    batches.fetch_add(1);
+    queries.fetch_add(batch.size());
+    return inner_.get_storage_at_many(batch);
+  }
+  evm::Bytes get_code(const Address& account) const override {
+    return inner_.get_code(account);
+  }
+  std::uint64_t latest_block() const override { return inner_.latest_block(); }
+  std::uint64_t get_storage_at_calls() const override {
+    return inner_.get_storage_at_calls();
+  }
+  std::uint64_t get_code_calls() const override {
+    return inner_.get_code_calls();
+  }
+  void reset_counters() const override { inner_.reset_counters(); }
+
+  mutable std::atomic<std::uint64_t> batches{0};
+  mutable std::atomic<std::uint64_t> scalar_calls{0};
+  mutable std::atomic<std::uint64_t> queries{0};
+
+ private:
+  const chain::IArchiveNode& inner_;
 };
 
 class PipelineTest : public ::testing::Test {
@@ -412,6 +453,40 @@ TEST_F(PipelineTest, FailedInputFetchIsRetriedOnceForItsProxies) {
   EXPECT_EQ(counter.attempts(outside_logic), 1u);
   for (const Address& p : proxies) EXPECT_EQ(counter.attempts(p), 1u);
   EXPECT_EQ(counter.addresses_fetched(), 2 + proxies.size());
+}
+
+TEST_F(PipelineTest, LogicSearchSharesOneBatchPerDepth) {
+  // Algorithm 1 runs in lockstep over every proxy of a run: each search
+  // depth is one archive batch across all the slot proxies, so the run's
+  // batches are bounded by the depth of one search, not by the number of
+  // proxies.
+  Population pop = make_population(400);
+  chain::ArchiveNode inner(*pop.chain);
+  StorageReadCounter counter(inner);
+  PipelineConfig cfg;
+  cfg.archive_node = &counter;
+  AnalysisPipeline pipeline(*pop.chain, &pop.sources, cfg);
+  const auto reports = pipeline.run(pop.sweep_inputs());
+
+  std::uint64_t api_calls = 0;
+  std::uint64_t slot_proxies = 0;
+  for (const ContractAnalysis& r : reports) {
+    ASSERT_FALSE(r.quarantined());
+    api_calls += r.logic_history.api_calls;
+    if (r.proxy.is_proxy() &&
+        r.proxy.logic_source == LogicSource::kStorageSlot) {
+      ++slot_proxies;
+    }
+  }
+  const std::uint64_t height = pop.chain->height();
+  // ceil(log2(height + 1)) depths of splitting, plus the first probe.
+  const std::uint64_t depths =
+      static_cast<std::uint64_t>(std::bit_width(height)) + 1;
+  // A search per proxy would make at least one batch per slot proxy.
+  ASSERT_GT(slot_proxies, depths);
+  EXPECT_LE(counter.batches.load(), depths);
+  EXPECT_EQ(counter.scalar_calls.load(), 0u);
+  EXPECT_EQ(counter.queries.load(), api_calls);
 }
 
 TEST_F(PipelineTest, WarmRunRecomputesVerdictForNewSameHashAddress) {

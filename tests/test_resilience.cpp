@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <thread>
 #include <vector>
 
@@ -465,6 +467,92 @@ TEST_F(FaultNodeTest, OpenBreakerFastFailsWithoutTouchingTheBackend) {
 // Pipeline-level acceptance properties
 // ---------------------------------------------------------------------------
 
+/// Counts the storage queries that reach the backend, per account.
+class StorageQueriesPerAccount final : public chain::IArchiveNode {
+ public:
+  explicit StorageQueriesPerAccount(const chain::IArchiveNode& inner)
+      : inner_(inner) {}
+
+  evm::U256 get_storage_at(const evm::Address& account, const evm::U256& slot,
+                           std::uint64_t block) const override {
+    count(account);
+    return inner_.get_storage_at(account, slot, block);
+  }
+  std::vector<evm::U256> get_storage_at_many(
+      std::span<const chain::StorageQuery> queries) const override {
+    for (const chain::StorageQuery& q : queries) count(q.account);
+    return inner_.get_storage_at_many(queries);
+  }
+  evm::Bytes get_code(const evm::Address& account) const override {
+    return inner_.get_code(account);
+  }
+  std::uint64_t latest_block() const override { return inner_.latest_block(); }
+  std::uint64_t get_storage_at_calls() const override {
+    return inner_.get_storage_at_calls();
+  }
+  std::uint64_t get_code_calls() const override {
+    return inner_.get_code_calls();
+  }
+  void reset_counters() const override { inner_.reset_counters(); }
+
+  std::uint64_t queries(const evm::Address& account) const {
+    std::lock_guard<std::mutex> lk(mu_);
+    const auto it = queries_.find(account);
+    return it == queries_.end() ? 0 : it->second;
+  }
+
+ private:
+  void count(const evm::Address& account) const {
+    std::lock_guard<std::mutex> lk(mu_);
+    ++queries_[account];
+  }
+
+  const chain::IArchiveNode& inner_;
+  mutable std::mutex mu_;
+  mutable std::unordered_map<evm::Address, std::uint64_t, evm::AddressHasher>
+      queries_;
+};
+
+/// Every storage batch that asks `victim`'s slot fails with a transient
+/// error, on every attempt.
+class SlotOutageNode final : public chain::IArchiveNode {
+ public:
+  SlotOutageNode(const chain::IArchiveNode& inner, const evm::Address& victim)
+      : inner_(inner), victim_(victim) {}
+
+  evm::U256 get_storage_at(const evm::Address& account, const evm::U256& slot,
+                           std::uint64_t block) const override {
+    if (account == victim_) fail();
+    return inner_.get_storage_at(account, slot, block);
+  }
+  std::vector<evm::U256> get_storage_at_many(
+      std::span<const chain::StorageQuery> queries) const override {
+    for (const chain::StorageQuery& q : queries) {
+      if (q.account == victim_) fail();
+    }
+    return inner_.get_storage_at_many(queries);
+  }
+  evm::Bytes get_code(const evm::Address& account) const override {
+    return inner_.get_code(account);
+  }
+  std::uint64_t latest_block() const override { return inner_.latest_block(); }
+  std::uint64_t get_storage_at_calls() const override {
+    return inner_.get_storage_at_calls();
+  }
+  std::uint64_t get_code_calls() const override {
+    return inner_.get_code_calls();
+  }
+  void reset_counters() const override { inner_.reset_counters(); }
+
+ private:
+  [[noreturn]] static void fail() {
+    throw RpcError(RpcErrorKind::kTransient, "victim slot unreachable");
+  }
+
+  const chain::IArchiveNode& inner_;
+  evm::Address victim_;
+};
+
 class FaultSweepTest : public ::testing::Test {
  protected:
   static Population make_population(std::uint32_t n) {
@@ -592,6 +680,58 @@ TEST_F(FaultSweepTest, ExhaustedRetriesQuarantineAndResumeConverges) {
   }
   // A lap over healthy records is a no-op.
   EXPECT_EQ(restarted.incremental(inputs, {}).recomputed, 0u);
+}
+
+TEST_F(FaultSweepTest, PermanentSlotFaultQuarantinesOnlyThatProxy) {
+  // Every proxy's logic search shares each depth's archive batch; a proxy
+  // whose slot reads never succeed must still fail alone.
+  Population pop = make_population(300);
+  const auto inputs = pop.sweep_inputs();
+
+  AnalysisPipeline clean_pipeline(*pop.chain, &pop.sources);
+  const auto clean = clean_pipeline.run(inputs);
+
+  std::unordered_map<evm::Address, unsigned, evm::AddressHasher> occurrences;
+  for (const SweepInput& input : inputs) ++occurrences[input.address];
+  std::size_t victim = clean.size();
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    if (!clean[i].quarantined() && clean[i].logic_history.api_calls > 0 &&
+        occurrences[inputs[i].address] == 1) {
+      victim = i;
+      break;
+    }
+  }
+  ASSERT_LT(victim, clean.size()) << "no slot proxy to fail";
+
+  chain::ArchiveNode inner(*pop.chain);
+  StorageQueriesPerAccount backend(inner);
+  SlotOutageNode faulty(backend, inputs[victim].address);
+  AnalysisPipeline pipeline(*pop.chain, &pop.sources, faulted_config(&faulty));
+  const auto reports = pipeline.run(inputs);
+  ASSERT_EQ(reports.size(), clean.size());
+
+  ASSERT_TRUE(reports[victim].quarantined());
+  EXPECT_EQ(reports[victim].error->kind, ErrorKind::kRpcExhausted);
+  EXPECT_EQ(reports[victim].error->phase, "pairs");
+  EXPECT_EQ(backend.queries(inputs[victim].address), 0u);
+
+  std::unordered_map<evm::Address, std::uint64_t, evm::AddressHasher>
+      api_calls;
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    if (i == victim) continue;
+    EXPECT_EQ(reports[i], clean[i]) << "report " << i << " diverged";
+    api_calls[inputs[i].address] += reports[i].logic_history.api_calls;
+  }
+  // Each survivor's search reached the backend exactly as often as it
+  // reports: the depth whose shared batch failed was asked again per
+  // target without repeating an answered height.
+  for (const auto& [address, calls] : api_calls) {
+    EXPECT_EQ(backend.queries(address), calls) << address.to_hex();
+  }
+
+  const LandscapeStats stats = pipeline.summarize(reports);
+  EXPECT_EQ(stats.quarantined, 1u);
+  EXPECT_GT(stats.rpc_giveups, 0u);
 }
 
 TEST_F(FaultSweepTest, RetriesDisabledQuarantinesEveryFaultedContract) {
