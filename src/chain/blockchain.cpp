@@ -110,8 +110,7 @@ Address Blockchain::deploy_runtime(const Address& from, Bytes runtime_code) {
   std::copy(from.bytes.begin(), from.bytes.end(), raw.begin());
   const Address target{crypto::create_address(raw, sender.nonce)};
   sender.nonce += 1;
-  accounts_[target].code = std::move(runtime_code);
-  note_contract(target);
+  set_code(target, std::move(runtime_code));
   return target;
 }
 
@@ -206,13 +205,13 @@ Bytes Blockchain::get_code(const Address& a) {
 }
 
 Bytes Blockchain::code_at(const Address& a) const {
-  const BytesView code = code_view(a);
-  return Bytes(code.begin(), code.end());
+  const auto it = accounts_.find(a);
+  return it == accounts_.end() ? Bytes{} : it->second.code;
 }
 
-BytesView Blockchain::code_view(const Address& a) const {
+crypto::Hash256 Blockchain::code_hash(const Address& a) const {
   const auto it = accounts_.find(a);
-  return it == accounts_.end() ? BytesView{} : BytesView(it->second.code);
+  return it == accounts_.end() ? evm::kEmptyCodeHash : it->second.code_hash;
 }
 
 U256 Blockchain::get_storage(const Address& a, const U256& slot) {
@@ -247,7 +246,9 @@ void Blockchain::set_nonce(const Address& a, std::uint64_t nonce) {
 }
 
 void Blockchain::set_code(const Address& a, Bytes code) {
-  accounts_[a].code = std::move(code);
+  Account& account = accounts_[a];
+  account.code_hash = evm::code_hash(code);
+  account.code = std::move(code);
   note_contract(a);
 }
 

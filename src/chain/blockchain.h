@@ -28,6 +28,9 @@ struct Account {
   std::uint64_t nonce = 0;
   U256 balance;
   Bytes code;
+  /// keccak256(code), computed once where the code is written, as an
+  /// Ethereum account stores its codeHash.
+  crypto::Hash256 code_hash = evm::kEmptyCodeHash;
   std::unordered_map<U256, U256, evm::U256Hasher> storage;
 };
 
@@ -119,9 +122,12 @@ class Blockchain final : public evm::Host {
   /// read-only twin of Host::get_code, which must stay non-const for the
   /// interpreter's Host contract.
   Bytes code_at(const Address& account) const;
-  /// code_at() without the copy: borrows the stored code (empty for an
-  /// unknown account). Valid until `account`'s code next changes.
-  BytesView code_view(const Address& account) const;
+  /// keccak256 of `account`'s code, stored when the code was written and
+  /// read here without hashing: what EXTCODEHASH (for an account with code)
+  /// and eth_getProof's codeHash return. Equals
+  /// evm::code_hash(code_at(account)), so evm::kEmptyCodeHash for a
+  /// codeless or unknown account.
+  crypto::Hash256 code_hash(const Address& account) const;
 
   const std::vector<InternalTx>& internal_txs() const noexcept {
     return internal_txs_;
@@ -152,6 +158,8 @@ class Blockchain final : public evm::Host {
   void set_balance(const Address& a, const U256& value) override;
   std::uint64_t get_nonce(const Address& a) override;
   void set_nonce(const Address& a, std::uint64_t nonce) override;
+  /// The chain's one code write (deploy_runtime and CREATE/CREATE2 come
+  /// through here): installs `code` and stores its code_hash.
   void set_code(const Address& a, Bytes code) override;
   bool account_exists(const Address& a) override;
   U256 block_hash(std::uint64_t block_number) override;

@@ -386,7 +386,9 @@ class AnalysisPipeline {
   /// Precondition: `code_hashes[i]` is the keccak of the code the archive
   /// serves for `inputs[i]`; it is trusted, not checked, and it keys the
   /// code-hash dedup and the pair memo. A durable sweep passes the
-  /// fingerprints it journals, so each blob is hashed once.
+  /// fingerprints it journals, which are the code hashes the chain stored
+  /// when it wrote each account's code (chain::Blockchain::code_hash), so a
+  /// sweep hashes no input blob.
   ///
   /// Fault containment: a contract whose analysis fails (RPC exhausted,
   /// watchdog, internal error) is returned with `error` set rather than

@@ -523,8 +523,18 @@ ExecResult Interpreter::run_frame(Frame& f) {
         if (!charge(account_access_surcharge(hash_target))) {
           return halt(HaltReason::kOutOfGas);
         }
+        // EIP-1052: 0 for an absent or EIP-161-empty account (no code,
+        // nonce 0, balance 0); a codeless account that is not empty, such as
+        // a funded EOA, hashes its empty code.
         const Bytes ext = host_.get_code(hash_target);
-        push(ext.empty() ? U256{} : to_u256(crypto::keccak256(ext)));
+        if (!ext.empty()) {
+          push(to_u256(crypto::keccak256(ext)));
+        } else if (host_.get_nonce(hash_target) != 0 ||
+                   !host_.get_balance(hash_target).is_zero()) {
+          push(to_u256(kEmptyCodeHash));
+        } else {
+          push(U256{});
+        }
         ++f.pc;
         break;
       }

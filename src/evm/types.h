@@ -150,6 +150,14 @@ struct U256Hasher {
 /// keccak256 of a code blob, used as the dedup key across the population.
 crypto::Hash256 code_hash(BytesView code);
 
+/// code_hash() of empty code, keccak256(""): the code hash of an account
+/// without code (EIP-1052).
+inline constexpr crypto::Hash256 kEmptyCodeHash = {
+    0xc5, 0xd2, 0x46, 0x01, 0x86, 0xf7, 0x23, 0x3c,
+    0x92, 0x7e, 0x7d, 0xb2, 0xdc, 0xc7, 0x03, 0xc0,
+    0xe5, 0x00, 0xb6, 0x53, 0xca, 0x82, 0x27, 0x3b,
+    0x7b, 0xfa, 0xd8, 0x04, 0x5d, 0x85, 0xa4, 0x70};
+
 /// U256 view of a 32-byte hash (big-endian), e.g. storage slot constants.
 U256 to_u256(const crypto::Hash256& h) noexcept;
 

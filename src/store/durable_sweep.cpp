@@ -157,10 +157,13 @@ struct DurableSweep::LiveIndex {
   ///   - when the representative's last record is not its own healthy
   ///     verdict of this code, the group's clones hold another address's
   ///     verdict, so the whole group re-runs unseeded.
+  ///   - every member of a hash whose §7.1 donor moved re-runs
+  ///     (`donor_moved`): its pair phase read the old donor's source.
   void plan_group(const crypto::Hash256& hash,
                   const std::vector<std::size_t>& examine,
                   const std::vector<SweepInput>& inputs, bool dedup,
-                  chain::Blockchain& chain, Plan& plan) const {
+                  bool donor_moved, chain::Blockchain& chain,
+                  Plan& plan) const {
     const std::vector<std::size_t>& members = groups.at(hash);
     const std::size_t front = members.front();
     auto healthy = [&](const Fingerprint* fp) {
@@ -170,8 +173,8 @@ struct DurableSweep::LiveIndex {
     std::vector<std::size_t> keep;
     for (const std::size_t i : examine) {
       const Fingerprint* fp = find(inputs[i].address);
-      bool reusable =
-          healthy(fp) && fp->deduplicated == (dedup && i != front);
+      bool reusable = !donor_moved && healthy(fp) &&
+                      fp->deduplicated == (dedup && i != front);
       if (healthy(fp) && fp->logic_source == core::LogicSource::kStorageSlot &&
           masked_head(chain.get_storage(inputs[i].address, fp->logic_slot)) !=
               fp->logic_address) {
@@ -268,7 +271,8 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
   std::vector<crypto::Hash256> hashes;  // boot: the fingerprint per input
   std::unordered_map<Address, ContractRecord, evm::AddressHasher> records;
   std::optional<JournalReplay> replay;
-  bool donors_changed = false;
+  // A lap's code hashes whose §7.1 donor it moved.
+  std::unordered_set<crypto::Hash256, crypto::Hash256Hasher> donor_moved;
   // A lap's contracts to plan, as (input index, current code hash)
   // ascending; every other call plans every input.
   std::vector<std::pair<std::size_t, crypto::Hash256>> examine;
@@ -293,13 +297,16 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
 
     // ---- fingerprint it; move code-changed members between groups -------
-    // As at boot, these fingerprints are the lap's only hash of a blob: its
-    // run() takes them. A group whose representative changes re-examines the
-    // old and the new one: the dedup flag follows the representative.
+    // As at boot, each fingerprint is the code hash the chain stored when it
+    // wrote the code, and the lap's run() takes it: a lap hashes no blob. A
+    // group whose representative changes re-examines the old and the new
+    // one: the dedup flag follows the representative.
     std::vector<std::size_t> fronts;
+    // Code hashes a verified contract left or joined: their donor may move.
+    std::vector<crypto::Hash256> donor_hashes;
     for (const std::size_t i : dirty) {
       const Address& a = inputs[i].address;
-      const crypto::Hash256 hash = evm::code_hash(chain_.code_view(a));
+      const crypto::Hash256 hash = chain_.code_hash(a);
       examine.emplace_back(i, hash);
       const Fingerprint* rec = index->find(a);
       if (rec != nullptr && rec->code_hash == hash) continue;
@@ -317,11 +324,12 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
           for (auto& [donor_hash, donor] : index->donors) {
             if (donor == a) donor_hash = hash;
           }
-          donors_changed = true;
+          donor_hashes.push_back(rec->code_hash);
+          donor_hashes.push_back(hash);
         }
       } else if (verified) {
         index->donors.emplace_back(hash, a);
-        donors_changed = true;
+        donor_hashes.push_back(hash);
       }
       std::vector<std::size_t>& to = index->groups[hash];
       const auto at = std::lower_bound(to.begin(), to.end(), i);
@@ -333,6 +341,28 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
         examine.emplace_back(f, index->find(inputs[f].address)->code_hash);
       }
     }
+    // ---- §7.1: rebuild the donor map; re-examine where the donor moved ---
+    // Every member of a code hash is analyzed with its donor's source, so a
+    // hash whose donor moved re-runs whole, unchanged members included.
+    if (!donor_hashes.empty()) {
+      const core::SourceDonors before =
+          std::exchange(index->donor_map, donor_map_of(index->donors));
+      auto donor_in = [](const core::SourceDonors& map,
+                         const crypto::Hash256& hash) {
+        const auto it = map.find(hash);
+        return it == map.end() ? std::nullopt
+                               : std::optional<Address>(it->second);
+      };
+      for (const crypto::Hash256& hash : donor_hashes) {
+        if (donor_in(before, hash) == donor_in(index->donor_map, hash) ||
+            !donor_moved.insert(hash).second) {
+          continue;
+        }
+        if (const auto g = index->groups.find(hash); g != index->groups.end()) {
+          for (const std::size_t i : g->second) examine.emplace_back(i, hash);
+        }
+      }
+    }
     std::sort(examine.begin(), examine.end(),
               [](const auto& x, const auto& y) { return x.first < y.first; });
     examine.erase(std::unique(examine.begin(), examine.end(),
@@ -342,16 +372,16 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
                   examine.end());
   } else {
     // ---- fingerprint the population --------------------------------------
-    // One keccak per input, hashed in place through a borrowed view of the
-    // chain's code (no copy), so this phase holds 32 bytes per contract —
-    // population *metadata* may be O(N), it is the per-contract artifacts
-    // that must stay O(shard). This is the sweep's only hash of an input
-    // blob: each shard's run() takes its members' fingerprints (its groups'
-    // hashes) instead of re-hashing the code it fetches, and they are what
-    // its records journal.
+    // Each input's fingerprint is the code hash its account stores (hashed
+    // once, when the chain wrote the code), read without touching the code.
+    // This phase holds 32 bytes per contract: population *metadata* may be
+    // O(N), it is the per-contract artifacts that must stay O(shard). Each
+    // shard's run() takes its members' fingerprints (its groups' hashes)
+    // instead of hashing the code it fetches, and they are what its records
+    // journal, so a sweep hashes no input blob.
     hashes.resize(inputs.size());
     for (std::size_t i = 0; i < inputs.size(); ++i) {
-      hashes[i] = evm::code_hash(chain_.code_view(inputs[i].address));
+      hashes[i] = chain_.code_hash(inputs[i].address);
     }
 
     // ---- boot: replay the journal, once -----------------------------------
@@ -442,7 +472,8 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     std::vector<Group> candidates = std::move(plan.rerun_groups);
     plan.rerun_groups.clear();
     for (const Group& c : candidates) {
-      index->plan_group(c.hash, c.members, inputs, dedup, chain_, plan);
+      index->plan_group(c.hash, c.members, inputs, dedup,
+                        donor_moved.contains(c.hash), chain_, plan);
     }
   }
   metrics_.counter("store.sweep.contracts_upgraded").add(plan.upgraded);
@@ -509,7 +540,7 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
   // ---- global §7.1 donor map -------------------------------------------
   // Built over the WHOLE population so every shard resolves the same donors
   // a monolithic run would (first verified address per code hash wins). A
-  // lap rebuilds it only when a verified contract joined or changed code.
+  // lap rebuilt it above if a verified contract joined or changed code.
   core::SourceDonors run_donors;
   core::SourceDonors& donors = index != nullptr ? index->donor_map : run_donors;
   if (!lap) {
@@ -523,8 +554,6 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     }
     donors = donor_map_of(verified);
     if (index != nullptr) index->donors = std::move(verified);
-  } else if (donors_changed) {
-    donors = donor_map_of(index->donors);
   }
 
   // ---- pack rerun groups into shards (groups are atomic) ----------------

@@ -10,16 +10,17 @@
 //                   mutating chain. The first call on an instance boots: it
 //                   reads the journal once (a missing journal degrades to
 //                   run()), diffs every input's (code hash, impl-slot head)
-//                   fingerprint against the chain, recomputes what a cold
-//                   sweep would write differently — which finishes a sweep
-//                   cut short by a crash — and keeps an in-memory index of
-//                   the last record per contract plus the open journal
-//                   writer. Each later call (a lap) plans only the caller's
-//                   dirty set, newly appended inputs and quarantined
-//                   contracts against that index, so a lap costs what
-//                   changed, not the population. Upgraded proxies skip
-//                   Phase A emulation via a verdict seed passed to run()
-//                   and re-run the pair phase only.
+//                   fingerprint against the chain (the code hash each
+//                   account stores; no blob is hashed), recomputes what a
+//                   cold sweep would write differently — which finishes a
+//                   sweep cut short by a crash — and keeps an in-memory
+//                   index of the last record per contract plus the open
+//                   journal writer. Each later call (a lap) plans only the
+//                   caller's dirty set, newly appended inputs and
+//                   quarantined contracts against that index, so a lap
+//                   costs what changed, not the population. Upgraded
+//                   proxies skip Phase A emulation via a verdict seed
+//                   passed to run() and re-run the pair phase only.
 //
 // Bit-identity with a monolithic pipeline.run() over the same inputs rests
 // on four invariants this driver maintains:
@@ -29,7 +30,7 @@
 //   2. the §7.1 source-donor map is computed over the WHOLE population and
 //      passed to every shard's run(), so a shard resolves the same donors a
 //      monolithic run would even when a logic blob's donor lives in another
-//      shard;
+//      shard; a lap that moves a code hash's donor re-runs its members;
 //   3. boot and lap decide each hash group with one rule: a record is
 //      reused only when it is healthy, of the same code and slot head, and
 //      its dedup flag matches its position in the group;

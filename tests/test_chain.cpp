@@ -42,22 +42,76 @@ TEST_F(ChainTest, DeployRuntimeInstallsCodeAndMeta) {
   EXPECT_FALSE(meta->has_incoming_tx);
 }
 
-TEST_F(ChainTest, CodeViewBorrowsWhatCodeAtCopies) {
-  const Bytes code = ContractFactory::token_contract(2);
-  const Address a = chain_.deploy_runtime(user_, code);
-  const BytesView view = chain_.code_view(a);
-  EXPECT_EQ(Bytes(view.begin(), view.end()), chain_.code_at(a));
-  EXPECT_EQ(evm::code_hash(view), evm::code_hash(code));
-  // Other accounts appearing (the account table growing) leave it valid.
-  for (int i = 0; i < 64; ++i) (void)chain_.deploy_runtime(user_, {0x00});
-  EXPECT_EQ(Bytes(view.begin(), view.end()), code);
-  EXPECT_TRUE(chain_.code_view(Address::from_label("nobody")).empty());
+/// The oracle for the stored code hash: it is the keccak of the code the
+/// account holds now.
+void expect_stored_hash(const Blockchain& chain, const Address& a) {
+  EXPECT_EQ(chain.code_hash(a), crypto::keccak256(chain.code_at(a)))
+      << a.to_hex();
+}
 
-  // After the code changes, a fresh view sees the new code.
-  const Bytes next = ContractFactory::token_contract(3);
-  chain_.set_code(a, next);
-  const BytesView after = chain_.code_view(a);
-  EXPECT_EQ(Bytes(after.begin(), after.end()), next);
+TEST_F(ChainTest, StoredCodeHashFollowsEveryCodeWrite) {
+  // deploy_runtime, then set_code on the existing contract.
+  const Address a =
+      chain_.deploy_runtime(user_, ContractFactory::token_contract(4));
+  expect_stored_hash(chain_, a);
+  chain_.set_code(a, ContractFactory::token_contract(5));
+  expect_stored_hash(chain_, a);
+  EXPECT_EQ(chain_.code_hash(a),
+            evm::code_hash(ContractFactory::token_contract(5)));
+
+  // deploy() through init code (CREATE).
+  const Bytes runtime = ContractFactory::token_contract(6);
+  const auto created = chain_.deploy(user_, Assembler::wrap_initcode(runtime));
+  ASSERT_TRUE(created.has_value());
+  expect_stored_hash(chain_, *created);
+  EXPECT_EQ(chain_.code_hash(*created), evm::code_hash(runtime));
+
+  // An unknown address and a codeless EOA hash the empty code.
+  const Address ghost = Address::from_label("chain.ghost");
+  const Address eoa = Address::from_label("chain.eoa");
+  chain_.fund(eoa, U256{5});
+  for (const Address& codeless : {ghost, eoa}) {
+    expect_stored_hash(chain_, codeless);
+    EXPECT_EQ(chain_.code_hash(codeless), evm::kEmptyCodeHash);
+  }
+}
+
+TEST_F(ChainTest, StoredCodeHashFollowsCreate2Redeploy) {
+  // A metamorphic factory: its CREATE2 init code copies a template's code,
+  // so the same salt and init code land different code at one address.
+  const Address tmpl =
+      chain_.deploy_runtime(user_, ContractFactory::token_contract(7));
+  Assembler init;
+  init.push_address(tmpl).op(Opcode::EXTCODESIZE);
+  init.dup(1).push(U256{0}, 1).push(U256{0}, 1).push_address(tmpl);
+  init.op(Opcode::EXTCODECOPY);
+  init.push(U256{0}, 1).op(Opcode::RETURN);
+  const Bytes init_code = init.assemble();
+
+  Assembler factory;
+  factory.push(U256{init_code.size()}, 2).push_label("init").push(U256{0}, 1);
+  factory.op(Opcode::CODECOPY);
+  factory.push(U256{0x5a17}, 2);  // salt
+  factory.push(U256{init_code.size()}, 2).push(U256{0}, 1).push(U256{0}, 1);
+  factory.op(Opcode::CREATE2).op(Opcode::STOP);
+  factory.label("init").raw(init_code);
+  const Address f = chain_.deploy_runtime(user_, factory.assemble());
+
+  crypto::AddressBytes sender{};
+  std::copy(f.bytes.begin(), f.bytes.end(), sender.begin());
+  const Address target{
+      crypto::create2_address(sender, U256{0x5a17}.to_be_bytes(), init_code)};
+
+  ASSERT_TRUE(chain_.call(user_, f, {}).success());
+  EXPECT_EQ(chain_.code_at(target), ContractFactory::token_contract(7));
+  expect_stored_hash(chain_, target);
+
+  chain_.set_code(tmpl, ContractFactory::token_contract(8));
+  ASSERT_TRUE(chain_.call(user_, f, {}).success());
+  EXPECT_EQ(chain_.code_at(target), ContractFactory::token_contract(8));
+  expect_stored_hash(chain_, target);
+  EXPECT_EQ(chain_.code_hash(target),
+            evm::code_hash(ContractFactory::token_contract(8)));
 }
 
 TEST_F(ChainTest, DeployDistinctAddressesPerNonce) {

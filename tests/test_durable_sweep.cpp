@@ -20,6 +20,7 @@
 #include "core/pipeline.h"
 #include "core/report.h"
 #include "crypto/keccak.h"
+#include "datagen/contract_factory.h"
 #include "datagen/population.h"
 #include "record_oracle.h"
 #include "store/durable_sweep.h"
@@ -110,16 +111,18 @@ TEST(DurableSweep, MatchesMonolithicRun) {
   EXPECT_EQ(manifest->contracts_committed, inputs.size());
 }
 
-TEST(DurableSweep, ColdSweepHashesEachInputBlobOnce) {
-  // The driver fingerprints every input and hands those hashes to the
-  // pipeline, so a cold durable sweep spends no more keccaks than the
-  // monolithic run over the same inputs. One shard keeps the comparison
-  // exact: with several, a logic blob delegated to from several shards is
-  // fetched and hashed once per such shard, as a separate run() must. The
-  // keccak count is process-wide, so a warm-up run pays first for what is
-  // hashed once per process: the standard slot constants and the selector
-  // memo. Both sides then hash only code, and two workers missing on one
-  // selector prototype at once cannot inflate either count.
+TEST(DurableSweep, ColdSweepHashesNoInputBlob) {
+  // The driver fingerprints every input with the code hash its account
+  // stores and hands those hashes to the pipeline, so a cold durable sweep
+  // spends at least one keccak per input fewer than the monolithic run
+  // over the same inputs, which hashes each input blob. One shard keeps
+  // the comparison exact: with several, a logic blob delegated to from
+  // several shards is fetched and hashed once per such shard, as a
+  // separate run() must. The keccak count is process-wide, so a warm-up run
+  // pays first for what is hashed once per process: the standard slot
+  // constants and the selector memo. Both sides then hash only code, and
+  // two workers missing on one selector prototype at once cannot inflate
+  // either count.
   datagen::Population pop = make_population();
   const auto inputs = pop.sweep_inputs();
   core::PipelineConfig config;
@@ -142,8 +145,33 @@ TEST(DurableSweep, ColdSweepHashesEachInputBlobOnce) {
   const std::uint64_t monolithic = crypto::keccak_invocations() - mono_before;
 
   expect_same_verdicts(result.stats, mono_stats);
-  EXPECT_GE(monolithic, inputs.size());
-  EXPECT_LE(durable, monolithic) << "monolithic run: " << monolithic;
+  ASSERT_GE(monolithic, inputs.size());
+  EXPECT_LE(durable, monolithic - inputs.size())
+      << "monolithic run: " << monolithic;
+}
+
+TEST(DurableSweep, LapOverDirtyContractsHashesNoCode) {
+  // A lap fingerprints its dirty set from the code hashes the chain stored
+  // at deployment: touching every contract without changing it re-examines
+  // each one and hashes nothing.
+  datagen::Population pop = make_population(300);
+  const auto inputs = pop.sweep_inputs();
+  core::AnalysisPipeline piped(*pop.chain, &pop.sources);
+  store::DurableSweepConfig sc;
+  sc.journal_path = temp_journal("lap_no_hash.journal");
+  sc.shard_size = 100;
+  store::DurableSweep sweep(piped, *pop.chain, &pop.sources, sc);
+  ASSERT_TRUE(sweep.incremental(inputs, {}).error.empty());
+
+  store::AddressSet touched;
+  for (const auto& input : inputs) touched.insert(input.address);
+  const std::uint64_t before = crypto::keccak_invocations();
+  const store::DurableSweepResult lap = sweep.incremental(inputs, touched);
+  const std::uint64_t spent = crypto::keccak_invocations() - before;
+  ASSERT_TRUE(lap.error.empty()) << lap.error;
+  EXPECT_EQ(lap.examined, inputs.size());
+  EXPECT_EQ(lap.recomputed, 0u);
+  EXPECT_EQ(spent, 0u);
 }
 
 TEST(DurableSweep, RunWithGivenCodeHashesMatchesRunThatHashes) {
@@ -570,6 +598,63 @@ TEST(DurableSweep, SetCodeOnRepresentativeLapMatchesColdSweepRecords) {
   // sweep's.
   test_oracle::expect_same_records(sc.journal_path, cold,
                                    /*same_height=*/false);
+}
+
+TEST(DurableSweep, DonorMoveOnLapMatchesColdSweepRecords) {
+  // §7.1: every member of a code hash is analyzed with the source of its
+  // first verified member. Here that donor is not the group's dedup
+  // representative, and its source declares the logic's
+  // transfer(address,uint256), a function the proxies' bytecode lacks: the
+  // unverified members collide only through the donor. When the donor's
+  // code changes, the lap must re-run the members it leaves behind.
+  chain::Blockchain chain;
+  const evm::Address deployer = evm::Address::from_label("donor.deployer");
+  const evm::Address logic = chain.deploy_runtime(
+      deployer, datagen::ContractFactory::token_contract(1));
+  const evm::Bytes proxy_code = datagen::ContractFactory::eip1967_proxy();
+  std::vector<core::SweepInput> inputs;
+  for (int k = 0; k < 3; ++k) {
+    const evm::Address p = chain.deploy_runtime(deployer, proxy_code);
+    chain.set_storage(p, datagen::ContractFactory::eip1967_slot(),
+                      logic.to_word());
+    inputs.push_back({p});
+  }
+  chain.mine_block();
+  const evm::Address donor = inputs[1].address;
+  sourcemeta::SourceRepository sources;
+  sourcemeta::SourceRecord declared;
+  declared.contract_name = "DeclaredProxy";
+  declared.functions.push_back({"transfer(address,uint256)"});
+  sources.publish(donor, declared);
+
+  core::AnalysisPipeline piped(chain, &sources);
+  store::DurableSweepConfig sc;
+  sc.journal_path = temp_journal("donor_move.journal");
+  store::DurableSweep sweep(piped, chain, &sources, sc);
+  ASSERT_TRUE(sweep.incremental(inputs, {}).error.empty());
+  for (const auto& input : inputs) {
+    ASSERT_TRUE(test_oracle::last_records(sc.journal_path)
+                    .at(input.address)
+                    .analysis.function_collision);
+  }
+
+  chain.set_code(donor, datagen::ContractFactory::token_contract(2));
+  chain.mine_block();
+  const store::DurableSweepResult lap = sweep.incremental(inputs, {donor});
+  ASSERT_TRUE(lap.error.empty()) << lap.error;
+  EXPECT_EQ(lap.recomputed, inputs.size());
+
+  const std::string cold = temp_journal("donor_move_cold.journal");
+  core::AnalysisPipeline cold_pipeline(chain, &sources);
+  store::DurableSweepConfig cold_config;
+  cold_config.journal_path = cold;
+  ASSERT_TRUE(store::DurableSweep(cold_pipeline, chain, &sources, cold_config)
+                  .run(inputs)
+                  .error.empty());
+  EXPECT_FALSE(test_oracle::last_records(cold)
+                   .at(inputs[0].address)
+                   .analysis.function_collision);
+  test_oracle::expect_same_records(sc.journal_path, cold);
 }
 
 TEST(DurableSweep, OutageHealedByBootMatchesColdSweepRecords) {

@@ -211,6 +211,29 @@ TEST_F(OpcodeTest, ExtCodeFamilyOnEmptyAccount) {
   EXPECT_EQ(U256::from_be_slice(out.subspan(32, 32)), U256{});  // empty -> 0
 }
 
+TEST_F(OpcodeTest, ExtCodeHashOfCodelessButNonEmptyAccount) {
+  // EIP-1052: an account that exists and is not EIP-161-empty hashes its
+  // empty code, whether it holds a balance or only a nonce.
+  const Address funded = Address::from_label("funded.eoa");
+  const Address used = Address::from_label("used.eoa");
+  host_.set_balance(funded, U256{1});
+  host_.set_nonce(used, 1);
+  Assembler a;
+  a.push_address(funded).op(Opcode::EXTCODESIZE);
+  a.push(U256{0}, 1).op(Opcode::MSTORE);
+  a.push_address(funded).op(Opcode::EXTCODEHASH);
+  a.push(U256{0x20}, 1).op(Opcode::MSTORE);
+  a.push_address(used).op(Opcode::EXTCODEHASH);
+  a.push(U256{0x40}, 1).op(Opcode::MSTORE);
+  a.push(U256{0x60}, 1).push(U256{0}, 1).op(Opcode::RETURN);
+  const ExecResult r = run(a.assemble());
+  const BytesView out(r.return_data);
+  const U256 empty_hash = to_u256(proxion::crypto::keccak256(Bytes{}));
+  EXPECT_EQ(U256::from_be_slice(out.subspan(0, 32)), U256{});
+  EXPECT_EQ(U256::from_be_slice(out.subspan(32, 32)), empty_hash);
+  EXPECT_EQ(U256::from_be_slice(out.subspan(64, 32)), empty_hash);
+}
+
 TEST_F(OpcodeTest, PcMsizeGas) {
   Assembler a;
   a.op(Opcode::PC);                                 // pc 0 -> pushes 0

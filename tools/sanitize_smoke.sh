@@ -7,13 +7,13 @@
 # Usage: tools/sanitize_smoke.sh [test-regex]
 #   test-regex defaults to the fault-injection + concurrency suites, the
 #   keccak known answers (the hand-unrolled permutation's UB check), the
-#   chain suite (Blockchain::code_view hands out borrowed code), the logic
-#   finder (the lockstep search's flat frontier and its index bookkeeping),
-#   and the storage-access scanner's suites (layout, storage profile,
-#   collisions).
+#   chain suite (stored code hashes), the interpreter's per-opcode suite
+#   (EXTCODEHASH reads account state), the logic finder (the lockstep
+#   search's flat frontier and its index bookkeeping), and the
+#   storage-access scanner's suites (layout, storage profile, collisions).
 set -eu
 
-TESTS="${1:-test_keccak|test_chain|test_logic_finder|test_resilience|test_archive_batch|test_thread_pool|test_pipeline|test_once_map|test_obs_metrics|test_obs_trace|test_obs_export|test_static_analysis|test_static_tier|test_layout|test_storage_profile|test_collisions|test_fuzz|test_store_journal|test_durable_sweep|test_vfs_fault|test_journal_fuzz|test_query_service}"
+TESTS="${1:-test_keccak|test_chain|test_interpreter_opcodes|test_logic_finder|test_resilience|test_archive_batch|test_thread_pool|test_pipeline|test_once_map|test_obs_metrics|test_obs_trace|test_obs_export|test_static_analysis|test_static_tier|test_layout|test_storage_profile|test_collisions|test_fuzz|test_store_journal|test_durable_sweep|test_vfs_fault|test_journal_fuzz|test_query_service}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 # CI runs one flavor per job; default is both.
 FLAVORS="${PROXION_SANITIZE_FLAVORS:-address thread}"
@@ -24,8 +24,8 @@ for flavor in ${FLAVORS}; do
   cmake -B "${dir}" -S . -DPROXION_SANITIZE="${flavor}" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "${dir}" -j "${JOBS}" --target \
-    test_keccak test_chain test_logic_finder test_resilience \
-    test_archive_batch test_thread_pool \
+    test_keccak test_chain test_interpreter_opcodes test_logic_finder \
+    test_resilience test_archive_batch test_thread_pool \
     test_pipeline test_once_map test_obs_metrics test_obs_trace \
     test_obs_export test_static_analysis test_static_tier test_layout \
     test_storage_profile test_collisions test_fuzz test_store_journal \
