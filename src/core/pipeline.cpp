@@ -205,13 +205,17 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
   std::vector<ContractAnalysis> out(inputs.size());
 
   // ---- fetch code and hash it ------------------------------------------
-  // Each distinct address is fetched (through the fault-tolerant archive
-  // seam) exactly once per run and keccak'd at most once: an input whose
-  // code hash the caller supplied (a durable sweep's fingerprint) takes it
-  // instead of being hashed again. Every distinct input address owns one
-  // `blobs` slot, filled by its first occurrence's task without a lock; a
-  // repeated address shares that blob (or that failure). A failed fetch
-  // quarantines only its own contract.
+  // Code is content-addressed. The fetch key is the input's code hash when
+  // the caller supplied it (a durable sweep's fingerprint), else its
+  // address: the first input with each key fetches (through the
+  // fault-tolerant archive seam) into its own `blobs` slot without a lock,
+  // and every other input with that key shares the blob, so a clone family
+  // costs one round trip and a supplied hash is never recomputed.
+  // The failure domain is the key. A key whose first fetch failed asks each
+  // of its other distinct addresses once more, and every input with the key
+  // shares the first blob that arrived, in input order. An input is
+  // quarantined, with its own error, only when no address of its key
+  // returned code (an address-keyed run has no other address to ask).
   auto fetch_blob = [&](const Address& address,
                         const crypto::Hash256* known_hash) {
     auto b = std::make_shared<CodeBlob>();
@@ -220,20 +224,26 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
     return std::shared_ptr<const CodeBlob>(std::move(b));
   };
 
-  // Address -> first input index, built before any fetch and read-only
-  // afterwards (Phase B's logic lookups consult it without a lock).
+  // Address -> first input index, and fetch key -> first input index, both
+  // built before any fetch and read-only afterwards (Phase B's logic
+  // lookups consult the first without a lock).
   std::unordered_map<Address, std::size_t, evm::AddressHasher> input_index;
   input_index.reserve(inputs.size());
+  std::unordered_map<crypto::Hash256, std::size_t, crypto::Hash256Hasher>
+      hash_index;
   std::vector<std::size_t> first_of(inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    first_of[i] = input_index.try_emplace(inputs[i].address, i).first->second;
+    const std::size_t by_address =
+        input_index.try_emplace(inputs[i].address, i).first->second;
+    first_of[i] = code_hashes.empty()
+                      ? by_address
+                      : hash_index.try_emplace(code_hashes[i], i).first->second;
   }
 
   std::vector<std::shared_ptr<const CodeBlob>> blobs(inputs.size());
   {
     obs::Span phase_span(tracer_.get(), "phase:fetch");
-    workers.parallel_for(inputs.size(), [&](std::size_t i) {
-      if (first_of[i] != i) return;
+    auto fetch_input = [&](std::size_t i) {
       try {
         blobs[i] = fetch_blob(inputs[i].address, code_hashes.empty()
                                                      ? nullptr
@@ -243,11 +253,31 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
       } catch (const std::exception& e) {
         out[i].error = ErrorRecord{ErrorKind::kInternal, "fetch", e.what()};
       }
+    };
+    workers.parallel_for(inputs.size(), [&](std::size_t i) {
+      if (first_of[i] == i) fetch_input(i);
     });
+    // The other distinct addresses (first occurrences) of each key whose
+    // first fetch failed.
+    std::vector<std::size_t> fallback;
     for (std::size_t i = 0; i < inputs.size(); ++i) {
-      if (first_of[i] == i) continue;
-      blobs[i] = blobs[first_of[i]];
-      if (!blobs[i]) out[i].error = out[first_of[i]].error;
+      if (first_of[i] != i && !blobs[first_of[i]] &&
+          input_index.at(inputs[i].address) == i) {
+        fallback.push_back(i);
+      }
+    }
+    workers.parallel_for(fallback.size(),
+                         [&](std::size_t f) { fetch_input(fallback[f]); });
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      std::shared_ptr<const CodeBlob>& shared = blobs[first_of[i]];
+      if (!shared) shared = blobs[i];
+    }
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      if ((blobs[i] = blobs[first_of[i]])) {
+        out[i].error.reset();
+      } else if (!out[i].error) {
+        out[i].error = out[input_index.at(inputs[i].address)].error;
+      }
     }
   }
   auto key_of = [&](std::size_t i) -> const crypto::Hash256& {
@@ -358,13 +388,14 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
   // the run pays one round trip per depth instead of one per proxy per
   // depth. (Per-worker chunks cost the same CPU but each worker's malloc
   // arena kept the search's frontier, raising peak RSS.)
-  // A logic address that is also a sweep input reuses that input's blob.
-  // Any other — or an input whose own fetch failed, which is retried here —
-  // goes through a once-map, so each distinct logic address is fetched and
-  // hashed at most once per attempt, however many proxies delegate to it
-  // (the seed re-hashed per pair). Every contract is its own failure domain:
-  // an RPC giving up mid-history or a watchdog expiry quarantines this
-  // contract and the sweep moves on.
+  // A logic address that is also a sweep input reuses that input's blob,
+  // which its fetch key shares. Any other — or an input for which no
+  // address of its key returned code, which is retried here — goes through
+  // a once-map, so each distinct logic address is fetched and hashed at
+  // most once per attempt, however many proxies delegate to it (the seed
+  // re-hashed per pair). Every contract is its own failure domain: an RPC
+  // giving up mid-history or a watchdog expiry quarantines this contract
+  // and the sweep moves on.
   CodeBlobMap logic_blobs;
   auto logic_blob = [&](const Address& logic) {
     if (const auto it = input_index.find(logic);

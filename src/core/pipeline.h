@@ -380,19 +380,27 @@ class AnalysisPipeline {
   /// donors a monolithic run would.
   ///
   /// `code_hashes` is empty or parallel to `inputs` (std::invalid_argument
-  /// otherwise). Empty, run() keccaks every fetched input blob. Given, the
-  /// fetch phase still fetches each input's code through the archive seam
-  /// but takes `code_hashes[i]` as its hash instead of hashing it again.
+  /// otherwise). Empty, run() fetches each distinct input address once
+  /// through the archive seam and keccaks its blob. Given, code is
+  /// content-addressed: run() fetches each distinct hash once, from its
+  /// first input, every input with that hash shares the blob, and
+  /// `code_hashes[i]` is taken as its hash instead of hashing it again.
   /// Precondition: `code_hashes[i]` is the keccak of the code the archive
   /// serves for `inputs[i]`; it is trusted, not checked, and it keys the
-  /// code-hash dedup and the pair memo. A durable sweep passes the
-  /// fingerprints it journals, which are the code hashes the chain stored
-  /// when it wrote each account's code (chain::Blockchain::code_hash), so a
-  /// sweep hashes no input blob.
+  /// fetch, the code-hash dedup and the pair memo. A durable sweep passes
+  /// the fingerprints it journals, which are the code hashes the chain
+  /// stored when it wrote each account's code (chain::Blockchain::code_hash),
+  /// so a sweep hashes no input blob and pays one round trip per bytecode.
   ///
   /// Fault containment: a contract whose analysis fails (RPC exhausted,
   /// watchdog, internal error) is returned with `error` set rather than
-  /// aborting the run.
+  /// aborting the run. The fetch's failure domain is its key: when the
+  /// first fetch of a hash fails, each of the hash's other distinct
+  /// addresses is asked once, every input with the hash shares the first
+  /// blob that arrived in input order, and an input is quarantined (phase
+  /// "fetch", with its own error) only when no address with its hash
+  /// returned code. So Phase A's representative of a hash is always the
+  /// hash's first input.
   ///
   /// Concurrency contract: the parallelism lives *inside* a run (the pool
   /// reads the chain concurrently, which must therefore be read-safe).

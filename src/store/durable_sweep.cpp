@@ -46,8 +46,9 @@ struct Group {
   /// The group's representative stands and is not among `members`: they
   /// journal as dedup clones of it.
   bool clones = false;
-  /// Phase-A verdicts the owning shard's run() reuses: per member, the
-  /// representative's report with the slot head re-read at that address.
+  /// The Phase-A verdict the owning shard's run() reuses: the
+  /// representative's report for the first member, with the slot head
+  /// re-read at that address.
   core::VerdictSeeds seeds;
 };
 
@@ -91,12 +92,15 @@ struct Plan {
 
 /// The in-memory state incremental() keeps between calls: the last
 /// record's fingerprint for every input it covers, each representative's
-/// own Phase-A verdict to seed from, the code-hash groups, the quarantined
-/// set, the §7.1 donor candidates, and the open journal writer.
+/// own Phase-A verdict to seed from, the code-hash groups, the proxies of
+/// each logic address, the quarantined set, the §7.1 donor candidates, and
+/// the open journal writer.
 struct DurableSweep::LiveIndex {
   struct Entry {
     std::size_t input = 0;  // index into the inputs list
     Fingerprint last;
+    /// The last record's logic history: its keys in `proxies_of`.
+    std::vector<Address> logic;
   };
   /// A healthy non-clone record's Phase-A report: the verdict its group's
   /// clones carry, computed at `owner`.
@@ -115,6 +119,12 @@ struct DurableSweep::LiveIndex {
   std::unordered_map<crypto::Hash256, std::vector<std::size_t>,
                      crypto::Hash256Hasher>
       groups;
+  /// Logic address -> the covered inputs whose last record delegates to
+  /// it, ascending. A proxy's analysis read its logic's code and the
+  /// source of that code's §7.1 donor, so a lap re-runs these when either
+  /// moves.
+  std::unordered_map<Address, std::vector<std::size_t>, evm::AddressHasher>
+      proxies_of;
   /// Covered inputs whose last record is quarantined: retried every lap.
   std::unordered_set<Address, evm::AddressHasher> quarantined;
   /// Verified inputs as (code hash, address) in input order; grows by
@@ -141,7 +151,20 @@ struct DurableSweep::LiveIndex {
                                   Verdict{a, rec.analysis.proxy});
       }
     }
-    by_address.insert_or_assign(a, Entry{input, fingerprint_of(rec)});
+    Entry& entry = by_address[a];
+    for (const Address& logic : entry.logic) {
+      std::vector<std::size_t>& proxies = proxies_of.at(logic);
+      const auto at = std::lower_bound(proxies.begin(), proxies.end(), input);
+      if (at != proxies.end() && *at == input) proxies.erase(at);
+      if (proxies.empty()) proxies_of.erase(logic);
+    }
+    entry = Entry{input, fingerprint_of(rec),
+                  rec.analysis.logic_history.logic_addresses};
+    for (const Address& logic : entry.logic) {
+      std::vector<std::size_t>& proxies = proxies_of[logic];
+      const auto at = std::lower_bound(proxies.begin(), proxies.end(), input);
+      if (at == proxies.end() || *at != input) proxies.insert(at, input);
+    }
   }
 
   /// The recompute rule, shared by boot and lap: decides which of
@@ -153,17 +176,19 @@ struct DurableSweep::LiveIndex {
   ///     (clone unless it is the group's front);
   ///   - re-run members are seeded with the representative's own verdict
   ///     (slot head re-read), since the crafted probe selector is seeded
-  ///     from the representative's address and clones carry it;
+  ///     from the representative's address and clones carry it; the seed
+  ///     goes to the first re-run member, run()'s representative;
   ///   - when the representative's last record is not its own healthy
   ///     verdict of this code, the group's clones hold another address's
   ///     verdict, so the whole group re-runs unseeded.
-  ///   - every member of a hash whose §7.1 donor moved re-runs
-  ///     (`donor_moved`): its pair phase read the old donor's source.
+  ///   - a member in `forced` re-runs: its analysis read something that
+  ///     moved without touching it (its logic's code, or the §7.1 donor of
+  ///     its own or its logic's code hash).
   void plan_group(const crypto::Hash256& hash,
                   const std::vector<std::size_t>& examine,
                   const std::vector<SweepInput>& inputs, bool dedup,
-                  bool donor_moved, chain::Blockchain& chain,
-                  Plan& plan) const {
+                  const std::unordered_set<std::size_t>& forced,
+                  chain::Blockchain& chain, Plan& plan) const {
     const std::vector<std::size_t>& members = groups.at(hash);
     const std::size_t front = members.front();
     auto healthy = [&](const Fingerprint* fp) {
@@ -173,7 +198,7 @@ struct DurableSweep::LiveIndex {
     std::vector<std::size_t> keep;
     for (const std::size_t i : examine) {
       const Fingerprint* fp = find(inputs[i].address);
-      bool reusable = !donor_moved && healthy(fp) &&
+      bool reusable = !forced.contains(i) && healthy(fp) &&
                       fp->deduplicated == (dedup && i != front);
       if (healthy(fp) && fp->logic_source == core::LogicSource::kStorageSlot &&
           masked_head(chain.get_storage(inputs[i].address, fp->logic_slot)) !=
@@ -195,19 +220,17 @@ struct DurableSweep::LiveIndex {
         plan.rerun_groups.push_back(std::move(group));
         return;
       }
-      // Seed every re-run clone, not only the sub-run's first: should its
-      // code fetch fail, the next one must not emulate a verdict of its own.
+      // run() fetches code per hash, so its Phase A representative is the
+      // sub-run's first member whichever address served the code: that
+      // member's seed is the only one it reads.
       group.clones = group.members.front() != front;
-      for (const std::size_t i : group.members) {
-        if (!group.clones && i != front) break;
-        core::ProxyReport report = own->second.report;
-        if (report.logic_source == core::LogicSource::kStorageSlot) {
-          report.logic_address = masked_head(
-              chain.get_storage(inputs[i].address, report.logic_slot));
-        }
-        group.seeds.emplace(inputs[i].address,
-                            core::VerdictSeed{hash, std::move(report)});
+      const Address& first = inputs[group.members.front()].address;
+      core::ProxyReport report = own->second.report;
+      if (report.logic_source == core::LogicSource::kStorageSlot) {
+        report.logic_address =
+            masked_head(chain.get_storage(first, report.logic_slot));
       }
+      group.seeds.emplace(first, core::VerdictSeed{hash, std::move(report)});
     }
     plan.reused.insert(plan.reused.end(), keep.begin(), keep.end());
     if (!group.members.empty()) plan.rerun_groups.push_back(std::move(group));
@@ -273,6 +296,8 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
   std::optional<JournalReplay> replay;
   // A lap's code hashes whose §7.1 donor it moved.
   std::unordered_set<crypto::Hash256, crypto::Hash256Hasher> donor_moved;
+  // A lap's inputs that re-run although their own record would stand.
+  std::unordered_set<std::size_t> forced;
   // A lap's contracts to plan, as (input index, current code hash)
   // ascending; every other call plans every input.
   std::vector<std::pair<std::size_t, crypto::Hash256>> examine;
@@ -281,6 +306,10 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     // ---- lap: the dirty set ----------------------------------------------
     prior_shards = index->shards_committed;
     std::vector<std::size_t> dirty;
+    // Addresses whose code may have moved: a touched address outside the
+    // covered inputs, which the lap cannot fingerprint, and (below) every
+    // new input and every dirty input whose code hash moved.
+    std::vector<Address> code_moved;
     for (std::size_t i = index->covered; i < inputs.size(); ++i) {
       dirty.push_back(i);
     }
@@ -288,6 +317,8 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
       if (const auto it = index->by_address.find(a);
           it != index->by_address.end()) {
         dirty.push_back(it->second.input);
+      } else {
+        code_moved.push_back(a);
       }
     }
     for (const Address& a : index->quarantined) {
@@ -310,6 +341,7 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
       examine.emplace_back(i, hash);
       const Fingerprint* rec = index->find(a);
       if (rec != nullptr && rec->code_hash == hash) continue;
+      code_moved.push_back(a);
       const bool verified = sources_ != nullptr && sources_->has_source(a);
       if (rec != nullptr) {
         std::vector<std::size_t>& from = index->groups.at(rec->code_hash);
@@ -341,9 +373,37 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
         examine.emplace_back(f, index->find(inputs[f].address)->code_hash);
       }
     }
+    // Re-runs `i` even where its own record would stand.
+    auto force = [&](std::size_t i) {
+      forced.insert(i);
+      if (!std::binary_search(dirty.begin(), dirty.end(), i)) {
+        examine.emplace_back(i, index->find(inputs[i].address)->code_hash);
+      }
+    };
+    // ---- a logic whose code moved re-runs its proxies --------------------
+    // A proxy's analysis read its logic's code: set_code or a CREATE2
+    // redeploy at the logic, or a deployment at an address a proxy already
+    // pointed to, changes the proxy's collisions and not its fingerprint.
+    // Phase A's probe ran the logic's code too (its step count shows it),
+    // so a verdict the proxy owns is dropped: its group re-runs unseeded.
+    for (const Address& a : code_moved) {
+      const auto it = index->proxies_of.find(a);
+      if (it == index->proxies_of.end()) continue;
+      for (const std::size_t p : it->second) {
+        force(p);
+        const auto own =
+            index->verdicts.find(index->find(inputs[p].address)->code_hash);
+        if (own != index->verdicts.end() &&
+            own->second.owner == inputs[p].address) {
+          index->verdicts.erase(own);
+        }
+      }
+    }
     // ---- §7.1: rebuild the donor map; re-examine where the donor moved ---
     // Every member of a code hash is analyzed with its donor's source, so a
-    // hash whose donor moved re-runs whole, unchanged members included.
+    // hash whose donor moved re-runs whole, unchanged members included; so
+    // does every proxy whose logic has such a hash, since its pair phase
+    // read the logic's source through the same donor.
     if (!donor_hashes.empty()) {
       const core::SourceDonors before =
           std::exchange(index->donor_map, donor_map_of(index->donors));
@@ -359,7 +419,13 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
           continue;
         }
         if (const auto g = index->groups.find(hash); g != index->groups.end()) {
-          for (const std::size_t i : g->second) examine.emplace_back(i, hash);
+          for (const std::size_t i : g->second) force(i);
+        }
+      }
+      if (!donor_moved.empty()) {
+        for (const auto& [logic, proxies] : index->proxies_of) {
+          if (!donor_moved.contains(chain_.code_hash(logic))) continue;
+          for (const std::size_t p : proxies) force(p);
         }
       }
     }
@@ -472,8 +538,8 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     std::vector<Group> candidates = std::move(plan.rerun_groups);
     plan.rerun_groups.clear();
     for (const Group& c : candidates) {
-      index->plan_group(c.hash, c.members, inputs, dedup,
-                        donor_moved.contains(c.hash), chain_, plan);
+      index->plan_group(c.hash, c.members, inputs, dedup, forced, chain_,
+                        plan);
     }
   }
   metrics_.counter("store.sweep.contracts_upgraded").add(plan.upgraded);

@@ -30,7 +30,8 @@
 //   2. the §7.1 source-donor map is computed over the WHOLE population and
 //      passed to every shard's run(), so a shard resolves the same donors a
 //      monolithic run would even when a logic blob's donor lives in another
-//      shard; a lap that moves a code hash's donor re-runs its members;
+//      shard; a lap that moves a code hash's donor re-runs its members
+//      and the proxies whose logic has that code hash;
 //   3. boot and lap decide each hash group with one rule: a record is
 //      reused only when it is healthy, of the same code and slot head, and
 //      its dedup flag matches its position in the group;
@@ -160,7 +161,10 @@ class DurableSweep {
   /// (storage-slot proxies) is unchanged, and its dedup flag still matches
   /// its position in its hash group. Re-run members are seeded with their
   /// representative's own Phase A verdict; a group whose representative
-  /// has no healthy verdict of its own re-runs whole and unseeded.
+  /// has no healthy verdict of its own re-runs whole and unseeded. On a
+  /// lap, the proxies whose last record delegates to a touched or new
+  /// address re-run too (their logic's code may have moved), and so do the
+  /// proxies whose logic's code hash had its §7.1 donor moved.
   ///
   /// A call boots when the instance has no index yet (first call, after
   /// run(), after a failed or max_shards-stopped call, or when `inputs`

@@ -5,9 +5,11 @@
 // record-level identity with a cold sweep after code moves and outages.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -539,6 +541,7 @@ class CodeOutageNode final : public chain::IArchiveNode {
   }
   evm::Bytes get_code(const evm::Address& account) const override {
     if (account == victim_) {
+      victim_fetches.fetch_add(1);
       throw chain::RpcError(chain::RpcErrorKind::kExhausted,
                             "victim unreachable");
     }
@@ -553,9 +556,54 @@ class CodeOutageNode final : public chain::IArchiveNode {
   }
   void reset_counters() const override { inner_.reset_counters(); }
 
+  /// Code requests that reached the victim (every one of them failed).
+  mutable std::atomic<std::uint64_t> victim_fetches{0};
+
  private:
   const chain::IArchiveNode& inner_;
   evm::Address victim_;
+};
+
+/// Records every address whose code fetch threw.
+class CodeFailureLog final : public chain::IArchiveNode {
+ public:
+  explicit CodeFailureLog(const chain::IArchiveNode& inner) : inner_(inner) {}
+
+  evm::U256 get_storage_at(const evm::Address& account, const evm::U256& slot,
+                           std::uint64_t block) const override {
+    return inner_.get_storage_at(account, slot, block);
+  }
+  std::vector<evm::U256> get_storage_at_many(
+      std::span<const chain::StorageQuery> queries) const override {
+    return inner_.get_storage_at_many(queries);
+  }
+  evm::Bytes get_code(const evm::Address& account) const override {
+    try {
+      return inner_.get_code(account);
+    } catch (const chain::RpcError&) {
+      std::lock_guard<std::mutex> lk(mu_);
+      failed_.insert(account);
+      throw;
+    }
+  }
+  std::uint64_t latest_block() const override { return inner_.latest_block(); }
+  std::uint64_t get_storage_at_calls() const override {
+    return inner_.get_storage_at_calls();
+  }
+  std::uint64_t get_code_calls() const override {
+    return inner_.get_code_calls();
+  }
+  void reset_counters() const override { inner_.reset_counters(); }
+
+  bool failed(const evm::Address& account) const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return failed_.contains(account);
+  }
+
+ private:
+  const chain::IArchiveNode& inner_;
+  mutable std::mutex mu_;
+  mutable store::AddressSet failed_;
 };
 
 TEST(DurableSweep, SetCodeOnRepresentativeLapMatchesColdSweepRecords) {
@@ -667,8 +715,9 @@ TEST(DurableSweep, OutageHealedByBootMatchesColdSweepRecords) {
   profile.transient_rate = 0.10;
   profile.failures_per_fault = 1'000'000;  // outlasts the retry budget
   chain::FaultInjectingArchiveNode faulty(inner, profile);
+  CodeFailureLog log(faulty);
   core::PipelineConfig config;
-  config.archive_node = &faulty;
+  config.archive_node = &log;
   config.retry.base_delay_us = 1;
   config.retry.max_delay_us = 20;
   core::AnalysisPipeline piped(*pop.chain, &pop.sources, config);
@@ -680,29 +729,40 @@ TEST(DurableSweep, OutageHealedByBootMatchesColdSweepRecords) {
   ASSERT_TRUE(outage.error.empty()) << outage.error;
   ASSERT_GT(outage.stats.quarantined, 0u);
 
-  // The outage must have failed the code fetch of a clone family's
-  // representative, so the pipeline promoted an interim representative,
-  // and the family's verdict must be address-specific (an emulated probe).
-  bool representative_quarantined = false;
+  // The failure domain of a code fetch is its code hash: no member of a
+  // multi-member hash is quarantined in the fetch while one of them
+  // fetched. The outage must have failed the code fetch of a clone
+  // family's representative whose verdict is address-specific (an emulated
+  // probe), so the family's next address served the hash.
+  bool representative_failed = false;
   {
     const test_oracle::RecordMap journaled =
         test_oracle::last_records(sc.journal_path);
-    std::map<crypto::Hash256, bool> emulated;
-    for (const auto& [address, rec] : journaled) {
-      emulated[rec.code_hash] = emulated[rec.code_hash] ||
-                                rec.analysis.proxy.probe_selector != 0;
-    }
-    std::map<crypto::Hash256, bool> seen;
+    std::map<crypto::Hash256, std::vector<const store::ContractRecord*>>
+        families;
     for (const auto& input : inputs) {
       const store::ContractRecord& rec = journaled.at(input.address);
-      if (std::exchange(seen[rec.code_hash], true)) continue;
-      representative_quarantined =
-          representative_quarantined ||
-          (rec.analysis.quarantined() && rec.analysis.error->phase == "fetch" &&
-           emulated[rec.code_hash]);
+      families[rec.code_hash].push_back(&rec);
+    }
+    for (const auto& [hash, members] : families) {
+      if (members.size() < 2) continue;
+      std::size_t fetch_failed = 0;
+      bool emulated = false;
+      for (const store::ContractRecord* rec : members) {
+        fetch_failed += rec->analysis.quarantined() &&
+                        rec->analysis.error->phase == "fetch";
+        emulated = emulated || rec->analysis.proxy.probe_selector != 0;
+      }
+      EXPECT_TRUE(fetch_failed == 0 || fetch_failed == members.size())
+          << fetch_failed << " of " << members.size()
+          << " members quarantined in the fetch";
+      representative_failed =
+          representative_failed ||
+          (emulated && fetch_failed == 0 &&
+           log.failed(members.front()->analysis.address));
     }
   }
-  ASSERT_TRUE(representative_quarantined);
+  ASSERT_TRUE(representative_failed);
 
   // The backend recovers; a restarted service boots from the journal.
   faulty.heal();
@@ -719,10 +779,12 @@ TEST(DurableSweep, OutageHealedByBootMatchesColdSweepRecords) {
 
 TEST(DurableSweep, RerunClonesMatchColdSweepRecordsWhenOneFetchFails) {
   // Two clones of an emulated family re-run without their representative,
-  // and the first one's code fetch fails. A cold sweep through the same
-  // archive gives that clone no dedup flag and the other the
-  // representative's verdict; the boot must journal the same (seeds are
-  // run() arguments, not pipeline state).
+  // and the first one's code fetch fails. Code is fetched per code hash, so
+  // the second clone's address serves the hash and neither is quarantined;
+  // a cold sweep through the same archive takes the hash from the
+  // representative and never asks the victim. The boot must journal what
+  // the cold sweep does: both clones carry the representative's verdict
+  // (seeds are run() arguments, not pipeline state).
   datagen::Population pop = make_population();
   const auto inputs = pop.sweep_inputs();
 
@@ -766,10 +828,190 @@ TEST(DurableSweep, RerunClonesMatchColdSweepRecordsWhenOneFetchFails) {
           .incremental(inputs, {});
   ASSERT_TRUE(boot.error.empty()) << boot.error;
   EXPECT_EQ(boot.recomputed, 2u);
-  EXPECT_EQ(boot.stats.quarantined, 1u);
+  EXPECT_EQ(boot.stats.quarantined, 0u);
+  // The boot asked the victim once, and its code never arrived.
+  EXPECT_EQ(outage.victim_fetches.load(), 1u);
 
   const std::string cold = temp_journal("clones_cold.journal");
   cold_sweep(pop, inputs, cold, config);
+  EXPECT_EQ(outage.victim_fetches.load(), 1u);
+  test_oracle::expect_same_records(sc.journal_path, cold);
+}
+
+TEST(DurableSweep, RerunClonesMatchColdSweepRecordsWhenTheFrontIsDown) {
+  // Two clones of an emulated family re-run while the family's front (its
+  // first member and dedup representative) is unreachable. Code is fetched
+  // per code hash: the boot takes it from the first re-run clone, and a
+  // cold sweep through the same archive takes it from the family's next
+  // address, so the front stays the representative and emulates at its own
+  // address. Both journal the clean records.
+  datagen::Population pop = make_population();
+  const auto inputs = pop.sweep_inputs();
+
+  store::DurableSweepConfig sc;
+  sc.journal_path = temp_journal("front_down.journal");
+  sc.shard_size = 200;
+  core::PipelineConfig config;
+  {
+    core::AnalysisPipeline clean(*pop.chain, &pop.sources, config);
+    ASSERT_TRUE(store::DurableSweep(clean, *pop.chain, &pop.sources, sc)
+                    .run(inputs)
+                    .error.empty());
+  }
+  const test_oracle::RecordMap clean = test_oracle::last_records(sc.journal_path);
+  const std::vector<evm::Address> family =
+      largest_emulated_family(sc.journal_path, inputs);
+  ASSERT_GE(family.size(), 3u);
+  {
+    auto writer = store::JournalWriter::open_append(sc.journal_path);
+    ASSERT_TRUE(writer.has_value());
+    for (const evm::Address& clone : {family[1], family[2]}) {
+      store::ContractRecord rec = clean.at(clone);
+      rec.analysis.error = core::ErrorRecord{
+          core::ErrorKind::kRpcExhausted, "pairs", "injected outage"};
+      ASSERT_TRUE(writer->append(store::RecordType::kContract,
+                                 store::encode_contract_record(rec)));
+    }
+    ASSERT_TRUE(writer->sync());
+  }
+
+  chain::ArchiveNode inner(*pop.chain);
+  CodeOutageNode outage(inner, family.front());
+  config.archive_node = &outage;
+  core::AnalysisPipeline piped(*pop.chain, &pop.sources, config);
+  const store::DurableSweepResult boot =
+      store::DurableSweep(piped, *pop.chain, &pop.sources, sc)
+          .incremental(inputs, {});
+  ASSERT_TRUE(boot.error.empty()) << boot.error;
+  EXPECT_EQ(boot.recomputed, 2u);
+  EXPECT_EQ(boot.stats.quarantined, 0u);
+  EXPECT_EQ(outage.victim_fetches.load(), 0u);
+
+  const std::string cold = temp_journal("front_down_cold.journal");
+  cold_sweep(pop, inputs, cold, config);
+  EXPECT_EQ(outage.victim_fetches.load(), 1u);
+  test_oracle::expect_same_records(sc.journal_path, cold);
+  test_oracle::expect_same_records(test_oracle::last_records(cold), clean);
+}
+
+/// `proxies` EIP-1967 clones declaring transfer(address,uint256), each
+/// delegating to `logic`, as sweep inputs.
+std::vector<core::SweepInput> transfer_proxies(chain::Blockchain& chain,
+                                               const evm::Address& logic,
+                                               int proxies) {
+  const evm::Address deployer = evm::Address::from_label("transfer.deployer");
+  const evm::Bytes code = datagen::ContractFactory::eip1967_proxy(
+      {{.prototype = "transfer(address,uint256)"}});
+  std::vector<core::SweepInput> inputs;
+  for (int k = 0; k < proxies; ++k) {
+    const evm::Address p = chain.deploy_runtime(deployer, code);
+    chain.set_storage(p, datagen::ContractFactory::eip1967_slot(),
+                      logic.to_word());
+    inputs.push_back({p});
+  }
+  return inputs;
+}
+
+/// A non-proxy whose only function is owner().
+evm::Bytes owner_only_contract() {
+  return datagen::ContractFactory::plain_contract(
+      {{.prototype = "owner()",
+        .body = datagen::BodyKind::kReturnStorageAddress,
+        .slot = evm::U256{0}}});
+}
+
+TEST(DurableSweep, LogicCodeChangeOnLapMatchesColdSweepRecords) {
+  // A proxy's function collision is computed against its logic's code. The
+  // logic (not a sweep input) is rewritten to a contract without
+  // transfer(address,uint256): the lap is told only the logic's address,
+  // and must re-run the proxies that delegate to it.
+  chain::Blockchain chain;
+  const evm::Address logic = chain.deploy_runtime(
+      evm::Address::from_label("logic.deployer"),
+      datagen::ContractFactory::token_contract(1));
+  const std::vector<core::SweepInput> inputs =
+      transfer_proxies(chain, logic, 3);
+  chain.mine_block();
+
+  core::AnalysisPipeline piped(chain, nullptr);
+  store::DurableSweepConfig sc;
+  sc.journal_path = temp_journal("logic_code.journal");
+  store::DurableSweep sweep(piped, chain, nullptr, sc);
+  ASSERT_TRUE(sweep.incremental(inputs, {}).error.empty());
+  for (const auto& input : inputs) {
+    ASSERT_TRUE(test_oracle::last_records(sc.journal_path)
+                    .at(input.address)
+                    .analysis.function_collision);
+  }
+
+  chain.set_code(logic, owner_only_contract());
+  chain.mine_block();
+  const store::DurableSweepResult lap = sweep.incremental(inputs, {logic});
+  ASSERT_TRUE(lap.error.empty()) << lap.error;
+  EXPECT_EQ(lap.recomputed, inputs.size());
+
+  const std::string cold = temp_journal("logic_code_cold.journal");
+  core::AnalysisPipeline cold_pipeline(chain, nullptr);
+  store::DurableSweepConfig cold_config;
+  cold_config.journal_path = cold;
+  ASSERT_TRUE(store::DurableSweep(cold_pipeline, chain, nullptr, cold_config)
+                  .run(inputs)
+                  .error.empty());
+  EXPECT_FALSE(test_oracle::last_records(cold)
+                   .at(inputs[0].address)
+                   .analysis.function_collision);
+  test_oracle::expect_same_records(sc.journal_path, cold);
+}
+
+TEST(DurableSweep, LogicDonorMoveOnLapMatchesColdSweepRecords) {
+  // §7.1 on the logic side: the logic is unverified, and a verified twin
+  // with the same bytecode donates its source, which declares
+  // transfer(address,uint256); the proxies collide only through it. When
+  // the twin's code changes, the logic's code hash loses its donor, and
+  // the lap must re-run the proxies delegating to the logic, though
+  // neither they nor the logic were touched.
+  chain::Blockchain chain;
+  const evm::Address deployer = evm::Address::from_label("twin.deployer");
+  const evm::Address logic = chain.deploy_runtime(deployer, owner_only_contract());
+  const evm::Address twin = chain.deploy_runtime(deployer, owner_only_contract());
+  std::vector<core::SweepInput> inputs = transfer_proxies(chain, logic, 3);
+  inputs.push_back({logic});
+  inputs.push_back({twin});
+  chain.mine_block();
+  sourcemeta::SourceRepository sources;
+  sourcemeta::SourceRecord declared;
+  declared.contract_name = "DeclaredLogic";
+  declared.functions.push_back({"transfer(address,uint256)"});
+  sources.publish(twin, declared);
+
+  core::AnalysisPipeline piped(chain, &sources);
+  store::DurableSweepConfig sc;
+  sc.journal_path = temp_journal("logic_donor.journal");
+  store::DurableSweep sweep(piped, chain, &sources, sc);
+  ASSERT_TRUE(sweep.incremental(inputs, {}).error.empty());
+  for (int k = 0; k < 3; ++k) {
+    ASSERT_TRUE(test_oracle::last_records(sc.journal_path)
+                    .at(inputs[k].address)
+                    .analysis.function_collision);
+  }
+
+  chain.set_code(twin, datagen::ContractFactory::token_contract(2));
+  chain.mine_block();
+  const store::DurableSweepResult lap = sweep.incremental(inputs, {twin});
+  ASSERT_TRUE(lap.error.empty()) << lap.error;
+  // The twin, the logic (its hash's donor moved) and the three proxies.
+  EXPECT_EQ(lap.recomputed, inputs.size());
+
+  const std::string cold = temp_journal("logic_donor_cold.journal");
+  core::AnalysisPipeline cold_pipeline(chain, &sources);
+  store::DurableSweepConfig cold_config;
+  cold_config.journal_path = cold;
+  ASSERT_TRUE(store::DurableSweep(cold_pipeline, chain, &sources, cold_config)
+                  .run(inputs)
+                  .error.empty());
+  EXPECT_FALSE(test_oracle::last_records(cold)
+                   .at(inputs[0].address)
+                   .analysis.function_collision);
   test_oracle::expect_same_records(sc.journal_path, cold);
 }
 

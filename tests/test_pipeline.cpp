@@ -10,6 +10,7 @@
 #include <unordered_set>
 
 #include "chain/archive_node.h"
+#include "chain/fault_injection.h"
 #include "chain/blockchain.h"
 #include "core/pipeline.h"
 #include "crypto/keccak.h"
@@ -117,6 +118,90 @@ class StorageReadCounter final : public chain::IArchiveNode {
  private:
   const chain::IArchiveNode& inner_;
 };
+
+/// Fails every eth_getCode for the addresses in `down` with a terminal
+/// error that names the address, and counts the code requests per address.
+/// Storage reads pass straight through.
+class CodeOutage final : public chain::IArchiveNode {
+ public:
+  CodeOutage(const chain::IArchiveNode& inner,
+             std::unordered_set<Address, evm::AddressHasher> down)
+      : inner_(inner), down_(std::move(down)) {}
+
+  U256 get_storage_at(const Address& account, const U256& slot,
+                      std::uint64_t block) const override {
+    return inner_.get_storage_at(account, slot, block);
+  }
+  std::vector<U256> get_storage_at_many(
+      std::span<const chain::StorageQuery> queries) const override {
+    return inner_.get_storage_at_many(queries);
+  }
+  evm::Bytes get_code(const Address& account) const override {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      ++attempts_[account];
+    }
+    if (down_.contains(account)) {
+      throw chain::RpcError(chain::RpcErrorKind::kExhausted,
+                            "code outage at " + account.to_hex());
+    }
+    return inner_.get_code(account);
+  }
+  std::uint64_t latest_block() const override { return inner_.latest_block(); }
+  std::uint64_t get_storage_at_calls() const override {
+    return inner_.get_storage_at_calls();
+  }
+  std::uint64_t get_code_calls() const override {
+    return inner_.get_code_calls();
+  }
+  void reset_counters() const override { inner_.reset_counters(); }
+
+  unsigned attempts(const Address& account) const {
+    std::lock_guard<std::mutex> lk(mu_);
+    const auto it = attempts_.find(account);
+    return it == attempts_.end() ? 0 : it->second;
+  }
+
+ private:
+  const chain::IArchiveNode& inner_;
+  const std::unordered_set<Address, evm::AddressHasher> down_;
+  mutable std::mutex mu_;
+  mutable std::unordered_map<Address, unsigned, evm::AddressHasher> attempts_;
+};
+
+/// Every input's code hash, as the chain stored it (what a durable sweep
+/// passes to run()).
+std::vector<crypto::Hash256> code_hashes_of(
+    const chain::Blockchain& chain, const std::vector<SweepInput>& inputs) {
+  std::vector<crypto::Hash256> out;
+  out.reserve(inputs.size());
+  for (const SweepInput& in : inputs) out.push_back(chain.code_hash(in.address));
+  return out;
+}
+
+/// Input indices, in input order, of the largest clone family of emulated
+/// proxies: their verdicts carry the representative's address-seeded probe
+/// selector, so a representative other than the first member would show.
+std::vector<std::size_t> largest_emulated_family(
+    const std::vector<ContractAnalysis>& reports,
+    const std::vector<crypto::Hash256>& hashes) {
+  std::unordered_map<crypto::Hash256, std::vector<std::size_t>,
+                     crypto::Hash256Hasher>
+      families;
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    if (reports[i].proxy.is_proxy() && reports[i].proxy.probe_selector != 0) {
+      families[hashes[i]].push_back(i);
+    }
+  }
+  std::vector<std::size_t> largest;
+  for (auto& [hash, members] : families) {
+    if (members.size() > largest.size() ||
+        (members.size() == largest.size() && members < largest)) {
+      largest = std::move(members);
+    }
+  }
+  return largest;
+}
 
 class PipelineTest : public ::testing::Test {
  protected:
@@ -453,6 +538,178 @@ TEST_F(PipelineTest, FailedInputFetchIsRetriedOnceForItsProxies) {
   EXPECT_EQ(counter.attempts(outside_logic), 1u);
   for (const Address& p : proxies) EXPECT_EQ(counter.attempts(p), 1u);
   EXPECT_EQ(counter.addresses_fetched(), 2 + proxies.size());
+}
+
+TEST_F(PipelineTest, EachDistinctCodeHashIsFetchedOnce) {
+  // Given the inputs' code hashes, code is content-addressed: one
+  // eth_getCode per distinct hash, from its first input, plus one per
+  // logic address outside the inputs. Half the logic contracts are dropped
+  // from the inputs, and every tenth input appears twice.
+  Population pop = make_population(600);
+  std::unordered_set<Address, evm::AddressHasher> dropped;
+  {
+    std::unordered_set<Address, evm::AddressHasher> logic;
+    for (const ContractAnalysis& r :
+         AnalysisPipeline(*pop.chain, &pop.sources).run(pop.sweep_inputs())) {
+      for (const Address& a : r.logic_history.logic_addresses) {
+        if (logic.insert(a).second && logic.size() % 2 == 0) dropped.insert(a);
+      }
+    }
+  }
+  std::vector<SweepInput> inputs;
+  for (const SweepInput& in : pop.sweep_inputs()) {
+    if (!dropped.contains(in.address)) inputs.push_back(in);
+  }
+  const std::size_t originals = inputs.size();
+  for (std::size_t i = 0; i < originals; i += 10) inputs.push_back(inputs[i]);
+  const std::vector<crypto::Hash256> hashes = code_hashes_of(*pop.chain, inputs);
+
+  chain::ArchiveNode node(*pop.chain);
+  PipelineConfig cfg;
+  cfg.archive_node = &node;
+  AnalysisPipeline pipeline(*pop.chain, &pop.sources, cfg);
+  const auto reports = pipeline.run(inputs, {}, nullptr, hashes);
+
+  const std::unordered_set<crypto::Hash256, crypto::Hash256Hasher> distinct(
+      hashes.begin(), hashes.end());
+  std::unordered_set<Address, evm::AddressHasher> input_addresses;
+  for (const SweepInput& in : inputs) input_addresses.insert(in.address);
+  std::unordered_set<Address, evm::AddressHasher> outside;
+  for (const ContractAnalysis& r : reports) {
+    ASSERT_FALSE(r.error) << r.error->detail;
+    for (const Address& logic : r.logic_history.logic_addresses) {
+      if (!input_addresses.contains(logic)) outside.insert(logic);
+    }
+  }
+  ASSERT_LT(distinct.size(), originals / 2) << "no clone skew";
+  ASSERT_GT(outside.size(), 0u) << "no logic contract outside the inputs";
+  EXPECT_EQ(node.get_code_calls(), distinct.size() + outside.size());
+
+  // Sharing a blob across addresses changes no report.
+  const auto by_address = AnalysisPipeline(*pop.chain, &pop.sources).run(inputs);
+  ASSERT_EQ(by_address.size(), reports.size());
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    EXPECT_TRUE(reports[i] == by_address[i]) << "contract " << i;
+  }
+}
+
+TEST_F(PipelineTest, OutageOnOneCloneAddressLeavesItsReportUnchanged) {
+  // The fetch's failure domain is the code hash. The first member of an
+  // emulated clone family is unreachable: the family's other addresses are
+  // asked once each, the first to answer serves the hash, and every report
+  // (the unreachable representative's included, emulated at its own
+  // address) equals the fault-free one.
+  Population pop = make_population(600);
+  const auto inputs = pop.sweep_inputs();
+  const std::vector<crypto::Hash256> hashes = code_hashes_of(*pop.chain, inputs);
+  const auto clean =
+      AnalysisPipeline(*pop.chain, &pop.sources).run(inputs, {}, nullptr, hashes);
+  const std::vector<std::size_t> family = largest_emulated_family(clean, hashes);
+  ASSERT_GE(family.size(), 3u);
+  const Address victim = inputs[family.front()].address;
+
+  chain::ArchiveNode node(*pop.chain);
+  CodeOutage outage(node, {victim});
+  PipelineConfig cfg;
+  cfg.archive_node = &outage;
+  cfg.threads = 4;
+  const auto reports = AnalysisPipeline(*pop.chain, &pop.sources, cfg)
+                           .run(inputs, {}, nullptr, hashes);
+
+  for (const std::size_t i : family) {
+    EXPECT_EQ(outage.attempts(inputs[i].address), 1u) << "member " << i;
+  }
+  ASSERT_EQ(reports.size(), clean.size());
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    EXPECT_TRUE(reports[i] == clean[i]) << "contract " << i;
+  }
+}
+
+TEST_F(PipelineTest, OutageOnEveryAddressOfAHashQuarantinesEachInFetch) {
+  // No address of the family returns code: each member is quarantined in
+  // the fetch with the error of its own request, and nothing else moves.
+  Population pop = make_population(600);
+  const auto inputs = pop.sweep_inputs();
+  const std::vector<crypto::Hash256> hashes = code_hashes_of(*pop.chain, inputs);
+  const auto clean =
+      AnalysisPipeline(*pop.chain, &pop.sources).run(inputs, {}, nullptr, hashes);
+  const std::vector<std::size_t> family = largest_emulated_family(clean, hashes);
+  ASSERT_GE(family.size(), 3u);
+  std::unordered_set<Address, evm::AddressHasher> down;
+  for (const std::size_t i : family) down.insert(inputs[i].address);
+
+  chain::ArchiveNode node(*pop.chain);
+  CodeOutage outage(node, down);
+  PipelineConfig cfg;
+  cfg.archive_node = &outage;
+  cfg.threads = 4;
+  const auto reports = AnalysisPipeline(*pop.chain, &pop.sources, cfg)
+                           .run(inputs, {}, nullptr, hashes);
+
+  ASSERT_EQ(reports.size(), clean.size());
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    const Address& a = inputs[i].address;
+    if (!down.contains(a)) {
+      EXPECT_TRUE(reports[i] == clean[i]) << "contract " << i;
+      continue;
+    }
+    EXPECT_EQ(outage.attempts(a), 1u);
+    ASSERT_TRUE(reports[i].error) << "contract " << i;
+    EXPECT_EQ(reports[i].error->phase, "fetch");
+    EXPECT_EQ(reports[i].error->kind, ErrorKind::kRpcExhausted);
+    EXPECT_NE(reports[i].error->detail.find(a.to_hex()), std::string::npos)
+        << reports[i].error->detail;
+  }
+}
+
+TEST_F(PipelineTest, ThreadCountIsByteIdenticalUnderCodeFaults) {
+  // Which address serves a hash whose first fetch failed is decided in
+  // input order, not by which worker finished first: with permanent
+  // faults on code and storage reads, one worker and eight produce the
+  // same reports byte for byte.
+  Population pop = make_population(400);
+  const auto inputs = pop.sweep_inputs();
+  const std::vector<crypto::Hash256> hashes = code_hashes_of(*pop.chain, inputs);
+  chain::ArchiveNode node(*pop.chain);
+  chain::FaultProfile profile;
+  profile.seed = 23;
+  profile.transient_rate = 0.25;
+  profile.failures_per_fault = 1'000'000;
+
+  auto run_with = [&](unsigned threads) {
+    chain::FaultInjectingArchiveNode faulty(node, profile);
+    PipelineConfig cfg;
+    cfg.archive_node = &faulty;
+    cfg.enable_retries = false;
+    cfg.threads = threads;
+    return AnalysisPipeline(*pop.chain, &pop.sources, cfg)
+        .run(inputs, {}, nullptr, hashes);
+  };
+  const auto r1 = run_with(1);
+  const auto r8 = run_with(8);
+
+  // Both outcomes of a failed first fetch occur: a hash that another
+  // address served, and inputs quarantined in the fetch. (Whether a
+  // request faults is a pure function of the seed and the request.)
+  chain::FaultInjectingArchiveNode probe(node, profile);
+  std::unordered_set<crypto::Hash256, crypto::Hash256Hasher> seen;
+  std::size_t served_by_another = 0;
+  std::size_t fetch_quarantined = 0;
+  for (std::size_t i = 0; i < r1.size(); ++i) {
+    fetch_quarantined += r1[i].error && r1[i].error->phase == "fetch";
+    if (!seen.insert(hashes[i]).second || r1[i].error) continue;
+    try {
+      probe.get_code(inputs[i].address);
+    } catch (const chain::RpcError&) {
+      ++served_by_another;
+    }
+  }
+  ASSERT_GT(served_by_another, 0u);
+  ASSERT_GT(fetch_quarantined, 0u);
+  ASSERT_EQ(r1.size(), r8.size());
+  for (std::size_t i = 0; i < r1.size(); ++i) {
+    EXPECT_TRUE(r1[i] == r8[i]) << "contract " << i << " diverged";
+  }
 }
 
 TEST_F(PipelineTest, LogicSearchSharesOneBatchPerDepth) {
