@@ -63,6 +63,72 @@ ErrorRecord record_of(const chain::RpcError& e, const char* phase) {
   return ErrorRecord{classify_rpc(e), phase, e.what()};
 }
 
+/// Runs `fn` as one failure domain: what it throws becomes the returned
+/// ErrorRecord of `phase`.
+template <typename Fn>
+std::optional<ErrorRecord> contain(const char* phase, Fn&& fn) {
+  try {
+    fn();
+    return std::nullopt;
+  } catch (const chain::RpcError& e) {
+    return record_of(e, phase);
+  } catch (const util::WatchdogExpired& e) {
+    return ErrorRecord{ErrorKind::kEmulationLimit, phase, e.what()};
+  } catch (const std::exception& e) {
+    return ErrorRecord{ErrorKind::kInternal, phase, e.what()};
+  }
+}
+
+/// One account's code blob, fetched once per code hash in a run (once per
+/// address when run() is not given the hashes) and hashed at most once
+/// (not at all when run() was handed its hash).
+struct CodeBlob {
+  evm::Bytes code;
+  crypto::Hash256 hash{};
+};
+
+/// A logic address some history names: the blob serving it, or the error
+/// of its one fetch.
+struct LogicBlob {
+  Address address;
+  std::shared_ptr<const CodeBlob> blob;
+  std::optional<ErrorRecord> error;
+};
+
+/// One step of a contract's logic history: its entry in the run's logic
+/// blobs and, once the pairs are planned, its pair.
+struct Step {
+  std::uint32_t logic = 0;
+  std::uint32_t pair = 0;
+};
+
+/// One distinct proxy/logic pair: its representative, the first input and
+/// logic entry that reach it, and the outcome of its collision checks.
+struct Pair {
+  std::size_t input = 0;
+  std::uint32_t logic = 0;
+  bool function_collision = false;
+  bool storage_collision = false;
+  bool storage_exploitable = false;
+  bool family_collision = false;
+  bool family_checked = false;
+  bool family_source_free = false;
+  std::optional<ErrorRecord> error;
+};
+
+/// A pair's identity: the proxy's and the logic contract's code hash.
+struct PairKey {
+  crypto::Hash256 proxy{};
+  crypto::Hash256 logic{};
+  bool operator==(const PairKey&) const = default;
+};
+struct PairKeyHasher {
+  std::size_t operator()(const PairKey& k) const noexcept {
+    const crypto::Hash256Hasher h;
+    return h(k.proxy) ^ (h(k.logic) * 0x9e3779b97f4a7c15ull);
+  }
+};
+
 }  // namespace
 
 std::string_view to_string(ErrorKind kind) noexcept {
@@ -195,13 +261,6 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
   }
   if (tracer_) tracer_->clear();
 
-  // No memo outlives the run that filled it: a code blob or a pair outcome
-  // computed before a chain mutation would silently answer for the mutated
-  // chain (and a PairOutcome also depends on this run's donor map and the
-  // proxy's live storage).
-  pair_cache_ =
-      std::make_unique<StripedOnceMap<PairKey, PairOutcome, PairKeyHasher>>();
-
   std::vector<ContractAnalysis> out(inputs.size());
 
   // ---- fetch code and hash it ------------------------------------------
@@ -244,15 +303,10 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
   {
     obs::Span phase_span(tracer_.get(), "phase:fetch");
     auto fetch_input = [&](std::size_t i) {
-      try {
-        blobs[i] = fetch_blob(inputs[i].address, code_hashes.empty()
-                                                     ? nullptr
-                                                     : &code_hashes[i]);
-      } catch (const chain::RpcError& e) {
-        out[i].error = record_of(e, "fetch");
-      } catch (const std::exception& e) {
-        out[i].error = ErrorRecord{ErrorKind::kInternal, "fetch", e.what()};
-      }
+      out[i].error = contain("fetch", [&] {
+        blobs[i] = fetch_blob(inputs[i].address,
+                              code_hashes.empty() ? nullptr : &code_hashes[i]);
+      });
     };
     workers.parallel_for(inputs.size(), [&](std::size_t i) {
       if (first_of[i] == i) fetch_input(i);
@@ -337,7 +391,7 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
       const std::size_t i = unique_indices[u];
       obs::Span contract_span(tracer_.get(), "contract");
       contract_span.arg("index", static_cast<std::int64_t>(i));
-      try {
+      unique_errors[u] = contain("proxy", [&] {
         const auto seed = seeds.find(inputs[i].address);
         if (seed != seeds.end() && seed->second.code_hash == blobs[i]->hash) {
           // A seeded verdict is reused without emulating, so it rightly
@@ -345,10 +399,7 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
           unique_reports[u] = seed->second.report;
         } else {
           obs::Span detect_span(tracer_.get(), "proxy-detect");
-          ProxyDetectorConfig detector_config;
-          detector_config.step_limit = config_.emulation_step_limit;
-          detector_config.static_tier = config_.static_tier;
-          ProxyDetector detector(chain_, detector_config);
+          ProxyDetector detector(chain_, detector_config());
           unique_reports[u] =
               detector.analyze_code(inputs[i].address, blobs[i]->code);
         }
@@ -358,11 +409,7 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
           // the same sample the original emulation produced.
           h_steps_->record(unique_reports[u].emulation_steps);
         }
-      } catch (const chain::RpcError& e) {
-        unique_errors[u] = record_of(e, "proxy");
-      } catch (const std::exception& e) {
-        unique_errors[u] = ErrorRecord{ErrorKind::kInternal, "proxy", e.what()};
-      }
+      });
     });
   }
   std::unordered_map<crypto::Hash256, const ProxyReport*,
@@ -382,29 +429,17 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
   }
   const auto t_proxy = std::chrono::steady_clock::now();
 
-  // ---- Phase B: per-contract results (parallel) ---------------------------
+  // ---- Phase B: logic histories and collision pairs (planned) ------------
   // Algorithm 1 runs first, for every proxy of the run in lockstep on this
-  // thread: each search depth across all proxies is one archive batch, so
-  // the run pays one round trip per depth instead of one per proxy per
-  // depth. (Per-worker chunks cost the same CPU but each worker's malloc
-  // arena kept the search's frontier, raising peak RSS.)
-  // A logic address that is also a sweep input reuses that input's blob,
-  // which its fetch key shares. Any other — or an input for which no
-  // address of its key returned code, which is retried here — goes through
-  // a once-map, so each distinct logic address is fetched and hashed at
-  // most once per attempt, however many proxies delegate to it (the seed
-  // re-hashed per pair). Every contract is its own failure domain: an RPC
-  // giving up mid-history or a watchdog expiry quarantines this contract
-  // and the sweep moves on.
-  CodeBlobMap logic_blobs;
-  auto logic_blob = [&](const Address& logic) {
-    if (const auto it = input_index.find(logic);
-        it != input_index.end() && blobs[it->second]) {
-      return blobs[it->second];
-    }
-    return logic_blobs.get_or_compute(
-        logic, [&] { return fetch_blob(logic, nullptr); });
-  };
+  // thread: each search depth across all proxies is one archive batch.
+  // (Per-worker chunks cost the same CPU but each worker's malloc arena
+  // kept the search's frontier, raising peak RSS.) Four passes follow:
+  //   1. resolve: each contract's verdict, diamond probe and history;
+  //   2. logic blobs: one fetch per distinct logic address no input serves;
+  //   3. pairs: one collision check per distinct (proxy, logic) hash pair;
+  //   4. fan out: each contract takes its pairs' outcomes in history order.
+  // Every contract, logic fetch and pair is its own failure domain: its
+  // error quarantines the contracts that read it.
   if (status != nullptr) status->set_phase(obs::SweepPhase::kPairs);
   {
     obs::Span phase_span(tracer_.get(), "phase:pairs");
@@ -431,141 +466,193 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
         search_error = ErrorRecord{ErrorKind::kInternal, "pairs", e.what()};
       }
     }
+
+    // ---- pass 1: resolve each contract ----
+    // The contract's wall time here, added to its fan-out's in pass 4.
+    std::vector<std::uint64_t> resolve_ns(
+        h_contract_ != nullptr ? inputs.size() : 0);
     workers.parallel_for(inputs.size(), [&](std::size_t i) {
       ContractAnalysis& a = out[i];
-      // Per-contract latency stopwatch + trace span around the whole pair
-      // phase for this contract; the body runs as an immediately-invoked
-      // lambda so its early returns still land on the record below.
       const std::uint64_t t0 = h_contract_ != nullptr ? clock_() : 0;
-      {
-        obs::Span contract_span(tracer_.get(), "contract");
-        contract_span.arg("index", static_cast<std::int64_t>(i));
-        [&] {
-          a.address = inputs[i].address;
-          a.year = inputs[i].year;
-          a.has_source = inputs[i].has_source;
-          a.has_tx = inputs[i].has_tx;
-          if (a.error) return;  // fetch or Phase A already quarantined it
-
-          const auto vit = verdicts.find(key_of(i));
-          if (vit == verdicts.end()) {
-            // Our representative's Phase A failed; inherit its quarantine
-            // record.
-            a.error = failed_keys.at(key_of(i));
-            return;
+      obs::Span contract_span(tracer_.get(), "contract");
+      contract_span.arg("index", static_cast<std::int64_t>(i));
+      a.address = inputs[i].address;
+      a.year = inputs[i].year;
+      a.has_source = inputs[i].has_source;
+      a.has_tx = inputs[i].has_tx;
+      if (a.error) return;  // fetch or Phase A already quarantined it
+      auto resolve = [&] {
+        const auto vit = verdicts.find(key_of(i));
+        if (vit == verdicts.end()) {
+          // Our representative's Phase A failed; inherit its record.
+          a.error = failed_keys.at(key_of(i));
+          return;
+        }
+        a.proxy = *vit->second;
+        a.deduplicated = config_.dedup_by_code_hash &&
+                         representative.at(key_of(i)) != i;
+        util::Watchdog watchdog(config_.contract_wall_budget_ms);
+        if (!a.proxy.is_proxy()) {
+          if (config_.probe_diamonds && a.proxy.has_delegatecall_opcode &&
+              a.proxy.verdict == ProxyVerdict::kNotProxy) {
+            a.diamond = DiamondProber(chain_).probe(a.address, a.proxy);
           }
-          a.proxy = *vit->second;
-          a.deduplicated =
-              config_.dedup_by_code_hash &&
-              representative.at(key_of(i)) != i;
-
-          util::Watchdog watchdog(config_.contract_wall_budget_ms);
-          try {
-            if (!a.proxy.is_proxy()) {
-              if (config_.probe_diamonds && a.proxy.has_delegatecall_opcode &&
-                  a.proxy.verdict == ProxyVerdict::kNotProxy) {
-                DiamondProber prober(chain_);
-                a.diamond = prober.probe(a.address, a.proxy);
-              }
-              return;
-            }
-
-            // A deduplicated slot-proxy verdict carries the representative's
-            // logic address; re-read this contract's slot for its own logic
-            // target.
-            if (a.deduplicated &&
-                a.proxy.logic_source == LogicSource::kStorageSlot) {
-              const U256 word =
-                  chain_.get_storage(a.address, a.proxy.logic_slot) &
-                  ((U256{1} << U256{160}) - U256{1});
-              a.proxy.logic_address = Address::from_word(word);
-            }
-
-            watchdog.check("logic-history");
-            if (config_.find_logic_history) {
-              if (search_error) {
-                a.error = *search_error;
-                return;
-              }
-              LogicSearch& found = searches[search_of[i]];
-              if (found.error) {
-                a.error = record_of(*found.error, "pairs");
-                return;
-              }
-              a.logic_history = std::move(found.history);
-            } else if (!a.proxy.logic_address.is_zero()) {
-              a.logic_history.logic_addresses.push_back(a.proxy.logic_address);
-            }
-
-            if (!config_.detect_collisions) return;
-            for (const Address& logic : a.logic_history.logic_addresses) {
-              watchdog.check("pair-collisions");
-              const std::shared_ptr<const CodeBlob> blob = logic_blob(logic);
-              if (blob->code.empty()) continue;
-              a.logic_has_source =
-                  a.logic_has_source ||
-                  (sources_ != nullptr && sources_->has_source(logic));
-
-              const PairOutcome outcome = pair_cache_->get_or_compute(
-                  PairKey{key_of(i), blob->hash}, [&] {
-                    // Spanned inside the pair memo: a hit reuses the outcome
-                    // without running the detectors, so it shows no
-                    // collision-check span.
-                    obs::Span pair_span(tracer_.get(), "collision-check");
-                    PairOutcome o;
-                    FunctionCollisionDetector fn_detector(sources_);
-                    // Source-mode lookups go through same-bytecode donors
-                    // (§7.1): a clone of a verified contract is analyzed as
-                    // if verified itself.
-                    const Address proxy_lookup =
-                        with_source_donor(blobs[i]->hash, a.address);
-                    const Address logic_lookup =
-                        with_source_donor(blob->hash, logic);
-                    o.function_collision =
-                        fn_detector
-                            .detect(proxy_lookup, blobs[i]->code,
-                                    logic_lookup, blob->code)
-                            .has_collision();
-                    StorageCollisionConfig st_config;
-                    st_config.compare_families =
-                        config_.static_tier.infer_layout;
-                    StorageCollisionDetector st_detector(chain_, st_config,
-                                                         sources_);
-                    const StorageCollisionResult st = st_detector.detect(
-                        a.address, blobs[i]->code, logic, blob->code,
-                        &proxy_lookup, &logic_lookup);
-                    o.storage_collision = st.has_collision();
-                    o.storage_exploitable = st.has_verified_exploit();
-                    o.family_collision = st.has_family_collision();
-                    o.family_checked = st.family_checked;
-                    o.family_source_free = st.family_source_free;
-                    return o;
-                  });
-              a.function_collision |= outcome.function_collision;
-              a.storage_collision |= outcome.storage_collision;
-              a.storage_collision_exploitable |= outcome.storage_exploitable;
-              a.family_collision |= outcome.family_collision;
-              if (outcome.family_checked) ++a.collision_pairs_family_checked;
-              if (outcome.family_source_free) {
-                ++a.collision_pairs_source_free;
-              }
-            }
-          } catch (const chain::RpcError& e) {
-            a.error = record_of(e, "pairs");
-          } catch (const util::WatchdogExpired& e) {
-            a.error = ErrorRecord{ErrorKind::kEmulationLimit, "pairs",
-                                  e.what()};
-          } catch (const std::exception& e) {
-            a.error = ErrorRecord{ErrorKind::kInternal, "pairs", e.what()};
+          return;
+        }
+        // A deduplicated slot-proxy verdict carries the representative's
+        // logic address; re-read this contract's slot for its own logic
+        // target.
+        if (a.deduplicated &&
+            a.proxy.logic_source == LogicSource::kStorageSlot) {
+          const U256 word = chain_.get_storage(a.address, a.proxy.logic_slot) &
+                            ((U256{1} << U256{160}) - U256{1});
+          a.proxy.logic_address = Address::from_word(word);
+        }
+        watchdog.check("logic-history");
+        if (!config_.find_logic_history) {
+          if (!a.proxy.logic_address.is_zero()) {
+            a.logic_history.logic_addresses.push_back(a.proxy.logic_address);
           }
-        }();
+        } else if (search_error) {
+          a.error = *search_error;
+        } else if (LogicSearch& found = searches[search_of[i]]; found.error) {
+          a.error = record_of(*found.error, "pairs");
+        } else {
+          a.logic_history = std::move(found.history);
+        }
+      };
+      if (auto thrown = contain("pairs", resolve)) a.error = std::move(thrown);
+      if (h_contract_ != nullptr) resolve_ns[i] = clock_() - t0;
+    });
+
+    // ---- pass 2: logic blobs ----
+    // Each history step names an entry of `logic` (first-seen order): the
+    // blob of the input at that address, or else one fetch per run, shared
+    // by every proxy delegating to it (an input whose fetch failed is asked
+    // once more here).
+    std::vector<LogicBlob> logic;
+    std::vector<std::uint32_t> to_fetch;  // entries no input blob serves
+    // Input i's history is steps[step_begin[i] .. step_begin[i + 1]).
+    std::vector<Step> steps;
+    std::vector<std::size_t> step_begin(inputs.size() + 1, 0);
+    {
+      std::unordered_map<Address, std::uint32_t, evm::AddressHasher> logic_of;
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        if (!out[i].error && config_.detect_collisions) {
+          for (const Address& l : out[i].logic_history.logic_addresses) {
+            const auto [it, inserted] = logic_of.try_emplace(
+                l, static_cast<std::uint32_t>(logic.size()));
+            if (inserted) {
+              const auto in = input_index.find(l);
+              logic.push_back(
+                  {l, in == input_index.end() ? nullptr : blobs[in->second]});
+              if (!logic.back().blob) to_fetch.push_back(it->second);
+            }
+            steps.push_back({it->second});
+          }
+        }
+        step_begin[i + 1] = steps.size();
       }
-      if (h_contract_ != nullptr) h_contract_->record(clock_() - t0);
+    }
+    workers.parallel_for(to_fetch.size(), [&](std::size_t f) {
+      LogicBlob& l = logic[to_fetch[f]];
+      l.error =
+          contain("pairs", [&] { l.blob = fetch_blob(l.address, nullptr); });
+    });
+
+    // ---- pass 3: one collision check per distinct pair ----
+    // Histories are walked in input order, then history order, up to a
+    // contract's first failed logic fetch. The first (input, logic) with
+    // each key represents the pair: it supplies the addresses, the §7.1
+    // donor lookups and the live storage the checks read.
+    std::vector<Pair> pairs;
+    std::uint64_t lookups = 0;  // pair steps of the plan
+    {
+      std::unordered_map<PairKey, std::uint32_t, PairKeyHasher> pair_of;
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        for (std::size_t s = step_begin[i]; s < step_begin[i + 1]; ++s) {
+          const LogicBlob& l = logic[steps[s].logic];
+          if (l.error) break;
+          if (l.blob->code.empty()) continue;
+          ++lookups;
+          const auto [it, inserted] =
+              pair_of.try_emplace(PairKey{key_of(i), l.blob->hash},
+                                  static_cast<std::uint32_t>(pairs.size()));
+          if (inserted) pairs.push_back({i, steps[s].logic});
+          steps[s].pair = it->second;
+        }
+      }
+    }
+    workers.parallel_for(pairs.size(), [&](std::size_t p) {
+      obs::Span pair_span(tracer_.get(), "collision-check");
+      Pair& o = pairs[p];
+      const std::size_t i = o.input;
+      const Address& proxy = inputs[i].address;
+      const LogicBlob& l = logic[o.logic];
+      o.error = contain("pairs", [&] {
+        // The budget bounds one pair, whichever contracts look it up.
+        util::Watchdog watchdog(config_.contract_wall_budget_ms);
+        // Source-mode lookups go through same-bytecode donors (§7.1): a
+        // clone of a verified contract is analyzed as if verified itself.
+        const Address proxy_lookup = with_source_donor(key_of(i), proxy);
+        const Address logic_lookup = with_source_donor(l.blob->hash, l.address);
+        o.function_collision =
+            FunctionCollisionDetector(sources_)
+                .detect(proxy_lookup, blobs[i]->code, logic_lookup,
+                        l.blob->code)
+                .has_collision();
+        watchdog.check("pair-collisions");
+        StorageCollisionConfig st_config;
+        st_config.compare_families = config_.static_tier.infer_layout;
+        const StorageCollisionResult st =
+            StorageCollisionDetector(chain_, st_config, sources_)
+                .detect(proxy, blobs[i]->code, l.address, l.blob->code,
+                        &proxy_lookup, &logic_lookup);
+        o.storage_collision = st.has_collision();
+        o.storage_exploitable = st.has_verified_exploit();
+        o.family_collision = st.has_family_collision();
+        o.family_checked = st.family_checked;
+        o.family_source_free = st.family_source_free;
+      });
+    });
+
+    // ---- pass 4: fan the outcomes out to contracts ----
+    // A contract's first failure on its history ends its walk; the flags
+    // set before it stay.
+    workers.parallel_for(inputs.size(), [&](std::size_t i) {
+      ContractAnalysis& a = out[i];
+      const std::uint64_t t0 = h_contract_ != nullptr ? clock_() : 0;
+      for (std::size_t s = step_begin[i]; s < step_begin[i + 1]; ++s) {
+        const LogicBlob& l = logic[steps[s].logic];
+        if (l.error) {
+          a.error = l.error;
+          break;
+        }
+        if (l.blob->code.empty()) continue;
+        a.logic_has_source =
+            a.logic_has_source ||
+            (sources_ != nullptr && sources_->has_source(l.address));
+        const Pair& o = pairs[steps[s].pair];
+        if (o.error) {
+          a.error = o.error;
+          break;
+        }
+        a.function_collision |= o.function_collision;
+        a.storage_collision |= o.storage_collision;
+        a.storage_collision_exploitable |= o.storage_exploitable;
+        a.family_collision |= o.family_collision;
+        a.collision_pairs_family_checked += o.family_checked;
+        a.collision_pairs_source_free += o.family_source_free;
+      }
+      if (h_contract_ != nullptr) {
+        h_contract_->record(resolve_ns[i] + (clock_() - t0));
+      }
       if (c_contracts_ != nullptr) c_contracts_->add();
       if (status != nullptr) {
         status->contracts_done.fetch_add(1, std::memory_order_relaxed);
       }
     });
+    pair_counts_ = MemoCounts(lookups - pairs.size(), pairs.size());
   }
 
   const auto t_end = std::chrono::steady_clock::now();
@@ -589,10 +676,6 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
           .set(static_cast<std::int64_t>(resilient_->breaker().trips()));
     }
   }
-  // Every memo read is done: drop the entries, outside the phase timings
-  // (the counters stay for annotate_run_stats).
-  pair_cache_->clear();
-
   // Trace files are written after t_end so export cost never pollutes the
   // phase timings; the parallel_for joins above provide the quiescence the
   // tracer's bulk read requires.
@@ -658,10 +741,7 @@ void AnalysisPipeline::annotate_run_stats(LandscapeStats& stats) const {
   stats.phase_fetch_ms = last_fetch_ms_;
   stats.phase_proxy_ms = last_proxy_ms_;
   stats.phase_pairs_ms = last_pairs_ms_;
-  if (pair_cache_) {
-    stats.cache = MemoCounts(pair_cache_->hits(), pair_cache_->misses(),
-                             pair_cache_->waits());
-  }
+  stats.cache = pair_counts_;
   if (h_contract_ != nullptr) {
     stats.contract_latency_ns = h_contract_->summary();
     stats.rpc_latency_ns = h_rpc_->summary();

@@ -31,7 +31,6 @@
 #include "core/diamond_probe.h"
 #include "core/function_collision.h"
 #include "core/logic_finder.h"
-#include "core/once_map.h"
 #include "core/proxy_detector.h"
 #include "core/storage_collision.h"
 #include "obs/eventlog.h"
@@ -174,11 +173,12 @@ struct PipelineConfig {
   /// Per-backend circuit breaker (trips on consecutive failures, half-opens
   /// on a probe after its cooldown). Reset at each run() entry.
   util::CircuitBreakerConfig breaker{};
-  /// Wall-clock budget per contract in the pair phase; 0 = unlimited. A
-  /// contract exceeding it quarantines as kEmulationLimit at the next
-  /// cooperative checkpoint (before taking its logic history, between logic
-  /// targets). The run-wide logic-history search is outside every
-  /// contract's budget.
+  /// Wall-clock budget per unit of Phase B work; 0 = unlimited. It bounds a
+  /// contract's resolve, checked before it takes its logic history, and
+  /// each distinct proxy/logic pair, checked between the function and the
+  /// storage check. Expiry quarantines as kEmulationLimit the contract, or
+  /// every contract that looks the pair up. The run-wide logic-history
+  /// search is outside every budget.
   double contract_wall_budget_ms = 0.0;
   /// Interpreter step fuse for proxy-detection emulation (adversarial
   /// bytecode — infinite loops, unbounded recursion — halts here).
@@ -203,31 +203,27 @@ struct PipelineConfig {
   TelemetryConfig telemetry{};
 };
 
-/// Hit/miss/wait counts of the pipeline's proxy/logic pair memo: hits reuse
-/// a finished pair outcome, waits blocked on another worker's in-flight
-/// computation of the same pair.
+/// Pair reuse of one run's Phase B plan: misses are the distinct
+/// proxy/logic pairs computed, hits the plan's other pair lookups, each of
+/// which reuses a computed pair.
 class MemoCounts {
  public:
   MemoCounts() = default;
-  MemoCounts(std::uint64_t hits, std::uint64_t misses,
-             std::uint64_t waits) noexcept
-      : hits_(hits), misses_(misses), waits_(waits) {}
+  MemoCounts(std::uint64_t hits, std::uint64_t misses) noexcept
+      : hits_(hits), misses_(misses) {}
 
   std::uint64_t hits() const noexcept { return hits_; }
   std::uint64_t misses() const noexcept { return misses_; }
-  std::uint64_t waits() const noexcept { return waits_; }
 
   MemoCounts& operator+=(const MemoCounts& o) noexcept {
     hits_ += o.hits_;
     misses_ += o.misses_;
-    waits_ += o.waits_;
     return *this;
   }
 
  private:
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t waits_ = 0;
 };
 
 struct LandscapeStats {
@@ -290,11 +286,11 @@ struct LandscapeStats {
   // ---- perf accounting for the last run ---------------------------------
   /// Wall-clock per phase: code fetch + hashing, proxy detection (Phase A),
   /// and Phase B: the run-wide logic-history search followed by the
-  /// per-contract pair collision checks.
+  /// planned pair collision checks.
   double phase_fetch_ms = 0.0;
   double phase_proxy_ms = 0.0;
   double phase_pairs_ms = 0.0;
-  /// The proxy/logic pair memo over the last run (summed over a durable
+  /// Proxy/logic pair reuse over the last run (summed over a durable
   /// sweep's shards).
   MemoCounts cache;
 
@@ -368,7 +364,7 @@ class AnalysisPipeline {
 
   /// Analyzes every input contract; returns per-contract reports in input
   /// order. The result depends only on the chain, the config and the
-  /// arguments: every memo keyed by address or code hash lives for one call,
+  /// arguments: every table keyed by address or code hash lives for one call,
   /// so a run after a chain mutation sees the mutated chain. Only the worker
   /// pool, the archive decorators (the breaker is reset at every entry) and
   /// lifetime counters persist across calls.
@@ -387,7 +383,7 @@ class AnalysisPipeline {
   /// `code_hashes[i]` is taken as its hash instead of hashing it again.
   /// Precondition: `code_hashes[i]` is the keccak of the code the archive
   /// serves for `inputs[i]`; it is trusted, not checked, and it keys the
-  /// fetch, the code-hash dedup and the pair memo. A durable sweep passes
+  /// fetch, the code-hash dedup and the pair plan. A durable sweep passes
   /// the fingerprints it journals, which are the code hashes the chain
   /// stored when it wrote each account's code (chain::Blockchain::code_hash),
   /// so a sweep hashes no input blob and pays one round trip per bytecode.
@@ -400,16 +396,21 @@ class AnalysisPipeline {
   /// blob that arrived in input order, and an input is quarantined (phase
   /// "fetch", with its own error) only when no address with its hash
   /// returned code. So Phase A's representative of a hash is always the
-  /// hash's first input.
+  /// hash's first input. In Phase B each distinct logic address no input
+  /// serves is fetched once, and each distinct proxy/logic pair is checked
+  /// once; every contract that reads a failed fetch or pair shares its
+  /// error.
   ///
   /// Concurrency contract: the parallelism lives *inside* a run (the pool
-  /// reads the chain concurrently, which must therefore be read-safe).
-  /// run() and summarize() must be EXTERNALLY SERIALIZED per
-  /// pipeline instance — concurrent calls on one AnalysisPipeline race on
-  /// the per-run pair memo, the run-scoped histograms, and the timing
-  /// fields. Debug builds enforce this with a re-entrancy guard (assert);
-  /// release builds do not check. Distinct AnalysisPipeline instances are
-  /// independent and may run concurrently over a read-safe chain.
+  /// reads the chain concurrently, which must therefore be read-safe). Each
+  /// pass writes per-slot results (one slot per input, logic address or
+  /// pair) and reads tables built before it started. run() and summarize()
+  /// must be EXTERNALLY SERIALIZED per pipeline instance — concurrent calls
+  /// on one AnalysisPipeline race on the last run's pair counts, the
+  /// run-scoped histograms, and the timing fields. Debug builds enforce
+  /// this with a re-entrancy guard (assert); release builds do not check.
+  /// Distinct AnalysisPipeline instances are independent and may run
+  /// concurrently over a read-safe chain.
   std::vector<ContractAnalysis> run(
       const std::vector<SweepInput>& inputs, const VerdictSeeds& seeds = {},
       const SourceDonors* donors = nullptr,
@@ -421,7 +422,7 @@ class AnalysisPipeline {
   LandscapeStats summarize(const std::vector<ContractAnalysis>& reports) const;
 
   /// Copies the pipeline-scoped perf/coverage fields of the LAST run into
-  /// `stats`: phase wall times, pair-memo counters, resilience
+  /// `stats`: phase wall times, pair counts, resilience
   /// totals, RPC call counts, latency histogram summaries, and tracer
   /// accounting. summarize() = LandscapeAccumulator over the reports + this.
   /// Exposed for the durable sharded driver, which aggregates reports
@@ -429,6 +430,15 @@ class AnalysisPipeline {
   void annotate_run_stats(LandscapeStats& stats) const;
 
   const PipelineConfig& config() const noexcept { return config_; }
+
+  /// The proxy detector's configuration in Phase A: the config's step fuse
+  /// and static tier.
+  ProxyDetectorConfig detector_config() const {
+    ProxyDetectorConfig detector;
+    detector.step_limit = config_.emulation_step_limit;
+    detector.static_tier = config_.static_tier;
+    return detector;
+  }
 
   /// The resilience wrapper around the backend (null when enable_retries is
   /// false). Exposed for tests/benches inspecting retry accounting.
@@ -448,40 +458,6 @@ class AnalysisPipeline {
   const obs::Tracer* tracer() const noexcept { return tracer_.get(); }
 
  private:
-  /// Outcome of one proxy/logic pair's collision checks (memoized by the
-  /// pair's code hashes).
-  struct PairOutcome {
-    bool function_collision = false;
-    bool storage_collision = false;
-    bool storage_exploitable = false;
-    bool family_collision = false;
-    bool family_checked = false;
-    bool family_source_free = false;
-  };
-  /// The pair memo's key: the proxy's and the logic contract's code hash.
-  struct PairKey {
-    crypto::Hash256 proxy{};
-    crypto::Hash256 logic{};
-    bool operator==(const PairKey&) const = default;
-  };
-  struct PairKeyHasher {
-    std::size_t operator()(const PairKey& k) const noexcept {
-      const crypto::Hash256Hasher h;
-      return h(k.proxy) ^ (h(k.logic) * 0x9e3779b97f4a7c15ull);
-    }
-  };
-  /// One account's code blob, fetched exactly once per distinct address in
-  /// a run — however many sweep inputs or proxy/logic pairs touch it — and
-  /// hashed at most once (not at all when run() was handed its hash).
-  struct CodeBlob {
-    evm::Bytes code;
-    crypto::Hash256 hash{};
-  };
-  /// Logic blobs that no sweep input supplied (see run()'s Phase B).
-  using CodeBlobMap =
-      StripedOnceMap<Address, std::shared_ptr<const CodeBlob>,
-                     evm::AddressHasher>;
-
   util::ThreadPool& pool();
   /// The backend every archive RPC goes through. Decorator stack, outermost
   /// first: resilient (retry/breaker) -> tracing (per-attempt latency/spans)
@@ -520,11 +496,8 @@ class AnalysisPipeline {
   std::unique_ptr<obs::Tracer> tracer_;
 
   std::unique_ptr<util::ThreadPool> pool_;  // created lazily on first run
-  /// The pair-outcome memo with in-flight markers, rebuilt at every run()
-  /// entry and emptied before it returns; kept as a member only so
-  /// annotate_run_stats() can read the last run's hit/miss/wait counts.
-  std::unique_ptr<StripedOnceMap<PairKey, PairOutcome, PairKeyHasher>>
-      pair_cache_;
+  /// The last run's pair counts, for annotate_run_stats().
+  MemoCounts pair_counts_;
 
   /// Debug-only re-entrancy guard for the external-serialization contract
   /// (run/summarize must not overlap on one instance). mutable so

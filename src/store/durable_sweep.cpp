@@ -180,7 +180,10 @@ struct DurableSweep::LiveIndex {
   ///     goes to the first re-run member, run()'s representative;
   ///   - when the representative's last record is not its own healthy
   ///     verdict of this code, the group's clones hold another address's
-  ///     verdict, so the whole group re-runs unseeded.
+  ///     verdict, so the whole group re-runs unseeded; so does it when the
+  ///     representative was upgraded and its probe, which runs the new
+  ///     logic's code, no longer returns its verdict (emulation_steps
+  ///     counted the old logic's code, and the clones carry the verdict).
   ///   - a member in `forced` re-runs: its analysis read something that
   ///     moved without touching it (its logic's code, or the §7.1 donor of
   ///     its own or its logic's code hash).
@@ -188,6 +191,7 @@ struct DurableSweep::LiveIndex {
                   const std::vector<std::size_t>& examine,
                   const std::vector<SweepInput>& inputs, bool dedup,
                   const std::unordered_set<std::size_t>& forced,
+                  const core::ProxyDetectorConfig& detector,
                   chain::Blockchain& chain, Plan& plan) const {
     const std::vector<std::size_t>& members = groups.at(hash);
     const std::size_t front = members.front();
@@ -196,6 +200,7 @@ struct DurableSweep::LiveIndex {
     };
     Group group{hash, {}};
     std::vector<std::size_t> keep;
+    bool front_upgraded = false;
     for (const std::size_t i : examine) {
       const Fingerprint* fp = find(inputs[i].address);
       bool reusable = !forced.contains(i) && healthy(fp) &&
@@ -206,6 +211,7 @@ struct DurableSweep::LiveIndex {
         // Same code, moved implementation slot: the journaled
         // logic_address IS the masked head at analysis time.
         reusable = false;
+        front_upgraded = front_upgraded || i == front;
         ++plan.upgraded;
       }
       (reusable ? keep : group.members).push_back(i);
@@ -214,8 +220,15 @@ struct DurableSweep::LiveIndex {
       const Address& rep = inputs[front].address;
       const Fingerprint* fp = find(rep);
       const auto own = verdicts.find(hash);
+      auto probe_returns = [&](const core::ProxyReport& verdict) {
+        core::ProxyReport now =
+            core::ProxyDetector(chain, detector).analyze(rep);
+        now.logic_address = verdict.logic_address;
+        return now == verdict;
+      };
       if (!healthy(fp) || fp->deduplicated || own == verdicts.end() ||
-          own->second.owner != rep) {
+          own->second.owner != rep ||
+          (front_upgraded && !probe_returns(own->second.report))) {
         group.members = members;
         plan.rerun_groups.push_back(std::move(group));
         return;
@@ -535,11 +548,12 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
   }
   if (index != nullptr) {
     const bool dedup = pipeline_.config().dedup_by_code_hash;
+    const core::ProxyDetectorConfig detector = pipeline_.detector_config();
     std::vector<Group> candidates = std::move(plan.rerun_groups);
     plan.rerun_groups.clear();
     for (const Group& c : candidates) {
-      index->plan_group(c.hash, c.members, inputs, dedup, forced, chain_,
-                        plan);
+      index->plan_group(c.hash, c.members, inputs, dedup, forced, detector,
+                        chain_, plan);
     }
   }
   metrics_.counter("store.sweep.contracts_upgraded").add(plan.upgraded);

@@ -1015,6 +1015,46 @@ TEST(DurableSweep, LogicDonorMoveOnLapMatchesColdSweepRecords) {
   test_oracle::expect_same_records(sc.journal_path, cold);
 }
 
+TEST(DurableSweep, RepresentativeUpgradeOnLapMatchesColdSweepRecords) {
+  // Three transfer-proxy clones of a token logic; the front, whose verdict
+  // its clones carry, upgrades to an owner()-only logic. The verdict's
+  // emulation_steps counted the old logic's code (the probe executes the
+  // delegated code), so the lap must not seed the group with it: every
+  // record must equal a cold sweep's.
+  chain::Blockchain chain;
+  const evm::Address deployer = evm::Address::from_label("upgrade.deployer");
+  const evm::Address token = chain.deploy_runtime(
+      deployer, datagen::ContractFactory::token_contract(1));
+  const evm::Address owner_only =
+      chain.deploy_runtime(deployer, owner_only_contract());
+  const std::vector<core::SweepInput> inputs =
+      transfer_proxies(chain, token, 3);
+  chain.mine_block();
+
+  core::AnalysisPipeline piped(chain, nullptr);
+  store::DurableSweepConfig sc;
+  sc.journal_path = temp_journal("front_upgrade.journal");
+  store::DurableSweep sweep(piped, chain, nullptr, sc);
+  ASSERT_TRUE(sweep.incremental(inputs, {}).error.empty());
+
+  chain.set_storage(inputs[0].address, datagen::ContractFactory::eip1967_slot(),
+                    owner_only.to_word());
+  chain.mine_block();
+  const store::DurableSweepResult lap =
+      sweep.incremental(inputs, {inputs[0].address});
+  ASSERT_TRUE(lap.error.empty()) << lap.error;
+  EXPECT_EQ(lap.recomputed, inputs.size());
+
+  const std::string cold = temp_journal("front_upgrade_cold.journal");
+  core::AnalysisPipeline cold_pipeline(chain, nullptr);
+  store::DurableSweepConfig cold_config;
+  cold_config.journal_path = cold;
+  ASSERT_TRUE(store::DurableSweep(cold_pipeline, chain, nullptr, cold_config)
+                  .run(inputs)
+                  .error.empty());
+  test_oracle::expect_same_records(sc.journal_path, cold);
+}
+
 TEST(DurableSweep, PairMemoCountsCoverOneRunOnly) {
   // LandscapeStats::cache counts the pair memo of the sweep that produced
   // the stats, not the pipeline's lifetime: two identical cold sweeps on

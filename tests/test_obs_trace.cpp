@@ -243,16 +243,20 @@ TEST_F(PipelineTraceTest, SpansNestByTimeContainment) {
     }
     return false;
   };
-  // Every contract span sits inside a phase span; every per-contract
-  // sub-analysis span sits inside a contract span (proxy-detect ⊂ contract
-  // ⊂ phase).
+  // Every contract span sits inside a phase span; proxy detection sits
+  // inside a contract span (proxy-detect ⊂ contract ⊂ phase). Each distinct
+  // proxy/logic pair is checked once for every contract that shares it, so
+  // collision-check sits in the pairs phase, outside any contract.
   for (const SpanRecord& c : contracts) {
     EXPECT_TRUE(covered_by_any(phases, c));
   }
   for (const SpanRecord& s : spans) {
     const std::string_view name(s.name);
-    if (name == "proxy-detect" || name == "collision-check") {
+    if (name == "proxy-detect") {
       EXPECT_TRUE(covered_by_any(contracts, s)) << name;
+    }
+    if (name == "collision-check") {
+      EXPECT_TRUE(covered_by_any(pairs_phase, s)) << name;
     }
   }
 }

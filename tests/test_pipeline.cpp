@@ -6,6 +6,7 @@
 #include <atomic>
 #include <bit>
 #include <mutex>
+#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -538,6 +539,78 @@ TEST_F(PipelineTest, FailedInputFetchIsRetriedOnceForItsProxies) {
   EXPECT_EQ(counter.attempts(outside_logic), 1u);
   for (const Address& p : proxies) EXPECT_EQ(counter.attempts(p), 1u);
   EXPECT_EQ(counter.addresses_fetched(), 2 + proxies.size());
+}
+
+TEST_F(PipelineTest, FailedOutsideLogicFetchIsOneDomain) {
+  // A logic contract outside the inputs is fetched once per run, and its
+  // failure is one outcome that every proxy delegating to it shares: with
+  // retries off, the first attempt's fault quarantines both proxies with
+  // the same error, whichever worker reaches the logic first.
+  using datagen::ContractFactory;
+  chain::Blockchain chain;
+  const Address deployer = Address::from_label("one-domain-deployer");
+  const Address logic =
+      chain.deploy_runtime(deployer, ContractFactory::token_contract(7));
+  std::vector<SweepInput> inputs;
+  for (int i = 0; i < 2; ++i) {
+    const Address p =
+        chain.deploy_runtime(deployer, ContractFactory::eip1967_proxy());
+    chain.set_storage(p, ContractFactory::eip1967_slot(), logic.to_word());
+    inputs.push_back({p, 2021, false, false});
+  }
+
+  chain::ArchiveNode node(chain);
+  CodeFetchCounter counter(node, {logic});
+  PipelineConfig cfg;
+  cfg.archive_node = &counter;
+  cfg.enable_retries = false;
+  cfg.threads = 4;
+  const auto reports = AnalysisPipeline(chain, nullptr, cfg).run(inputs);
+
+  EXPECT_EQ(counter.attempts(logic), 1u);
+  ASSERT_EQ(reports.size(), 2u);
+  for (const ContractAnalysis& r : reports) {
+    ASSERT_TRUE(r.error) << r.address.to_hex();
+    EXPECT_EQ(r.error->phase, "pairs");
+    EXPECT_EQ(r.error->kind, ErrorKind::kRpcTransient);
+    EXPECT_EQ(r.logic_history.logic_addresses, std::vector<Address>{logic});
+  }
+  EXPECT_EQ(reports[0].error, reports[1].error);
+}
+
+TEST_F(PipelineTest, EachDistinctPairIsComputedOnce) {
+  // Phase B checks each distinct (proxy code hash, logic code hash) pair
+  // once, and every contract that reaches the pair reuses its outcome: one
+  // collision-check span per distinct pair, and the pair counts are the
+  // plan's (misses = pairs computed, hits + misses = pair lookups).
+  Population pop = make_population(600);
+  PipelineConfig cfg;
+  cfg.threads = 4;
+  cfg.telemetry.live_spans = true;
+  AnalysisPipeline pipeline(*pop.chain, &pop.sources, cfg);
+  const auto reports = pipeline.run(pop.sweep_inputs());
+  const LandscapeStats stats = pipeline.summarize(reports);
+  ASSERT_EQ(stats.trace_spans_dropped, 0u);
+
+  std::size_t checks = 0;
+  for (const obs::SpanRecord& s : pipeline.tracer()->spans()) {
+    checks += std::string_view(s.name) == "collision-check";
+  }
+  std::set<std::pair<crypto::Hash256, crypto::Hash256>> pairs;
+  std::uint64_t lookups = 0;
+  for (const ContractAnalysis& r : reports) {
+    ASSERT_FALSE(r.error) << r.error->detail;
+    for (const Address& logic : r.logic_history.logic_addresses) {
+      const crypto::Hash256 logic_hash = pop.chain->code_hash(logic);
+      if (logic_hash == evm::kEmptyCodeHash) continue;
+      pairs.emplace(pop.chain->code_hash(r.address), logic_hash);
+      ++lookups;
+    }
+  }
+  ASSERT_GT(lookups, pairs.size()) << "no pair is shared";
+  EXPECT_EQ(checks, pairs.size());
+  EXPECT_EQ(stats.cache.misses(), pairs.size());
+  EXPECT_EQ(stats.cache.hits() + stats.cache.misses(), lookups);
 }
 
 TEST_F(PipelineTest, EachDistinctCodeHashIsFetchedOnce) {

@@ -13,7 +13,7 @@
 #   storage-access scanner's suites (layout, storage profile, collisions).
 set -eu
 
-TESTS="${1:-test_keccak|test_chain|test_interpreter_opcodes|test_logic_finder|test_resilience|test_archive_batch|test_thread_pool|test_pipeline|test_once_map|test_obs_metrics|test_obs_trace|test_obs_export|test_static_analysis|test_static_tier|test_layout|test_storage_profile|test_collisions|test_fuzz|test_store_journal|test_durable_sweep|test_vfs_fault|test_journal_fuzz|test_query_service}"
+TESTS="${1:-test_keccak|test_chain|test_interpreter_opcodes|test_logic_finder|test_resilience|test_archive_batch|test_thread_pool|test_pipeline|test_obs_metrics|test_obs_trace|test_obs_export|test_static_analysis|test_static_tier|test_layout|test_storage_profile|test_collisions|test_fuzz|test_store_journal|test_durable_sweep|test_vfs_fault|test_journal_fuzz|test_query_service}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 # CI runs one flavor per job; default is both.
 FLAVORS="${PROXION_SANITIZE_FLAVORS:-address thread}"
@@ -26,7 +26,7 @@ for flavor in ${FLAVORS}; do
   cmake --build "${dir}" -j "${JOBS}" --target \
     test_keccak test_chain test_interpreter_opcodes test_logic_finder \
     test_resilience test_archive_batch test_thread_pool \
-    test_pipeline test_once_map test_obs_metrics test_obs_trace \
+    test_pipeline test_obs_metrics test_obs_trace \
     test_obs_export test_static_analysis test_static_tier test_layout \
     test_storage_profile test_collisions test_fuzz test_store_journal \
     test_durable_sweep test_vfs_fault test_journal_fuzz test_query_service
