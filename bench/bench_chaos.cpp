@@ -7,6 +7,7 @@
 // work. Headline numbers are merged into BENCH_results.json (the chaos CI
 // job gates on them).
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -17,6 +18,7 @@
 #include "core/pipeline.h"
 #include "store/durable_sweep.h"
 #include "store/journal.h"
+#include "store/records.h"
 #include "util/vfs_fault.h"
 
 namespace {
@@ -44,6 +46,21 @@ bool same_verdicts(const core::LandscapeStats& a, const core::LandscapeStats& b)
          a.by_standard == b.by_standard &&
          a.upgrade_histogram == b.upgrade_histogram &&
          a.quarantined == b.quarantined;
+}
+
+/// Contracts the journal holds as committed: the counts of the kShardCommit
+/// frames in its valid prefix, which is what a boot replays.
+std::uint64_t committed_contracts(util::Vfs& vfs) {
+  std::uint64_t out = 0;
+  const auto replay = store::read_journal(kJournal, vfs);
+  if (!replay) return out;
+  for (const store::JournalFrame& frame : replay->frames) {
+    if (frame.type != store::RecordType::kShardCommit) continue;
+    if (auto commit = store::decode_shard_commit(frame.payload)) {
+      out += commit->contracts;
+    }
+  }
+  return out;
 }
 
 store::DurableSweepConfig sweep_config(util::Vfs& vfs) {
@@ -109,10 +126,7 @@ int main() {
     });
     vfs.heal();
     vfs.reboot();
-    const auto manifest =
-        store::load_manifest(store::manifest_path_for(kJournal), vfs);
-    const std::uint64_t committed =
-        manifest ? manifest->contracts_committed : 0;
+    const std::uint64_t committed = committed_contracts(vfs);
 
     core::AnalysisPipeline p2(*pop.chain, &pop.sources, config);
     store::DurableSweep healer(p2, *pop.chain, &pop.sources, sweep_config(vfs));

@@ -77,14 +77,24 @@ void Blockchain::notify_head() {
   for (const auto& [token, cb] : head_subs_) cb(height_);
 }
 
+std::vector<Address> Blockchain::feed_at(const Feed& feed,
+                                         std::uint64_t block) {
+  const auto first = std::lower_bound(
+      feed.begin(), feed.end(), block,
+      [](const auto& entry, std::uint64_t b) { return entry.first < b; });
+  std::vector<Address> out;
+  for (auto it = first; it != feed.end() && it->first == block; ++it) {
+    out.push_back(it->second);
+  }
+  return out;
+}
+
 std::vector<Address> Blockchain::deployments_in(std::uint64_t block) const {
-  const auto it = deploys_by_block_.find(block);
-  return it == deploys_by_block_.end() ? std::vector<Address>{} : it->second;
+  return feed_at(deploys_, block);
 }
 
 std::vector<Address> Blockchain::storage_writers_in(std::uint64_t block) const {
-  const auto it = writers_by_block_.find(block);
-  return it == writers_by_block_.end() ? std::vector<Address>{} : it->second;
+  return feed_at(writers_, block);
 }
 
 std::optional<Address> Blockchain::deploy(const Address& from,
@@ -100,7 +110,7 @@ std::optional<Address> Blockchain::deploy(const Address& from,
   const evm::ExecResult result =
       interp.execute_create(from, target, init_code, value, 0, 10'000'000);
   if (result.halt != evm::HaltReason::kReturn) return std::nullopt;
-  note_contract(target);
+  note_contract(target, accounts_[target]);
   return target;
 }
 
@@ -117,8 +127,9 @@ Address Blockchain::deploy_runtime(const Address& from, Bytes runtime_code) {
 evm::ExecResult Blockchain::call(const Address& from, const Address& to,
                                  Bytes calldata, const U256& value,
                                  std::uint64_t gas) {
-  if (auto it = contract_meta_.find(to); it != contract_meta_.end()) {
-    it->second.has_incoming_tx = true;
+  if (auto it = accounts_.find(to);
+      it != accounts_.end() && it->second.contract) {
+    it->second.contract->has_incoming_tx = true;
   }
   if (calldata.size() >= 4) {
     external_selectors_[to].push_back((std::uint32_t{calldata[0]} << 24) |
@@ -162,10 +173,8 @@ void Blockchain::fund(const Address& account, const U256& amount) {
 
 U256 Blockchain::storage_at(const Address& account, const U256& slot,
                             std::uint64_t block) const {
-  const auto acct_it = storage_history_.find(account);
-  if (acct_it == storage_history_.end()) return U256{};
-  const auto slot_it = acct_it->second.find(slot);
-  if (slot_it == acct_it->second.end()) return U256{};
+  const auto slot_it = slots_.find(SlotKey{account, slot});
+  if (slot_it == slots_.end()) return U256{};
   const SlotHistory& history = slot_it->second;
   // Last change with change.block <= block.
   const auto it = std::upper_bound(
@@ -175,29 +184,13 @@ U256 Blockchain::storage_at(const Address& account, const U256& slot,
   return std::prev(it)->second;
 }
 
-void Blockchain::journal_write(const Address& a, const U256& slot,
-                               const U256& value) {
-  SlotHistory& history = storage_history_[a][slot];
-  if (!history.empty() && history.back().first == height_) {
-    history.back().second = value;  // same-block overwrite
-  } else {
-    history.emplace_back(height_, value);
-  }
-  const auto it = last_write_recorded_.find(a);
-  if (it == last_write_recorded_.end() || it->second != height_) {
-    writers_by_block_[height_].push_back(a);
-    last_write_recorded_[a] = height_;
-  }
-}
-
-void Blockchain::note_contract(const Address& a) {
-  ContractMeta& meta = contract_meta_[a];
-  meta.deploy_block = height_;
-  const auto it = last_deploy_recorded_.find(a);
-  if (it == last_deploy_recorded_.end() || it->second != height_) {
-    deploys_by_block_[height_].push_back(a);
-    last_deploy_recorded_[a] = height_;
-  }
+void Blockchain::note_contract(const Address& a, Account& account) {
+  // Listed in this block already when its code was set earlier in it.
+  const bool listed =
+      account.contract && account.contract->deploy_block == height_;
+  if (!account.contract) account.contract.emplace();
+  account.contract->deploy_block = height_;
+  if (!listed) deploys_.emplace_back(height_, a);
 }
 
 Bytes Blockchain::get_code(const Address& a) {
@@ -215,16 +208,23 @@ crypto::Hash256 Blockchain::code_hash(const Address& a) const {
 }
 
 U256 Blockchain::get_storage(const Address& a, const U256& slot) {
-  const auto it = accounts_.find(a);
-  if (it == accounts_.end()) return U256{};
-  const auto jt = it->second.storage.find(slot);
-  return jt == it->second.storage.end() ? U256{} : jt->second;
+  const auto it = slots_.find(SlotKey{a, slot});
+  return it == slots_.end() ? U256{} : it->second.back().second;
 }
 
 void Blockchain::set_storage(const Address& a, const U256& slot,
                              const U256& value) {
-  accounts_[a].storage[slot] = value;
-  journal_write(a, slot, value);
+  Account& account = accounts_[a];
+  SlotHistory& history = slots_[SlotKey{a, slot}];
+  if (!history.empty() && history.back().first == height_) {
+    history.back().second = value;  // same-block overwrite
+  } else {
+    history.emplace_back(height_, value);
+  }
+  if (account.writer_listed_until != height_ + 1) {
+    writers_.emplace_back(height_, a);
+    account.writer_listed_until = height_ + 1;
+  }
 }
 
 U256 Blockchain::get_balance(const Address& a) {
@@ -249,7 +249,7 @@ void Blockchain::set_code(const Address& a, Bytes code) {
   Account& account = accounts_[a];
   account.code_hash = evm::code_hash(code);
   account.code = std::move(code);
-  note_contract(a);
+  note_contract(a, account);
 }
 
 bool Blockchain::account_exists(const Address& a) {

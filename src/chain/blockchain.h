@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -24,6 +25,14 @@ using evm::Bytes;
 using evm::BytesView;
 using evm::U256;
 
+struct ContractMeta {
+  std::uint64_t deploy_block = 0;
+  bool has_incoming_tx = false;  // ever the target of an external tx
+  bool destroyed = false;
+};
+
+/// An account's state at the head. Its storage lives in the chain's slot
+/// histories, whose last entries are the current values.
 struct Account {
   std::uint64_t nonce = 0;
   U256 balance;
@@ -31,7 +40,12 @@ struct Account {
   /// keccak256(code), computed once where the code is written, as an
   /// Ethereum account stores its codeHash.
   crypto::Hash256 code_hash = evm::kEmptyCodeHash;
-  std::unordered_map<U256, U256, evm::U256Hasher> storage;
+  /// Set once the account receives code.
+  std::optional<ContractMeta> contract;
+  /// One past the last block whose writer feed lists this account (0: no
+  /// block lists it), so a block lists a writer once however many slots
+  /// it writes.
+  std::uint64_t writer_listed_until = 0;
 };
 
 /// One call-family edge observed while tracing a transaction.
@@ -43,12 +57,6 @@ struct InternalTx {
   int depth = 0;
   std::uint32_t selector = 0;  // first 4 bytes of calldata (0 if shorter)
   bool in_fallback_position = false;  // calldata forwarded verbatim
-};
-
-struct ContractMeta {
-  std::uint64_t deploy_block = 0;
-  bool has_incoming_tx = false;  // ever the target of an external tx
-  bool destroyed = false;
 };
 
 class Blockchain final : public evm::Host {
@@ -139,14 +147,10 @@ class Blockchain final : public evm::Host {
     return it == external_selectors_.end() ? std::vector<std::uint32_t>{}
                                            : it->second;
   }
-  const std::unordered_map<Address, ContractMeta, evm::AddressHasher>&
-  contracts() const noexcept {
-    return contract_meta_;
-  }
   std::optional<ContractMeta> contract_meta(const Address& a) const {
-    const auto it = contract_meta_.find(a);
-    if (it == contract_meta_.end()) return std::nullopt;
-    return it->second;
+    const auto it = accounts_.find(a);
+    if (it == accounts_.end()) return std::nullopt;
+    return it->second.contract;
   }
 
   // ---- Host interface ------------------------------------------------------
@@ -168,38 +172,48 @@ class Blockchain final : public evm::Host {
  private:
   class TxTracer;
 
-  void journal_write(const Address& a, const U256& slot, const U256& value);
-  void note_contract(const Address& a);
+  void note_contract(const Address& a, Account& account);
   void notify_head();
+
+  /// (block, address) entries in block order: one per-block change feed.
+  using Feed = std::deque<std::pair<std::uint64_t, Address>>;
+  static std::vector<Address> feed_at(const Feed& feed, std::uint64_t block);
 
   std::unordered_map<Address, Account, evm::AddressHasher> accounts_;
   std::uint64_t height_ = 0;
   evm::BlockContext block_ctx_;
 
-  // (block, value) change log per account+slot, blocks ascending.
+  /// One storage slot of one account.
+  struct SlotKey {
+    Address account;
+    U256 slot;
+    friend bool operator==(const SlotKey&, const SlotKey&) = default;
+  };
+  struct SlotKeyHasher {
+    std::size_t operator()(const SlotKey& k) const noexcept {
+      std::uint64_t h = evm::AddressHasher{}(k.account);
+      for (std::size_t i = 0; i < 4; ++i) {
+        h = (h ^ k.slot.limb(i)) * 1099511628211ULL;
+      }
+      return static_cast<std::size_t>(h);
+    }
+  };
+  /// (block, value) change log of a written slot, blocks ascending; its
+  /// last entry is the slot's current value.
   using SlotHistory = std::vector<std::pair<std::uint64_t, U256>>;
-  std::unordered_map<Address,
-                     std::unordered_map<U256, SlotHistory, evm::U256Hasher>,
-                     evm::AddressHasher>
-      storage_history_;
+  std::unordered_map<SlotKey, SlotHistory, SlotKeyHasher> slots_;
 
   std::vector<InternalTx> internal_txs_;
   std::unordered_map<Address, std::vector<std::uint32_t>, evm::AddressHasher>
       external_selectors_;
-  std::unordered_map<Address, ContractMeta, evm::AddressHasher> contract_meta_;
 
   // ---- head subscription + change feeds ----------------------------------
   std::vector<std::pair<std::uint64_t, HeadCallback>> head_subs_;
   std::uint64_t next_head_token_ = 1;
-  /// Per-block change feeds, appended as writes/deploys happen. Dedup is
-  /// O(1) via the last-block-recorded maps: an account is listed once per
-  /// block however many slots it wrote.
-  std::unordered_map<std::uint64_t, std::vector<Address>> deploys_by_block_;
-  std::unordered_map<std::uint64_t, std::vector<Address>> writers_by_block_;
-  std::unordered_map<Address, std::uint64_t, evm::AddressHasher>
-      last_write_recorded_;
-  std::unordered_map<Address, std::uint64_t, evm::AddressHasher>
-      last_deploy_recorded_;
+  /// Appended as deploys and writes happen; heights only grow, so each
+  /// feed stays sorted by block. The accounts hold the dedup marks.
+  Feed deploys_;
+  Feed writers_;
 };
 
 }  // namespace proxion::chain

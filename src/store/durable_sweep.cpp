@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <deque>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -46,6 +47,9 @@ struct Group {
   /// The group's representative stands and is not among `members`: they
   /// journal as dedup clones of it.
   bool clones = false;
+  /// A later chunk of a split group: the first member is the group's
+  /// representative, run again for its clones' sake; its report is dropped.
+  bool lead_repeated = false;
   /// The Phase-A verdict the owning shard's run() reuses: the
   /// representative's report for the first member, with the slot head
   /// re-read at that address.
@@ -596,6 +600,10 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
   if (!writer && (!lap || !plan.rerun_groups.empty())) {
     IoResult open_why;
     if (new_journal) {
+      // A manifest of an earlier journal at this path would over-claim the
+      // new one until this call stores its own; creation's directory fsync
+      // makes the removal durable too.
+      (void)vfs.remove(manifest_path_for(config_.journal_path));
       writer = JournalWriter::create(config_.journal_path, vfs, &open_why);
     } else if (replay) {
       writer =
@@ -635,17 +643,49 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     donors = donor_map_of(verified);
     if (index != nullptr) index->donors = std::move(verified);
   }
+  // The groups carry their hashes from here on: the per-input copy would
+  // only add 32 bytes per contract to every shard's peak.
+  hashes = {};
 
-  // ---- pack rerun groups into shards (groups are atomic) ----------------
+  // ---- pack rerun groups into shards ------------------------------------
+  // A group that fits stays whole. A larger one runs in shard-sized chunks,
+  // so a shard holds O(shard_size) contracts however large a clone family
+  // grows. With dedup, every chunk after the first leads with the group's
+  // representative: its repeated report lends the chunk's clones their
+  // verdict, as in a whole-group run, and is then dropped, so each member
+  // journals the record a whole-group run writes. Seeded clone groups (a
+  // lap's or boot's, the representative standing) stay whole.
+  const std::size_t cap = config_.shard_size;
+  const bool dedup = pipeline_.config().dedup_by_code_hash;
+  std::deque<Group> chunks;
   std::vector<std::vector<Group*>> shards;
   std::size_t current = 0;  // members in the open shard
-  for (Group& group : plan.rerun_groups) {
-    if (shards.empty() || (config_.shard_size > 0 && current >= config_.shard_size)) {
+  auto pack = [&](Group& group) {
+    if (shards.empty() || (cap > 0 && current >= cap)) {
       shards.emplace_back();
       current = 0;
     }
     shards.back().push_back(&group);
     current += group.members.size();
+  };
+  for (Group& group : plan.rerun_groups) {
+    if (cap == 0 || group.members.size() <= cap || group.clones ||
+        !group.seeds.empty()) {
+      pack(group);
+      continue;
+    }
+    const std::vector<std::size_t> rest(group.members.begin() + cap,
+                                        group.members.end());
+    group.members.resize(cap);
+    pack(group);
+    for (std::size_t b = 0; b < rest.size(); b += cap) {
+      Group& chunk = chunks.emplace_back(Group{group.hash, {}});
+      chunk.lead_repeated = dedup;
+      if (dedup) chunk.members.push_back(group.members.front());
+      chunk.members.insert(chunk.members.end(), rest.begin() + b,
+                           rest.begin() + std::min(rest.size(), b + cap));
+      pack(chunk);
+    }
   }
 
   // ---- shard-progress exposition ----------------------------------------
@@ -691,13 +731,6 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
   core::MemoCounts sum_pair_memo;
   obs::Histogram& h_flush = metrics_.histogram("store.journal.flush_ns");
   std::uint64_t shard_index = prior_shards;
-  // Replayed contracts sit inside the journal's valid prefix, which every
-  // manifest written below covers (committed_bytes spans the whole file) —
-  // so they count as committed from the first new commit on. Summing the
-  // journal's old kShardCommit frames instead would miss records replayed
-  // from valid-but-uncommitted tails and double-count re-run groups. A lap
-  // covers every contract its index holds.
-  std::uint64_t contracts_committed = result.replayed;
   bool stopped = false;
 
   for (const std::vector<Group*>& shard : shards) {
@@ -710,8 +743,10 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     std::vector<std::size_t> shard_globals;
     std::vector<const Group*> shard_groups;
     core::VerdictSeeds seeds;
+    std::vector<std::size_t> repeated;  // positions of repeated leads
     for (Group* group : shard) {
       seeds.merge(group->seeds);
+      if (group->lead_repeated) repeated.push_back(shard_inputs.size());
       for (const std::size_t i : group->members) {
         shard_inputs.push_back(inputs[i]);
         shard_hashes.push_back(group->hash);
@@ -722,6 +757,25 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
 
     std::vector<ContractAnalysis> reports =
         pipeline_.run(shard_inputs, seeds, &donors, shard_hashes);
+    if (!repeated.empty()) {
+      // A repeated lead's record was journaled with its group's first chunk.
+      std::size_t kept = 0;
+      for (std::size_t j = 0, r = 0; j < reports.size(); ++j) {
+        if (r < repeated.size() && repeated[r] == j) {
+          ++r;
+          continue;
+        }
+        if (kept != j) {
+          reports[kept] = std::move(reports[j]);
+          shard_globals[kept] = shard_globals[j];
+          shard_groups[kept] = shard_groups[j];
+        }
+        ++kept;
+      }
+      reports.resize(kept);
+      shard_globals.resize(kept);
+      shard_groups.resize(kept);
+    }
 
     // Per-run perf accounting, summed across shards (the pipeline resets
     // its run-scoped histograms/timers at every run entry).
@@ -745,7 +799,8 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     // Aggregate the shard's reports unconditionally (verdicts are valid
     // even when the disk is not), then flush: contract records, the commit
     // frame, one fsync — the commit frame's presence in the valid prefix
-    // implies its records'.
+    // implies its records'. That fsync is the whole commit: boot counts
+    // commits from kShardCommit frames, so no manifest is written here.
     const std::uint64_t bytes_before = writer ? writer->size_bytes() : 0;
     IoResult io;
     // Records outlive the loop only when a sink or the index takes them.
@@ -779,37 +834,25 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
       }
     }
     if (writer && io.ok) {
-      contracts_committed = lap ? index->by_address.size()
-                                : contracts_committed + reports.size();
-      Manifest manifest;
-      manifest.committed_bytes = writer->size_bytes();
-      manifest.shards_committed = shard_index + 1;
-      manifest.contracts_committed = contracts_committed;
-      IoResult mr =
-          store_manifest(manifest_path_for(config_.journal_path), manifest, vfs);
-      if (mr.ok) {
-        metrics_.counter("store.journal.frames_written").add(reports.size() + 1);
-        metrics_.counter("store.journal.bytes_written")
-            .add(writer->size_bytes() - bytes_before);
-        metrics_.counter("store.sweep.shards_committed").add(1);
-        metrics_.gauge("sweep.shards_committed")
-            .set(static_cast<std::int64_t>(shard_index + 1));
-        if (config_.status != nullptr) {
-          config_.status->shards_committed.store(shard_index + 1,
-                                                 std::memory_order_relaxed);
-          config_.status->journal_bytes.store(writer->size_bytes(),
-                                              std::memory_order_relaxed);
-        }
-        if (config_.event_log != nullptr) {
-          config_.event_log->emit(
-              obs::Severity::kDebug, "sweep",
-              "shard committed (" + std::to_string(reports.size()) +
-                  " contracts, " + std::to_string(writer->size_bytes()) +
-                  " journal bytes)",
-              "shard:" + std::to_string(shard_index));
-        }
-      } else {
-        io = std::move(mr);
+      metrics_.counter("store.journal.frames_written").add(reports.size() + 1);
+      metrics_.counter("store.journal.bytes_written")
+          .add(writer->size_bytes() - bytes_before);
+      metrics_.counter("store.sweep.shards_committed").add(1);
+      metrics_.gauge("sweep.shards_committed")
+          .set(static_cast<std::int64_t>(shard_index + 1));
+      if (config_.status != nullptr) {
+        config_.status->shards_committed.store(shard_index + 1,
+                                               std::memory_order_relaxed);
+        config_.status->journal_bytes.store(writer->size_bytes(),
+                                            std::memory_order_relaxed);
+      }
+      if (config_.event_log != nullptr) {
+        config_.event_log->emit(
+            obs::Severity::kDebug, "sweep",
+            "shard committed (" + std::to_string(reports.size()) +
+                " contracts, " + std::to_string(writer->size_bytes()) +
+                " journal bytes)",
+            "shard:" + std::to_string(shard_index));
       }
     }
     if (writer && !io.ok) {
@@ -838,17 +881,20 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
   // is complete — there is just no kSweepEnd to journal (the checkpoint
   // honestly stops at the last good commit, and the next boot picks up
   // there).
-  // A lap that recomputed nothing leaves the journal as it was.
+  // A lap that recomputed nothing leaves the journal as it was. Only run()
+  // and boot store the manifest: a lap's frames land past its
+  // committed_bytes, which §5.2 of the format allows.
   result.complete = !stopped;
   if (result.complete && writer && (!lap || result.shards_run > 0)) {
     IoResult io = writer->append(RecordType::kSweepEnd,
                                  encode_sweep_end({inputs.size()}));
     if (io.ok) io = writer->sync();
-    if (io.ok) {
+    if (io.ok && !lap) {
+      // A live writer committed every shard this call ran.
       Manifest manifest;
       manifest.committed_bytes = writer->size_bytes();
       manifest.shards_committed = shard_index;
-      manifest.contracts_committed = contracts_committed;
+      manifest.contracts_committed = result.replayed + result.recomputed;
       manifest.complete = true;
       io = store_manifest(manifest_path_for(config_.journal_path), manifest,
                           vfs);

@@ -26,7 +26,10 @@
 // on four invariants this driver maintains:
 //   1. shards are code-hash-affine with hash groups in first-occurrence
 //      order, so a group's dedup representative is the same global-first
-//      contract a monolithic run picks;
+//      contract a monolithic run picks; a group larger than a shard runs
+//      in shard-sized chunks, each later chunk led by that representative
+//      again (its repeated report is dropped), so memory stays O(shard)
+//      however large a clone family grows;
 //   2. the §7.1 source-donor map is computed over the WHOLE population and
 //      passed to every shard's run(), so a shard resolves the same donors a
 //      monolithic run would even when a logic blob's donor lives in another
@@ -68,11 +71,11 @@ using AddressSet = std::unordered_set<evm::Address, evm::AddressHasher>;
 struct DurableSweepConfig {
   /// Checkpoint journal path; the manifest lives at `<path>.manifest`.
   std::string journal_path = "sweep.journal";
-  /// Target contracts per shard. Hash groups are never split, so a shard
-  /// can exceed this by one group's size minus one (the documented
-  /// shard-slack); a group larger than the target gets a shard to itself.
-  /// 0 = one shard for everything (degenerates to a monolithic run + one
-  /// commit).
+  /// Target contracts per shard. A hash group that fits stays whole, so a
+  /// shard can exceed this by one group's size minus one; a larger group
+  /// runs in chunks of this size (plus its repeated representative), so no
+  /// shard reaches twice the target. 0 = one shard for everything
+  /// (degenerates to a monolithic run + one commit).
   std::size_t shard_size = 1024;
   /// Stop (journal committed, sweep incomplete) after this many shards;
   /// 0 = no limit. This is the deterministic stand-in for `kill -9` in the

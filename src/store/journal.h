@@ -18,12 +18,13 @@
 // are dropped, never propagated). With ReplayOptions::salvage, the scan
 // instead resynchronizes past a corrupt region to the next valid frame, so
 // mid-file bit rot loses only the frames it actually hit (the durable sweep
-// recomputes exactly those). Alongside the journal lives a manifest
-// (journal path + ".manifest") rewritten via write-temp-then-rename after
-// every shard commit, so "how much of the journal is a committed sweep
-// state" survives any crash: rename(2) is atomic on POSIX, and the parent
-// directory is fsynced after the rename so the new entry survives power
-// loss too.
+// recomputes exactly those). A shard commits when its kShardCommit frame
+// is fsynced: the frame's place in the valid prefix implies its records'.
+// Alongside the journal lives a manifest (journal path + ".manifest"), a
+// summary replaced via write-temp-then-rename once, when a run() or a boot
+// completes. rename(2) is atomic on POSIX, and the parent directory is
+// fsynced after the rename so the new entry survives power loss too. Boot
+// never reads it: the journal alone says what is committed.
 #pragma once
 
 #include <cstdint>
@@ -199,19 +200,20 @@ std::optional<JournalReplay> read_journal(const std::string& path,
                                           util::Vfs& vfs = util::Vfs::real(),
                                           const ReplayOptions& opts = {});
 
-/// Committed sweep state, stored next to the journal and replaced
-/// atomically (write temp + fsync + rename + dir fsync) after every shard
-/// commit.
+/// Summary of a completed sweep, stored next to the journal and replaced
+/// atomically (write temp + fsync + rename + dir fsync) when a run() or a
+/// boot completes. The journal's kShardCommit frames are the commit
+/// records; no boot reads this.
 struct Manifest {
   std::uint16_t version = kJournalVersion;
-  /// Journal size (bytes, incl. header) when this state was committed.
-  /// Frames beyond it are valid-but-uncommitted (crash after journal sync,
-  /// before manifest rename); replay accepts them — they hold completed,
-  /// deterministic analyses — and the next commit re-covers them.
+  /// Journal size (bytes, incl. header) at the end of the run() or boot
+  /// that wrote this manifest. Frames beyond it are valid but not covered
+  /// (a sweep in progress, or the follower's laps); replay accepts them —
+  /// they hold completed, deterministic analyses.
   std::uint64_t committed_bytes = 0;
   std::uint64_t shards_committed = 0;
   /// Unique contracts whose records lie inside committed_bytes (replayed +
-  /// recomputed by the sweep that wrote this manifest).
+  /// recomputed by the run() or boot that wrote this manifest).
   std::uint64_t contracts_committed = 0;
   /// True once kSweepEnd was journaled: the population was fully covered.
   bool complete = false;

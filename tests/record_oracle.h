@@ -2,10 +2,12 @@
 // last kContract record per address is identical field for field. Stronger
 // than comparing LandscapeStats aggregates, which omit the probe fields
 // (probe_selector, emulation_steps) that make a verdict address-specific.
+// Also counts what a journal holds as committed, from its own commit frames.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 
@@ -31,6 +33,23 @@ inline RecordMap last_records(const std::string& journal,
     if (frame.type != store::RecordType::kContract) continue;
     if (auto rec = store::decode_contract_record(frame.payload)) {
       out.insert_or_assign(rec->analysis.address, std::move(*rec));
+    }
+  }
+  return out;
+}
+
+/// Contracts the journal holds as committed: the sum of the contract counts
+/// of the CRC-valid kShardCommit frames in its valid prefix, the record a
+/// boot counts commits from.
+inline std::uint64_t committed_contracts(const std::string& journal,
+                                         util::Vfs& vfs = util::Vfs::real()) {
+  std::uint64_t out = 0;
+  const auto replay = store::read_journal(journal, vfs);
+  if (!replay) return out;
+  for (const store::JournalFrame& frame : replay->frames) {
+    if (frame.type != store::RecordType::kShardCommit) continue;
+    if (auto commit = store::decode_shard_commit(frame.payload)) {
+      out += commit->contracts;
     }
   }
   return out;

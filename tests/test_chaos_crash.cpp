@@ -6,7 +6,8 @@
 // disasters: ENOSPC mid-sweep (graceful in-memory degradation), fsync
 // failure (fsyncgate fail-stop: the failed file is never synced again), and
 // at-rest bit rot in a committed shard (self-heal recomputes exactly the
-// damaged hash group).
+// damaged hash group). And the commit schedule: one journal fsync per shard,
+// one manifest per run() or boot, none per lap.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 
 #include "core/pipeline.h"
 #include "core/report.h"
+#include "datagen/contract_factory.h"
 #include "datagen/population.h"
 #include "obs/metrics.h"
 #include "record_oracle.h"
@@ -132,12 +134,10 @@ TEST(ChaosCrash, PowerCutAtEveryBoundaryResumesBitIdentical) {
     vfs.heal();
     vfs.reboot();
 
-    // Whatever the manifest committed before the cut must replay with zero
+    // Whatever the journal committed before the cut must replay with zero
     // recomputation; resume finishes the rest bit-identically.
-    const auto manifest =
-        store::load_manifest(store::manifest_path_for(kJournal), vfs);
     const std::uint64_t committed =
-        manifest ? manifest->contracts_committed : 0;
+        test_oracle::committed_contracts(kJournal, vfs);
     if (committed > 0) ++cuts_with_commits;
 
     const store::DurableSweepResult res = resume_sweep(pop, inputs, vfs);
@@ -197,13 +197,14 @@ TEST(ChaosCrash, EnospcMidSweepCompletesDegradedThenResumesClean) {
   EXPECT_EQ(reg.gauge("sweep.degraded").value(), 1);
   expect_same_verdicts(res.stats, ref.stats);
 
-  // At least one shard made it to disk before the disk filled.
-  const auto manifest =
-      store::load_manifest(store::manifest_path_for(kJournal), vfs);
-  ASSERT_TRUE(manifest.has_value());
-  EXPECT_FALSE(manifest->complete);
-  ASSERT_GT(manifest->contracts_committed, 0u);
-  ASSERT_LT(manifest->contracts_committed, inputs.size());
+  // At least one shard made it to disk before the disk filled, and the
+  // degraded sweep stored no manifest claiming completion.
+  const std::uint64_t committed =
+      test_oracle::committed_contracts(kJournal, vfs);
+  ASSERT_GT(committed, 0u);
+  ASSERT_LT(committed, inputs.size());
+  EXPECT_FALSE(
+      store::load_manifest(store::manifest_path_for(kJournal), vfs).has_value());
 
   // Operator frees disk space; resume finishes the checkpoint without
   // recomputing the committed prefix.
@@ -214,7 +215,7 @@ TEST(ChaosCrash, EnospcMidSweepCompletesDegradedThenResumesClean) {
   EXPECT_TRUE(healed.complete);
   EXPECT_FALSE(healed.degraded);
   EXPECT_EQ(reg2.gauge("sweep.degraded").value(), 0);
-  EXPECT_GE(healed.replayed, manifest->contracts_committed);
+  EXPECT_GE(healed.replayed, committed);
   EXPECT_EQ(healed.replayed + healed.recomputed, inputs.size());
   expect_same_verdicts(healed.stats, ref.stats);
 }
@@ -230,12 +231,11 @@ TEST(ChaosCrash, FsyncFailureFailsStopAndNeverSyncsThatFileAgain) {
   const std::uint64_t ref_journal_syncs = ref_vfs.fsync_calls(kJournal);
   ASSERT_GE(ref_journal_syncs, 6u);
 
-  // Global sync #3 is the journal sync of the SECOND shard commit (create
-  // =0, shard-0 journal=1, shard-0 manifest tmp=2): it fails and the model
-  // drops the dirty pages — the fsyncgate scenario where a retry would
-  // "succeed" over lost data.
+  // Global sync #2 is the journal sync of the SECOND shard commit (create
+  // =0, shard-0 journal=1): it fails and the model drops the dirty pages —
+  // the fsyncgate scenario where a retry would "succeed" over lost data.
   FaultVfsConfig cfg;
-  cfg.fail_fsync_at = 3;
+  cfg.fail_fsync_at = 2;
   FaultInjectingVfs vfs(cfg);
   obs::Registry reg;
   const store::DurableSweepResult res = run_sweep(pop, inputs, vfs, &reg);
@@ -254,11 +254,95 @@ TEST(ChaosCrash, FsyncFailureFailsStopAndNeverSyncsThatFileAgain) {
   EXPECT_EQ(vfs.fsync_calls(kJournal), 3u);
   EXPECT_LT(vfs.fsync_calls(kJournal), ref_journal_syncs);
 
-  // Only shard 0 is on record as committed.
+  // Only shard 0 is on record as committed: one commit frame.
+  const auto replay = store::read_journal(kJournal, vfs);
+  ASSERT_TRUE(replay.has_value());
+  std::size_t commits = 0;
+  for (const store::JournalFrame& frame : replay->frames) {
+    if (frame.type == store::RecordType::kShardCommit) ++commits;
+  }
+  EXPECT_EQ(commits, 1u);
+}
+
+TEST(CommitSchedule, RunSyncsTheJournalOncePerShardAndStoresOneManifest) {
+  // A shard commit is its records, its kShardCommit frame and one journal
+  // fsync. The manifest is stored once, when the run completes.
+  datagen::Population pop = make_population();
+  const auto inputs = pop.sweep_inputs();
+  FaultInjectingVfs vfs;
+  const store::DurableSweepResult res = run_sweep(pop, inputs, vfs);
+  ASSERT_TRUE(res.error.empty()) << res.error;
+  ASSERT_TRUE(res.complete);
+  ASSERT_GE(res.shards_run, 4u);
+  // Creation, one per shard, the sweep end.
+  EXPECT_EQ(vfs.fsync_calls(kJournal), res.shards_run + 2);
+  // Every other file sync is a manifest write.
+  EXPECT_EQ(vfs.syncs_total() - vfs.fsync_calls(kJournal), 1u);
   const auto manifest =
       store::load_manifest(store::manifest_path_for(kJournal), vfs);
   ASSERT_TRUE(manifest.has_value());
-  EXPECT_EQ(manifest->shards_committed, 1u);
+  EXPECT_TRUE(manifest->complete);
+  EXPECT_EQ(manifest->shards_committed, res.shards_run);
+  EXPECT_EQ(manifest->contracts_committed, inputs.size());
+  EXPECT_EQ(manifest->committed_bytes, vfs.peek(kJournal)->size());
+
+  // A new journal at the path drops the old journal's manifest: a run that
+  // stops after one shard leaves none.
+  store::DurableSweepConfig stop_early = sweep_config(vfs);
+  stop_early.max_shards = 1;
+  core::AnalysisPipeline pipeline(*pop.chain, &pop.sources, {});
+  const store::DurableSweepResult stopped =
+      store::DurableSweep(pipeline, *pop.chain, &pop.sources, stop_early)
+          .run(inputs);
+  ASSERT_TRUE(stopped.error.empty()) << stopped.error;
+  EXPECT_FALSE(stopped.complete);
+  EXPECT_FALSE(
+      store::load_manifest(store::manifest_path_for(kJournal), vfs).has_value());
+}
+
+TEST(CommitSchedule, RecomputingLapSyncsTheJournalTwiceAndKeepsTheManifest) {
+  datagen::Population pop = make_population();
+  const auto inputs = pop.sweep_inputs();
+  FaultInjectingVfs vfs;
+  core::AnalysisPipeline pipeline(*pop.chain, &pop.sources, {});
+  store::DurableSweep sweep(pipeline, *pop.chain, &pop.sources,
+                            sweep_config(vfs));
+  ASSERT_TRUE(sweep.incremental(inputs, {}).error.empty());
+  const std::string manifest_path = store::manifest_path_for(kJournal);
+  const std::optional<std::vector<std::uint8_t>> manifest_bytes =
+      vfs.peek(manifest_path);
+  ASSERT_TRUE(manifest_bytes.has_value());
+  const std::uint64_t journal_syncs = vfs.fsync_calls(kJournal);
+  const std::uint64_t syncs = vfs.syncs_total();
+
+  // Upgrade one proxy; the lap re-runs it in one shard.
+  evm::Address logic, proxy;
+  for (const auto& c : pop.contracts) {
+    if (c.archetype == datagen::Archetype::kToken && logic.is_zero()) {
+      logic = c.address;
+    }
+  }
+  for (const auto& c : pop.contracts) {
+    if (c.archetype == datagen::Archetype::kEip1967Proxy &&
+        c.logic_truth != logic) {
+      proxy = c.address;
+      break;
+    }
+  }
+  ASSERT_FALSE(logic.is_zero());
+  ASSERT_FALSE(proxy.is_zero());
+  pop.chain->set_storage(proxy, datagen::ContractFactory::eip1967_slot(),
+                         logic.to_word());
+  pop.chain->mine_block();
+  const store::DurableSweepResult lap = sweep.incremental(inputs, {proxy});
+  ASSERT_TRUE(lap.error.empty()) << lap.error;
+  ASSERT_GE(lap.recomputed, 1u);
+  ASSERT_EQ(lap.shards_run, 1u);
+
+  // The shard's commit and the sweep end; nothing else is synced.
+  EXPECT_EQ(vfs.fsync_calls(kJournal) - journal_syncs, 2u);
+  EXPECT_EQ(vfs.syncs_total() - syncs, 2u);
+  EXPECT_EQ(vfs.peek(manifest_path), manifest_bytes);
 }
 
 TEST(ChaosCrash, BitRotInCommittedShardSelfHealsExactlyThatGroup) {

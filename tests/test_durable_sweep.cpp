@@ -222,11 +222,13 @@ TEST(DurableSweep, KillMidSweepThenResumeIsBitIdentical) {
   ASSERT_GT(partial.recomputed, 0u);
   ASSERT_LT(partial.recomputed, inputs.size());
 
-  const auto mid_manifest =
-      store::load_manifest(store::manifest_path_for(sc.journal_path));
-  ASSERT_TRUE(mid_manifest.has_value());
-  EXPECT_FALSE(mid_manifest->complete);
-  EXPECT_EQ(mid_manifest->contracts_committed, partial.recomputed);
+  // The journal's commit frames cover the two shards; the stopped run
+  // stored no manifest.
+  EXPECT_EQ(test_oracle::committed_contracts(sc.journal_path),
+            partial.recomputed);
+  EXPECT_FALSE(
+      store::load_manifest(store::manifest_path_for(sc.journal_path))
+          .has_value());
 
   sc.max_shards = 0;
   store::DurableSweep resumed(piped, *pop.chain, &pop.sources, sc);
@@ -1053,6 +1055,149 @@ TEST(DurableSweep, RepresentativeUpgradeOnLapMatchesColdSweepRecords) {
                   .run(inputs)
                   .error.empty());
   test_oracle::expect_same_records(sc.journal_path, cold);
+}
+
+TEST(DurableSweep, RestartAfterLapsReplaysEveryLapRecord) {
+  // Laps append past the manifest's committed_bytes; their commit frames
+  // are what makes them durable. A restarted process replays every lap
+  // record and recomputes nothing.
+  datagen::Population pop = make_population(600);
+  const auto inputs = pop.sweep_inputs();
+  const evm::U256 slot = datagen::ContractFactory::eip1967_slot();
+  evm::Address new_logic;
+  std::vector<evm::Address> proxies;
+  for (const auto& c : pop.contracts) {
+    if (c.archetype == datagen::Archetype::kToken && new_logic.is_zero()) {
+      new_logic = c.address;
+    }
+    if (c.archetype == datagen::Archetype::kEip1967Proxy &&
+        c.logic_truth != new_logic && proxies.size() < 3) {
+      proxies.push_back(c.address);
+    }
+  }
+  ASSERT_FALSE(new_logic.is_zero());
+  ASSERT_EQ(proxies.size(), 3u);
+
+  store::DurableSweepConfig sc;
+  sc.journal_path = temp_journal("laps_restart.journal");
+  sc.shard_size = 200;
+  std::uint64_t boot_bytes = 0;
+  {
+    core::AnalysisPipeline piped(*pop.chain, &pop.sources);
+    store::DurableSweep sweep(piped, *pop.chain, &pop.sources, sc);
+    ASSERT_TRUE(sweep.incremental(inputs, {}).error.empty());
+    const auto boot_manifest =
+        store::load_manifest(store::manifest_path_for(sc.journal_path));
+    ASSERT_TRUE(boot_manifest.has_value());
+    boot_bytes = boot_manifest->committed_bytes;
+    for (const evm::Address& proxy : proxies) {
+      pop.chain->set_storage(proxy, slot, new_logic.to_word());
+      pop.chain->mine_block();
+      const store::DurableSweepResult lap = sweep.incremental(inputs, {proxy});
+      ASSERT_TRUE(lap.error.empty()) << lap.error;
+      ASSERT_GE(lap.recomputed, 1u);
+    }
+  }
+  // The laps' frames lie past what the boot's manifest covers.
+  EXPECT_GT(fs::file_size(sc.journal_path), boot_bytes);
+
+  core::AnalysisPipeline piped(*pop.chain, &pop.sources);
+  store::DurableSweep restarted(piped, *pop.chain, &pop.sources, sc);
+  const store::DurableSweepResult boot = restarted.incremental(inputs, {});
+  ASSERT_TRUE(boot.error.empty()) << boot.error;
+  EXPECT_TRUE(boot.complete);
+  EXPECT_EQ(boot.recomputed, 0u);
+  EXPECT_EQ(boot.replayed, inputs.size());
+
+  const std::string cold = temp_journal("laps_restart_cold.journal");
+  cold_sweep(pop, inputs, cold);
+  // Records the boot kept were computed at earlier blocks than the cold
+  // sweep's.
+  test_oracle::expect_same_records(sc.journal_path, cold,
+                                   /*same_height=*/false);
+}
+
+TEST(DurableSweep, CloneFamilyLargerThanAShardRunsInChunks) {
+  // A clone family several shards large: a sweep caps every shard near
+  // shard_size, journals each member once, and writes the records of a
+  // single-shard sweep, also when it is stopped between chunks and booted.
+  datagen::Population pop = make_population(300);
+  const evm::U256 slot = datagen::ContractFactory::eip1967_slot();
+  evm::Address logic;
+  for (const auto& c : pop.contracts) {
+    if (c.archetype == datagen::Archetype::kToken) {
+      logic = c.address;
+      break;
+    }
+  }
+  ASSERT_FALSE(logic.is_zero());
+  auto inputs = pop.sweep_inputs();
+  const evm::Address deployer = evm::Address::from_label("family-deployer");
+  constexpr std::size_t kFamily = 260;
+  for (std::size_t i = 0; i < kFamily; ++i) {
+    const evm::Address proxy = pop.chain->deploy_runtime(
+        deployer, datagen::ContractFactory::eip1967_proxy());
+    pop.chain->set_storage(proxy, slot, logic.to_word());
+    inputs.push_back({.address = proxy});
+  }
+  pop.chain->mine_block();
+
+  const std::string whole = temp_journal("family_whole.journal");
+  {
+    core::AnalysisPipeline pipeline(*pop.chain, &pop.sources);
+    store::DurableSweepConfig sc;
+    sc.journal_path = whole;
+    sc.shard_size = 0;
+    ASSERT_TRUE(store::DurableSweep(pipeline, *pop.chain, &pop.sources, sc)
+                    .run(inputs)
+                    .complete);
+  }
+
+  constexpr std::size_t kShard = 80;
+  store::DurableSweepConfig sc;
+  sc.journal_path = temp_journal("family_chunks.journal");
+  sc.shard_size = kShard;
+  core::AnalysisPipeline pipeline(*pop.chain, &pop.sources);
+  const store::DurableSweepResult result =
+      store::DurableSweep(pipeline, *pop.chain, &pop.sources, sc).run(inputs);
+  ASSERT_TRUE(result.error.empty()) << result.error;
+  EXPECT_EQ(result.recomputed, inputs.size());
+  test_oracle::expect_same_records(sc.journal_path, whole);
+
+  const auto replay = store::read_journal(sc.journal_path);
+  ASSERT_TRUE(replay.has_value());
+  std::size_t contract_frames = 0;
+  std::uint64_t largest_shard = 0;
+  for (const store::JournalFrame& frame : replay->frames) {
+    if (frame.type == store::RecordType::kContract) ++contract_frames;
+    if (frame.type != store::RecordType::kShardCommit) continue;
+    const auto commit = store::decode_shard_commit(frame.payload);
+    ASSERT_TRUE(commit.has_value());
+    largest_shard = std::max(largest_shard, commit->contracts);
+  }
+  EXPECT_EQ(contract_frames, inputs.size());
+  // An open shard plus one chunk at most, far below the family's size.
+  EXPECT_LT(largest_shard, 2 * kShard);
+
+  for (const std::size_t stop : {2u, 3u, 4u}) {
+    const std::string journal =
+        temp_journal("family_stop" + std::to_string(stop) + ".journal");
+    store::DurableSweepConfig stopped = sc;
+    stopped.journal_path = journal;
+    stopped.max_shards = stop;
+    core::AnalysisPipeline first(*pop.chain, &pop.sources);
+    ASSERT_FALSE(store::DurableSweep(first, *pop.chain, &pop.sources, stopped)
+                     .run(inputs)
+                     .complete);
+    stopped.max_shards = 0;
+    core::AnalysisPipeline second(*pop.chain, &pop.sources);
+    const store::DurableSweepResult boot =
+        store::DurableSweep(second, *pop.chain, &pop.sources, stopped)
+            .incremental(inputs, {});
+    ASSERT_TRUE(boot.error.empty()) << boot.error;
+    EXPECT_EQ(boot.replayed + boot.recomputed, inputs.size());
+    test_oracle::expect_same_records(journal, whole);
+  }
 }
 
 TEST(DurableSweep, PairMemoCountsCoverOneRunOnly) {
