@@ -4,17 +4,31 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
+#include <string_view>
 
 namespace proxion::obs {
 
 namespace {
 
 constexpr std::size_t kMaxRequestBytes = 8192;  // headers incl.; GETs are tiny
+
+/// The whole request must arrive within this of its accept, and a send may
+/// block for at most this long: a client that drips bytes or stops reading
+/// holds the one serve thread no longer.
+constexpr std::chrono::microseconds kRequestDeadline = std::chrono::seconds(2);
+
+timeval to_timeval(std::chrono::microseconds d) {
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(d.count() / 1'000'000);
+  tv.tv_usec = static_cast<suseconds_t>(d.count() % 1'000'000);
+  return tv;
+}
 
 const char* status_text(int status) {
   switch (status) {
@@ -26,32 +40,30 @@ const char* status_text(int status) {
   }
 }
 
-void send_all(int fd, const std::string& data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
+/// Sends the head and the body as one message of two iovecs, so the body
+/// is never copied behind the head; a partial send resumes where it left.
+void send_response(int fd, std::string_view head, std::string_view body) {
+  iovec iov[2] = {{const_cast<char*>(head.data()), head.size()},
+                  {const_cast<char*>(body.data()), body.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  while (msg.msg_iovlen > 0) {
     // MSG_NOSIGNAL: a scraper that hung up mid-response must surface as an
     // error return, not a process-killing SIGPIPE.
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n <= 0) return;
-    sent += static_cast<std::size_t>(n);
+    auto sent = static_cast<std::size_t>(n);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + sent;
+      msg.msg_iov->iov_len -= sent;
+    }
   }
-}
-
-std::string render_response(const HttpResponse& resp) {
-  std::string out;
-  out.reserve(128 + resp.body.size());
-  char head[160];
-  std::snprintf(head, sizeof head,
-                "HTTP/1.1 %d %s\r\n"
-                "Content-Type: %s\r\n"
-                "Content-Length: %zu\r\n"
-                "Connection: close\r\n\r\n",
-                resp.status, status_text(resp.status),
-                resp.content_type.c_str(), resp.body.size());
-  out += head;
-  out += resp.body;
-  return out;
 }
 
 }  // namespace
@@ -75,6 +87,12 @@ bool HttpServer::start(std::uint16_t port) {
   if (listen_fd_ < 0) return false;
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  // Accepted sockets inherit both timeouts (Linux copies them on accept),
+  // so a connection pays no setsockopt unless its request needs a second
+  // recv. The receive timeout also bounds each accept() (see accept_loop).
+  const timeval deadline = to_timeval(kRequestDeadline);
+  ::setsockopt(listen_fd_, SOL_SOCKET, SO_RCVTIMEO, &deadline, sizeof deadline);
+  ::setsockopt(listen_fd_, SOL_SOCKET, SO_SNDTIMEO, &deadline, sizeof deadline);
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -110,54 +128,67 @@ void HttpServer::accept_loop() {
   while (running_.load(std::memory_order_relaxed)) {
     const int client = ::accept(listen_fd_, nullptr, nullptr);
     if (client < 0) {
-      if (errno == EINTR) continue;
+      // EAGAIN: the listener's receive timeout, there for the accepted
+      // sockets to inherit, also ends an idle accept every 2 s.
+      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
       // Shutdown (or a fatal accept error): leave the loop; stop() flips
       // running_ before shutdown so the normal path reads false here.
       return;
     }
-    // Bound the time one stuck client can hold the single serve thread.
-    timeval tv{};
-    tv.tv_sec = 2;
-    ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-    serve_one(client);
+    serve_one(client, std::chrono::steady_clock::now() + kRequestDeadline);
     ::close(client);
   }
 }
 
-void HttpServer::serve_one(int client_fd) {
-  std::string req;
-  char buf[2048];
-  while (req.size() < kMaxRequestBytes &&
-         req.find("\r\n\r\n") == std::string::npos) {
-    const ssize_t n = ::recv(client_fd, buf, sizeof buf, 0);
+void HttpServer::serve_one(int client_fd,
+                           std::chrono::steady_clock::time_point deadline) {
+  char buf[kMaxRequestBytes];
+  std::size_t len = 0;
+  std::size_t end_of_head = std::string_view::npos;
+  while (len < kMaxRequestBytes && end_of_head == std::string_view::npos) {
+    if (len > 0) {
+      // Only a request split over several recvs gets here: shrink the
+      // inherited per-recv timeout to what is left of the whole deadline.
+      const auto left = std::chrono::ceil<std::chrono::microseconds>(
+          deadline - std::chrono::steady_clock::now());
+      if (left.count() <= 0) break;
+      const timeval tv = to_timeval(left);
+      ::setsockopt(client_fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    }
+    const ssize_t n = ::recv(client_fd, buf + len, kMaxRequestBytes - len, 0);
     if (n <= 0) break;
-    req.append(buf, static_cast<std::size_t>(n));
+    // A terminator can straddle the previous read's last three bytes.
+    const std::size_t from = len > 3 ? len - 3 : 0;
+    len += static_cast<std::size_t>(n);
+    end_of_head = std::string_view(buf, len).find("\r\n\r\n", from);
   }
-  const std::size_t line_end = req.find("\r\n");
-  if (line_end == std::string::npos) return;  // not even a request line
+  if (len == 0) return;  // nothing arrived: no one to answer
+  const std::string_view request(buf, len);
 
   // "METHOD SP target SP version"
-  const std::string line = req.substr(0, line_end);
+  const std::size_t line_end = request.find("\r\n");
+  const std::string_view line = request.substr(0, line_end);
   const std::size_t sp1 = line.find(' ');
   const std::size_t sp2 = line.rfind(' ');
   HttpResponse resp;
-  if (sp1 == std::string::npos || sp2 == sp1) {
+  if (line_end == std::string_view::npos || sp1 == std::string_view::npos ||
+      sp2 == sp1) {
     resp.status = 400;
     resp.body = "malformed request line\n";
   } else if (line.substr(0, sp1) != "GET") {
     resp.status = 405;
     resp.body = "only GET is served here\n";
   } else {
-    std::string target = line.substr(sp1 + 1, sp2 - sp1 - 1);
-    std::string query;
+    std::string_view target = line.substr(sp1 + 1, sp2 - sp1 - 1);
+    std::string_view query;
     const std::size_t q = target.find('?');
-    if (q != std::string::npos) {
+    if (q != std::string_view::npos) {
       query = target.substr(q + 1);
-      target.resize(q);
+      target = target.substr(0, q);
     }
     const auto it = handlers_.find(target);
     if (it != handlers_.end()) {
-      resp = it->second(query);
+      resp = it->second(std::string(query));
     } else {
       // Longest matching registered prefix wins; the map is sorted
       // ascending, so the last match seen is the longest.
@@ -170,14 +201,27 @@ void HttpServer::serve_one(int client_fd) {
         }
       }
       if (best != nullptr) {
-        resp = (*best)(target.substr(best_len), query);
+        resp = (*best)(std::string(target.substr(best_len)),
+                       std::string(query));
       } else {
         resp.status = 404;
         resp.body = "no such endpoint; try /metrics /healthz /spans /v1/status\n";
       }
     }
   }
-  send_all(client_fd, render_response(resp));
+  char head[160];
+  const int head_len = std::snprintf(
+      head, sizeof head,
+      "HTTP/1.1 %d %s\r\n"
+      "Content-Type: %s\r\n"
+      "Content-Length: %zu\r\n"
+      "Connection: close\r\n\r\n",
+      resp.status, status_text(resp.status), resp.content_type.c_str(),
+      resp.body.size());
+  // snprintf returns the untruncated length; an overlong content type is cut.
+  const std::size_t head_bytes = std::min(
+      static_cast<std::size_t>(std::max(head_len, 0)), sizeof head - 1);
+  send_response(client_fd, std::string_view(head, head_bytes), resp.body);
   served_.fetch_add(1, std::memory_order_relaxed);
 }
 

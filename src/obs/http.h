@@ -8,10 +8,14 @@
 // Threading: one accept thread, requests handled inline on it (scrapes are
 // serial and cheap; Prometheus scrapes one target at a time). Handlers run
 // on that thread and must be thread-safe against the pipeline (ours render
-// from racy-by-design snapshots, which are).
+// from racy-by-design snapshots, which are). Because that thread is the only
+// one, a client may hold it for at most 2 s to deliver its whole request
+// (however it drips the bytes) and at most 2 s per send of the response;
+// a request line that never arrives whole is answered 400.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -69,10 +73,11 @@ class HttpServer {
 
  private:
   void accept_loop();
-  void serve_one(int client_fd);
+  void serve_one(int client_fd, std::chrono::steady_clock::time_point deadline);
 
-  std::map<std::string, HttpHandler> handlers_;
-  std::map<std::string, HttpPrefixHandler> prefix_handlers_;
+  // std::less<> looks targets up as string_views, without a copy.
+  std::map<std::string, HttpHandler, std::less<>> handlers_;
+  std::map<std::string, HttpPrefixHandler, std::less<>> prefix_handlers_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};

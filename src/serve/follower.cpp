@@ -15,6 +15,10 @@ std::uint64_t now_us() {
           .count());
 }
 
+/// Room for a status body whose counters all have 20 digits and whose
+/// last_error is short, so rendering one allocates once.
+constexpr std::size_t kStatusBodyBytes = 640;
+
 /// JSON string escaping for the status document: error text can carry
 /// paths and errno messages, so quotes, backslashes and every control
 /// character are escaped (everything else rendered here is hex or enum
@@ -341,49 +345,47 @@ obs::HttpResponse ChainFollower::status_endpoint() const {
       stats_.chain_head.load(std::memory_order_relaxed);
   const std::uint64_t snapshot_head =
       stats_.snapshot_head.load(std::memory_order_relaxed);
-  std::string out = "{";
+  std::string out;
+  out.reserve(kStatusBodyBytes);
+  out += '{';
   append_key(out, "following");
   out += stats_.following.load(std::memory_order_relaxed) ? "true" : "false";
   out += ',';
   append_key(out, "chain_head");
-  out += std::to_string(chain_head);
+  append_u64(out, chain_head);
   out += ',';
   append_key(out, "snapshot_head");
-  out += std::to_string(snapshot_head);
+  append_u64(out, snapshot_head);
   out += ',';
   append_key(out, "staleness_blocks");
-  out += std::to_string(chain_head > snapshot_head
-                            ? chain_head - snapshot_head
-                            : 0);
+  append_u64(out, chain_head > snapshot_head ? chain_head - snapshot_head : 0);
   out += ',';
   append_key(out, "snapshot_version");
-  out += std::to_string(stats_.snapshot_version.load(std::memory_order_relaxed));
+  append_u64(out, stats_.snapshot_version.load(std::memory_order_relaxed));
   out += ',';
   append_key(out, "snapshot_entries");
-  out += std::to_string(stats_.snapshot_entries.load(std::memory_order_relaxed));
+  append_u64(out, stats_.snapshot_entries.load(std::memory_order_relaxed));
   out += ',';
   append_key(out, "laps");
-  out += std::to_string(stats_.laps.load(std::memory_order_relaxed));
+  append_u64(out, stats_.laps.load(std::memory_order_relaxed));
   out += ',';
   append_key(out, "fast_forwards");
-  out += std::to_string(stats_.fast_forwards.load(std::memory_order_relaxed));
+  append_u64(out, stats_.fast_forwards.load(std::memory_order_relaxed));
   out += ',';
   append_key(out, "blocks_processed");
-  out += std::to_string(stats_.blocks_processed.load(std::memory_order_relaxed));
+  append_u64(out, stats_.blocks_processed.load(std::memory_order_relaxed));
   out += ',';
   append_key(out, "contracts_discovered");
-  out += std::to_string(
-      stats_.contracts_discovered.load(std::memory_order_relaxed));
+  append_u64(out, stats_.contracts_discovered.load(std::memory_order_relaxed));
   out += ',';
   append_key(out, "last_lap_us");
-  out += std::to_string(stats_.last_lap_us.load(std::memory_order_relaxed));
+  append_u64(out, stats_.last_lap_us.load(std::memory_order_relaxed));
   out += ',';
   append_key(out, "last_lap_touched");
-  out += std::to_string(stats_.last_lap_touched.load(std::memory_order_relaxed));
+  append_u64(out, stats_.last_lap_touched.load(std::memory_order_relaxed));
   out += ',';
   append_key(out, "last_lap_recomputed");
-  out += std::to_string(
-      stats_.last_lap_recomputed.load(std::memory_order_relaxed));
+  append_u64(out, stats_.last_lap_recomputed.load(std::memory_order_relaxed));
   out += ',';
   append_key(out, "degraded");
   const bool degraded =

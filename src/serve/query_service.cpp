@@ -1,9 +1,9 @@
 #include "serve/query_service.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <utility>
-
-#include "crypto/keccak.h"
 
 namespace proxion::serve {
 
@@ -11,9 +11,11 @@ namespace {
 
 constexpr std::string_view kJsonContentType = "application/json";
 
-bool is_hex_digit(char c) {
-  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') ||
-         (c >= 'A' && c <= 'F');
+int hex_value(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
 }
 
 std::string_view strip_0x(std::string_view s) {
@@ -23,41 +25,73 @@ std::string_view strip_0x(std::string_view s) {
   return s;
 }
 
-/// Strict: optional 0x, then exactly 40 hex digits.
-std::optional<evm::Address> parse_address(std::string_view text) {
+/// Strict: optional 0x, then exactly 2 * out.size() hex digits, in either
+/// case. Decodes into `out` in place.
+bool parse_hex_bytes(std::string_view text, std::span<std::uint8_t> out) {
   const std::string_view hex = strip_0x(text);
-  if (hex.size() != 40) return std::nullopt;
-  for (const char c : hex) {
-    if (!is_hex_digit(c)) return std::nullopt;
+  if (hex.size() != 2 * out.size()) return false;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const int hi = hex_value(hex[2 * i]);
+    const int lo = hex_value(hex[2 * i + 1]);
+    if (hi < 0 || lo < 0) return false;
+    out[i] = static_cast<std::uint8_t>(hi << 4 | lo);
   }
-  return evm::Address::from_hex(hex);
+  return true;
 }
 
-/// Strict: optional 0x, then exactly 64 hex digits.
-std::optional<crypto::Hash256> parse_hash(std::string_view text) {
-  const std::string_view hex = strip_0x(text);
-  if (hex.size() != 64) return std::nullopt;
-  for (const char c : hex) {
-    if (!is_hex_digit(c)) return std::nullopt;
-  }
-  const std::vector<std::uint8_t> bytes = crypto::from_hex(hex);
-  crypto::Hash256 out{};
-  std::copy(bytes.begin(), bytes.end(), out.begin());
+std::optional<evm::Address> parse_address(std::string_view text) {
+  evm::Address out;
+  if (!parse_hex_bytes(text, out.bytes)) return std::nullopt;
   return out;
 }
 
-std::string hash_hex(const crypto::Hash256& h) {
-  return "0x" + crypto::to_hex(h);
+std::optional<crypto::Hash256> parse_hash(std::string_view text) {
+  crypto::Hash256 out{};
+  if (!parse_hex_bytes(text, out)) return std::nullopt;
+  return out;
+}
+
+/// "00".."ff": the two lowercase hex digits of every byte value.
+constexpr std::array<char, 512> kHexPairs = [] {
+  constexpr std::string_view kDigits = "0123456789abcdef";
+  std::array<char, 512> pairs{};
+  for (std::size_t b = 0; b < 256; ++b) {
+    pairs[2 * b] = kDigits[b >> 4];
+    pairs[2 * b + 1] = kDigits[b & 0xf];
+  }
+  return pairs;
+}();
+
+/// Grows `out` by `n` bytes and returns where they start; the caller writes
+/// all `n`. Within a reserved body this never reallocates.
+char* grow(std::string& out, std::size_t n) {
+  const std::size_t at = out.size();
+  out.resize(at + n);
+  return out.data() + at;
+}
+
+/// Writes `"0x` + two hex digits per byte + `"` (address and hash form),
+/// 2 * bytes.size() + 4 chars, at `p`; returns the end.
+char* write_hex_string(char* p, std::span<const std::uint8_t> bytes) {
+  *p++ = '"';
+  *p++ = '0';
+  *p++ = 'x';
+  for (const std::uint8_t b : bytes) {
+    std::memcpy(p, &kHexPairs[2 * b], 2);
+    p += 2;
+  }
+  *p++ = '"';
+  return p;
+}
+
+void append_hex_string(std::string& out, std::span<const std::uint8_t> bytes) {
+  write_hex_string(grow(out, 2 * bytes.size() + 4), bytes);
 }
 
 void append_str(std::string& out, std::string_view value) {
   out += '"';
   out += value;  // hex strings and enum names only — nothing needs escaping
   out += '"';
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  out += std::to_string(v);
 }
 
 void append_bool(std::string& out, bool v) { out += v ? "true" : "false"; }
@@ -73,7 +107,9 @@ obs::HttpResponse json_response(int status, std::string body) {
 /// The uniform error shape: {"error": <code>, "detail": <human text>}.
 obs::HttpResponse error_response(int status, std::string_view code,
                                  std::string_view detail) {
-  std::string out = "{";
+  std::string out;
+  out.reserve(32 + code.size() + detail.size());
+  out += '{';
   append_key(out, "error");
   append_str(out, code);
   out += ',';
@@ -93,6 +129,16 @@ void append_stamp(std::string& out, const Snapshot& snap) {
   append_u64(out, snap.version);
 }
 
+/// Room for a whole body, so rendering one response allocates once: a
+/// contract body is under 800 bytes, and a list body is under 256 bytes
+/// plus 45 per listed address (`"0x` + 40 digits + `"` and a comma).
+constexpr std::size_t kContractBodyBytes = 1024;
+constexpr std::size_t kListedAddressBytes = 45;
+
+std::size_t list_body_bytes(std::size_t members, std::size_t max_results) {
+  return 256 + kListedAddressBytes * std::min(members, max_results);
+}
+
 void append_address_list(std::string& out, const Snapshot& snap,
                          const std::vector<std::uint32_t>& indexes,
                          std::size_t max_results) {
@@ -105,9 +151,14 @@ void append_address_list(std::string& out, const Snapshot& snap,
   out += ',';
   append_key(out, "addresses");
   out += '[';
-  for (std::size_t i = 0; i < listed; ++i) {
-    if (i > 0) out += ',';
-    append_str(out, snap.rows[indexes[i]].address.to_hex());
+  if (listed > 0) {
+    // One grow for the whole list: each entry is a quoted address and a
+    // comma, less the last comma.
+    char* p = grow(out, listed * kListedAddressBytes - 1);
+    for (std::size_t i = 0; i < listed; ++i) {
+      if (i > 0) *p++ = ',';
+      p = write_hex_string(p, snap.rows[indexes[i]].address.bytes);
+    }
   }
   out += ']';
 }
@@ -137,6 +188,41 @@ void append_key(std::string& out, std::string_view key) {
   out += '"';
   out += key;
   out += "\":";
+}
+
+void append_u64(std::string& out, std::uint64_t v) {
+  char digits[20];  // 2^64 - 1 has 20
+  out.append(digits, std::to_chars(digits, digits + sizeof digits, v).ptr);
+}
+
+void append_address(std::string& out, const evm::Address& a) {
+  append_hex_string(out, a.bytes);
+}
+
+void append_hash(std::string& out, const crypto::Hash256& h) {
+  append_hex_string(out, h);
+}
+
+void append_u256(std::string& out, const evm::U256& v) {
+  const std::array<std::uint8_t, 32> be = v.to_be_bytes();
+  std::size_t first = 0;
+  while (first < be.size() && be[first] == 0) ++first;
+  if (first == be.size()) {
+    out += "\"0x0\"";
+    return;
+  }
+  // Minimal form: a leading byte below 0x10 contributes one digit.
+  const bool short_lead = be[first] < 0x10;
+  char* p = grow(out, 2 * (be.size() - first) - (short_lead ? 1 : 0) + 4);
+  *p++ = '"';
+  *p++ = '0';
+  *p++ = 'x';
+  if (short_lead) *p++ = kHexPairs[2 * be[first++] + 1];
+  for (; first < be.size(); ++first) {
+    std::memcpy(p, &kHexPairs[2 * be[first]], 2);
+    p += 2;
+  }
+  *p = '"';
 }
 
 std::string_view to_string(VulnClass c) noexcept {
@@ -249,14 +335,16 @@ obs::HttpResponse QueryService::contract_endpoint(
                           "address not in the current snapshot");
   }
   const core::VerdictRow& row = snap->rows[it->second];
-  std::string out = "{";
+  std::string out;
+  out.reserve(kContractBodyBytes);
+  out += '{';
   append_stamp(out, *snap);
   out += ',';
   append_key(out, "address");
-  append_str(out, row.address.to_hex());
+  append_address(out, row.address);
   out += ',';
   append_key(out, "code_hash");
-  append_str(out, hash_hex(row.code_hash));
+  append_hash(out, row.code_hash);
   out += ',';
   append_key(out, "year");
   append_u64(out, static_cast<std::uint64_t>(row.year));
@@ -298,12 +386,12 @@ obs::HttpResponse QueryService::contract_endpoint(
   if (row.logic_source == core::LogicSource::kNone) {
     out += "null";
   } else {
-    append_str(out, row.logic_address.to_hex());
+    append_address(out, row.logic_address);
   }
   out += ',';
   append_key(out, "slot");
   if (row.logic_source == core::LogicSource::kStorageSlot) {
-    append_str(out, row.logic_slot.to_hex());
+    append_u256(out, row.logic_slot);
   } else {
     out += "null";
   }
@@ -341,11 +429,13 @@ obs::HttpResponse QueryService::codehash_endpoint(
     return error_response(404, "not_found",
                           "code hash not in the current snapshot");
   }
-  std::string out = "{";
+  std::string out;
+  out.reserve(list_body_bytes(it->second.size(), config_.max_results));
+  out += '{';
   append_stamp(out, *snap);
   out += ',';
   append_key(out, "code_hash");
-  append_str(out, hash_hex(*hash));
+  append_hash(out, *hash);
   out += ',';
   append_address_list(out, *snap, it->second, config_.max_results);
   out += "}\n";
@@ -381,7 +471,9 @@ obs::HttpResponse QueryService::vulns_endpoint(const std::string& query) const {
   const std::shared_ptr<const Snapshot> snap = snapshot();
   const std::vector<std::uint32_t>& indexes =
       snap->by_vuln[static_cast<std::size_t>(*vuln)];
-  std::string out = "{";
+  std::string out;
+  out.reserve(list_body_bytes(indexes.size(), config_.max_results));
+  out += '{';
   append_stamp(out, *snap);
   out += ',';
   append_key(out, "class");

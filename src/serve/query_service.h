@@ -32,6 +32,8 @@
 #include <vector>
 
 #include "core/report.h"
+#include "crypto/keccak.h"
+#include "evm/types.h"
 #include "obs/http.h"
 #include "serve/cow.h"
 #include "store/records.h"
@@ -135,5 +137,14 @@ class QueryService {
 /// response field name flows through this helper — tools/docs_check.sh
 /// greps the call sites and diffs them against docs/QUERY_API.md.
 void append_key(std::string& out, std::string_view key);
+
+/// JSON value appenders for the /v1 renderers. Each writes its digits
+/// straight into `out`, with no temporary string, in the value forms of
+/// docs/QUERY_API.md §1: an integer as bare decimal; an address, a hash and
+/// a u256 as a quoted `0x` string (40 digits, 64 digits, minimal digits).
+void append_u64(std::string& out, std::uint64_t v);
+void append_address(std::string& out, const evm::Address& a);
+void append_hash(std::string& out, const crypto::Hash256& h);
+void append_u256(std::string& out, const evm::U256& v);
 
 }  // namespace proxion::serve

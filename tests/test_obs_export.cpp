@@ -1,22 +1,28 @@
 // The live introspection plane: exporter snapshot/ring/rate math against a
 // fake clock, a Prometheus exposition round-trip that parses every line
 // back, /healthz JSON schema, metric-name registration hygiene, the
-// structured event log, the HTTP server over a real loopback socket, and
+// structured event log, the HTTP server over a real loopback socket (with
+// a seeded request-line fuzz corpus and the whole-request deadline), and
 // scrape-during-record concurrency (a TSan target via
 // tools/sanitize_smoke.sh).
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstdint>
 #include <map>
+#include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -590,6 +596,284 @@ TEST(HttpServerTest, StartFailsOnPortAlreadyInUse) {
   b.handle("/x", [](const std::string&) { return HttpResponse{}; });
   EXPECT_FALSE(b.start(a.port()));
   a.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Request-line robustness: seeded fuzz, the whole-request deadline, and the
+// socket-option inheritance the server relies on.
+
+int connect_loopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Sends `raw` verbatim, half-closes, and returns everything the server
+/// answers before it closes, or what came within 5 s.
+std::string exchange_raw(std::uint16_t port, const std::string& raw) {
+  const int fd = connect_loopback(port);
+  if (fd < 0) return "";
+  const timeval limit{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof limit);
+  std::size_t sent = 0;
+  while (sent < raw.size()) {
+    const ssize_t n =
+        ::send(fd, raw.data() + sent, raw.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  ::shutdown(fd, SHUT_WR);
+  std::string out;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof buf, 0)) > 0) {
+    out.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return out;
+}
+
+/// What the server must answer to `raw`, from the request-line grammar
+/// "METHOD SP target SP version CRLF" over its first 8 KiB, with /healthz
+/// registered exactly and /v1/ as a prefix; both echo what they receive.
+struct Expected {
+  int status;
+  std::string body;  // empty: not checked (the server's own text)
+};
+
+Expected expected_for(const std::string& raw) {
+  const std::string request = raw.substr(0, 8192);
+  const std::size_t line_end = request.find("\r\n");
+  if (line_end == std::string::npos) return {400, ""};
+  const std::string line = request.substr(0, line_end);
+  const std::size_t sp1 = line.find(' ');
+  const std::size_t sp2 = line.rfind(' ');
+  if (sp1 == std::string::npos || sp1 == sp2) return {400, ""};
+  if (line.substr(0, sp1) != "GET") return {405, ""};
+  std::string target = line.substr(sp1 + 1, sp2 - sp1 - 1);
+  std::string query;
+  const std::size_t q = target.find('?');
+  if (q != std::string::npos) {
+    query = target.substr(q + 1);
+    target.resize(q);
+  }
+  if (target == "/healthz") return {200, "healthz|" + query};
+  if (target.starts_with("/v1/")) return {200, target.substr(4) + "|" + query};
+  return {404, ""};
+}
+
+/// The fuzz corpus: every shape the request-line parser must survive, from
+/// a fixed seed so a failure reproduces.
+std::vector<std::string> request_line_corpus() {
+  std::mt19937_64 rng(0x5eedf00d);
+  const auto pick = [&rng](std::string_view from) {
+    return from[rng() % from.size()];
+  };
+  std::vector<std::string> corpus = {
+      "GET /healthz HTTP/1.1\r\n\r\n",
+      "GET /healthz HTTP/1.1",           // no CRLF at all
+      "GET /healthz HTTP/1.1\n\n",       // bare LFs
+      "GET/healthz HTTP/1.1\r\n\r\n",    // a missing space
+      "GET /healthzHTTP/1.1\r\n\r\n",    // the other missing space
+      "GET\r\n\r\n",
+      " \r\n\r\n",
+      "\r\n\r\n",
+      "GET  /healthz  HTTP/1.1\r\n\r\n",  // doubled spaces
+      "GET /v1/a b HTTP/1.1\r\n\r\n",     // a space inside the target
+      "GET /healthz HTTP/1.1\r\nHost: x\r\n",  // headers never ended
+  };
+  for (const std::string& method :
+       {std::string("POST"), std::string("PUT"), std::string("HEAD"),
+        std::string("get"), std::string("GETS"), std::string(),
+        std::string("G\0T", 3)}) {
+    corpus.push_back(method + " /healthz HTTP/1.1\r\n\r\n");
+  }
+  // Embedded NULs, in the method, the target, the query and the version.
+  const std::string base = "GET /v1/contract/0xab?class=x HTTP/1.1\r\n\r\n";
+  for (std::size_t at = 0; at < base.size() - 4; at += 3) {
+    std::string r = base;
+    r[at] = '\0';
+    corpus.push_back(r);
+  }
+  // '?' at every position of the request line.
+  const std::string plain = "GET /v1/contract/0xab HTTP/1.1";
+  for (std::size_t at = 0; at <= plain.size(); ++at) {
+    corpus.push_back(plain.substr(0, at) + "?" + plain.substr(at) +
+                     "\r\n\r\n");
+  }
+  // A target that fills the 8 KiB limit exactly, and lines the limit cuts
+  // before their CRLF.
+  const std::string head = "GET /v1/";
+  const std::string tail = " HTTP/1.1\r\n\r\n";
+  corpus.push_back(head + std::string(8192 - head.size() - tail.size(), 'a') +
+                   tail);
+  corpus.push_back(head + std::string(8192 - head.size() - 5, 'b') + " HTTP");
+  corpus.push_back(std::string(8192, 'G'));
+  // Random lines over the characters the parser splits on.
+  for (int i = 0; i < 200; ++i) {
+    std::string r;
+    const std::size_t len = 1 + rng() % 64;
+    for (std::size_t k = 0; k < len; ++k) {
+      r += pick(std::string_view("GET /v1?h\r\n\0 az", 15));
+    }
+    if (rng() % 2 == 0) r = "GET " + r;
+    if (rng() % 2 == 0) r += "\r\n\r\n";
+    corpus.push_back(r);
+  }
+  return corpus;
+}
+
+TEST(HttpServerTest, FuzzedRequestLinesGetWellFormedAnswers) {
+  HttpServer server;
+  server.handle("/healthz", [](const std::string& query) {
+    HttpResponse r;
+    r.body = "healthz|" + query;
+    return r;
+  });
+  server.handle_prefix("/v1/", [](const std::string& rest,
+                                   const std::string& query) {
+    HttpResponse r;
+    r.body = rest + "|" + query;
+    return r;
+  });
+  ASSERT_TRUE(server.start(0));
+  const std::vector<std::string> corpus = request_line_corpus();
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const std::string& raw = corpus[i];
+    const std::string reply = exchange_raw(server.port(), raw);
+    const Expected want = expected_for(raw);
+    SCOPED_TRACE("corpus[" + std::to_string(i) + "] (" +
+                 std::to_string(raw.size()) + " bytes)");
+    ASSERT_GE(reply.size(), 13u);
+    EXPECT_EQ(reply.substr(0, 9), "HTTP/1.1 ");
+    EXPECT_EQ(std::stoi(reply.substr(9, 3)), want.status);
+    EXPECT_EQ(reply[12], ' ');
+    const std::size_t line_end = reply.find("\r\n");
+    const std::size_t head_end = reply.find("\r\n\r\n");
+    ASSERT_NE(head_end, std::string::npos);
+    EXPECT_GT(line_end, 13u);  // a reason phrase follows the code
+    const std::string body = reply.substr(head_end + 4);
+    EXPECT_NE(reply.find("\r\nContent-Length: " + std::to_string(body.size()) +
+                         "\r\n"),
+              std::string::npos);
+    if (!want.body.empty()) {
+      EXPECT_EQ(body, want.body);
+    }
+  }
+  EXPECT_EQ(server.requests_served(), corpus.size());
+  // Still serving.
+  EXPECT_NE(http_get(server.port(), "/healthz").find("HTTP/1.1 200"),
+            std::string::npos);
+  server.stop();
+}
+
+TEST(HttpServerTest, DripClientIsClosedAtTheWholeRequestDeadline) {
+  HttpServer server;
+  server.handle("/healthz", [](const std::string&) {
+    HttpResponse r;
+    r.body = "ok";
+    return r;
+  });
+  ASSERT_TRUE(server.start(0));
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point t0 = Clock::now();
+  // One byte of a valid request every 0.8 s: each recv is answered well
+  // inside a per-recv timeout, so only a whole-request deadline ends it.
+  // Eight drips hold a server without one for 6.4 s.
+  Clock::time_point drip_closed{};
+  std::thread drip([&] {
+    const int fd = connect_loopback(server.port());
+    if (fd < 0) return;
+    const std::string request = "GET /healthz HTTP/1.1\r\n\r\n";
+    for (std::size_t i = 0; i < 8; ++i) {
+      if (::send(fd, &request[i], 1, MSG_NOSIGNAL) != 1) break;
+      pollfd p{fd, POLLIN, 0};
+      if (::poll(&p, 1, 800) > 0) {  // an answer or a close
+        drip_closed = Clock::now();
+        break;
+      }
+    }
+    ::close(fd);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const std::string health = http_get(server.port(), "/healthz");
+  const Clock::time_point health_done = Clock::now();
+  drip.join();
+  ASSERT_NE(drip_closed, Clock::time_point{}) << "the drip was never closed";
+  const auto secs = [](Clock::duration d) {
+    return std::chrono::duration<double>(d).count();
+  };
+  EXPECT_LT(secs(drip_closed - t0), 3.0);
+  EXPECT_NE(health.find("HTTP/1.1 200"), std::string::npos);
+  // The queued /healthz is answered right after the drip lets go.
+  EXPECT_LT(secs(health_done - t0), 3.0);
+  EXPECT_LT(secs(health_done - drip_closed), 0.5);
+  server.stop();
+}
+
+TEST(HttpServerTest, IdleListenerKeepsServingPastTheDeadline) {
+  // The listener carries the 2 s receive timeout for its accepted sockets,
+  // which also makes an idle accept() return EAGAIN: the server must wait on.
+  HttpServer server;
+  server.handle("/healthz", [](const std::string&) {
+    HttpResponse r;
+    r.body = "ok";
+    return r;
+  });
+  ASSERT_TRUE(server.start(0));
+  std::this_thread::sleep_for(std::chrono::milliseconds(2300));
+  EXPECT_TRUE(server.running());
+  EXPECT_EQ(exchange_raw(server.port(), "GET /healthz HTTP/1.1\r\n\r\n")
+                .substr(0, 12),
+            "HTTP/1.1 200");
+  server.stop();
+}
+
+TEST(HttpServerTest, AcceptedSocketsInheritTheListenersTimeouts) {
+  // HttpServer sets its receive and send timeouts once, on the listener.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  const timeval rcv{3, 0};
+  const timeval snd{1, 0};
+  ASSERT_EQ(::setsockopt(listener, SOL_SOCKET, SO_RCVTIMEO, &rcv, sizeof rcv),
+            0);
+  ASSERT_EQ(::setsockopt(listener, SOL_SOCKET, SO_SNDTIMEO, &snd, sizeof snd),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  const int client = connect_loopback(ntohs(addr.sin_port));
+  ASSERT_GE(client, 0);
+  const int accepted = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(accepted, 0);
+  for (const int opt : {SO_RCVTIMEO, SO_SNDTIMEO}) {
+    timeval on_listener{};
+    timeval on_accepted{};
+    socklen_t n = sizeof on_listener;
+    ASSERT_EQ(::getsockopt(listener, SOL_SOCKET, opt, &on_listener, &n), 0);
+    n = sizeof on_accepted;
+    ASSERT_EQ(::getsockopt(accepted, SOL_SOCKET, opt, &on_accepted, &n), 0);
+    EXPECT_EQ(on_accepted.tv_sec, opt == SO_RCVTIMEO ? rcv.tv_sec : snd.tv_sec);
+    EXPECT_EQ(on_accepted.tv_sec, on_listener.tv_sec);
+    EXPECT_EQ(on_accepted.tv_usec, on_listener.tv_usec);
+  }
+  ::close(accepted);
+  ::close(client);
+  ::close(listener);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@
 // nothing, a restart that reads the journal once, quarantine retries),
 // the scale-free work of a one-proxy lap, concurrent scrapes during
 // snapshot swaps and stop() during a wait_synced() fence (the TSan leg),
-// the /v1 JSON schemas from docs/QUERY_API.md, and HTTP prefix routing
-// over a real loopback socket.
+// the /v1 JSON schemas from docs/QUERY_API.md, golden bytes of every /v1
+// body (in-process and over loopback) and of the JSON value appenders, and
+// HTTP prefix routing over a real loopback socket.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -17,9 +18,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <filesystem>
 #include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -1047,6 +1050,410 @@ TEST(QueryHttp, PrefixRoutingServesV1OverLoopback) {
   EXPECT_NE(missing.find("404"), std::string::npos);
 
   server.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Golden bodies: the exact bytes of every /v1 shape, rendered from
+// hand-built records so a renderer rewrite cannot drift a single byte.
+
+evm::Address golden_address(std::string_view label) {
+  return evm::Address::from_label(label);
+}
+
+core::ContractAnalysis golden_report(std::string_view label, int year) {
+  core::ContractAnalysis a;
+  a.address = golden_address(label);
+  a.year = year;
+  return a;
+}
+
+/// One service over every row shape: a slot proxy (all collisions), two
+/// slot proxies whose slots render with a dropped leading nibble and as
+/// zero, a three-clone EIP-1167 family (hard-coded logic, no slot), a
+/// non-proxy and a quarantined row. `max_results` 2 truncates the clone
+/// family and the storage-collision list; no row has a family collision.
+void fill_golden(serve::QueryService& query) {
+  std::vector<store::ContractRecord> records;
+  {
+    core::ContractAnalysis a = golden_report("golden-slot-proxy", 2021);
+    a.has_source = true;
+    a.has_tx = true;
+    a.proxy.verdict = core::ProxyVerdict::kProxy;
+    a.proxy.standard = core::ProxyStandard::kEip1967;
+    a.proxy.logic_source = core::LogicSource::kStorageSlot;
+    a.proxy.logic_address = golden_address("golden-impl");
+    a.proxy.logic_slot = evm::U256::from_hex(
+        "0x360894a13ba1a3210667c828492db98dca3e2076cc3735a920a3ca505d382bbc");
+    a.logic_history.upgrade_events = 3;
+    a.function_collision = true;
+    a.storage_collision = true;
+    a.storage_collision_exploitable = true;
+    records.push_back({a, crypto::keccak256("golden-code-slot")});
+  }
+  {
+    core::ContractAnalysis a = golden_report("golden-small-slot-proxy", 2017);
+    a.has_tx = true;
+    a.proxy.verdict = core::ProxyVerdict::kProxy;
+    a.proxy.standard = core::ProxyStandard::kOther;
+    a.proxy.logic_source = core::LogicSource::kStorageSlot;
+    a.proxy.logic_address = golden_address("golden-impl");
+    a.proxy.logic_slot = evm::U256(0x0f00);
+    records.push_back({a, crypto::keccak256("golden-code-small-slot")});
+  }
+  {
+    core::ContractAnalysis a = golden_report("golden-slot-zero-proxy", 2016);
+    a.has_source = true;
+    a.proxy.verdict = core::ProxyVerdict::kProxy;
+    a.proxy.standard = core::ProxyStandard::kOther;
+    a.proxy.logic_source = core::LogicSource::kStorageSlot;
+    a.proxy.logic_address = golden_address("golden-impl-zero");
+    a.logic_history.upgrade_events = 18446744073709551615ULL;
+    records.push_back({a, crypto::keccak256("golden-code-slot-zero")});
+  }
+  for (int i = 0; i < 3; ++i) {
+    core::ContractAnalysis a =
+        golden_report("golden-clone-" + std::to_string(i), 2022);
+    a.proxy.verdict = core::ProxyVerdict::kProxy;
+    a.proxy.standard = core::ProxyStandard::kEip1167;
+    a.proxy.logic_source = core::LogicSource::kHardcoded;
+    a.proxy.logic_address = golden_address("golden-clone-impl");
+    a.deduplicated = i > 0;
+    a.storage_collision = true;
+    records.push_back({a, crypto::keccak256("golden-code-clone")});
+  }
+  {
+    core::ContractAnalysis a = golden_report("golden-plain", 2018);
+    a.has_source = true;
+    records.push_back({a, crypto::keccak256("golden-code-plain")});
+  }
+  {
+    core::ContractAnalysis a = golden_report("golden-quarantined", 2020);
+    a.error = core::ErrorRecord{core::ErrorKind::kRpcExhausted, "fetch",
+                                "archive unreachable"};
+    records.push_back({a, crypto::keccak256("golden-code-quarantined")});
+  }
+  query.apply_records(records);
+  query.publish(19000000);
+}
+
+std::string golden_hash_hex(std::string_view code_label) {
+  return "0x" + crypto::to_hex(crypto::keccak256(code_label));
+}
+
+struct GoldenCase {
+  std::string target;
+  int status;
+  std::string body;
+};
+
+std::vector<GoldenCase> golden_cases() {
+  const auto contract = [](std::string_view label) {
+    return "/v1/contract/" + golden_address(label).to_hex();
+  };
+  std::string upper_hash = golden_hash_hex("golden-code-clone");
+  std::transform(upper_hash.begin(), upper_hash.end(), upper_hash.begin(),
+                 [](unsigned char c) {
+                   return static_cast<char>(std::toupper(c));
+                 });
+  return {
+      {contract("golden-slot-proxy"),
+       200,
+       "{\"head_block\":19000000,\"snapshot_version\":1,"
+       "\"address\":\"0xd2c7829c9c9c3f1bd8fd1fca902a0214668da3dc\","
+       "\"code_hash\":"
+       "\"0x2695b30185dfeb655c41b3a5dd6ef2324456fce9b942788af03ce51945c7e607\","
+       "\"year\":2021,\"verdict\":\"proxy\",\"standard\":\"EIP-1967\","
+       "\"hidden\":false,\"has_source\":true,\"has_tx\":true,"
+       "\"deduplicated\":false,\"quarantined\":false,\"error_kind\":null,"
+       "\"logic\":{\"source\":\"storage-slot\","
+       "\"logic_address\":\"0xc5d1ed23f47ec122422d96d3d38736b4c9c8dd81\","
+       "\"slot\":"
+       "\"0x360894a13ba1a3210667c828492db98dca3e2076cc3735a920a3ca505d382bbc\","
+       "\"upgrade_events\":3},\"vulns\":{\"function_collision\":true,"
+       "\"storage_collision\":true,\"storage_collision_exploitable\":true,"
+       "\"family_collision\":false}}\n"},
+      {contract("golden-small-slot-proxy"),
+       200,
+       "{\"head_block\":19000000,\"snapshot_version\":1,"
+       "\"address\":\"0x0d8c6be634976f70fe473447eb7b9ce70506b561\","
+       "\"code_hash\":"
+       "\"0x064ef420b8574bfdde13fb84c8bc72a5fc77d309e7499c93885bca2c3271873b\","
+       "\"year\":2017,\"verdict\":\"proxy\",\"standard\":\"other\","
+       "\"hidden\":false,\"has_source\":false,\"has_tx\":true,"
+       "\"deduplicated\":false,\"quarantined\":false,\"error_kind\":null,"
+       "\"logic\":{\"source\":\"storage-slot\","
+       "\"logic_address\":\"0xc5d1ed23f47ec122422d96d3d38736b4c9c8dd81\","
+       "\"slot\":\"0xf00\",\"upgrade_events\":0},"
+       "\"vulns\":{\"function_collision\":false,\"storage_collision\":false,"
+       "\"storage_collision_exploitable\":false,"
+       "\"family_collision\":false}}\n"},
+      {contract("golden-slot-zero-proxy"),
+       200,
+       "{\"head_block\":19000000,\"snapshot_version\":1,"
+       "\"address\":\"0x12b21f5ba04442a4c103b188e334741aba36c937\","
+       "\"code_hash\":"
+       "\"0xb2905455228526ff48f600e7432b4b2a385b6c676ea540b6f1c9731295a18b15\","
+       "\"year\":2016,\"verdict\":\"proxy\",\"standard\":\"other\","
+       "\"hidden\":false,\"has_source\":true,\"has_tx\":false,"
+       "\"deduplicated\":false,\"quarantined\":false,\"error_kind\":null,"
+       "\"logic\":{\"source\":\"storage-slot\","
+       "\"logic_address\":\"0xdd69c9cd744577092ddcaa962f95b57a46254b18\","
+       "\"slot\":\"0x0\",\"upgrade_events\":18446744073709551615},"
+       "\"vulns\":{\"function_collision\":false,\"storage_collision\":false,"
+       "\"storage_collision_exploitable\":false,"
+       "\"family_collision\":false}}\n"},
+      {contract("golden-clone-1"),
+       200,
+       "{\"head_block\":19000000,\"snapshot_version\":1,"
+       "\"address\":\"0x5adabd6a94a04720c9e0b76f55ec3799cf6d3b41\","
+       "\"code_hash\":"
+       "\"0x539bc156b10574537c4ce4458e32327dd87e664f68a232921a43fe7b9f03e79e\","
+       "\"year\":2022,\"verdict\":\"proxy\",\"standard\":\"EIP-1167\","
+       "\"hidden\":true,\"has_source\":false,\"has_tx\":false,"
+       "\"deduplicated\":true,\"quarantined\":false,\"error_kind\":null,"
+       "\"logic\":{\"source\":\"hardcoded\","
+       "\"logic_address\":\"0x63cacba711035582a25c568c76d6e4d3b5eef88c\","
+       "\"slot\":null,\"upgrade_events\":0},"
+       "\"vulns\":{\"function_collision\":false,\"storage_collision\":true,"
+       "\"storage_collision_exploitable\":false,"
+       "\"family_collision\":false}}\n"},
+      {contract("golden-plain"),
+       200,
+       "{\"head_block\":19000000,\"snapshot_version\":1,"
+       "\"address\":\"0x58933ffcd3335699e9205630379b4abd3cb70eb9\","
+       "\"code_hash\":"
+       "\"0xc9c7a107f05d6b2529d2dd126c8f96c6723d37bab86b85f46aeda31774c8567a\","
+       "\"year\":2018,\"verdict\":\"not-proxy\",\"standard\":\"not-proxy\","
+       "\"hidden\":false,\"has_source\":true,\"has_tx\":false,"
+       "\"deduplicated\":false,\"quarantined\":false,\"error_kind\":null,"
+       "\"logic\":{\"source\":\"none\",\"logic_address\":null,\"slot\":null,"
+       "\"upgrade_events\":0},\"vulns\":{\"function_collision\":false,"
+       "\"storage_collision\":false,\"storage_collision_exploitable\":false,"
+       "\"family_collision\":false}}\n"},
+      {contract("golden-quarantined"),
+       200,
+       "{\"head_block\":19000000,\"snapshot_version\":1,"
+       "\"address\":\"0x226e57c219074749a868af2c566d8ca85ab13221\","
+       "\"code_hash\":"
+       "\"0xe28a105161a9407a9fe97b0e549ef0a3482c393fd2d1525d94bf3db2ff4cd785\","
+       "\"year\":2020,\"verdict\":\"not-proxy\",\"standard\":\"not-proxy\","
+       "\"hidden\":false,\"has_source\":false,\"has_tx\":false,"
+       "\"deduplicated\":false,\"quarantined\":true,"
+       "\"error_kind\":\"rpc_exhausted\",\"logic\":{\"source\":\"none\","
+       "\"logic_address\":null,\"slot\":null,\"upgrade_events\":0},"
+       "\"vulns\":{\"function_collision\":false,\"storage_collision\":false,"
+       "\"storage_collision_exploitable\":false,"
+       "\"family_collision\":false}}\n"},
+      {"/v1/codehash/" + golden_hash_hex("golden-code-clone"),
+       200,
+       "{\"head_block\":19000000,\"snapshot_version\":1,"
+       "\"code_hash\":"
+       "\"0x539bc156b10574537c4ce4458e32327dd87e664f68a232921a43fe7b9f03e79e\","
+       "\"count\":3,\"truncated\":true,"
+       "\"addresses\":[\"0x2a6f9ef6663a2f1cb6b48f9061217af6f0a5f700\","
+       "\"0x5adabd6a94a04720c9e0b76f55ec3799cf6d3b41\"]}\n"},
+      {"/v1/codehash/" + upper_hash,
+       200,
+       "{\"head_block\":19000000,\"snapshot_version\":1,"
+       "\"code_hash\":"
+       "\"0x539bc156b10574537c4ce4458e32327dd87e664f68a232921a43fe7b9f03e79e\","
+       "\"count\":3,\"truncated\":true,"
+       "\"addresses\":[\"0x2a6f9ef6663a2f1cb6b48f9061217af6f0a5f700\","
+       "\"0x5adabd6a94a04720c9e0b76f55ec3799cf6d3b41\"]}\n"},
+      {"/v1/codehash/" + golden_hash_hex("golden-code-slot"),
+       200,
+       "{\"head_block\":19000000,\"snapshot_version\":1,"
+       "\"code_hash\":"
+       "\"0x2695b30185dfeb655c41b3a5dd6ef2324456fce9b942788af03ce51945c7e607\","
+       "\"count\":1,\"truncated\":false,"
+       "\"addresses\":[\"0xd2c7829c9c9c3f1bd8fd1fca902a0214668da3dc\"]}\n"},
+      {"/v1/vulns?class=function_collision",
+       200,
+       "{\"head_block\":19000000,\"snapshot_version\":1,"
+       "\"class\":\"function_collision\",\"count\":1,\"truncated\":false,"
+       "\"addresses\":[\"0xd2c7829c9c9c3f1bd8fd1fca902a0214668da3dc\"]}\n"},
+      {"/v1/vulns?class=storage_collision",
+       200,
+       "{\"head_block\":19000000,\"snapshot_version\":1,"
+       "\"class\":\"storage_collision\",\"count\":4,\"truncated\":true,"
+       "\"addresses\":[\"0xd2c7829c9c9c3f1bd8fd1fca902a0214668da3dc\","
+       "\"0x2a6f9ef6663a2f1cb6b48f9061217af6f0a5f700\"]}\n"},
+      {"/v1/vulns?class=storage_collision_exploitable",
+       200,
+       "{\"head_block\":19000000,\"snapshot_version\":1,"
+       "\"class\":\"storage_collision_exploitable\",\"count\":1,"
+       "\"truncated\":false,"
+       "\"addresses\":[\"0xd2c7829c9c9c3f1bd8fd1fca902a0214668da3dc\"]}\n"},
+      {"/v1/vulns?class=family_collision",
+       200,
+       "{\"head_block\":19000000,\"snapshot_version\":1,"
+       "\"class\":\"family_collision\",\"count\":0,\"truncated\":false,"
+       "\"addresses\":[]}\n"},
+      {"/v1/contract/0x1234",
+       400,
+       "{\"error\":\"bad_address\","
+       "\"detail\":\"expected /v1/contract/0x + 40 hex digits\"}\n"},
+      {"/v1/contract/" + golden_address("golden-absent").to_hex(),
+       404,
+       "{\"error\":\"not_found\","
+       "\"detail\":\"address not in the current snapshot\"}\n"},
+      {"/v1/codehash/zz",
+       400,
+       "{\"error\":\"bad_hash\","
+       "\"detail\":\"expected /v1/codehash/0x + 64 hex digits\"}\n"},
+      {"/v1/codehash/" + std::string(64, '0'),
+       404,
+       "{\"error\":\"not_found\","
+       "\"detail\":\"code hash not in the current snapshot\"}\n"},
+      {"/v1/vulns",
+       400,
+       "{\"error\":\"missing_class\","
+       "\"detail\":\"expected /v1/vulns?class=<vulnerability class>\"}\n"},
+      {"/v1/vulns?class=",
+       400,
+       "{\"error\":\"missing_class\","
+       "\"detail\":\"expected /v1/vulns?class=<vulnerability class>\"}\n"},
+      {"/v1/vulns?class=bogus",
+       400,
+       "{\"error\":\"unknown_class\","
+       "\"detail\":\"unknown class; one of: function_collision "
+       "storage_collision storage_collision_exploitable "
+       "family_collision\"}\n"},
+  };
+}
+
+/// The in-process renderer a /v1 target routes to.
+obs::HttpResponse render_target(const serve::QueryService& query,
+                                const std::string& target) {
+  const std::size_t q = target.find('?');
+  const std::string path = target.substr(0, q);
+  const std::string query_string =
+      q == std::string::npos ? "" : target.substr(q + 1);
+  for (const std::string_view prefix : {"/v1/contract/", "/v1/codehash/"}) {
+    if (!path.starts_with(prefix)) continue;
+    const std::string rest = path.substr(prefix.size());
+    return prefix == "/v1/contract/" ? query.contract_endpoint(rest)
+                                     : query.codehash_endpoint(rest);
+  }
+  return query.vulns_endpoint(query_string);
+}
+
+serve::QueryServiceConfig golden_config() {
+  serve::QueryServiceConfig config;
+  config.max_results = 2;
+  return config;
+}
+
+TEST(GoldenBodies, RenderersMatchByteForByte) {
+  serve::QueryService query(golden_config());
+  fill_golden(query);
+  for (const GoldenCase& c : golden_cases()) {
+    const obs::HttpResponse r = render_target(query, c.target);
+    EXPECT_EQ(r.status, c.status) << c.target;
+    EXPECT_EQ(r.content_type, "application/json") << c.target;
+    EXPECT_EQ(r.body, c.body) << c.target;
+  }
+}
+
+TEST(GoldenBodies, StatusBeforeTheFirstPoll) {
+  datagen::Population pop = make_population(40);
+  core::PipelineConfig config;
+  core::AnalysisPipeline pipeline(*pop.chain, &pop.sources, config);
+  store::DurableSweepConfig sc;
+  sc.journal_path = temp_journal("golden_status.journal");
+  serve::QueryService query;
+  const serve::ChainFollower follower(pipeline, *pop.chain, &pop.sources, sc,
+                                      query, pop.sweep_inputs(),
+                                      follower_config());
+  const obs::HttpResponse r = follower.status_endpoint();
+  EXPECT_EQ(r.status, 200);
+  EXPECT_EQ(r.content_type, "application/json");
+  EXPECT_EQ(r.body,
+            "{\"following\":false,\"chain_head\":0,\"snapshot_head\":0,"
+            "\"staleness_blocks\":0,\"snapshot_version\":0,"
+            "\"snapshot_entries\":0,\"laps\":0,\"fast_forwards\":0,"
+            "\"blocks_processed\":0,\"contracts_discovered\":0,"
+            "\"last_lap_us\":0,\"last_lap_touched\":0,"
+            "\"last_lap_recomputed\":0,\"degraded\":false,"
+            "\"last_error\":\"\"}\n");
+}
+
+/// Splits a raw HTTP response into its status code, its Content-Length
+/// header value and its body; -1 for a part that is missing.
+struct RawResponse {
+  int status = -1;
+  long content_length = -1;
+  std::string body;
+};
+
+RawResponse split_response(const std::string& raw) {
+  RawResponse out;
+  const std::size_t head_end = raw.find("\r\n\r\n");
+  if (raw.rfind("HTTP/1.1 ", 0) != 0 || head_end == std::string::npos) {
+    return out;
+  }
+  out.status = std::stoi(raw.substr(9, 3));
+  const std::string head = raw.substr(0, head_end + 2);
+  const std::size_t cl = head.find("\r\nContent-Length: ");
+  if (cl != std::string::npos) {
+    out.content_length = std::stol(head.substr(cl + 18));
+  }
+  out.body = raw.substr(head_end + 4);
+  return out;
+}
+
+TEST(GoldenBodies, LoopbackSendsTheSameBytesWithTheirLength) {
+  serve::QueryService query(golden_config());
+  fill_golden(query);
+  obs::HttpServer server;
+  query.register_endpoints(server);
+  ASSERT_TRUE(server.start(0));
+  for (const GoldenCase& c : golden_cases()) {
+    const RawResponse r = split_response(http_get(server.port(), c.target));
+    EXPECT_EQ(r.status, c.status) << c.target;
+    EXPECT_EQ(r.body, c.body) << c.target;
+    EXPECT_EQ(r.content_length, static_cast<long>(r.body.size())) << c.target;
+  }
+  // The server's own shapes: an unrouted target and an oversized body.
+  const RawResponse missing = split_response(http_get(server.port(), "/v2"));
+  EXPECT_EQ(missing.status, 404);
+  EXPECT_EQ(missing.body,
+            "no such endpoint; try /metrics /healthz /spans /v1/status\n");
+  EXPECT_EQ(missing.content_length, static_cast<long>(missing.body.size()));
+  server.stop();
+}
+
+TEST(JsonAppenders, MatchTheStringRenderings) {
+  std::mt19937_64 rng(0xa99e);
+  std::vector<evm::U256> words = {evm::U256(0), evm::U256(1), evm::U256(0xf),
+                                  evm::U256(0x10), evm::U256(~0ULL)};
+  for (int bits = 1; bits < 256; ++bits) {
+    // Random words of every width, so every leading-nibble case occurs.
+    const evm::U256 w(rng(), rng(), rng(), rng());
+    words.push_back(w >> (256 - bits));
+  }
+  for (const evm::U256& w : words) {
+    std::string out = "x";
+    serve::append_u256(out, w);
+    EXPECT_EQ(out, "x\"" + w.to_hex() + "\"");
+  }
+  for (int i = 0; i < 64; ++i) {
+    const std::uint64_t v = i == 0 ? 0 : (rng() >> (i - 1));
+    std::string out = "x";
+    serve::append_u64(out, v);
+    EXPECT_EQ(out, "x" + std::to_string(v));
+  }
+  for (int i = 0; i < 32; ++i) {
+    const evm::Address a =
+        evm::Address::from_label("appender-" + std::to_string(i));
+    std::string out = "x";
+    serve::append_address(out, a);
+    EXPECT_EQ(out, "x\"" + a.to_hex() + "\"");
+    const crypto::Hash256 h = crypto::keccak256(a.to_hex());
+    out = "x";
+    serve::append_hash(out, h);
+    EXPECT_EQ(out, "x\"0x" + crypto::to_hex(h) + "\"");
+  }
 }
 
 }  // namespace

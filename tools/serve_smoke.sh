@@ -3,6 +3,8 @@
 # in --follow mode on an ephemeral port, let its deterministic workload mine
 # deploys/upgrades/empty blocks, and assert over real loopback HTTP that
 #   - /v1/contract answers flip to the new implementation after an upgrade,
+#   - /v1/codehash of that contract's code hash lists it, with a body whose
+#     Content-Length matches,
 #   - /v1/status shows the staleness gauge back at 0 between laps,
 #   - /v1/vulns filters by class and rejects unknown classes,
 #   - /metrics carries the sweep.follower.* gauges,
@@ -129,7 +131,22 @@ assert body["verdict"] == "proxy", body
 assert body["logic"]["source"] == "storage-slot", body
 print(f"  /v1/contract/{addr[:10]}…: impl flipped at head {body['head_block']}")
 
-# 2. Staleness returns to 0 between laps (the workload fences every block).
+# 2. The flipped contract's clone family, over real HTTP: the body arrives
+#    whole (its Content-Length matches), parses, and lists the address.
+code_hash = body["code_hash"]
+with urllib.request.urlopen(f"{base}/v1/codehash/{code_hash}",
+                            timeout=10) as resp:
+    raw = resp.read()
+    assert int(resp.headers["Content-Length"]) == len(raw), resp.headers
+family = json.loads(raw.decode())
+assert family["code_hash"] == code_hash, family
+assert family["count"] >= len(family["addresses"]) >= 1, family
+assert family["truncated"] == (family["count"] > len(family["addresses"])), family
+assert addr in family["addresses"] or family["truncated"], family
+print(f"  /v1/codehash/{code_hash[:10]}…: {family['count']} member(s), "
+      f"{len(raw)} bytes, flipped address listed")
+
+# 3. Staleness returns to 0 between laps (the workload fences every block).
 deadline = time.monotonic() + 60
 while True:
     status, st = get("/v1/status")
@@ -143,7 +160,7 @@ assert st["snapshot_entries"] > 0, st
 print(f"  /v1/status: laps={st['laps']} fast_forwards={st['fast_forwards']} "
       f"staleness=0 entries={st['snapshot_entries']}")
 
-# 3. Vulnerability-class filtering + the uniform error shape.
+# 4. Vulnerability-class filtering + the uniform error shape.
 status, vulns = get("/v1/vulns?class=storage_collision")
 assert status == 200 and vulns["class"] == "storage_collision", vulns
 assert vulns["count"] == len(vulns["addresses"]) or vulns["truncated"], vulns
@@ -156,7 +173,7 @@ assert status == 400 and err["error"] == "bad_address", err
 print(f"  /v1/vulns: {vulns['count']} storage_collision hit(s); "
       "error shapes uniform")
 
-# 4. The follower gauges are exported and /healthz is in the following phase.
+# 5. The follower gauges are exported and /healthz is in the following phase.
 with urllib.request.urlopen(base + "/metrics", timeout=10) as resp:
     metrics = resp.read().decode()
 for series in ("proxion_sweep_follower_head",
