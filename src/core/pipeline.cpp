@@ -504,9 +504,8 @@ std::vector<ContractAnalysis> AnalysisPipeline::run(
         // target.
         if (a.deduplicated &&
             a.proxy.logic_source == LogicSource::kStorageSlot) {
-          const U256 word = chain_.get_storage(a.address, a.proxy.logic_slot) &
-                            ((U256{1} << U256{160}) - U256{1});
-          a.proxy.logic_address = Address::from_word(word);
+          a.proxy.logic_address = Address::from_word(
+              chain_.get_storage(a.address, a.proxy.logic_slot));
         }
         watchdog.check("logic-history");
         if (!config_.find_logic_history) {

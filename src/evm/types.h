@@ -113,7 +113,9 @@ struct Address {
   constexpr Address() = default;
   explicit constexpr Address(std::array<std::uint8_t, 20> b) : bytes(b) {}
 
-  /// Low 20 bytes of a 256-bit word (how CALL-family operands are read).
+  /// Low 20 bytes of a 256-bit word (how CALL-family operands are read):
+  /// it keeps the low 160 bits and drops the rest, so a caller needs no
+  /// mask first.
   static Address from_word(const U256& w) noexcept;
   static Address from_hex(std::string_view hex);
   /// Deterministic pseudo-address for tests/datagen: keccak of a label.

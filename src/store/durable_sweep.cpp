@@ -5,9 +5,11 @@
 #include <cstdio>
 #include <deque>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
+#include <variant>
 
 #include "core/report.h"
 
@@ -18,19 +20,12 @@ namespace {
 using core::ContractAnalysis;
 using core::SweepInput;
 using evm::Address;
-using evm::U256;
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-/// Low-160-bit mask: how the EVM (and Phase B's dedup re-read) turns a
-/// storage word into an address.
-Address masked_head(const U256& word) {
-  return Address::from_word(word & ((U256{1} << U256{160}) - U256{1}));
 }
 
 /// Whether the pipeline got as far as handing `a` its group's verdict. A
@@ -57,21 +52,21 @@ struct Group {
 };
 
 /// What planning needs of a contract's last record: its fingerprint (code
-/// hash, implementation-slot head) and the flags that decide reuse.
+/// hash, implementation-slot head), the flags that decide reuse, its
+/// Phase-A verdict (a representative's seeds its clones), and what else its
+/// analysis read.
 struct Fingerprint {
   crypto::Hash256 code_hash{};
   bool quarantined = false;
   bool deduplicated = false;
-  core::LogicSource logic_source = core::LogicSource::kNone;
-  U256 logic_slot;
-  Address logic_address;
+  core::ProxyReport proxy;
+  Dependencies dependencies;
 };
 
 Fingerprint fingerprint_of(const ContractRecord& rec) {
-  const core::ProxyReport& p = rec.analysis.proxy;
-  return Fingerprint{rec.code_hash,         rec.analysis.error.has_value(),
-                     rec.analysis.deduplicated, p.logic_source,
-                     p.logic_slot,          p.logic_address};
+  return Fingerprint{rec.code_hash, rec.analysis.error.has_value(),
+                     rec.analysis.deduplicated, rec.analysis.proxy,
+                     rec.dependencies};
 }
 
 /// The §7.1 donor map of verified contracts listed in input order: the
@@ -83,6 +78,25 @@ core::SourceDonors donor_map_of(
   return map;
 }
 
+/// The donor of `hash` in `donors`; zero when there is none.
+Address donor_in(const core::SourceDonors& donors, const crypto::Hash256& hash) {
+  const auto it = donors.find(hash);
+  return it == donors.end() ? Address{} : it->second;
+}
+
+/// `d`, recorded for code `code_hash`, with each logic's code hash and
+/// every donor read as the chain and `donors` stand now.
+Dependencies at_head(Dependencies d, const crypto::Hash256& code_hash,
+                     const core::SourceDonors& donors,
+                     const chain::Blockchain& chain) {
+  d.donor = donor_in(donors, code_hash);
+  for (LogicDependency& l : d.logic) {
+    l.code_hash = chain.code_hash(l.address);
+    l.donor = donor_in(donors, l.code_hash);
+  }
+  return d;
+}
+
 /// What a sweep call decided to do with each contract it examined.
 struct Plan {
   /// Members whose last record stands (input indices).
@@ -92,43 +106,45 @@ struct Plan {
   std::uint64_t upgraded = 0;
 };
 
+/// A dependency as the reverse index keys it: a logic's address (its code
+/// can move) or a logic's code hash (its §7.1 donor can move).
+using DependencyKey = std::variant<Address, crypto::Hash256>;
+
+struct DependencyKeyHasher {
+  std::size_t operator()(const DependencyKey& key) const noexcept {
+    if (const Address* a = std::get_if<Address>(&key)) {
+      return evm::AddressHasher{}(*a);
+    }
+    return crypto::Hash256Hasher{}(std::get<crypto::Hash256>(key));
+  }
+};
+
 }  // namespace
 
 /// The in-memory state incremental() keeps between calls: the last
-/// record's fingerprint for every input it covers, each representative's
-/// own Phase-A verdict to seed from, the code-hash groups, the proxies of
-/// each logic address, the quarantined set, the §7.1 donor candidates, and
-/// the open journal writer.
+/// record's fingerprint for every input it covers, the code-hash groups,
+/// the readers of each dependency, the quarantined set, the §7.1 donor
+/// candidates, and the open journal writer.
 struct DurableSweep::LiveIndex {
   struct Entry {
     std::size_t input = 0;  // index into the inputs list
     Fingerprint last;
-    /// The last record's logic history: its keys in `proxies_of`.
-    std::vector<Address> logic;
   };
-  /// A healthy non-clone record's Phase-A report: the verdict its group's
-  /// clones carry, computed at `owner`.
-  struct Verdict {
-    Address owner;
-    core::ProxyReport report;
-  };
-
   /// Inputs covered: a prefix of every later call's inputs.
   std::size_t covered = 0;
   std::unordered_map<Address, Entry, evm::AddressHasher> by_address;
-  std::unordered_map<crypto::Hash256, Verdict, crypto::Hash256Hasher>
-      verdicts;
   /// Code hash -> member input indices, ascending; the front is the
-  /// group's global dedup representative.
+  /// group's global dedup representative. The members are also the
+  /// readers of that hash's §7.1 donor.
   std::unordered_map<crypto::Hash256, std::vector<std::size_t>,
                      crypto::Hash256Hasher>
       groups;
-  /// Logic address -> the covered inputs whose last record delegates to
-  /// it, ascending. A proxy's analysis read its logic's code and the
-  /// source of that code's §7.1 donor, so a lap re-runs these when either
-  /// moves.
-  std::unordered_map<Address, std::vector<std::size_t>, evm::AddressHasher>
-      proxies_of;
+  /// Each logic address and logic code hash a last record depends on ->
+  /// the covered inputs whose record names it, ascending: what a lap
+  /// examines when that logic's code or that hash's donor moves.
+  std::unordered_map<DependencyKey, std::vector<std::size_t>,
+                     DependencyKeyHasher>
+      readers;
   /// Covered inputs whose last record is quarantined: retried every lap.
   std::unordered_set<Address, evm::AddressHasher> quarantined;
   /// Verified inputs as (code hash, address) in input order; grows by
@@ -150,51 +166,65 @@ struct DurableSweep::LiveIndex {
       quarantined.insert(a);
     } else {
       quarantined.erase(a);
-      if (!rec.analysis.deduplicated) {
-        verdicts.insert_or_assign(rec.code_hash,
-                                  Verdict{a, rec.analysis.proxy});
-      }
     }
     Entry& entry = by_address[a];
-    for (const Address& logic : entry.logic) {
-      std::vector<std::size_t>& proxies = proxies_of.at(logic);
-      const auto at = std::lower_bound(proxies.begin(), proxies.end(), input);
-      if (at != proxies.end() && *at == input) proxies.erase(at);
-      if (proxies.empty()) proxies_of.erase(logic);
+    // An upgrade appends to the history, so the two records share a prefix
+    // whose keys stay linked. Keys unlinked past it may include a code hash
+    // the prefix names too: then the whole new list links again.
+    const std::vector<LogicDependency>& before = entry.last.dependencies.logic;
+    const std::vector<LogicDependency>& after = rec.dependencies.logic;
+    std::size_t kept = static_cast<std::size_t>(
+        std::mismatch(before.begin(), before.end(), after.begin(), after.end())
+            .first -
+        before.begin());
+    if (kept < before.size()) {
+      link(std::span(before).subspan(kept), input, /*add=*/false);
+      kept = 0;
     }
-    entry = Entry{input, fingerprint_of(rec),
-                  rec.analysis.logic_history.logic_addresses};
-    for (const Address& logic : entry.logic) {
-      std::vector<std::size_t>& proxies = proxies_of[logic];
-      const auto at = std::lower_bound(proxies.begin(), proxies.end(), input);
-      if (at == proxies.end() || *at != input) proxies.insert(at, input);
+    link(std::span(after).subspan(kept), input, /*add=*/true);
+    entry = Entry{input, fingerprint_of(rec)};
+  }
+
+  /// Adds `input` to, or removes it from, the readers of every dependency
+  /// in `logic`.
+  void link(std::span<const LogicDependency> logic, std::size_t input,
+            bool add) {
+    for (const LogicDependency& l : logic) {
+      for (const DependencyKey& key :
+           {DependencyKey{l.address}, DependencyKey{l.code_hash}}) {
+        std::vector<std::size_t>& inputs = readers[key];
+        const auto at = std::lower_bound(inputs.begin(), inputs.end(), input);
+        const bool linked = at != inputs.end() && *at == input;
+        if (add && !linked) inputs.insert(at, input);
+        if (!add && linked) inputs.erase(at);
+        if (inputs.empty()) readers.erase(key);
+      }
     }
   }
 
-  /// The recompute rule, shared by boot and lap: decides which of
+  /// The reuse rule, the only one boot and lap apply: decides which of
   /// `examine` (ascending input indices of the group `hash`) reuse their
   /// last record and which re-run. A record is reused only where a cold
   /// sweep of the current chain would write the same one:
   ///   - it is healthy, has the group's code hash and the same
-  ///     implementation-slot head, and its dedup flag matches its position
-  ///     (clone unless it is the group's front);
+  ///     implementation-slot head, its dedup flag matches its position
+  ///     (clone unless it is the group's front), and every dependency it
+  ///     names (each logic's code hash, the §7.1 donors of its own and its
+  ///     logics' code hashes) equals the chain and the donor map at head;
   ///   - re-run members are seeded with the representative's own verdict
   ///     (slot head re-read), since the crafted probe selector is seeded
   ///     from the representative's address and clones carry it; the seed
   ///     goes to the first re-run member, run()'s representative;
   ///   - when the representative's last record is not its own healthy
-  ///     verdict of this code, the group's clones hold another address's
-  ///     verdict, so the whole group re-runs unseeded; so does it when the
-  ///     representative was upgraded and its probe, which runs the new
-  ///     logic's code, no longer returns its verdict (emulation_steps
-  ///     counted the old logic's code, and the clones carry the verdict).
-  ///   - a member in `forced` re-runs: its analysis read something that
-  ///     moved without touching it (its logic's code, or the §7.1 donor of
-  ///     its own or its logic's code hash).
+  ///     verdict of this code with current dependencies, the group's
+  ///     clones hold a verdict a cold sweep would not compute, so the
+  ///     whole group re-runs unseeded; so does it when the representative
+  ///     was upgraded and its probe, which runs the new logic's code, no
+  ///     longer returns its verdict (emulation_steps counted the old
+  ///     logic's code, and the clones carry the verdict).
   void plan_group(const crypto::Hash256& hash,
                   const std::vector<std::size_t>& examine,
                   const std::vector<SweepInput>& inputs, bool dedup,
-                  const std::unordered_set<std::size_t>& forced,
                   const core::ProxyDetectorConfig& detector,
                   chain::Blockchain& chain, Plan& plan) const {
     const std::vector<std::size_t>& members = groups.at(hash);
@@ -202,37 +232,49 @@ struct DurableSweep::LiveIndex {
     auto healthy = [&](const Fingerprint* fp) {
       return fp != nullptr && !fp->quarantined && fp->code_hash == hash;
     };
+    auto reads_current = [&](const Fingerprint& fp) {
+      return at_head(fp.dependencies, hash, donor_map, chain) ==
+             fp.dependencies;
+    };
     Group group{hash, {}};
     std::vector<std::size_t> keep;
     bool front_upgraded = false;
+    // Whether the front was examined and a dependency of its record moved.
+    // A front not examined still reads what its record names: every record
+    // naming something that moved is examined.
+    bool front_moved = false;
     for (const std::size_t i : examine) {
       const Fingerprint* fp = find(inputs[i].address);
-      bool reusable = !forced.contains(i) && healthy(fp) &&
-                      fp->deduplicated == (dedup && i != front);
-      if (healthy(fp) && fp->logic_source == core::LogicSource::kStorageSlot &&
-          masked_head(chain.get_storage(inputs[i].address, fp->logic_slot)) !=
-              fp->logic_address) {
-        // Same code, moved implementation slot: the journaled
-        // logic_address IS the masked head at analysis time.
-        reusable = false;
-        front_upgraded = front_upgraded || i == front;
-        ++plan.upgraded;
-      }
+      // Same code, moved implementation slot: the journaled logic_address
+      // IS the head at analysis time.
+      const bool upgraded =
+          healthy(fp) &&
+          fp->proxy.logic_source == core::LogicSource::kStorageSlot &&
+          Address::from_word(chain.get_storage(inputs[i].address,
+                                               fp->proxy.logic_slot)) !=
+              fp->proxy.logic_address;
+      // An upgraded clone re-runs whatever it read; the front's reads also
+      // decide its seed.
+      const bool moved = healthy(fp) && (!upgraded || i == front) &&
+                         !reads_current(*fp);
+      front_upgraded = front_upgraded || (upgraded && i == front);
+      front_moved = front_moved || (moved && i == front);
+      plan.upgraded += upgraded ? 1 : 0;
+      const bool reusable = healthy(fp) && !upgraded && !moved &&
+                            fp->deduplicated == (dedup && i != front);
       (reusable ? keep : group.members).push_back(i);
     }
     if (dedup && !group.members.empty()) {
       const Address& rep = inputs[front].address;
       const Fingerprint* fp = find(rep);
-      const auto own = verdicts.find(hash);
       auto probe_returns = [&](const core::ProxyReport& verdict) {
         core::ProxyReport now =
             core::ProxyDetector(chain, detector).analyze(rep);
         now.logic_address = verdict.logic_address;
         return now == verdict;
       };
-      if (!healthy(fp) || fp->deduplicated || own == verdicts.end() ||
-          own->second.owner != rep ||
-          (front_upgraded && !probe_returns(own->second.report))) {
+      if (!healthy(fp) || fp->deduplicated || front_moved ||
+          (front_upgraded && !probe_returns(fp->proxy))) {
         group.members = members;
         plan.rerun_groups.push_back(std::move(group));
         return;
@@ -242,10 +284,10 @@ struct DurableSweep::LiveIndex {
       // member's seed is the only one it reads.
       group.clones = group.members.front() != front;
       const Address& first = inputs[group.members.front()].address;
-      core::ProxyReport report = own->second.report;
+      core::ProxyReport report = fp->proxy;
       if (report.logic_source == core::LogicSource::kStorageSlot) {
         report.logic_address =
-            masked_head(chain.get_storage(first, report.logic_slot));
+            Address::from_word(chain.get_storage(first, report.logic_slot));
       }
       group.seeds.emplace(first, core::VerdictSeed{hash, std::move(report)});
     }
@@ -311,51 +353,51 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
   std::vector<crypto::Hash256> hashes;  // boot: the fingerprint per input
   std::unordered_map<Address, ContractRecord, evm::AddressHasher> records;
   std::optional<JournalReplay> replay;
-  // A lap's code hashes whose §7.1 donor it moved.
-  std::unordered_set<crypto::Hash256, crypto::Hash256Hasher> donor_moved;
-  // A lap's inputs that re-run although their own record would stand.
-  std::unordered_set<std::size_t> forced;
-  // A lap's contracts to plan, as (input index, current code hash)
-  // ascending; every other call plans every input.
-  std::vector<std::pair<std::size_t, crypto::Hash256>> examine;
+  // The global §7.1 donor map: built over the WHOLE population so every
+  // shard resolves the same donors a monolithic run would (first verified
+  // address per code hash wins), and before any plan, whose rule compares
+  // each record's donors with it.
+  core::SourceDonors run_donors;
+  core::SourceDonors& donors = index != nullptr ? index->donor_map : run_donors;
+  // A lap's contracts to plan, ascending input indices; every other call
+  // plans every input.
+  std::vector<std::size_t> examine;
 
   if (lap) {
     // ---- lap: the dirty set ----------------------------------------------
     prior_shards = index->shards_committed;
-    std::vector<std::size_t> dirty;
     // Addresses whose code may have moved: a touched address outside the
     // covered inputs, which the lap cannot fingerprint, and (below) every
     // new input and every dirty input whose code hash moved.
     std::vector<Address> code_moved;
     for (std::size_t i = index->covered; i < inputs.size(); ++i) {
-      dirty.push_back(i);
+      examine.push_back(i);
     }
     for (const Address& a : touched) {
       if (const auto it = index->by_address.find(a);
           it != index->by_address.end()) {
-        dirty.push_back(it->second.input);
+        examine.push_back(it->second.input);
       } else {
         code_moved.push_back(a);
       }
     }
     for (const Address& a : index->quarantined) {
-      dirty.push_back(index->by_address.at(a).input);
+      examine.push_back(index->by_address.at(a).input);
     }
-    std::sort(dirty.begin(), dirty.end());
-    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+    std::sort(examine.begin(), examine.end());
+    examine.erase(std::unique(examine.begin(), examine.end()), examine.end());
 
     // ---- fingerprint it; move code-changed members between groups -------
     // As at boot, each fingerprint is the code hash the chain stored when it
     // wrote the code, and the lap's run() takes it: a lap hashes no blob. A
     // group whose representative changes re-examines the old and the new
     // one: the dedup flag follows the representative.
-    std::vector<std::size_t> fronts;
+    std::vector<std::size_t> also;  // more inputs to examine
     // Code hashes a verified contract left or joined: their donor may move.
     std::vector<crypto::Hash256> donor_hashes;
-    for (const std::size_t i : dirty) {
+    for (const std::size_t i : examine) {
       const Address& a = inputs[i].address;
       const crypto::Hash256 hash = chain_.code_hash(a);
-      examine.emplace_back(i, hash);
       const Fingerprint* rec = index->find(a);
       if (rec != nullptr && rec->code_hash == hash) continue;
       code_moved.push_back(a);
@@ -367,7 +409,7 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
         if (from.empty()) {
           index->groups.erase(rec->code_hash);
         } else if (was_front) {
-          fronts.push_back(from.front());
+          also.push_back(from.front());
         }
         if (verified) {
           for (auto& [donor_hash, donor] : index->donors) {
@@ -382,77 +424,34 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
       }
       std::vector<std::size_t>& to = index->groups[hash];
       const auto at = std::lower_bound(to.begin(), to.end(), i);
-      if (at == to.begin() && !to.empty()) fronts.push_back(to.front());
+      if (at == to.begin() && !to.empty()) also.push_back(to.front());
       to.insert(at, i);
     }
-    for (const std::size_t f : fronts) {
-      if (!std::binary_search(dirty.begin(), dirty.end(), f)) {
-        examine.emplace_back(f, index->find(inputs[f].address)->code_hash);
-      }
-    }
-    // Re-runs `i` even where its own record would stand.
-    auto force = [&](std::size_t i) {
-      forced.insert(i);
-      if (!std::binary_search(dirty.begin(), dirty.end(), i)) {
-        examine.emplace_back(i, index->find(inputs[i].address)->code_hash);
+    // ---- §7.1: rebuild the donor map; examine the readers of what moved --
+    // The rule decides whether each of them stands: the records that name
+    // a logic whose code moved, and those that read the donor of a code
+    // hash whose donor moved (its members, and the proxies of logics with
+    // that code hash).
+    auto add_readers = [&](const DependencyKey& key) {
+      if (const auto it = index->readers.find(key); it != index->readers.end()) {
+        also.insert(also.end(), it->second.begin(), it->second.end());
       }
     };
-    // ---- a logic whose code moved re-runs its proxies --------------------
-    // A proxy's analysis read its logic's code: set_code or a CREATE2
-    // redeploy at the logic, or a deployment at an address a proxy already
-    // pointed to, changes the proxy's collisions and not its fingerprint.
-    // Phase A's probe ran the logic's code too (its step count shows it),
-    // so a verdict the proxy owns is dropped: its group re-runs unseeded.
-    for (const Address& a : code_moved) {
-      const auto it = index->proxies_of.find(a);
-      if (it == index->proxies_of.end()) continue;
-      for (const std::size_t p : it->second) {
-        force(p);
-        const auto own =
-            index->verdicts.find(index->find(inputs[p].address)->code_hash);
-        if (own != index->verdicts.end() &&
-            own->second.owner == inputs[p].address) {
-          index->verdicts.erase(own);
-        }
-      }
-    }
-    // ---- §7.1: rebuild the donor map; re-examine where the donor moved ---
-    // Every member of a code hash is analyzed with its donor's source, so a
-    // hash whose donor moved re-runs whole, unchanged members included; so
-    // does every proxy whose logic has such a hash, since its pair phase
-    // read the logic's source through the same donor.
+    for (const Address& a : code_moved) add_readers(a);
     if (!donor_hashes.empty()) {
       const core::SourceDonors before =
-          std::exchange(index->donor_map, donor_map_of(index->donors));
-      auto donor_in = [](const core::SourceDonors& map,
-                         const crypto::Hash256& hash) {
-        const auto it = map.find(hash);
-        return it == map.end() ? std::nullopt
-                               : std::optional<Address>(it->second);
-      };
+          std::exchange(donors, donor_map_of(index->donors));
       for (const crypto::Hash256& hash : donor_hashes) {
-        if (donor_in(before, hash) == donor_in(index->donor_map, hash) ||
-            !donor_moved.insert(hash).second) {
-          continue;
-        }
+        if (donor_in(before, hash) == donor_in(donors, hash)) continue;
         if (const auto g = index->groups.find(hash); g != index->groups.end()) {
-          for (const std::size_t i : g->second) force(i);
+          also.insert(also.end(), g->second.begin(), g->second.end());
         }
-      }
-      if (!donor_moved.empty()) {
-        for (const auto& [logic, proxies] : index->proxies_of) {
-          if (!donor_moved.contains(chain_.code_hash(logic))) continue;
-          for (const std::size_t p : proxies) force(p);
-        }
+        add_readers(hash);
       }
     }
-    std::sort(examine.begin(), examine.end(),
-              [](const auto& x, const auto& y) { return x.first < y.first; });
-    examine.erase(std::unique(examine.begin(), examine.end(),
-                              [](const auto& x, const auto& y) {
-                                return x.first == y.first;
-                              }),
-                  examine.end());
+    examine.insert(examine.end(), also.begin(), also.end());
+    std::sort(examine.begin(), examine.end());
+    examine.erase(std::unique(examine.begin(), examine.end()), examine.end());
   } else {
     // ---- fingerprint the population --------------------------------------
     // Each input's fingerprint is the code hash its account stores (hashed
@@ -461,11 +460,18 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     // O(N), it is the per-contract artifacts that must stay O(shard). Each
     // shard's run() takes its members' fingerprints (its groups' hashes)
     // instead of hashing the code it fetches, and they are what its records
-    // journal, so a sweep hashes no input blob.
+    // journal, so a sweep hashes no input blob. The verified inputs are the
+    // §7.1 donor candidates.
     hashes.resize(inputs.size());
+    std::vector<std::pair<crypto::Hash256, Address>> verified;
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       hashes[i] = chain_.code_hash(inputs[i].address);
+      if (sources_ != nullptr && sources_->has_source(inputs[i].address)) {
+        verified.emplace_back(hashes[i], inputs[i].address);
+      }
     }
+    donors = donor_map_of(verified);
+    if (index != nullptr) index->donors = std::move(verified);
 
     // ---- boot: replay the journal, once -----------------------------------
     // Last-wins per address: a record appended by a later pass supersedes
@@ -545,7 +551,10 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
       plan.rerun_groups[it->second].members.push_back(i);
     };
     if (lap) {
-      for (const auto& [i, hash] : examine) add(i, hash);
+      // A clean input's code is the one its record names.
+      for (const std::size_t i : examine) {
+        add(i, chain_.code_hash(inputs[i].address));
+      }
     } else {
       for (std::size_t i = 0; i < inputs.size(); ++i) add(i, hashes[i]);
     }
@@ -556,8 +565,8 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     std::vector<Group> candidates = std::move(plan.rerun_groups);
     plan.rerun_groups.clear();
     for (const Group& c : candidates) {
-      index->plan_group(c.hash, c.members, inputs, dedup, forced, detector,
-                        chain_, plan);
+      index->plan_group(c.hash, c.members, inputs, dedup, detector, chain_,
+                        plan);
     }
   }
   metrics_.counter("store.sweep.contracts_upgraded").add(plan.upgraded);
@@ -625,24 +634,6 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     }
   }
 
-  // ---- global §7.1 donor map -------------------------------------------
-  // Built over the WHOLE population so every shard resolves the same donors
-  // a monolithic run would (first verified address per code hash wins). A
-  // lap rebuilt it above if a verified contract joined or changed code.
-  core::SourceDonors run_donors;
-  core::SourceDonors& donors = index != nullptr ? index->donor_map : run_donors;
-  if (!lap) {
-    std::vector<std::pair<crypto::Hash256, Address>> verified;
-    if (sources_ != nullptr) {
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        if (sources_->has_source(inputs[i].address)) {
-          verified.emplace_back(hashes[i], inputs[i].address);
-        }
-      }
-    }
-    donors = donor_map_of(verified);
-    if (index != nullptr) index->donors = std::move(verified);
-  }
   // The groups carry their hashes from here on: the per-input copy would
   // only add 32 bytes per contract to every shard's peak.
   hashes = {};
@@ -814,6 +805,12 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
       }
       acc.add(report);
       ContractRecord rec{std::move(report), shard_groups[j]->hash};
+      const std::vector<Address>& logic =
+          rec.analysis.logic_history.logic_addresses;
+      rec.dependencies.logic.reserve(logic.size());
+      for (const Address& l : logic) rec.dependencies.logic.push_back({l});
+      rec.dependencies =
+          at_head(std::move(rec.dependencies), rec.code_hash, donors, chain_);
       if (writer && io.ok) {
         io = writer->append(RecordType::kContract, encode_contract_record(rec));
       }

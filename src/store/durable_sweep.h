@@ -9,18 +9,18 @@
 //   incremental() — keep the verdict set current, across restarts and on a
 //                   mutating chain. The first call on an instance boots: it
 //                   reads the journal once (a missing journal degrades to
-//                   run()), diffs every input's (code hash, impl-slot head)
-//                   fingerprint against the chain (the code hash each
-//                   account stores; no blob is hashed), recomputes what a
-//                   cold sweep would write differently — which finishes a
-//                   sweep cut short by a crash — and keeps an in-memory
-//                   index of the last record per contract plus the open
-//                   journal writer. Each later call (a lap) plans only the
-//                   caller's dirty set, newly appended inputs and
-//                   quarantined contracts against that index, so a lap
-//                   costs what changed, not the population. Upgraded
-//                   proxies skip Phase A emulation via a verdict seed
-//                   passed to run() and re-run the pair phase only.
+//                   run()), checks every input's last record against the
+//                   chain (the code hash each account stores; no blob is
+//                   hashed), recomputes what a cold sweep would write
+//                   differently — which finishes a sweep cut short by a
+//                   crash — and keeps an in-memory index of the last record
+//                   per contract plus the open journal writer. Each later
+//                   call (a lap) checks only the caller's dirty set, newly
+//                   appended inputs, quarantined contracts and the records
+//                   that name what moved, so a lap costs what changed, not
+//                   the population. Upgraded proxies skip Phase A emulation
+//                   via a verdict seed passed to run() and re-run the pair
+//                   phase only.
 //
 // Bit-identity with a monolithic pipeline.run() over the same inputs rests
 // on four invariants this driver maintains:
@@ -33,11 +33,14 @@
 //   2. the §7.1 source-donor map is computed over the WHOLE population and
 //      passed to every shard's run(), so a shard resolves the same donors a
 //      monolithic run would even when a logic blob's donor lives in another
-//      shard; a lap that moves a code hash's donor re-runs its members
-//      and the proxies whose logic has that code hash;
+//      shard;
 //   3. boot and lap decide each hash group with one rule: a record is
-//      reused only when it is healthy, of the same code and slot head, and
-//      its dedup flag matches its position in the group;
+//      reused only when it is healthy, of the same code and slot head, its
+//      dedup flag matches its position in the group, and every dependency
+//      it names (each logic's code hash, the donors of its own and its
+//      logics' code hashes) equals the chain and the donor map at head. A
+//      lap finds the records that name what moved through a reverse index,
+//      so it checks O(changed) records, not the population;
 //   4. a verdict is not address-free (the crafted probe selector is seeded
 //      from the representative's address), so re-run clones are seeded with
 //      the representative's own verdict, and a group whose representative
@@ -159,24 +162,28 @@ class DurableSweep {
 
   /// Incremental sweep (see the file comment): a restart, a resume after a
   /// crash or a max_shards stop, and a lap on a mutating chain are all this
-  /// call. A contract's last record is reused iff it is healthy, its code
-  /// hash matches the chain's current code, its implementation-slot head
-  /// (storage-slot proxies) is unchanged, and its dedup flag still matches
-  /// its position in its hash group. Re-run members are seeded with their
-  /// representative's own Phase A verdict; a group whose representative
-  /// has no healthy verdict of its own re-runs whole and unseeded. On a
-  /// lap, the proxies whose last record delegates to a touched or new
-  /// address re-run too (their logic's code may have moved), and so do the
-  /// proxies whose logic's code hash had its §7.1 donor moved.
+  /// call, and one rule decides reuse in all of them. A contract's last
+  /// record is reused iff it is healthy, its code hash matches the chain's
+  /// current code, its implementation-slot head (storage-slot proxies) is
+  /// unchanged, its dedup flag still matches its position in its hash
+  /// group, and the dependencies it names still hold: each logic in its
+  /// history has the code hash it had, and the §7.1 donors of its own and
+  /// its logics' code hashes are the ones it read. Re-run members are
+  /// seeded with their representative's own Phase A verdict; a group whose
+  /// representative's record fails the rule (an upgrade whose probe still
+  /// returns the verdict excepted) re-runs whole and unseeded.
   ///
   /// A call boots when the instance has no index yet (first call, after
   /// run(), after a failed or max_shards-stopped call, or when `inputs`
   /// shrank): it reads the journal once, checks every input and ignores
-  /// `touched`; a missing journal degrades to run(). A later call checks
-  /// only `touched`, inputs appended since the previous call and
-  /// quarantined contracts. So `inputs` must extend the previous call's
-  /// list, and `touched` must name every known input whose code or storage
-  /// changed since that call; extra addresses cost one fingerprint each.
+  /// `touched`; a missing journal, or one of another format version,
+  /// degrades to run(). A later call checks only `touched`, inputs appended
+  /// since the previous call, quarantined contracts, and the records that
+  /// name a logic whose code moved or a code hash whose donor moved. So
+  /// `inputs` must extend the previous call's list, and `touched` must name
+  /// every known input whose code or storage changed since that call and
+  /// every other address whose code changed (a logic outside the inputs);
+  /// extra addresses cost one fingerprint or one reader lookup each.
   /// Such a lap replays nothing: `replayed` is 0, and `stats` and the
   /// record sink cover only the recomputed contracts. A lap that recomputes
   /// nothing writes nothing to the journal.

@@ -40,10 +40,11 @@ namespace proxion::store {
 
 inline constexpr std::size_t kJournalMagicSize = 8;
 inline constexpr char kJournalMagic[kJournalMagicSize + 1] = "PROXJRNL";
-/// v2: contract records gained the storage-layout-inference fields
-/// (family-collision flags, source-free pair counters). Readers reject
-/// other versions wholesale — a v1 journal resumes as a fresh sweep.
-inline constexpr std::uint16_t kJournalVersion = 2;
+/// v3: contract records name what their analysis read (each logic's code
+/// hash and the §7.1 donors of their own and their logics' code hashes).
+/// Readers reject other versions wholesale — a v2 journal resumes as a
+/// fresh sweep.
+inline constexpr std::uint16_t kJournalVersion = 3;
 /// header = magic + version + reserved.
 inline constexpr std::size_t kJournalHeaderSize = kJournalMagicSize + 4;
 /// Frame overhead around the payload: length + type + checksum.
@@ -77,7 +78,7 @@ struct IoResult {
 /// Frame types (payload schemas in records.h / CHECKPOINT_FORMAT.md).
 enum class RecordType : std::uint8_t {
   kSweepBegin = 1,   // population size + shard geometry
-  kContract = 2,     // one ContractAnalysis + its code-hash fingerprint
+  kContract = 2,     // one ContractAnalysis + its fingerprint and dependencies
   kShardCommit = 3,  // shard index + contract count became durable
   kSweepEnd = 4,     // the sweep covered the whole population
 };

@@ -1,6 +1,8 @@
 #include "store/records.h"
 
+#include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 namespace proxion::store {
 
@@ -164,8 +166,17 @@ constexpr std::uint8_t kMaxErrorKind =
 
 std::vector<std::uint8_t> encode_contract_record(const ContractRecord& rec) {
   const ContractAnalysis& a = rec.analysis;
+  const std::vector<Address>& history = a.logic_history.logic_addresses;
+  const std::vector<LogicDependency>& reads = rec.dependencies.logic;
+  if (!std::equal(history.begin(), history.end(), reads.begin(), reads.end(),
+                  [](const Address& x, const LogicDependency& y) {
+                    return x == y.address;
+                  })) {
+    throw std::invalid_argument(
+        "encode_contract_record: dependencies must follow the logic history");
+  }
   std::vector<std::uint8_t> out;
-  out.reserve(192);
+  out.reserve(256);
 
   put_address(out, a.address);
   put_u32(out, static_cast<std::uint32_t>(a.year));
@@ -224,6 +235,12 @@ std::vector<std::uint8_t> encode_contract_record(const ContractRecord& rec) {
   }
 
   put_hash(out, rec.code_hash);
+  // v3: the dependencies, each logic's address taken from the history.
+  put_address(out, rec.dependencies.donor);
+  for (const LogicDependency& l : reads) {
+    put_hash(out, l.code_hash);
+    put_address(out, l.donor);
+  }
   return out;
 }
 
@@ -294,6 +311,13 @@ std::optional<ContractRecord> decode_contract_record(
   }
 
   rec.code_hash = c.hash();
+  rec.dependencies.donor = c.address();
+  for (std::size_t i = 0; c.ok() && i < lh.logic_addresses.size(); ++i) {
+    LogicDependency& l = rec.dependencies.logic.emplace_back();
+    l.address = lh.logic_addresses[i];
+    l.code_hash = c.hash();
+    l.donor = c.address();
+  }
   if (!c.exhausted()) return std::nullopt;
   return rec;
 }

@@ -55,10 +55,11 @@ inline std::uint64_t committed_contracts(const std::string& journal,
   return out;
 }
 
-/// Every address has the same last record in `a` and `b`. Algorithm 1's
-/// probe count depends on the chain's height, so when the records were
-/// computed at different heights (`same_height` false) the oracle masks
-/// logic_history.api_calls, and nothing else.
+/// Every address has the same last record in `a` and `b`: the analysis,
+/// the code hash and the dependencies, which the next boot decides reuse
+/// from. Algorithm 1's probe count depends on the chain's height, so when
+/// the records were computed at different heights (`same_height` false)
+/// the oracle masks logic_history.api_calls, and nothing else.
 inline void expect_same_records(const RecordMap& a, const RecordMap& b,
                                 bool same_height = true) {
   EXPECT_EQ(a.size(), b.size());
@@ -73,11 +74,17 @@ inline void expect_same_records(const RecordMap& a, const RecordMap& b,
     core::ContractAnalysis x = rec.analysis;
     core::ContractAnalysis y = it->second.analysis;
     if (!same_height) x.logic_history.api_calls = y.logic_history.api_calls;
-    if (!(x == y) || rec.code_hash != it->second.code_hash) {
+    if (!(x == y) || rec.code_hash != it->second.code_hash ||
+        !(rec.dependencies == it->second.dependencies)) {
       ADD_FAILURE() << "record of " << address.to_hex()
                     << " differs: probe_selector " << x.proxy.probe_selector
                     << " vs " << y.proxy.probe_selector << ", deduplicated "
-                    << x.deduplicated << " vs " << y.deduplicated;
+                    << x.deduplicated << " vs " << y.deduplicated
+                    << ", function_collision " << x.function_collision
+                    << " vs " << y.function_collision << ", dependencies "
+                    << (rec.dependencies == it->second.dependencies
+                            ? "equal"
+                            : "differ");
       ++differ;
     }
   }

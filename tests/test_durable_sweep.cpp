@@ -2,7 +2,8 @@
 // monolithic run, kill-at-mid-sweep + a booting incremental() with zero
 // recomputation of committed work, torn-tail recovery, incremental re-sweep
 // after an upgrade wave, quarantine healing through the journal, and
-// record-level identity with a cold sweep after code moves and outages.
+// record-level identity with a cold sweep after code moves and outages, on
+// laps and at boot.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -1054,6 +1055,114 @@ TEST(DurableSweep, RepresentativeUpgradeOnLapMatchesColdSweepRecords) {
   ASSERT_TRUE(store::DurableSweep(cold_pipeline, chain, nullptr, cold_config)
                   .run(inputs)
                   .error.empty());
+  test_oracle::expect_same_records(sc.journal_path, cold);
+}
+
+TEST(DurableSweep, BootAfterDonorCodeChangeMatchesColdSweepRecords) {
+  // The boot-time twin of DonorMoveOnLap: the §7.1 donor of the proxies'
+  // code hash changes code while no service runs. A boot has no dirty set;
+  // the records it replays name the donor they were analyzed with, so it
+  // must re-run the members the donor left behind.
+  chain::Blockchain chain;
+  const evm::Address deployer = evm::Address::from_label("boot.donor.deployer");
+  const evm::Address logic = chain.deploy_runtime(
+      deployer, datagen::ContractFactory::token_contract(1));
+  const evm::Bytes proxy_code = datagen::ContractFactory::eip1967_proxy();
+  std::vector<core::SweepInput> inputs;
+  for (int k = 0; k < 3; ++k) {
+    const evm::Address p = chain.deploy_runtime(deployer, proxy_code);
+    chain.set_storage(p, datagen::ContractFactory::eip1967_slot(),
+                      logic.to_word());
+    inputs.push_back({p});
+  }
+  chain.mine_block();
+  const evm::Address donor = inputs[1].address;
+  sourcemeta::SourceRepository sources;
+  sourcemeta::SourceRecord declared;
+  declared.contract_name = "DeclaredProxy";
+  declared.functions.push_back({"transfer(address,uint256)"});
+  sources.publish(donor, declared);
+
+  store::DurableSweepConfig sc;
+  sc.journal_path = temp_journal("boot_donor.journal");
+  {
+    core::AnalysisPipeline piped(chain, &sources);
+    ASSERT_TRUE(store::DurableSweep(piped, chain, &sources, sc)
+                    .incremental(inputs, {})
+                    .error.empty());
+  }
+  for (const auto& input : inputs) {
+    ASSERT_TRUE(test_oracle::last_records(sc.journal_path)
+                    .at(input.address)
+                    .analysis.function_collision);
+  }
+
+  chain.set_code(donor, datagen::ContractFactory::token_contract(2));
+  chain.mine_block();
+  core::AnalysisPipeline piped(chain, &sources);
+  const store::DurableSweepResult boot =
+      store::DurableSweep(piped, chain, &sources, sc).incremental(inputs, {});
+  ASSERT_TRUE(boot.error.empty()) << boot.error;
+  EXPECT_EQ(boot.recomputed, inputs.size());
+
+  const std::string cold = temp_journal("boot_donor_cold.journal");
+  core::AnalysisPipeline cold_pipeline(chain, &sources);
+  store::DurableSweepConfig cold_config;
+  cold_config.journal_path = cold;
+  ASSERT_TRUE(store::DurableSweep(cold_pipeline, chain, &sources, cold_config)
+                  .run(inputs)
+                  .error.empty());
+  EXPECT_FALSE(test_oracle::last_records(cold)
+                   .at(inputs[0].address)
+                   .analysis.function_collision);
+  test_oracle::expect_same_records(sc.journal_path, cold);
+}
+
+TEST(DurableSweep, BootAfterLogicCodeChangeMatchesColdSweepRecords) {
+  // The boot-time twin of LogicCodeChangeOnLap: the logic (not a sweep
+  // input) is rewritten to a contract without transfer(address,uint256)
+  // while no service runs. The records the boot replays name the logic's
+  // code hash, so it must re-run the proxies that delegate to it.
+  chain::Blockchain chain;
+  const evm::Address logic = chain.deploy_runtime(
+      evm::Address::from_label("boot.logic.deployer"),
+      datagen::ContractFactory::token_contract(1));
+  const std::vector<core::SweepInput> inputs =
+      transfer_proxies(chain, logic, 3);
+  chain.mine_block();
+
+  store::DurableSweepConfig sc;
+  sc.journal_path = temp_journal("boot_logic_code.journal");
+  {
+    core::AnalysisPipeline piped(chain, nullptr);
+    ASSERT_TRUE(store::DurableSweep(piped, chain, nullptr, sc)
+                    .incremental(inputs, {})
+                    .error.empty());
+  }
+  for (const auto& input : inputs) {
+    ASSERT_TRUE(test_oracle::last_records(sc.journal_path)
+                    .at(input.address)
+                    .analysis.function_collision);
+  }
+
+  chain.set_code(logic, owner_only_contract());
+  chain.mine_block();
+  core::AnalysisPipeline piped(chain, nullptr);
+  const store::DurableSweepResult boot =
+      store::DurableSweep(piped, chain, nullptr, sc).incremental(inputs, {});
+  ASSERT_TRUE(boot.error.empty()) << boot.error;
+  EXPECT_EQ(boot.recomputed, inputs.size());
+
+  const std::string cold = temp_journal("boot_logic_code_cold.journal");
+  core::AnalysisPipeline cold_pipeline(chain, nullptr);
+  store::DurableSweepConfig cold_config;
+  cold_config.journal_path = cold;
+  ASSERT_TRUE(store::DurableSweep(cold_pipeline, chain, nullptr, cold_config)
+                  .run(inputs)
+                  .error.empty());
+  EXPECT_FALSE(test_oracle::last_records(cold)
+                   .at(inputs[0].address)
+                   .analysis.function_collision);
   test_oracle::expect_same_records(sc.journal_path, cold);
 }
 

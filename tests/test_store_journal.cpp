@@ -1,7 +1,7 @@
 // Torture tests for the checkpoint journal: frame round-trips, empty and
 // missing journals, truncated tails, corrupted CRC frames, record
-// serialization fidelity, the append buffer's growth, and the manifest's
-// atomic-replace protocol.
+// serialization fidelity, the append buffer's growth, the manifest's
+// atomic-replace protocol, and a boot over a journal of another version.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,10 +11,16 @@
 #include <filesystem>
 #include <fstream>
 #include <new>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/pipeline.h"
+#include "datagen/population.h"
+#include "record_oracle.h"
 #include "store/crc32.h"
+#include "store/durable_sweep.h"
 #include "store/journal.h"
 #include "store/records.h"
 
@@ -114,6 +120,12 @@ ContractRecord full_record() {
   a.diamond.facets = {evm::Address::from_label("facet-a")};
   static const std::vector<std::uint8_t> blob{0x60, 0x80, 0x60, 0x40};
   rec.code_hash = crypto::keccak256(blob);
+  rec.dependencies.donor = evm::Address::from_label("journal-test-donor");
+  rec.dependencies.logic = {
+      {a.logic_history.logic_addresses[0], crypto::keccak256("logic-v1 code"),
+       evm::Address::from_label("logic-v1-donor")},
+      {a.logic_history.logic_addresses[1], crypto::keccak256("logic-v2 code"),
+       evm::Address{}}};
   return rec;
 }
 
@@ -321,11 +333,72 @@ TEST(Journal, RejectsOversizedLengthField) {
 
 TEST(Journal, DecodeRejectsTrailingBytes) {
   std::vector<std::uint8_t> payload = encode_contract_record(full_record());
+  ASSERT_TRUE(decode_contract_record(payload).has_value());
+  // Every strict prefix is short somewhere: the dependency list's length
+  // is the logic history's, so a cut inside it cannot pass for a shorter
+  // list.
+  for (std::size_t n = 0; n < payload.size(); ++n) {
+    EXPECT_FALSE(decode_contract_record(
+                     std::span<const std::uint8_t>(payload.data(), n))
+                     .has_value())
+        << "prefix of " << n << " of " << payload.size() << " bytes";
+  }
   payload.push_back(0x00);
   EXPECT_FALSE(decode_contract_record(payload).has_value());
-  payload.pop_back();
-  payload.pop_back();
-  EXPECT_FALSE(decode_contract_record(payload).has_value());
+}
+
+TEST(Journal, VersionTwoJournalBootsAsAFreshSweep) {
+  // Readers reject a journal of another version, such as v2, wholesale. A
+  // boot over one replays nothing: it starts a new journal and sweeps
+  // every input, so its records are a cold sweep's.
+  datagen::PopulationSpec spec;
+  spec.total_contracts = 300;
+  datagen::Population pop = datagen::PopulationGenerator().generate(spec);
+  const std::vector<core::SweepInput> inputs = pop.sweep_inputs();
+  DurableSweepConfig sc;
+  sc.journal_path = temp_path("older_version.journal");
+  sc.shard_size = 100;
+  {
+    core::AnalysisPipeline piped(*pop.chain, &pop.sources);
+    ASSERT_TRUE(DurableSweep(piped, *pop.chain, &pop.sources, sc)
+                    .run(inputs)
+                    .error.empty());
+  }
+  // The header's u16 version follows the 8-byte magic, little-endian.
+  std::vector<std::uint8_t> bytes = file_bytes(sc.journal_path);
+  ASSERT_GE(bytes.size(), kJournalHeaderSize);
+  ASSERT_EQ(bytes[8] | (bytes[9] << 8), kJournalVersion);
+  bytes[8] = 2;
+  bytes[9] = 0;
+  write_file(sc.journal_path, bytes);
+  ASSERT_FALSE(read_journal(sc.journal_path).has_value());
+
+  core::AnalysisPipeline piped(*pop.chain, &pop.sources);
+  const DurableSweepResult boot =
+      DurableSweep(piped, *pop.chain, &pop.sources, sc).incremental(inputs, {});
+  ASSERT_TRUE(boot.error.empty()) << boot.error;
+  EXPECT_TRUE(boot.complete);
+  EXPECT_EQ(boot.replayed, 0u);
+  EXPECT_EQ(boot.recomputed, inputs.size());
+
+  DurableSweepConfig cold = sc;
+  cold.journal_path = temp_path("older_version_cold.journal");
+  core::AnalysisPipeline cold_pipeline(*pop.chain, &pop.sources);
+  ASSERT_TRUE(DurableSweep(cold_pipeline, *pop.chain, &pop.sources, cold)
+                  .run(inputs)
+                  .error.empty());
+  test_oracle::expect_same_records(sc.journal_path, cold.journal_path);
+}
+
+TEST(Journal, EncodeRejectsDependenciesOffTheHistory) {
+  // The encoding stores each logic address once, in the history: a
+  // dependency list that names other addresses could not round-trip.
+  ContractRecord rec = full_record();
+  rec.dependencies.logic.pop_back();
+  EXPECT_THROW(encode_contract_record(rec), std::invalid_argument);
+  rec = full_record();
+  rec.dependencies.logic[0].address = evm::Address::from_label("elsewhere");
+  EXPECT_THROW(encode_contract_record(rec), std::invalid_argument);
 }
 
 TEST(Journal, DecodeRejectsOutOfRangeEnum) {

@@ -21,7 +21,10 @@
 #      name in the spec's `| Field | Type | Meaning |` tables is an
 #      append_key() call site in src/serve/*.cpp and vice versa (the spec
 #      is normative — an undocumented field is as much a failure as a
-#      documented-but-gone one).
+#      documented-but-gone one);
+#   7. the version in docs/CHECKPOINT_FORMAT.md's title equals
+#      `kJournalVersion` in src/store/journal.h (a format change that
+#      bumps the code but not the spec, or the reverse, fails).
 # Pure POSIX sh + grep/sed/awk; no network, no build required.
 set -eu
 cd "$(dirname "$0")/.."
@@ -210,6 +213,23 @@ for field in $api_fields; do
   fi
 done
 
+# ---- 7. CHECKPOINT_FORMAT.md title version vs kJournalVersion -----------
+spec_version=$(sed -n '1s/^# .*(version \([0-9][0-9]*\))$/\1/p' \
+  docs/CHECKPOINT_FORMAT.md)
+code_version=$(sed -n \
+  's/^inline constexpr std::uint16_t kJournalVersion = \([0-9][0-9]*\);$/\1/p' \
+  src/store/journal.h)
+if [ -z "$spec_version" ] || [ -z "$code_version" ]; then
+  echo "docs_check: could not read the journal version from the title of" \
+    "docs/CHECKPOINT_FORMAT.md or kJournalVersion in src/store/journal.h" >&2
+  fail=1
+elif [ "$spec_version" != "$code_version" ]; then
+  echo "docs_check: docs/CHECKPOINT_FORMAT.md specifies journal version" \
+    "$spec_version but src/store/journal.h has kJournalVersion" \
+    "$code_version" >&2
+  fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
   echo "docs_check: all markdown links resolve;" \
     "all $(echo "$knobs" | wc -l | tr -d ' ') documented pipeline knobs and" \
@@ -220,6 +240,7 @@ if [ "$fail" -eq 0 ]; then
     "fields documented;" \
     "$(echo "$endpoints" | wc -l | tr -d ' ') endpoints and" \
     "$(echo "$service_knobs" | wc -l | tr -d ' ') service knobs wired;" \
-    "$(echo "$api_fields" | wc -l | tr -d ' ') /v1 fields in sync"
+    "$(echo "$api_fields" | wc -l | tr -d ' ') /v1 fields in sync;" \
+    "journal version $code_version in spec and code"
 fi
 exit "$fail"
