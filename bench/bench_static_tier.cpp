@@ -1,7 +1,8 @@
 // What the static triage tier buys: sweeps the bench population (plus the
 // tier's adversarial fixtures) with the prefilter off and on, best-of-3 on
 // fresh pipelines, and reports wall-clock, total emulation steps paid, the
-// per-kind skip counts, and the cross-check mismatch count (must be zero).
+// per-kind skip counts, the run-to-fuse proofs with the emulation steps
+// they saved, and the cross-check mismatch count (must be zero).
 // Verdict equality between the two sweeps is asserted, not assumed — a
 // faster wrong sweep is worthless.
 #include <algorithm>
@@ -21,8 +22,9 @@ using namespace proxion;
 using namespace proxion::bench;
 
 /// The bench population's sweep inputs plus the static-tier fixtures (dead
-/// DELEGATECALL, PUSH-data decoy, computed-jump proxy) deployed on the same
-/// chain, so the tier's hard cases are in every measured sweep.
+/// DELEGATECALL, PUSH-data decoy, computed-jump proxy, no-exit loop)
+/// deployed on the same chain, so the tier's hard cases are in every
+/// measured sweep.
 std::vector<core::SweepInput>& augmented_inputs() {
   static std::vector<core::SweepInput> inputs = [] {
     using datagen::ContractFactory;
@@ -39,6 +41,7 @@ std::vector<core::SweepInput>& augmented_inputs() {
     };
     add(ContractFactory::dead_delegatecall_contract());
     add(ContractFactory::push_data_delegatecall_contract());
+    add(ContractFactory::infinite_loop_contract());
     const evm::Address cj =
         add(ContractFactory::computed_jump_contract(evm::U256{7}));
     pop.chain->set_storage(cj, evm::U256{7}, logic.to_word());
@@ -77,6 +80,20 @@ SweepSample best_of(int n, bool tier_on) {
     if (s.wall_ms < best.wall_ms) best = std::move(s);
   }
   return best;
+}
+
+/// Emulation steps the run-to-fuse proofs stood in for: each proved blob's
+/// report carries the fuse count emulation would have run, counted once per
+/// unique blob like the steps histogram.
+double fuse_steps_saved(const SweepSample& s) {
+  double steps = 0.0;
+  for (const auto& r : s.reports) {
+    if (!r.deduplicated &&
+        r.proxy.static_triage == core::StaticTriage::kSkippedRunsToFuse) {
+      steps += static_cast<double>(r.proxy.emulation_steps);
+    }
+  }
+  return steps;
 }
 
 int verdict_diffs(const SweepSample& a, const SweepSample& b) {
@@ -164,11 +181,15 @@ int main() {
     return 1;
   }
 
+  // Steps the ON sweep ran: the steps histogram holds each record's step
+  // count, and a run-to-fuse record's is the fuse count it did not run.
+  const double fuse_saved = fuse_steps_saved(on);
   const double steps_off = off.stats.emulation_steps.sum;
-  const double steps_on = on.stats.emulation_steps.sum;
+  const double steps_on = on.stats.emulation_steps.sum - fuse_saved;
   const std::uint64_t skips = on.stats.static_skipped_absent +
                               on.stats.static_skipped_dead +
-                              on.stats.static_skipped_minimal;
+                              on.stats.static_skipped_minimal +
+                              on.stats.static_skipped_fuse;
   const std::uint64_t triaged = skips + on.stats.static_emulated;
 
   heading("static triage tier: prefilter off vs on (best of 3, cold)");
@@ -203,6 +224,11 @@ int main() {
   row("routed: EIP-1167 fast path (skip, saves steps+wall)",
       std::to_string(on.stats.static_skipped_minimal) + "  (" +
           share(on.stats.static_skipped_minimal) + ")");
+  row("routed: runs to the step fuse (skip, saves steps+wall)",
+      std::to_string(on.stats.static_skipped_fuse) + "  (" +
+          share(on.stats.static_skipped_fuse) + ")");
+  row("  emulation steps the fuse proofs saved",
+      fmt(fuse_saved) + "  (" + pct(fuse_saved, steps_off) + " of OFF)");
   row("routed: emulated (wall-neutral by construction)",
       std::to_string(on.stats.static_emulated) + "  (" +
           share(on.stats.static_emulated) + ")");
@@ -225,6 +251,9 @@ int main() {
               static_cast<double>(on.stats.static_skipped_dead));
   results.set("skipped_minimal",
               static_cast<double>(on.stats.static_skipped_minimal));
+  results.set("skipped_fuse",
+              static_cast<double>(on.stats.static_skipped_fuse));
+  results.set("fuse_steps_saved", fuse_saved);
   results.set("emulated", static_cast<double>(on.stats.static_emulated));
   results.set("verdict_diffs", static_cast<double>(diffs));
   results.set("cross_check_mismatches", static_cast<double>(mismatches));
@@ -237,6 +266,9 @@ int main() {
                   triaged_d);
   results.set("routed_minimal_pct",
               100.0 * static_cast<double>(on.stats.static_skipped_minimal) /
+                  triaged_d);
+  results.set("routed_fuse_pct",
+              100.0 * static_cast<double>(on.stats.static_skipped_fuse) /
                   triaged_d);
   results.set("routed_emulated_pct",
               100.0 * static_cast<double>(on.stats.static_emulated) /

@@ -150,10 +150,12 @@ void print_stats(const core::LandscapeStats& stats,
   std::printf("  unique proxy codebases:    %llu\n",
               static_cast<unsigned long long>(stats.unique_proxy_codehashes));
   std::printf("  static tier skips:         %llu absent / %llu dead / %llu "
-              "eip1167 (%llu emulated, %llu mismatches)\n",
+              "eip1167 / %llu runs-to-fuse (%llu emulated, %llu "
+              "mismatches)\n",
               static_cast<unsigned long long>(stats.static_skipped_absent),
               static_cast<unsigned long long>(stats.static_skipped_dead),
               static_cast<unsigned long long>(stats.static_skipped_minimal),
+              static_cast<unsigned long long>(stats.static_skipped_fuse),
               static_cast<unsigned long long>(stats.static_emulated),
               static_cast<unsigned long long>(stats.static_mismatches));
   if (stats.layout_inferred > 0) {

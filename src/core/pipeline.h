@@ -295,11 +295,14 @@ struct LandscapeStats {
   MemoCounts cache;
 
   // ---- static triage tier (all-zero when static_tier.enabled is false) --
-  /// Unique blobs triaged per outcome. *_skipped_* blobs paid zero
-  /// emulation steps; static_emulated went through the full probe.
+  /// Unique blobs triaged per outcome. *_skipped_* blobs ran no emulation
+  /// steps; static_emulated went through the full probe.
   std::uint64_t static_skipped_absent = 0;   // no DELEGATECALL opcode
   std::uint64_t static_skipped_dead = 0;     // provably-dead DELEGATECALL
   std::uint64_t static_skipped_minimal = 0;  // byte-exact EIP-1167
+  /// Provably loops until the step fuse: the report records the fuse's
+  /// halt and step count, but no steps were run.
+  std::uint64_t static_skipped_fuse = 0;
   std::uint64_t static_emulated = 0;
   /// Emulated blobs whose static claims the emulation contradicted
   /// (cross_check only; an always-zero invariant on sound corpora).

@@ -47,6 +47,7 @@ std::string_view to_string(StaticTriage t) noexcept {
     case StaticTriage::kSkippedDeadDelegatecall:
       return "skip-dead-delegatecall";
     case StaticTriage::kSkippedMinimalProxy: return "skip-minimal-proxy";
+    case StaticTriage::kSkippedRunsToFuse: return "skip-runs-to-fuse";
   }
   return "?";
 }
@@ -315,7 +316,8 @@ ProxyReport ProxyDetector::analyze_code(const Address& contract,
 }
 
 std::uint8_t ProxyDetector::static_vs_emulation_mismatch(
-    const static_analysis::StaticReport& st, const ProxyReport& emulated) {
+    const static_analysis::StaticReport& st, const ProxyReport& emulated,
+    const ProxyDetectorConfig& config) {
   // One-sided oracle: only a *complete* CFG makes claims strong enough for
   // emulation to contradict. (The converse direction — statically reachable
   // but not executed by this probe — is expected: static reachability is
@@ -324,6 +326,17 @@ std::uint8_t ProxyDetector::static_vs_emulation_mismatch(
   std::uint8_t bits = 0;
   if (st.provably_no_delegatecall && emulated.delegatecall_executed) {
     bits |= kMismatchReachability;
+  }
+  // With no DELEGATECALL executed and no external call reachable, the probe
+  // ran this blob's code alone, which the clean-termination proof bounds to
+  // cfg.reachable_instructions steps and cfg.worst_case_gas gas. Inside the
+  // budgets, a fuse or out-of-gas halt contradicts the proof.
+  if (st.provably_clean_termination && !emulated.delegatecall_executed &&
+      st.cfg.worst_case_gas < config.emulation_gas &&
+      st.cfg.reachable_instructions < config.step_limit &&
+      (emulated.halt == evm::HaltReason::kStepLimit ||
+       emulated.halt == evm::HaltReason::kOutOfGas)) {
+    bits |= kMismatchTermination;
   }
   if (emulated.is_proxy()) {
     const auto sites = st.reachable_sites();
@@ -392,7 +405,10 @@ ProxyReport ProxyDetector::analyze_disassembled(
       report.static_triage = StaticTriage::kSkippedDeadDelegatecall;
       return report;
     }
-    report.static_triage = StaticTriage::kEmulated;
+    report.static_triage =
+        st->runs_to_fuse(config_.emulation_gas, config_.step_limit)
+            ? StaticTriage::kSkippedRunsToFuse
+            : StaticTriage::kEmulated;
   }
 
   // ---- Phase 2: emulation with crafted call data (§4.2) -----------------
@@ -407,26 +423,34 @@ ProxyReport ProxyDetector::analyze_disassembled(
   // probed code is installed at the contract's address so self-referential
   // opcodes (CODESIZE, EXTCODESIZE on self) behave.
   evm::OverlayHost overlay(state_);
-  overlay.set_code(contract, evm::Bytes(code.begin(), code.end()));
-
   ProxyProbeObserver observer(contract, probe, &overlay);
-  evm::InterpreterConfig interp_config;
-  interp_config.step_limit = config_.step_limit;
-  interp_config.max_call_depth = config_.max_call_depth;
-  evm::Interpreter interp(overlay, interp_config);
-  interp.set_observer(&observer);
 
-  evm::CallParams params;
-  params.code_address = contract;
-  params.storage_address = contract;
-  params.caller = Address::from_label("proxion.prober");
-  params.origin = params.caller;
-  params.calldata = probe;
-  params.gas = config_.emulation_gas;
+  if (report.static_triage == StaticTriage::kSkippedRunsToFuse) {
+    // Every path provably loops with no DELEGATECALL, no storage access and
+    // gas to spare: the interpreter would halt on its fuse check
+    // `++steps_ > step_limit`, at step step_limit + 1, with nothing for the
+    // observer to see. Record that outcome without running it.
+    report.halt = evm::HaltReason::kStepLimit;
+    report.emulation_steps = config_.step_limit + 1;
+  } else {
+    overlay.set_code(contract, evm::Bytes(code.begin(), code.end()));
+    evm::InterpreterConfig interp_config;
+    interp_config.step_limit = config_.step_limit;
+    interp_config.max_call_depth = config_.max_call_depth;
+    evm::Interpreter interp(overlay, interp_config);
+    interp.set_observer(&observer);
 
-  const evm::ExecResult result = interp.execute(params);
-  report.halt = result.halt;
-  report.emulation_steps = interp.steps_executed();
+    evm::CallParams params;
+    params.code_address = contract;
+    params.storage_address = contract;
+    params.caller = Address::from_label("proxion.prober");
+    params.origin = params.caller;
+    params.calldata = probe;
+    params.gas = config_.emulation_gas;
+
+    report.halt = interp.execute(params).halt;
+    report.emulation_steps = interp.steps_executed();
+  }
   report.delegatecall_executed = observer.saw_delegatecall();
   report.calldata_forwarded = observer.forwarding_target().has_value();
 
@@ -449,8 +473,8 @@ ProxyReport ProxyDetector::analyze_disassembled(
                                 ? LogicSource::kHardcoded
                                 : LogicSource::kComputed;
     }
-  } else if (!evm::is_success(result.halt) &&
-             result.halt != evm::HaltReason::kRevert) {
+  } else if (!evm::is_success(report.halt) &&
+             report.halt != evm::HaltReason::kRevert) {
     // Emulation faulted (stack underflow, step limit, bad jump, ...) before
     // we could conclude anything — the paper's §6.2/§7.1 error bucket.
     report.verdict = ProxyVerdict::kEmulationError;
@@ -461,7 +485,8 @@ ProxyReport ProxyDetector::analyze_disassembled(
   report.standard = classify(report, code);
 
   if (st && config_.static_tier.cross_check) {
-    report.static_mismatch = static_vs_emulation_mismatch(*st, report);
+    report.static_mismatch =
+        static_vs_emulation_mismatch(*st, report, config_);
   }
 
   // ---- Layout oracle (storage-layout inference cross-check) -------------

@@ -61,6 +61,7 @@ enum class StaticTriage : std::uint8_t {
   kSkippedNoDelegatecall,     // phase-1 absence, recorded by the tier
   kSkippedDeadDelegatecall,   // every DELEGATECALL provably unreachable
   kSkippedMinimalProxy,       // byte-exact EIP-1167 runtime
+  kSkippedRunsToFuse,         // every path provably loops until the step fuse
 };
 
 std::string_view to_string(ProxyVerdict v) noexcept;
@@ -80,6 +81,9 @@ inline constexpr std::uint8_t kMismatchTarget = 1u << 2;
 // slot family, or a write changed bytes outside the inferred sub-word ranges.
 inline constexpr std::uint8_t kMismatchLayoutSlot = 1u << 3;
 inline constexpr std::uint8_t kMismatchLayoutWidth = 1u << 4;
+// The static pass proved clean termination within the detector's budgets,
+// yet the emulated probe ran into the step fuse or out of gas.
+inline constexpr std::uint8_t kMismatchTermination = 1u << 5;
 
 struct ProxyReport {
   ProxyVerdict verdict = ProxyVerdict::kNotProxy;
@@ -103,10 +107,13 @@ struct ProxyReport {
   bool layout_reliable = false;
 
   std::uint32_t probe_selector = 0;  // the crafted selector used
-  /// Interpreter steps the phase-2 probe emulation consumed (0 when the
-  /// phase-1 prefilter skipped emulation). Deterministic per (address,
-  /// code), so cached verdicts replay the same number — it feeds the
-  /// pipeline's emulation-cost histogram.
+  /// Interpreter steps the phase-2 probe consumed, as the interpreter counts
+  /// them: `step_limit + 1` when the step fuse ended it. 0 when the probe did
+  /// not run (the phase-1 prefilter, or a static skip other than
+  /// kSkippedRunsToFuse); for kSkippedRunsToFuse it is the fuse count,
+  /// computed rather than run. Deterministic per (address, code), so cached
+  /// verdicts replay the same number — it feeds the pipeline's
+  /// emulation-cost histogram.
   std::uint64_t emulation_steps = 0;
 
   bool is_proxy() const noexcept { return verdict == ProxyVerdict::kProxy; }
@@ -152,9 +159,11 @@ class ProxyDetector {
 
   /// Typed disagreement between a (complete) static report and an emulated
   /// proxy report; 0 when the static pass made no contradicted claim.
-  /// Exposed for the cross-check tests.
+  /// `config` supplies the gas and step budgets the termination claim is
+  /// checked against. Exposed for the cross-check tests.
   static std::uint8_t static_vs_emulation_mismatch(
-      const static_analysis::StaticReport& st, const ProxyReport& emulated);
+      const static_analysis::StaticReport& st, const ProxyReport& emulated,
+      const ProxyDetectorConfig& config = {});
 
  private:
   ProxyReport analyze_disassembled(const Address& contract, BytesView code,

@@ -95,6 +95,9 @@ void LandscapeAccumulator::add(const ContractAnalysis& a) {
       case StaticTriage::kSkippedMinimalProxy:
         ++stats.static_skipped_minimal;
         break;
+      case StaticTriage::kSkippedRunsToFuse:
+        ++stats.static_skipped_fuse;
+        break;
       case StaticTriage::kEmulated:
         ++stats.static_emulated;
         break;
@@ -105,7 +108,8 @@ void LandscapeAccumulator::add(const ContractAnalysis& a) {
       ++stats.static_mismatches;
       for (const std::uint8_t bit :
            {kMismatchReachability, kMismatchSlot, kMismatchTarget,
-            kMismatchLayoutSlot, kMismatchLayoutWidth}) {
+            kMismatchLayoutSlot, kMismatchLayoutWidth,
+            kMismatchTermination}) {
         if ((a.proxy.static_mismatch & bit) != 0) {
           ++stats.static_mismatch_bits[bit];
         }
@@ -188,14 +192,16 @@ std::string render_landscape_text(const LandscapeStats& stats) {
   out << "unique proxy codebases: " << stats.unique_proxy_codehashes << "\n";
   const std::uint64_t static_triaged =
       stats.static_skipped_absent + stats.static_skipped_dead +
-      stats.static_skipped_minimal + stats.static_emulated;
+      stats.static_skipped_minimal + stats.static_skipped_fuse +
+      stats.static_emulated;
   if (static_triaged > 0) {
     const std::uint64_t skips = static_triaged - stats.static_emulated;
     out << "static tier:         " << skips << "/" << static_triaged
         << " blobs skipped emulation (" << pct(skips, static_triaged)
         << "%): absent=" << stats.static_skipped_absent
         << " dead=" << stats.static_skipped_dead
-        << " eip1167=" << stats.static_skipped_minimal << "\n";
+        << " eip1167=" << stats.static_skipped_minimal
+        << " runs-to-fuse=" << stats.static_skipped_fuse << "\n";
     if (stats.static_mismatches > 0) {
       out << "static mismatches:   " << stats.static_mismatches
           << " (static vs emulation disagreement —";
@@ -206,6 +212,7 @@ std::string render_landscape_text(const LandscapeStats& stats) {
                 : bit == kMismatchTarget      ? "target"
                 : bit == kMismatchLayoutSlot  ? "layout-slot"
                 : bit == kMismatchLayoutWidth ? "layout-width"
+                : bit == kMismatchTermination ? "termination"
                                               : "unknown")
             << "=" << count;
       }

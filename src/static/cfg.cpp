@@ -429,7 +429,8 @@ Cfg recover_cfg(const evm::Disassembly& dis, const CfgOptions& options) {
       } else {
         switch (op) {
           case Opcode::STOP:
-            return;  // clean halt
+            cfg.clean_halt_reachable = true;
+            return;
           case Opcode::ADD: case Opcode::MUL: case Opcode::SUB:
           case Opcode::DIV: case Opcode::SDIV: case Opcode::MOD:
           case Opcode::SMOD: case Opcode::EXP: case Opcode::SIGNEXTEND:
@@ -530,8 +531,11 @@ Cfg recover_cfg(const evm::Disassembly& dis, const CfgOptions& options) {
             break;
           case Opcode::RETURNDATACOPY:
             // With no reachable calls the probe's return-data buffer stays
-            // empty, so any nonzero copy would halt kReturnDataOutOfBounds.
-            if (!(at(2).is_const() && at(2).payload.is_zero())) {
+            // empty, so any copy but (offset 0, size 0) halts
+            // kReturnDataOutOfBounds — a zero-size copy from a nonzero
+            // offset faults too.
+            if (!(at(1).is_const() && at(1).payload.is_zero() &&
+                  at(2).is_const() && at(2).payload.is_zero())) {
               cb.may_fault = true;
             }
             record_mem(at(0), at(2));
@@ -602,15 +606,20 @@ Cfg recover_cfg(const evm::Disassembly& dis, const CfgOptions& options) {
                 cb.may_fault = true;
               }
             }
-            if (maybe_fallthrough && block + 1 < cfg.blocks.size()) {
-              add_edge(block, block + 1, std::move(s));
+            if (maybe_fallthrough) {
+              if (block + 1 < cfg.blocks.size()) {
+                add_edge(block, block + 1, std::move(s));
+              } else {
+                cfg.clean_halt_reachable = true;  // implicit STOP at code end
+              }
             }
             return;  // JUMPI always ends the disassembler's block
           }
           case Opcode::RETURN:
           case Opcode::REVERT:
             record_mem(at(0), at(1));
-            return;  // clean halt
+            cfg.clean_halt_reachable = true;
+            return;
           case Opcode::SELFDESTRUCT:
             cfg.unsafe_terminator_reachable = true;
             return;
@@ -656,6 +665,8 @@ Cfg recover_cfg(const evm::Disassembly& dis, const CfgOptions& options) {
     // the next block, or halt cleanly at the implicit STOP past code end.
     if (block + 1 < cfg.blocks.size()) {
       add_edge(block, block + 1, std::move(s));
+    } else {
+      cfg.clean_halt_reachable = true;
     }
   };
 
@@ -752,10 +763,12 @@ Cfg recover_cfg(const evm::Disassembly& dis, const CfgOptions& options) {
     }
   }
 
-  // Static cost bound over the reachable subgraph: worst-case (cold) gas per
-  // instruction plus quadratic expansion to the constant memory high-water
-  // mark. Only the dead-skip proof consumes these, and only when `complete`
-  // and acyclic — each reachable instruction then executes at most once.
+  // Static cost bounds over the reachable subgraph: worst-case (cold) gas
+  // per instruction plus quadratic expansion to the constant memory
+  // high-water mark. The dead-skip proof sums them (sound only when
+  // `complete` and acyclic — each reachable instruction then executes at
+  // most once); the run-to-fuse proof multiplies the costliest one by the
+  // step fuse.
   for (const CfgBlock& b : cfg.blocks) {
     if (!b.reachable) continue;
     const std::uint32_t end_index = b.first_instruction + b.instruction_count;
@@ -769,11 +782,13 @@ Cfg recover_cfg(const evm::Disassembly& dis, const CfgOptions& options) {
         cost += kColdAccountSurcharge;
       }
       cfg.worst_case_gas += cost;
+      cfg.max_instruction_gas = std::max(cfg.max_instruction_gas, cost);
       ++cfg.reachable_instructions;
     }
   }
   if (cfg.memory_bounded) {
-    cfg.worst_case_gas += memory_expansion_gas(cfg.max_memory_end);
+    cfg.memory_gas = memory_expansion_gas(cfg.max_memory_end);
+    cfg.worst_case_gas += cfg.memory_gas;
   }
 
   return cfg;

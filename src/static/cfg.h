@@ -175,6 +175,10 @@ struct Cfg {
   /// Reachable INVALID / undefined byte / SELFDESTRUCT (halts the probe in
   /// a way the clean-termination proof refuses to reason about).
   bool unsafe_terminator_reachable = false;
+  /// Reachable STOP / RETURN / REVERT, or a reachable path that runs off
+  /// the end of the code (the implicit STOP). False together with the other
+  /// halt facts means no reachable path ever leaves the reachable blocks.
+  bool clean_halt_reachable = false;
   /// Every reachable memory-touching operand was a constant (size-zero ops
   /// excepted) — required for the static gas bound below.
   bool memory_bounded = true;
@@ -183,6 +187,11 @@ struct Cfg {
   /// EIP-2929 surcharges over every reachable instruction, plus quadratic
   /// expansion to max_memory_end — mirrors the interpreter's fuel model.
   std::uint64_t worst_case_gas = 0;
+  /// The costliest reachable instruction: base gas plus its cold EIP-2929
+  /// surcharge. Bounds the gas of any number of steps, loops included.
+  std::uint64_t max_instruction_gas = 0;
+  /// Quadratic expansion gas to max_memory_end (part of worst_case_gas).
+  std::uint64_t memory_gas = 0;
   /// Upper bound on interpreter steps when the reachable subgraph is
   /// acyclic: each reachable instruction executes at most once.
   std::uint64_t reachable_instructions = 0;

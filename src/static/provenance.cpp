@@ -74,6 +74,18 @@ std::string_view to_string(TargetClass c) noexcept {
   return "unknown";
 }
 
+std::uint64_t StaticReport::fuse_gas_bound(
+    std::uint64_t step_limit) const noexcept {
+  constexpr std::uint64_t kMax = UINT64_MAX;
+  const std::uint64_t per_step = cfg.max_instruction_gas;
+  if (step_limit == kMax ||
+      (per_step != 0 && step_limit + 1 > kMax / per_step)) {
+    return kMax;
+  }
+  const std::uint64_t steps_gas = (step_limit + 1) * per_step;
+  return steps_gas > kMax - cfg.memory_gas ? kMax : steps_gas + cfg.memory_gas;
+}
+
 std::vector<DelegatecallSite> StaticReport::reachable_sites() const {
   std::vector<DelegatecallSite> out;
   for (const DelegatecallSite& s : sites) {
@@ -100,10 +112,19 @@ StaticReport analyze(const evm::Disassembly& dis, const CfgOptions& options) {
   for (const CfgBlock& b : cfg.blocks) {
     any_reachable_fault |= b.reachable && b.may_fault;
   }
+  // Both proofs need every concrete path covered (`complete`, which also
+  // rules out an entry-depth conflict), no fault, no foreign code and a
+  // constant memory bound; they differ in how the probe may end.
+  const bool no_fault_or_foreign_code =
+      cfg.complete && !any_reachable_fault && !cfg.external_call_reachable &&
+      !cfg.unsafe_terminator_reachable && cfg.memory_bounded;
   report.provably_clean_termination =
-      cfg.complete && !cfg.has_reachable_cycle && !any_reachable_fault &&
-      !cfg.external_call_reachable && !cfg.unsafe_terminator_reachable &&
-      cfg.memory_bounded;
+      no_fault_or_foreign_code && !cfg.has_reachable_cycle;
+  report.provably_no_exit =
+      no_fault_or_foreign_code && !cfg.clean_halt_reachable;
+  for (const StorageFact& fact : cfg.storage_facts) {
+    report.any_reachable_storage_access |= fact.reachable;
+  }
 
   report.minimal_proxy_target = match_eip1167(dis.code());
 

@@ -60,6 +60,7 @@ struct StaticReport {
 
   bool has_delegatecall = false;  // any site at all (phase-1 equivalent)
   bool any_reachable_delegatecall = false;
+  bool any_reachable_storage_access = false;  // a reachable SLOAD / SSTORE
   /// CFG complete and no DELEGATECALL abstractly executed on any path: the
   /// interpreter cannot execute one either (the abstract edges cover every
   /// concrete path while `cfg.complete`).
@@ -69,6 +70,11 @@ struct StaticReport {
   /// executes at most cfg.reachable_instructions steps and at most
   /// cfg.worst_case_gas gas before halting cleanly.
   bool provably_clean_termination = false;
+  /// CFG complete, and no reachable path can leave the reachable blocks: no
+  /// clean halt (STOP / RETURN / REVERT / running off the code end), no
+  /// fault, no unsafe terminator, no external call, and all memory operands
+  /// constant. A probe then executes instructions until a budget ends it.
+  bool provably_no_exit = false;
   /// Set iff the code is byte-exactly the 45-byte EIP-1167 runtime; the
   /// detector fast-paths these without emulation.
   std::optional<evm::Address> minimal_proxy_target;
@@ -82,6 +88,26 @@ struct StaticReport {
     return provably_no_delegatecall && provably_clean_termination &&
            cfg.worst_case_gas < emulation_gas &&
            cfg.reachable_instructions < step_limit;
+  }
+
+  /// Gas bound for a probe cut by the step fuse: the interpreter charges at
+  /// most `step_limit` instructions, each at most the costliest reachable
+  /// one, counted here as `step_limit + 1` of them, plus memory expansion.
+  /// Saturates at UINT64_MAX.
+  std::uint64_t fuse_gas_bound(std::uint64_t step_limit) const noexcept;
+
+  /// True when the detector may skip phase-2 emulation because the probe
+  /// provably executes until the step fuse and ends in no other way: no
+  /// DELEGATECALL can execute, no path leaves the reachable blocks, and the
+  /// fuse's gas bound stays below the gas budget, so the fuse — not the gas
+  /// — ends the probe. The emulated report is forced to (kEmulationError,
+  /// kStepLimit, `step_limit + 1` steps). No storage access is reachable
+  /// either, so the probe has nothing for the detector's observer to see.
+  bool runs_to_fuse(std::uint64_t emulation_gas,
+                    std::uint64_t step_limit) const noexcept {
+    return provably_no_delegatecall && provably_no_exit &&
+           !any_reachable_storage_access &&
+           fuse_gas_bound(step_limit) < emulation_gas;
   }
 
   /// Sites that were abstractly executed, in pc order.

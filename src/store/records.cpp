@@ -1,6 +1,8 @@
 #include "store/records.h"
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 #include <cstring>
 #include <stdexcept>
 
@@ -13,41 +15,54 @@ using core::ErrorKind;
 using core::ErrorRecord;
 using evm::Address;
 
-// ---- encode primitives ----------------------------------------------------
+// ---- encode writer ---------------------------------------------------------
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
+/// Little-endian writer over a buffer sized once up front: every field is a
+/// store through the cursor, so encoding a record allocates exactly once.
+/// The caller computes the size; `finish` asserts it was exact.
+class Writer {
+ public:
+  explicit Writer(std::size_t size) : out_(size), p_(out_.data()) {}
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  void u8(std::uint8_t v) { *p_++ = v; }
+  void u32(std::uint32_t v) { le(v); }
+  void u64(std::uint64_t v) { le(v); }
+
+  void bytes(const std::uint8_t* data, std::size_t n) {
+    if (n != 0) std::memcpy(p_, data, n);
+    p_ += n;
   }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  void address(const Address& a) { bytes(a.bytes.data(), a.bytes.size()); }
+  void hash(const crypto::Hash256& h) { bytes(h.data(), h.size()); }
+  void u256(const evm::U256& v) {
+    const std::array<std::uint8_t, 32> be = v.to_be_bytes();
+    bytes(be.data(), be.size());
   }
-}
+  void string(const std::string& s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    bytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
+  }
 
-void put_address(std::vector<std::uint8_t>& out, const Address& a) {
-  out.insert(out.end(), a.bytes.begin(), a.bytes.end());
-}
+  std::vector<std::uint8_t> finish() && {
+    assert(p_ == out_.data() + out_.size() && "encoded size miscounted");
+    return std::move(out_);
+  }
 
-void put_hash(std::vector<std::uint8_t>& out, const crypto::Hash256& h) {
-  out.insert(out.end(), h.begin(), h.end());
-}
+ private:
+  template <typename T>
+  void le(T v) {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      p_[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    p_ += sizeof(T);
+  }
 
-void put_u256(std::vector<std::uint8_t>& out, const evm::U256& v) {
-  const std::array<std::uint8_t, 32> be = v.to_be_bytes();
-  out.insert(out.end(), be.begin(), be.end());
-}
+  std::vector<std::uint8_t> out_;
+  std::uint8_t* p_;
+};
 
-void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
+constexpr std::size_t kAddressBytes = 20;
+constexpr std::size_t kHashBytes = 32;
 
 // ---- decode cursor (bounds-checked; any failure poisons the cursor) -------
 
@@ -158,7 +173,7 @@ constexpr std::uint8_t kMaxLogicSource =
 constexpr std::uint8_t kMaxStandard =
     static_cast<std::uint8_t>(core::ProxyStandard::kOther);
 constexpr std::uint8_t kMaxTriage =
-    static_cast<std::uint8_t>(core::StaticTriage::kSkippedMinimalProxy);
+    static_cast<std::uint8_t>(core::StaticTriage::kSkippedRunsToFuse);
 constexpr std::uint8_t kMaxErrorKind =
     static_cast<std::uint8_t>(ErrorKind::kDiskIo);
 
@@ -175,11 +190,22 @@ std::vector<std::uint8_t> encode_contract_record(const ContractRecord& rec) {
     throw std::invalid_argument(
         "encode_contract_record: dependencies must follow the logic history");
   }
-  std::vector<std::uint8_t> out;
-  out.reserve(256);
+  const core::DiamondReport& d = a.diamond;
+  // The encoded size, section by section in the order written below.
+  std::size_t size = kAddressBytes + 4 + 1 + 1 + 4 + 4;  // address .. pairs
+  size += 1 + 1 + 1 + kAddressBytes + 1 + 32 + 1 + 1 + 1 + 4 + 8;  // proxy
+  size += 4 + kAddressBytes * history.size() + 8 + 8;  // logic history
+  size += 1 + 4 + 4 * d.routed_selectors.size() + 4 +
+          kAddressBytes * d.facets.size();  // diamond
+  if (a.error) {
+    size += 1 + 4 + a.error->phase.size() + 4 + a.error->detail.size();
+  }
+  size += kHashBytes + kAddressBytes +
+          (kHashBytes + kAddressBytes) * reads.size();  // hash, dependencies
+  Writer w(size);
 
-  put_address(out, a.address);
-  put_u32(out, static_cast<std::uint32_t>(a.year));
+  w.address(a.address);
+  w.u32(static_cast<std::uint32_t>(a.year));
   std::uint8_t flags = 0;
   if (a.has_source) flags |= kFlagHasSource;
   if (a.has_tx) flags |= kFlagHasTx;
@@ -189,59 +215,58 @@ std::vector<std::uint8_t> encode_contract_record(const ContractRecord& rec) {
   if (a.storage_collision_exploitable) flags |= kFlagStExploitable;
   if (a.logic_has_source) flags |= kFlagLogicHasSource;
   if (a.error) flags |= kFlagError;
-  put_u8(out, flags);
+  w.u8(flags);
   std::uint8_t flags2 = 0;
   if (a.family_collision) flags2 |= kFlag2FamilyCollision;
-  put_u8(out, flags2);
-  put_u32(out, a.collision_pairs_family_checked);
-  put_u32(out, a.collision_pairs_source_free);
+  w.u8(flags2);
+  w.u32(a.collision_pairs_family_checked);
+  w.u32(a.collision_pairs_source_free);
 
   const core::ProxyReport& p = a.proxy;
-  put_u8(out, static_cast<std::uint8_t>(p.verdict));
+  w.u8(static_cast<std::uint8_t>(p.verdict));
   std::uint8_t pflags = 0;
   if (p.has_delegatecall_opcode) pflags |= kProxyFlagHasDelegatecall;
   if (p.delegatecall_executed) pflags |= kProxyFlagExecuted;
   if (p.calldata_forwarded) pflags |= kProxyFlagForwarded;
   if (p.layout_inferred) pflags |= kProxyFlagLayoutInferred;
   if (p.layout_reliable) pflags |= kProxyFlagLayoutReliable;
-  put_u8(out, pflags);
-  put_u8(out, static_cast<std::uint8_t>(p.halt));
-  put_address(out, p.logic_address);
-  put_u8(out, static_cast<std::uint8_t>(p.logic_source));
-  put_u256(out, p.logic_slot);
-  put_u8(out, static_cast<std::uint8_t>(p.standard));
-  put_u8(out, static_cast<std::uint8_t>(p.static_triage));
-  put_u8(out, p.static_mismatch);
-  put_u32(out, p.probe_selector);
-  put_u64(out, p.emulation_steps);
+  w.u8(pflags);
+  w.u8(static_cast<std::uint8_t>(p.halt));
+  w.address(p.logic_address);
+  w.u8(static_cast<std::uint8_t>(p.logic_source));
+  w.u256(p.logic_slot);
+  w.u8(static_cast<std::uint8_t>(p.standard));
+  w.u8(static_cast<std::uint8_t>(p.static_triage));
+  w.u8(p.static_mismatch);
+  w.u32(p.probe_selector);
+  w.u64(p.emulation_steps);
 
   const core::LogicHistory& lh = a.logic_history;
-  put_u32(out, static_cast<std::uint32_t>(lh.logic_addresses.size()));
-  for (const Address& addr : lh.logic_addresses) put_address(out, addr);
-  put_u64(out, lh.upgrade_events);
-  put_u64(out, lh.api_calls);
+  w.u32(static_cast<std::uint32_t>(history.size()));
+  for (const Address& addr : history) w.address(addr);
+  w.u64(lh.upgrade_events);
+  w.u64(lh.api_calls);
 
-  const core::DiamondReport& d = a.diamond;
-  put_u8(out, d.is_diamond ? kDiamondFlagIsDiamond : 0);
-  put_u32(out, static_cast<std::uint32_t>(d.routed_selectors.size()));
-  for (const std::uint32_t sel : d.routed_selectors) put_u32(out, sel);
-  put_u32(out, static_cast<std::uint32_t>(d.facets.size()));
-  for (const Address& addr : d.facets) put_address(out, addr);
+  w.u8(d.is_diamond ? kDiamondFlagIsDiamond : 0);
+  w.u32(static_cast<std::uint32_t>(d.routed_selectors.size()));
+  for (const std::uint32_t sel : d.routed_selectors) w.u32(sel);
+  w.u32(static_cast<std::uint32_t>(d.facets.size()));
+  for (const Address& addr : d.facets) w.address(addr);
 
   if (a.error) {
-    put_u8(out, static_cast<std::uint8_t>(a.error->kind));
-    put_string(out, a.error->phase);
-    put_string(out, a.error->detail);
+    w.u8(static_cast<std::uint8_t>(a.error->kind));
+    w.string(a.error->phase);
+    w.string(a.error->detail);
   }
 
-  put_hash(out, rec.code_hash);
+  w.hash(rec.code_hash);
   // v3: the dependencies, each logic's address taken from the history.
-  put_address(out, rec.dependencies.donor);
+  w.address(rec.dependencies.donor);
   for (const LogicDependency& l : reads) {
-    put_hash(out, l.code_hash);
-    put_address(out, l.donor);
+    w.hash(l.code_hash);
+    w.address(l.donor);
   }
-  return out;
+  return std::move(w).finish();
 }
 
 std::optional<ContractRecord> decode_contract_record(
@@ -323,10 +348,10 @@ std::optional<ContractRecord> decode_contract_record(
 }
 
 std::vector<std::uint8_t> encode_sweep_begin(const SweepBeginRecord& rec) {
-  std::vector<std::uint8_t> out;
-  put_u64(out, rec.population);
-  put_u64(out, rec.shard_size);
-  return out;
+  Writer w(16);
+  w.u64(rec.population);
+  w.u64(rec.shard_size);
+  return std::move(w).finish();
 }
 
 std::optional<SweepBeginRecord> decode_sweep_begin(
@@ -340,10 +365,10 @@ std::optional<SweepBeginRecord> decode_sweep_begin(
 }
 
 std::vector<std::uint8_t> encode_shard_commit(const ShardCommitRecord& rec) {
-  std::vector<std::uint8_t> out;
-  put_u64(out, rec.shard_index);
-  put_u64(out, rec.contracts);
-  return out;
+  Writer w(16);
+  w.u64(rec.shard_index);
+  w.u64(rec.contracts);
+  return std::move(w).finish();
 }
 
 std::optional<ShardCommitRecord> decode_shard_commit(
@@ -357,9 +382,9 @@ std::optional<ShardCommitRecord> decode_shard_commit(
 }
 
 std::vector<std::uint8_t> encode_sweep_end(const SweepEndRecord& rec) {
-  std::vector<std::uint8_t> out;
-  put_u64(out, rec.contracts);
-  return out;
+  Writer w(8);
+  w.u64(rec.contracts);
+  return std::move(w).finish();
 }
 
 std::optional<SweepEndRecord> decode_sweep_end(

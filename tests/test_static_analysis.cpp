@@ -218,6 +218,8 @@ TEST(StaticProofTest, InfiniteLoopHasReachableCycleAndNeverSkips) {
   EXPECT_TRUE(r.provably_no_delegatecall);  // the bait site is dead...
   EXPECT_FALSE(r.provably_clean_termination);  // ...but no termination proof
   EXPECT_FALSE(r.skip_dead(5'000'000, 200'000));
+  EXPECT_TRUE(r.provably_no_exit);  // ...and no way out: it runs to the fuse
+  EXPECT_TRUE(r.runs_to_fuse(5'000'000, 200'000));
 }
 
 TEST(StaticProofTest, ExternalCallBlocksCleanTermination) {
@@ -226,6 +228,8 @@ TEST(StaticProofTest, ExternalCallBlocksCleanTermination) {
   EXPECT_TRUE(r.cfg.external_call_reachable);
   EXPECT_FALSE(r.provably_clean_termination);
   EXPECT_FALSE(r.skip_dead(5'000'000, 200'000));
+  EXPECT_FALSE(r.provably_no_exit);  // the callee may halt the probe
+  EXPECT_FALSE(r.runs_to_fuse(5'000'000, 200'000));
 }
 
 // ---------------------------------------------------------------------------

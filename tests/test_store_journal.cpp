@@ -230,6 +230,35 @@ TEST(Journal, QuarantinedRecordRoundTrip) {
   EXPECT_EQ(*decoded, rec);
 }
 
+TEST(Journal, RecordEncodingIsPinnedByteForByte) {
+  // Golden values of the v3 encoding: any change to the bytes a record
+  // encodes to, however it is built, fails here before it reaches a journal.
+  const std::vector<std::uint8_t> full = encode_contract_record(full_record());
+  EXPECT_EQ(full.size(), 358u);
+  EXPECT_EQ(crc32c(full.data(), full.size()), 0x460743DBu);
+  ContractRecord quarantined = full_record();
+  quarantined.analysis.error = core::ErrorRecord{
+      core::ErrorKind::kRpcExhausted, "pairs", "breaker open"};
+  const std::vector<std::uint8_t> q = encode_contract_record(quarantined);
+  EXPECT_EQ(q.size(), 384u);
+  EXPECT_EQ(crc32c(q.data(), q.size()), 0x4CBE2DB9u);
+  const std::vector<std::uint8_t> begin = encode_sweep_begin({100, 16});
+  const std::vector<std::uint8_t> commit = encode_shard_commit({3, 64});
+  const std::vector<std::uint8_t> end = encode_sweep_end({100});
+  EXPECT_EQ(crc32c(begin.data(), begin.size()), 0x74D6CC37u);
+  EXPECT_EQ(crc32c(commit.data(), commit.size()), 0x4B88312Bu);
+  EXPECT_EQ(crc32c(end.data(), end.size()), 0xBA359E4Cu);
+
+  // The buffer is sized once: encoding allocates only the bytes it returns.
+  const ContractRecord rec = full_record();
+  g_allocations = 0;
+  g_count_allocations = true;
+  const std::vector<std::uint8_t> again = encode_contract_record(rec);
+  g_count_allocations = false;
+  EXPECT_EQ(g_allocations.load(), 1u);
+  EXPECT_EQ(again, full);
+}
+
 TEST(Journal, EmptyJournalIsValid) {
   const std::string path = temp_path("empty.journal");
   { ASSERT_TRUE(JournalWriter::create(path).has_value()); }

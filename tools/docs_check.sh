@@ -24,7 +24,11 @@
 #      documented-but-gone one);
 #   7. the version in docs/CHECKPOINT_FORMAT.md's title equals
 #      `kJournalVersion` in src/store/journal.h (a format change that
-#      bumps the code but not the spec, or the reverse, fails).
+#      bumps the code but not the spec, or the reverse, fails);
+#   8. the `StaticTriage` value list in docs/CHECKPOINT_FORMAT.md's
+#      `static_triage` row equals `enum class StaticTriage` in
+#      src/core/proxy_detector.h: the same names, in the same order, with
+#      raw values counting from 0 (the journal stores the raw value).
 # Pure POSIX sh + grep/sed/awk; no network, no build required.
 set -eu
 cd "$(dirname "$0")/.."
@@ -230,6 +234,28 @@ elif [ "$spec_version" != "$code_version" ]; then
   fail=1
 fi
 
+# ---- 8. CHECKPOINT_FORMAT.md StaticTriage values vs the enum ------------
+# Both sides as "<raw> <name>" lines: the spec's row lists "0 kNotRun, 1 …";
+# the enum's enumerators (no explicit values) are numbered in order.
+spec_triage=$(sed -n 's/^| `static_triage` | u8 | `StaticTriage`: \(.*\) |$/\1/p' \
+  docs/CHECKPOINT_FORMAT.md | sed 's/, /,/g' | tr ',' '\n')
+code_triage=$(awk '/^enum class StaticTriage / { in_enum = 1; next }
+                   in_enum && /^};/ { in_enum = 0 }
+                   in_enum && /^  k/' src/core/proxy_detector.h |
+  sed 's/^  \(k[A-Za-z0-9_]*\).*/\1/' | awk '{ print NR - 1, $0 }')
+if [ -z "$spec_triage" ] || [ -z "$code_triage" ]; then
+  echo "docs_check: could not read the StaticTriage values from the" \
+    "static_triage row of docs/CHECKPOINT_FORMAT.md or from" \
+    "enum class StaticTriage in src/core/proxy_detector.h" >&2
+  fail=1
+elif [ "$spec_triage" != "$code_triage" ]; then
+  echo "docs_check: docs/CHECKPOINT_FORMAT.md lists StaticTriage values" \
+    "'$(printf '%s' "$spec_triage" | tr '\n' ',')' but" \
+    "src/core/proxy_detector.h has" \
+    "'$(printf '%s' "$code_triage" | tr '\n' ',')'" >&2
+  fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
   echo "docs_check: all markdown links resolve;" \
     "all $(echo "$knobs" | wc -l | tr -d ' ') documented pipeline knobs and" \
@@ -241,6 +267,8 @@ if [ "$fail" -eq 0 ]; then
     "$(echo "$endpoints" | wc -l | tr -d ' ') endpoints and" \
     "$(echo "$service_knobs" | wc -l | tr -d ' ') service knobs wired;" \
     "$(echo "$api_fields" | wc -l | tr -d ' ') /v1 fields in sync;" \
-    "journal version $code_version in spec and code"
+    "journal version $code_version and" \
+    "$(echo "$code_triage" | wc -l | tr -d ' ') StaticTriage values in spec" \
+    "and code"
 fi
 exit "$fail"
