@@ -7,6 +7,7 @@
 // work. Headline numbers are merged into BENCH_results.json (the chaos CI
 // job gates on them).
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -27,6 +28,10 @@ using namespace proxion;
 using namespace proxion::bench;
 
 constexpr char kJournal[] = "chaos/bench.journal";
+/// Small enough for the more than 20 power-cut boundaries that
+/// tools/chaos_smoke.sh requires: a shard adds two (its write and its
+/// journal fsync), and the journal's creation four.
+constexpr std::size_t kShardSize = 200;
 
 double time_ms(const std::function<void()>& fn) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -66,7 +71,7 @@ std::uint64_t committed_contracts(util::Vfs& vfs) {
 store::DurableSweepConfig sweep_config(util::Vfs& vfs) {
   store::DurableSweepConfig sc;
   sc.journal_path = kJournal;
-  sc.shard_size = 512;
+  sc.shard_size = kShardSize;
   sc.vfs = &vfs;
   return sc;
 }
@@ -78,8 +83,8 @@ int main() {
   auto& pop = population();
   const auto inputs = pop.sweep_inputs();
   core::PipelineConfig config;
-  std::printf("chaos-recovery bench over %zu contracts (shard size 512)\n",
-              inputs.size());
+  std::printf("chaos-recovery bench over %zu contracts (shard size %zu)\n",
+              inputs.size(), kShardSize);
 
   // ---- fault-free reference: baseline timing + the boundary census -------
   util::FaultInjectingVfs ref_vfs;

@@ -24,7 +24,6 @@
 #include "bench_results.h"
 #include "core/pipeline.h"
 #include "store/durable_sweep.h"
-#include "store/journal.h"
 
 namespace {
 
@@ -44,7 +43,6 @@ std::string journal_path(const std::string& name) {
   fs::create_directories(dir);
   const fs::path p = dir / name;
   fs::remove(p);
-  fs::remove(store::manifest_path_for(p.string()));
   return p.string();
 }
 

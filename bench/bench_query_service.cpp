@@ -24,7 +24,6 @@
 #include "serve/follower.h"
 #include "serve/query_service.h"
 #include "store/durable_sweep.h"
-#include "store/journal.h"
 
 namespace {
 
@@ -39,7 +38,6 @@ std::string journal_path(const std::string& name) {
   fs::create_directories(dir);
   const fs::path p = dir / name;
   fs::remove(p);
-  fs::remove(store::manifest_path_for(p.string()));
   return p.string();
 }
 

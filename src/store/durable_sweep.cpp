@@ -516,9 +516,6 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
           case RecordType::kShardCommit:
             if (decode_shard_commit(frame.payload)) ++prior_shards;
             break;
-          case RecordType::kSweepBegin:
-          case RecordType::kSweepEnd:
-            break;
         }
       }
       // Only the scan's extent is needed from here on (to open the writer).
@@ -609,10 +606,6 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
   if (!writer && (!lap || !plan.rerun_groups.empty())) {
     IoResult open_why;
     if (new_journal) {
-      // A manifest of an earlier journal at this path would over-claim the
-      // new one until this call stores its own; creation's directory fsync
-      // makes the removal durable too.
-      (void)vfs.remove(manifest_path_for(config_.journal_path));
       writer = JournalWriter::create(config_.journal_path, vfs, &open_why);
     } else if (replay) {
       writer =
@@ -623,14 +616,6 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     if (!writer && !degrade(open_why)) {
       return fail("cannot open checkpoint journal: " + config_.journal_path +
                   " (" + open_why.message() + ")");
-    }
-  }
-  if (writer && new_journal) {
-    const std::vector<std::uint8_t> begin = encode_sweep_begin(
-        {inputs.size(), static_cast<std::uint64_t>(config_.shard_size)});
-    if (IoResult r = writer->append(RecordType::kSweepBegin, begin); !r) {
-      if (!degrade(r)) return fail("journal append failed: " + r.message());
-      writer.reset();
     }
   }
 
@@ -791,7 +776,7 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     // even when the disk is not), then flush: contract records, the commit
     // frame, one fsync — the commit frame's presence in the valid prefix
     // implies its records'. That fsync is the whole commit: boot counts
-    // commits from kShardCommit frames, so no manifest is written here.
+    // commits from kShardCommit frames.
     const std::uint64_t bytes_before = writer ? writer->size_bytes() : 0;
     IoResult io;
     // Records outlive the loop only when a sink or the index takes them.
@@ -873,36 +858,10 @@ DurableSweepResult DurableSweep::sweep(const std::vector<SweepInput>& inputs,
     ++shard_index;
   }
 
-  // ---- finish -----------------------------------------------------------
-  // Degraded mode: the population IS fully covered in memory, so the sweep
-  // is complete — there is just no kSweepEnd to journal (the checkpoint
-  // honestly stops at the last good commit, and the next boot picks up
-  // there).
-  // A lap that recomputed nothing leaves the journal as it was. Only run()
-  // and boot store the manifest: a lap's frames land past its
-  // committed_bytes, which §5.2 of the format allows.
+  // Degraded mode covers the whole population in memory, so the sweep is
+  // complete; the checkpoint stops at the last good commit, and the next
+  // boot picks up there.
   result.complete = !stopped;
-  if (result.complete && writer && (!lap || result.shards_run > 0)) {
-    IoResult io = writer->append(RecordType::kSweepEnd,
-                                 encode_sweep_end({inputs.size()}));
-    if (io.ok) io = writer->sync();
-    if (io.ok && !lap) {
-      // A live writer committed every shard this call ran.
-      Manifest manifest;
-      manifest.committed_bytes = writer->size_bytes();
-      manifest.shards_committed = shard_index;
-      manifest.contracts_committed = result.replayed + result.recomputed;
-      manifest.complete = true;
-      io = store_manifest(manifest_path_for(config_.journal_path), manifest,
-                          vfs);
-    }
-    if (!io.ok) {
-      if (!degrade(io)) {
-        return fail("journal finalization failed: " + io.message());
-      }
-      writer.reset();
-    }
-  }
 
   // ---- keep the index for the next lap ----------------------------------
   if (index != nullptr) {

@@ -72,7 +72,7 @@ namespace proxion::store {
 using AddressSet = std::unordered_set<evm::Address, evm::AddressHasher>;
 
 struct DurableSweepConfig {
-  /// Checkpoint journal path; the manifest lives at `<path>.manifest`.
+  /// Checkpoint journal path; a torn tail's copy lives at `<path>.torn`.
   std::string journal_path = "sweep.journal";
   /// Target contracts per shard. A hash group that fits stays whole, so a
   /// shard can exceed this by one group's size minus one; a larger group
@@ -88,7 +88,7 @@ struct DurableSweepConfig {
   /// Metrics sink for the store.journal.* / store.sweep.* counters and the
   /// flush-latency histogram. Null = obs::Registry::global().
   obs::Registry* registry = nullptr;
-  /// Filesystem behind the journal + manifest. Null = the real filesystem;
+  /// Filesystem behind the journal. Null = the real filesystem;
   /// the chaos harness injects a util::FaultInjectingVfs here.
   util::Vfs* vfs = nullptr;
   /// When the disk gives out mid-sweep (ENOSPC, persistent write failure,
@@ -129,8 +129,8 @@ struct DurableSweepResult {
   /// Contracts this call checked against the chain: every input, except on
   /// an incremental() lap, where it is the planned dirty set.
   std::uint64_t examined = 0;
-  /// True when the whole population is covered (kSweepEnd journaled, or
-  /// swept in memory under degraded mode).
+  /// True when this call ran every shard it planned: the population is
+  /// covered, by journal commits or, under degraded mode, in memory.
   /// False after a max_shards stop — call incremental() to finish.
   bool complete = false;
   /// The disk failed mid-sweep and degrade_on_disk_failure carried the

@@ -27,23 +27,11 @@ void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   }
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
 std::uint32_t get_u32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) |
          static_cast<std::uint32_t>(p[1]) << 8 |
          static_cast<std::uint32_t>(p[2]) << 16 |
          static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
 }
 
 std::vector<std::uint8_t> header_bytes() {
@@ -54,8 +42,8 @@ std::vector<std::uint8_t> header_bytes() {
 }
 
 bool valid_record_type(std::uint8_t t) {
-  return t >= static_cast<std::uint8_t>(RecordType::kSweepBegin) &&
-         t <= static_cast<std::uint8_t>(RecordType::kSweepEnd);
+  return t == static_cast<std::uint8_t>(RecordType::kContract) ||
+         t == static_cast<std::uint8_t>(RecordType::kShardCommit);
 }
 
 // store.vfs.* telemetry: every disk event on the checkpoint path is
@@ -71,10 +59,6 @@ obs::Counter& c_write_bytes() {
 }
 obs::Counter& c_fsyncs() {
   static obs::Counter& c = obs::Registry::global().counter("store.vfs.fsyncs");
-  return c;
-}
-obs::Counter& c_renames() {
-  static obs::Counter& c = obs::Registry::global().counter("store.vfs.renames");
   return c;
 }
 obs::Counter& c_errors() {
@@ -154,8 +138,7 @@ std::optional<JournalWriter> JournalWriter::create(const std::string& path,
   }
   // The header and the journal's directory entry are made durable up
   // front: a power cut between creation and the first shard commit must
-  // find an empty journal, not no journal (the manifest protocol assumes
-  // the file named by the manifest exists).
+  // find an empty journal, not no journal.
   if (util::VfsStatus s = f->sync(); !s) {
     return report(fail_io("fsync", s.err, 0, path));
   }
@@ -355,73 +338,6 @@ std::string manifest_path_for(const std::string& journal_path) {
 
 std::string torn_sidecar_path_for(const std::string& journal_path) {
   return journal_path + ".torn";
-}
-
-// Manifest wire format: fixed little-endian block + trailing CRC32C, small
-// enough that the write-temp-then-rename protocol makes torn states
-// unobservable (the CRC only defends against bit rot / foreign files).
-//   u16 version  u16 flags(bit0=complete)  u64 committed_bytes
-//   u64 shards_committed  u64 contracts_committed  u32 crc32c(all prior)
-
-std::optional<Manifest> load_manifest(const std::string& path,
-                                      util::Vfs& vfs) {
-  const std::optional<std::vector<std::uint8_t>> bytes = vfs.read_file(path);
-  if (!bytes) return std::nullopt;
-  const std::vector<std::uint8_t>& b = *bytes;
-  constexpr std::size_t kBody = 2 + 2 + 8 + 8 + 8;
-  if (b.size() != kBody + 4) return std::nullopt;
-  if (crc32c(b.data(), kBody) != get_u32(&b[kBody])) return std::nullopt;
-  Manifest m;
-  m.version = static_cast<std::uint16_t>(b[0]) |
-              static_cast<std::uint16_t>(b[1]) << 8;
-  if (m.version != kJournalVersion) return std::nullopt;
-  m.complete = (b[2] & 1u) != 0;
-  m.committed_bytes = get_u64(&b[4]);
-  m.shards_committed = get_u64(&b[12]);
-  m.contracts_committed = get_u64(&b[20]);
-  return m;
-}
-
-IoResult store_manifest(const std::string& path, const Manifest& m,
-                        util::Vfs& vfs) {
-  std::vector<std::uint8_t> b;
-  put_u16(b, m.version);
-  put_u16(b, m.complete ? 1 : 0);
-  put_u64(b, m.committed_bytes);
-  put_u64(b, m.shards_committed);
-  put_u64(b, m.contracts_committed);
-  put_u32(b, crc32c(b.data(), b.size()));
-
-  const std::string tmp = path + ".tmp";
-  util::VfsStatus st;
-  std::unique_ptr<util::VfsFile> f =
-      vfs.open(tmp, util::Vfs::OpenMode::kTruncate, &st);
-  if (f == nullptr) return fail_io("open", st.err, 0, tmp);
-  if (util::VfsStatus s = f->write(b); !s) {
-    f.reset();
-    vfs.remove(tmp);
-    return fail_io("write", s.err, 0, tmp);
-  }
-  if (util::VfsStatus s = f->sync(); !s) {
-    f.reset();
-    vfs.remove(tmp);
-    return fail_io("fsync", s.err, 0, tmp);
-  }
-  f.reset();  // close before the rename
-  c_writes().add();
-  c_write_bytes().add(b.size());
-  c_fsyncs().add();
-  if (util::VfsStatus s = vfs.rename(tmp, path); !s) {
-    vfs.remove(tmp);
-    return fail_io("rename", s.err, 0, path);
-  }
-  c_renames().add();
-  // Without this the rename itself is not power-loss durable: the old
-  // directory entry could come back and resurrect the previous manifest.
-  if (util::VfsStatus s = vfs.sync_dir(path); !s) {
-    return fail_io("fsyncdir", s.err, 0, path);
-  }
-  return {};
 }
 
 }  // namespace proxion::store

@@ -20,11 +20,7 @@
 // mid-file bit rot loses only the frames it actually hit (the durable sweep
 // recomputes exactly those). A shard commits when its kShardCommit frame
 // is fsynced: the frame's place in the valid prefix implies its records'.
-// Alongside the journal lives a manifest (journal path + ".manifest"), a
-// summary replaced via write-temp-then-rename once, when a run() or a boot
-// completes. rename(2) is atomic on POSIX, and the parent directory is
-// fsynced after the rename so the new entry survives power loss too. Boot
-// never reads it: the journal alone says what is committed.
+// The journal alone says what is committed.
 #pragma once
 
 #include <cstdint>
@@ -40,11 +36,10 @@ namespace proxion::store {
 
 inline constexpr std::size_t kJournalMagicSize = 8;
 inline constexpr char kJournalMagic[kJournalMagicSize + 1] = "PROXJRNL";
-/// v3: contract records name what their analysis read (each logic's code
-/// hash and the §7.1 donors of their own and their logics' code hashes).
-/// Readers reject other versions wholesale — a v2 journal resumes as a
-/// fresh sweep.
-inline constexpr std::uint16_t kJournalVersion = 3;
+/// v4: a journal holds only kContract and kShardCommit frames (v3's sweep
+/// begin/end frames, types 1 and 4, are retired). Readers reject other
+/// versions wholesale — a v2 or v3 journal resumes as a fresh sweep.
+inline constexpr std::uint16_t kJournalVersion = 4;
 /// header = magic + version + reserved.
 inline constexpr std::size_t kJournalHeaderSize = kJournalMagicSize + 4;
 /// Frame overhead around the payload: length + type + checksum.
@@ -59,7 +54,7 @@ inline constexpr std::uint32_t kMaxFramePayload = 1u << 28;  // 256 MiB
 /// bare-bool API: `if (!writer.sync()) ...` still reads the same.
 struct IoResult {
   bool ok = true;
-  /// What was being attempted ("append", "fsync", "rename", ...).
+  /// What was being attempted ("append", "fsync", "truncate", ...).
   std::string op;
   int err = 0;
   /// File offset of the failed operation, when meaningful.
@@ -76,11 +71,10 @@ struct IoResult {
 };
 
 /// Frame types (payload schemas in records.h / CHECKPOINT_FORMAT.md).
+/// Values 1 and 4 are retired: a frame carrying them is not a frame.
 enum class RecordType : std::uint8_t {
-  kSweepBegin = 1,   // population size + shard geometry
   kContract = 2,     // one ContractAnalysis + its fingerprint and dependencies
   kShardCommit = 3,  // shard index + contract count became durable
-  kSweepEnd = 4,     // the sweep covered the whole population
 };
 
 struct JournalReplay;
@@ -195,51 +189,19 @@ struct JournalReplay {
 /// Scans `path` and returns the valid frame prefix (or, with
 /// opts.salvage, every valid frame — see ReplayOptions). nullopt when the
 /// file does not exist or its header is not a compatible journal header (a
-/// *corrupt header* is unrecoverable by design — the manifest still names
-/// the sweep state, but the data must be re-swept).
+/// *corrupt header* is unrecoverable by design: the data must be
+/// re-swept).
 std::optional<JournalReplay> read_journal(const std::string& path,
                                           util::Vfs& vfs = util::Vfs::real(),
                                           const ReplayOptions& opts = {});
 
-/// Summary of a completed sweep, stored next to the journal and replaced
-/// atomically (write temp + fsync + rename + dir fsync) when a run() or a
-/// boot completes. The journal's kShardCommit frames are the commit
-/// records; no boot reads this.
-struct Manifest {
-  std::uint16_t version = kJournalVersion;
-  /// Journal size (bytes, incl. header) at the end of the run() or boot
-  /// that wrote this manifest. Frames beyond it are valid but not covered
-  /// (a sweep in progress, or the follower's laps); replay accepts them —
-  /// they hold completed, deterministic analyses.
-  std::uint64_t committed_bytes = 0;
-  std::uint64_t shards_committed = 0;
-  /// Unique contracts whose records lie inside committed_bytes (replayed +
-  /// recomputed by the run() or boot that wrote this manifest).
-  std::uint64_t contracts_committed = 0;
-  /// True once kSweepEnd was journaled: the population was fully covered.
-  bool complete = false;
-
-  friend bool operator==(const Manifest&, const Manifest&) = default;
-};
-
-/// The manifest path convention: `<journal path>.manifest`.
+/// `<journal path>.manifest`, where journals before v4 kept a summary
+/// file. The store neither reads nor writes it; callers use the path only
+/// to clean a leftover one up.
 std::string manifest_path_for(const std::string& journal_path);
 
 /// The torn-tail sidecar convention: `<journal path>.torn` (forensic copy
 /// of the last truncated tail; overwritten each time a new tail is cut).
 std::string torn_sidecar_path_for(const std::string& journal_path);
-
-/// Loads a manifest; nullopt when missing or its self-checksum fails (a
-/// torn manifest write is impossible under the rename protocol, so a bad
-/// checksum means external corruption — caller should treat the sweep as
-/// never-committed).
-std::optional<Manifest> load_manifest(const std::string& path,
-                                      util::Vfs& vfs = util::Vfs::real());
-
-/// Atomically replaces `path` with `m` (temp file + fsync + rename + parent
-/// dir fsync — without the last step a power cut after the rename could
-/// still resurrect the old manifest).
-IoResult store_manifest(const std::string& path, const Manifest& m,
-                        util::Vfs& vfs = util::Vfs::real());
 
 }  // namespace proxion::store

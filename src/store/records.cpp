@@ -347,23 +347,6 @@ std::optional<ContractRecord> decode_contract_record(
   return rec;
 }
 
-std::vector<std::uint8_t> encode_sweep_begin(const SweepBeginRecord& rec) {
-  Writer w(16);
-  w.u64(rec.population);
-  w.u64(rec.shard_size);
-  return std::move(w).finish();
-}
-
-std::optional<SweepBeginRecord> decode_sweep_begin(
-    std::span<const std::uint8_t> payload) {
-  Cursor c(payload);
-  SweepBeginRecord rec;
-  rec.population = c.u64();
-  rec.shard_size = c.u64();
-  if (!c.exhausted()) return std::nullopt;
-  return rec;
-}
-
 std::vector<std::uint8_t> encode_shard_commit(const ShardCommitRecord& rec) {
   Writer w(16);
   w.u64(rec.shard_index);
@@ -376,21 +359,6 @@ std::optional<ShardCommitRecord> decode_shard_commit(
   Cursor c(payload);
   ShardCommitRecord rec;
   rec.shard_index = c.u64();
-  rec.contracts = c.u64();
-  if (!c.exhausted()) return std::nullopt;
-  return rec;
-}
-
-std::vector<std::uint8_t> encode_sweep_end(const SweepEndRecord& rec) {
-  Writer w(8);
-  w.u64(rec.contracts);
-  return std::move(w).finish();
-}
-
-std::optional<SweepEndRecord> decode_sweep_end(
-    std::span<const std::uint8_t> payload) {
-  Cursor c(payload);
-  SweepEndRecord rec;
   rec.contracts = c.u64();
   if (!c.exhausted()) return std::nullopt;
   return rec;

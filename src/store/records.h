@@ -1,6 +1,6 @@
 // Payload schemas for the journal's frame types: how a ContractAnalysis
-// (plus its fingerprint and dependencies) and the sweep/shard bookkeeping
-// records serialize to bytes. Everything is fixed little-endian with
+// (plus its fingerprint and dependencies) and the shard commit record
+// serialize to bytes. Everything is fixed little-endian with
 // length-prefixed sequences — the normative byte-level description lives in
 // docs/CHECKPOINT_FORMAT.md; this header is its implementation.
 #pragma once
@@ -63,19 +63,6 @@ std::vector<std::uint8_t> encode_contract_record(const ContractRecord& rec);
 std::optional<ContractRecord> decode_contract_record(
     std::span<const std::uint8_t> payload);
 
-/// kSweepBegin payload: the population geometry the journal was opened for.
-struct SweepBeginRecord {
-  std::uint64_t population = 0;
-  std::uint64_t shard_size = 0;
-
-  friend bool operator==(const SweepBeginRecord&,
-                         const SweepBeginRecord&) = default;
-};
-
-std::vector<std::uint8_t> encode_sweep_begin(const SweepBeginRecord& rec);
-std::optional<SweepBeginRecord> decode_sweep_begin(
-    std::span<const std::uint8_t> payload);
-
 /// kShardCommit payload: all of shard `shard_index`'s contract records
 /// precede this frame and are durable (the writer synced before appending).
 struct ShardCommitRecord {
@@ -88,17 +75,6 @@ struct ShardCommitRecord {
 
 std::vector<std::uint8_t> encode_shard_commit(const ShardCommitRecord& rec);
 std::optional<ShardCommitRecord> decode_shard_commit(
-    std::span<const std::uint8_t> payload);
-
-/// kSweepEnd payload: total contracts covered when the sweep finished.
-struct SweepEndRecord {
-  std::uint64_t contracts = 0;
-
-  friend bool operator==(const SweepEndRecord&, const SweepEndRecord&) = default;
-};
-
-std::vector<std::uint8_t> encode_sweep_end(const SweepEndRecord& rec);
-std::optional<SweepEndRecord> decode_sweep_end(
     std::span<const std::uint8_t> payload);
 
 }  // namespace proxion::store

@@ -1,5 +1,5 @@
 // The filesystem abstraction seam for the durable store: every byte the
-// checkpoint journal and its manifest put on (or read off) disk goes through
+// checkpoint journal and its sidecar put on (or read off) disk goes through
 // a `Vfs`, the storage-side twin of `chain::IArchiveNode`. Production uses
 // the process-wide `Vfs::real()` (stdio + POSIX fsync, including the
 // parent-directory fsync that makes rename(2) and file creation durable);

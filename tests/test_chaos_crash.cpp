@@ -6,11 +6,13 @@
 // disasters: ENOSPC mid-sweep (graceful in-memory degradation), fsync
 // failure (fsyncgate fail-stop: the failed file is never synced again), and
 // at-rest bit rot in a committed shard (self-heal recomputes exactly the
-// damaged hash group). And the commit schedule: one journal fsync per shard,
-// one manifest per run() or boot, none per lap.
+// damaged hash group). And the commit schedule: one journal fsync per shard
+// and no other file synced.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "store/durable_sweep.h"
 #include "store/journal.h"
 #include "store/records.h"
+#include "util/vfs.h"
 #include "util/vfs_fault.h"
 
 namespace {
@@ -67,10 +70,11 @@ void expect_same_verdicts(const core::LandscapeStats& a,
 }
 
 store::DurableSweepConfig sweep_config(util::Vfs& vfs,
-                                       obs::Registry* reg = nullptr) {
+                                       obs::Registry* reg = nullptr,
+                                       std::size_t shard_size = 60) {
   store::DurableSweepConfig sc;
   sc.journal_path = kJournal;
-  sc.shard_size = 60;
+  sc.shard_size = shard_size;
   sc.vfs = &vfs;
   sc.registry = reg;
   return sc;
@@ -79,21 +83,54 @@ store::DurableSweepConfig sweep_config(util::Vfs& vfs,
 store::DurableSweepResult run_sweep(datagen::Population& pop,
                                     const std::vector<core::SweepInput>& inputs,
                                     util::Vfs& vfs,
-                                    obs::Registry* reg = nullptr) {
+                                    obs::Registry* reg = nullptr,
+                                    std::size_t shard_size = 60) {
   core::AnalysisPipeline pipeline(*pop.chain, &pop.sources, {});
   store::DurableSweep sweep(pipeline, *pop.chain, &pop.sources,
-                            sweep_config(vfs, reg));
+                            sweep_config(vfs, reg, shard_size));
   return sweep.run(inputs);
 }
+
+/// Forwards to another filesystem and counts the renames asked of it.
+class RenameCountingVfs final : public util::Vfs {
+ public:
+  explicit RenameCountingVfs(util::Vfs& inner) : inner_(inner) {}
+
+  std::unique_ptr<util::VfsFile> open(const std::string& path, OpenMode mode,
+                                      util::VfsStatus* status) override {
+    return inner_.open(path, mode, status);
+  }
+  std::optional<std::vector<std::uint8_t>> read_file(
+      const std::string& path) override {
+    return inner_.read_file(path);
+  }
+  util::VfsStatus rename(const std::string& from,
+                         const std::string& to) override {
+    ++renames;
+    return inner_.rename(from, to);
+  }
+  util::VfsStatus remove(const std::string& path) override {
+    return inner_.remove(path);
+  }
+  util::VfsStatus sync_dir(const std::string& path) override {
+    return inner_.sync_dir(path);
+  }
+
+  std::uint64_t renames = 0;
+
+ private:
+  util::Vfs& inner_;
+};
 
 /// What a restarted process runs: a fresh instance's first incremental()
 /// call boots from the journal and finishes the sweep.
 store::DurableSweepResult resume_sweep(
     datagen::Population& pop, const std::vector<core::SweepInput>& inputs,
-    util::Vfs& vfs, obs::Registry* reg = nullptr) {
+    util::Vfs& vfs, obs::Registry* reg = nullptr,
+    std::size_t shard_size = 60) {
   core::AnalysisPipeline pipeline(*pop.chain, &pop.sources, {});
   store::DurableSweep sweep(pipeline, *pop.chain, &pop.sources,
-                            sweep_config(vfs, reg));
+                            sweep_config(vfs, reg, shard_size));
   return sweep.incremental(inputs, {});
 }
 
@@ -103,9 +140,12 @@ TEST(ChaosCrash, PowerCutAtEveryBoundaryResumesBitIdentical) {
 
   // Fault-free reference through the model filesystem: the verdict oracle
   // AND the boundary count (the op sequence is deterministic, so every
-  // index in [0, boundaries) is a distinct crash point).
+  // index in [0, boundaries) is a distinct crash point). Small shards give
+  // the matrix enough commits, and boundaries between them, to cut at.
+  constexpr std::size_t kShardSize = 30;
   FaultInjectingVfs ref_vfs;
-  const store::DurableSweepResult ref = run_sweep(pop, inputs, ref_vfs);
+  const store::DurableSweepResult ref =
+      run_sweep(pop, inputs, ref_vfs, nullptr, kShardSize);
   ASSERT_TRUE(ref.error.empty()) << ref.error;
   ASSERT_TRUE(ref.complete);
   ASSERT_GE(ref.shards_run, 4u) << "population/shard_size must give >=4 "
@@ -125,7 +165,7 @@ TEST(ChaosCrash, PowerCutAtEveryBoundaryResumesBitIdentical) {
 
     bool cut = false;
     try {
-      (void)run_sweep(pop, inputs, vfs);
+      (void)run_sweep(pop, inputs, vfs, nullptr, kShardSize);
     } catch (const PowerCutException&) {
       cut = true;
     }
@@ -140,7 +180,8 @@ TEST(ChaosCrash, PowerCutAtEveryBoundaryResumesBitIdentical) {
         test_oracle::committed_contracts(kJournal, vfs);
     if (committed > 0) ++cuts_with_commits;
 
-    const store::DurableSweepResult res = resume_sweep(pop, inputs, vfs);
+    const store::DurableSweepResult res =
+        resume_sweep(pop, inputs, vfs, nullptr, kShardSize);
     ASSERT_TRUE(res.error.empty()) << res.error;
     ASSERT_TRUE(res.complete);
     EXPECT_FALSE(res.degraded);
@@ -151,18 +192,17 @@ TEST(ChaosCrash, PowerCutAtEveryBoundaryResumesBitIdentical) {
     test_oracle::expect_same_records(test_oracle::last_records(kJournal, vfs),
                                      ref_records);
 
-    // The journal reads back whole after the resume, and the manifest
-    // records full coverage.
+    // The journal reads back whole after the resume and ends on a commit.
+    // Its commit frames add the resume's recomputed contracts to what was
+    // committed before the cut; records a cut left durable but uncommitted
+    // replay without a commit of their own.
     const auto replay = store::read_journal(kJournal, vfs);
     ASSERT_TRUE(replay.has_value());
     EXPECT_FALSE(replay->tail_dropped);
     ASSERT_FALSE(replay->frames.empty());
-    EXPECT_EQ(replay->frames.back().type, store::RecordType::kSweepEnd);
-    const auto final_manifest =
-        store::load_manifest(store::manifest_path_for(kJournal), vfs);
-    ASSERT_TRUE(final_manifest.has_value());
-    EXPECT_TRUE(final_manifest->complete);
-    EXPECT_EQ(final_manifest->contracts_committed, inputs.size());
+    EXPECT_EQ(replay->frames.back().type, store::RecordType::kShardCommit);
+    EXPECT_EQ(test_oracle::committed_contracts(kJournal, vfs),
+              committed + res.recomputed);
   }
   // The matrix must include cuts AFTER durable commits, or the
   // zero-recompute claim was never exercised.
@@ -198,13 +238,11 @@ TEST(ChaosCrash, EnospcMidSweepCompletesDegradedThenResumesClean) {
   expect_same_verdicts(res.stats, ref.stats);
 
   // At least one shard made it to disk before the disk filled, and the
-  // degraded sweep stored no manifest claiming completion.
+  // journal claims no more than that.
   const std::uint64_t committed =
       test_oracle::committed_contracts(kJournal, vfs);
   ASSERT_GT(committed, 0u);
   ASSERT_LT(committed, inputs.size());
-  EXPECT_FALSE(
-      store::load_manifest(store::manifest_path_for(kJournal), vfs).has_value());
 
   // Operator frees disk space; resume finishes the checkpoint without
   // recomputing the committed prefix.
@@ -227,7 +265,7 @@ TEST(ChaosCrash, FsyncFailureFailsStopAndNeverSyncsThatFileAgain) {
   FaultInjectingVfs ref_vfs;
   const store::DurableSweepResult ref = run_sweep(pop, inputs, ref_vfs);
   ASSERT_TRUE(ref.error.empty()) << ref.error;
-  // Fault-free journal sync schedule: create + one per shard + finish.
+  // Fault-free journal sync schedule: create + one per shard.
   const std::uint64_t ref_journal_syncs = ref_vfs.fsync_calls(kJournal);
   ASSERT_GE(ref_journal_syncs, 6u);
 
@@ -264,43 +302,25 @@ TEST(ChaosCrash, FsyncFailureFailsStopAndNeverSyncsThatFileAgain) {
   EXPECT_EQ(commits, 1u);
 }
 
-TEST(CommitSchedule, RunSyncsTheJournalOncePerShardAndStoresOneManifest) {
+TEST(CommitSchedule, RunSyncsOnlyTheJournalOncePerShard) {
   // A shard commit is its records, its kShardCommit frame and one journal
-  // fsync. The manifest is stored once, when the run completes.
+  // fsync. The journal is the only file a run syncs, and nothing is renamed.
   datagen::Population pop = make_population();
   const auto inputs = pop.sweep_inputs();
   FaultInjectingVfs vfs;
-  const store::DurableSweepResult res = run_sweep(pop, inputs, vfs);
+  RenameCountingVfs counting(vfs);
+  const store::DurableSweepResult res = run_sweep(pop, inputs, counting);
   ASSERT_TRUE(res.error.empty()) << res.error;
   ASSERT_TRUE(res.complete);
   ASSERT_GE(res.shards_run, 4u);
-  // Creation, one per shard, the sweep end.
-  EXPECT_EQ(vfs.fsync_calls(kJournal), res.shards_run + 2);
-  // Every other file sync is a manifest write.
-  EXPECT_EQ(vfs.syncs_total() - vfs.fsync_calls(kJournal), 1u);
-  const auto manifest =
-      store::load_manifest(store::manifest_path_for(kJournal), vfs);
-  ASSERT_TRUE(manifest.has_value());
-  EXPECT_TRUE(manifest->complete);
-  EXPECT_EQ(manifest->shards_committed, res.shards_run);
-  EXPECT_EQ(manifest->contracts_committed, inputs.size());
-  EXPECT_EQ(manifest->committed_bytes, vfs.peek(kJournal)->size());
-
-  // A new journal at the path drops the old journal's manifest: a run that
-  // stops after one shard leaves none.
-  store::DurableSweepConfig stop_early = sweep_config(vfs);
-  stop_early.max_shards = 1;
-  core::AnalysisPipeline pipeline(*pop.chain, &pop.sources, {});
-  const store::DurableSweepResult stopped =
-      store::DurableSweep(pipeline, *pop.chain, &pop.sources, stop_early)
-          .run(inputs);
-  ASSERT_TRUE(stopped.error.empty()) << stopped.error;
-  EXPECT_FALSE(stopped.complete);
-  EXPECT_FALSE(
-      store::load_manifest(store::manifest_path_for(kJournal), vfs).has_value());
+  // Creation, then one per shard.
+  EXPECT_EQ(vfs.fsync_calls(kJournal), res.shards_run + 1);
+  EXPECT_EQ(vfs.syncs_total(), vfs.fsync_calls(kJournal));
+  EXPECT_EQ(counting.renames, 0u);
+  EXPECT_EQ(test_oracle::committed_contracts(kJournal, vfs), inputs.size());
 }
 
-TEST(CommitSchedule, RecomputingLapSyncsTheJournalTwiceAndKeepsTheManifest) {
+TEST(CommitSchedule, RecomputingLapSyncsTheJournalOnce) {
   datagen::Population pop = make_population();
   const auto inputs = pop.sweep_inputs();
   FaultInjectingVfs vfs;
@@ -308,10 +328,6 @@ TEST(CommitSchedule, RecomputingLapSyncsTheJournalTwiceAndKeepsTheManifest) {
   store::DurableSweep sweep(pipeline, *pop.chain, &pop.sources,
                             sweep_config(vfs));
   ASSERT_TRUE(sweep.incremental(inputs, {}).error.empty());
-  const std::string manifest_path = store::manifest_path_for(kJournal);
-  const std::optional<std::vector<std::uint8_t>> manifest_bytes =
-      vfs.peek(manifest_path);
-  ASSERT_TRUE(manifest_bytes.has_value());
   const std::uint64_t journal_syncs = vfs.fsync_calls(kJournal);
   const std::uint64_t syncs = vfs.syncs_total();
 
@@ -339,10 +355,9 @@ TEST(CommitSchedule, RecomputingLapSyncsTheJournalTwiceAndKeepsTheManifest) {
   ASSERT_GE(lap.recomputed, 1u);
   ASSERT_EQ(lap.shards_run, 1u);
 
-  // The shard's commit and the sweep end; nothing else is synced.
-  EXPECT_EQ(vfs.fsync_calls(kJournal) - journal_syncs, 2u);
-  EXPECT_EQ(vfs.syncs_total() - syncs, 2u);
-  EXPECT_EQ(vfs.peek(manifest_path), manifest_bytes);
+  // The shard's commit; nothing else is synced.
+  EXPECT_EQ(vfs.fsync_calls(kJournal) - journal_syncs, 1u);
+  EXPECT_EQ(vfs.syncs_total() - syncs, 1u);
 }
 
 TEST(ChaosCrash, BitRotInCommittedShardSelfHealsExactlyThatGroup) {
@@ -426,7 +441,7 @@ TEST(ChaosCrash, BitRotInCommittedShardSelfHealsExactlyThatGroup) {
   ASSERT_TRUE(replay.has_value());
   EXPECT_EQ(replay->corrupt_gaps, 1u);
   EXPECT_FALSE(replay->tail_dropped);
-  EXPECT_EQ(replay->frames.back().type, store::RecordType::kSweepEnd);
+  EXPECT_EQ(replay->frames.back().type, store::RecordType::kShardCommit);
 }
 
 }  // namespace

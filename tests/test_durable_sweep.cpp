@@ -41,7 +41,6 @@ std::string temp_journal(const std::string& name) {
   fs::create_directories(dir);
   const fs::path p = dir / name;
   fs::remove(p);
-  fs::remove(store::manifest_path_for(p.string()));
   return p.string();
 }
 
@@ -107,11 +106,7 @@ TEST(DurableSweep, MatchesMonolithicRun) {
   expect_same_verdicts(result.stats, mono_stats);
   EXPECT_EQ(result.stats.sweep_shards, result.shards_run);
 
-  const auto manifest =
-      store::load_manifest(store::manifest_path_for(sc.journal_path));
-  ASSERT_TRUE(manifest.has_value());
-  EXPECT_TRUE(manifest->complete);
-  EXPECT_EQ(manifest->contracts_committed, inputs.size());
+  EXPECT_EQ(test_oracle::committed_contracts(sc.journal_path), inputs.size());
 }
 
 TEST(DurableSweep, ColdSweepHashesNoInputBlob) {
@@ -223,13 +218,9 @@ TEST(DurableSweep, KillMidSweepThenResumeIsBitIdentical) {
   ASSERT_GT(partial.recomputed, 0u);
   ASSERT_LT(partial.recomputed, inputs.size());
 
-  // The journal's commit frames cover the two shards; the stopped run
-  // stored no manifest.
+  // The journal's commit frames cover the two shards, and no more.
   EXPECT_EQ(test_oracle::committed_contracts(sc.journal_path),
             partial.recomputed);
-  EXPECT_FALSE(
-      store::load_manifest(store::manifest_path_for(sc.journal_path))
-          .has_value());
 
   sc.max_shards = 0;
   store::DurableSweep resumed(piped, *pop.chain, &pop.sources, sc);
@@ -242,10 +233,7 @@ TEST(DurableSweep, KillMidSweepThenResumeIsBitIdentical) {
   expect_same_verdicts(result.stats, mono_stats);
   EXPECT_EQ(result.stats.journal_replayed, result.replayed);
 
-  const auto manifest =
-      store::load_manifest(store::manifest_path_for(sc.journal_path));
-  ASSERT_TRUE(manifest.has_value());
-  EXPECT_TRUE(manifest->complete);
+  EXPECT_EQ(test_oracle::committed_contracts(sc.journal_path), inputs.size());
 }
 
 TEST(DurableSweep, ResumeSurvivesTornTail) {
@@ -286,7 +274,7 @@ TEST(DurableSweep, ResumeSurvivesTornTail) {
   const auto replay = store::read_journal(sc.journal_path);
   ASSERT_TRUE(replay.has_value());
   EXPECT_FALSE(replay->tail_dropped);
-  EXPECT_EQ(replay->frames.back().type, store::RecordType::kSweepEnd);
+  EXPECT_EQ(replay->frames.back().type, store::RecordType::kShardCommit);
 }
 
 TEST(DurableSweep, IncrementalWithoutChangesRecomputesNothing) {
@@ -1167,8 +1155,8 @@ TEST(DurableSweep, BootAfterLogicCodeChangeMatchesColdSweepRecords) {
 }
 
 TEST(DurableSweep, RestartAfterLapsReplaysEveryLapRecord) {
-  // Laps append past the manifest's committed_bytes; their commit frames
-  // are what makes them durable. A restarted process replays every lap
+  // Laps append past what the boot wrote; their commit frames are what
+  // makes them durable. A restarted process replays every lap
   // record and recomputes nothing.
   datagen::Population pop = make_population(600);
   const auto inputs = pop.sweep_inputs();
@@ -1195,10 +1183,7 @@ TEST(DurableSweep, RestartAfterLapsReplaysEveryLapRecord) {
     core::AnalysisPipeline piped(*pop.chain, &pop.sources);
     store::DurableSweep sweep(piped, *pop.chain, &pop.sources, sc);
     ASSERT_TRUE(sweep.incremental(inputs, {}).error.empty());
-    const auto boot_manifest =
-        store::load_manifest(store::manifest_path_for(sc.journal_path));
-    ASSERT_TRUE(boot_manifest.has_value());
-    boot_bytes = boot_manifest->committed_bytes;
+    boot_bytes = fs::file_size(sc.journal_path);
     for (const evm::Address& proxy : proxies) {
       pop.chain->set_storage(proxy, slot, new_logic.to_word());
       pop.chain->mine_block();
@@ -1207,7 +1192,7 @@ TEST(DurableSweep, RestartAfterLapsReplaysEveryLapRecord) {
       ASSERT_GE(lap.recomputed, 1u);
     }
   }
-  // The laps' frames lie past what the boot's manifest covers.
+  // The laps' frames lie past what the boot wrote.
   EXPECT_GT(fs::file_size(sc.journal_path), boot_bytes);
 
   core::AnalysisPipeline piped(*pop.chain, &pop.sources);

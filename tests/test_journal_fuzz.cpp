@@ -142,7 +142,7 @@ TEST(JournalFuzz, OpenAppendAfterCorruptionPreservesTornSidecar) {
   // Appending after the heal yields a clean journal: original frames minus
   // the torn one, plus the new one.
   const std::vector<std::uint8_t> extra(9, 0x77);
-  ASSERT_TRUE(writer->append(store::RecordType::kSweepEnd, extra));
+  ASSERT_TRUE(writer->append(store::RecordType::kShardCommit, extra));
   ASSERT_TRUE(writer->sync());
   const auto replay = store::read_journal(path, vfs);
   ASSERT_TRUE(replay.has_value());

@@ -54,7 +54,6 @@ std::string temp_journal(const std::string& name) {
   fs::create_directories(dir);
   const fs::path p = dir / name;
   fs::remove(p);
-  fs::remove(store::manifest_path_for(p.string()));
   return p.string();
 }
 

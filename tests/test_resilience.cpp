@@ -576,7 +576,6 @@ class FaultSweepTest : public ::testing::Test {
     store::DurableSweepConfig sc;
     sc.journal_path = (dir / name).string();
     fs::remove(sc.journal_path);
-    fs::remove(store::manifest_path_for(sc.journal_path));
     return sc;
   }
 

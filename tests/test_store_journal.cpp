@@ -1,11 +1,12 @@
 // Torture tests for the checkpoint journal: frame round-trips, empty and
 // missing journals, truncated tails, corrupted CRC frames, record
-// serialization fidelity, the append buffer's growth, the manifest's
-// atomic-replace protocol, and a boot over a journal of another version.
+// serialization fidelity, the append buffer's growth, retired frame types,
+// and a boot over a journal of another version.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -69,7 +70,6 @@ std::string temp_path(const std::string& name) {
   fs::create_directories(dir);
   const fs::path p = dir / name;
   fs::remove(p);
-  fs::remove(manifest_path_for(p.string()));
   return p.string();
 }
 
@@ -188,37 +188,28 @@ TEST(Journal, FrameRoundTrip) {
   {
     auto writer = JournalWriter::create(path);
     ASSERT_TRUE(writer.has_value());
-    ASSERT_TRUE(writer->append(RecordType::kSweepBegin,
-                               encode_sweep_begin({100, 16})));
     ASSERT_TRUE(writer->append(RecordType::kContract,
                                encode_contract_record(full_record())));
     ASSERT_TRUE(writer->append(RecordType::kShardCommit,
-                               encode_shard_commit({0, 1})));
-    ASSERT_TRUE(writer->append(RecordType::kSweepEnd, encode_sweep_end({100})));
+                               encode_shard_commit({7, 1})));
     ASSERT_TRUE(writer->sync());
   }
   const auto replay = read_journal(path);
   ASSERT_TRUE(replay.has_value());
-  ASSERT_EQ(replay->frames.size(), 4u);
+  ASSERT_EQ(replay->frames.size(), 2u);
   EXPECT_FALSE(replay->tail_dropped);
   EXPECT_EQ(replay->crc_failures, 0u);
 
-  const auto begin = decode_sweep_begin(replay->frames[0].payload);
-  ASSERT_TRUE(begin.has_value());
-  EXPECT_EQ(begin->population, 100u);
-  EXPECT_EQ(begin->shard_size, 16u);
-
-  const auto rec = decode_contract_record(replay->frames[1].payload);
+  ASSERT_EQ(replay->frames[0].type, RecordType::kContract);
+  const auto rec = decode_contract_record(replay->frames[0].payload);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(*rec, full_record());  // field-for-field, incl. nested reports
 
-  const auto commit = decode_shard_commit(replay->frames[2].payload);
+  ASSERT_EQ(replay->frames[1].type, RecordType::kShardCommit);
+  const auto commit = decode_shard_commit(replay->frames[1].payload);
   ASSERT_TRUE(commit.has_value());
+  EXPECT_EQ(commit->shard_index, 7u);
   EXPECT_EQ(commit->contracts, 1u);
-
-  const auto end = decode_sweep_end(replay->frames[3].payload);
-  ASSERT_TRUE(end.has_value());
-  EXPECT_EQ(end->contracts, 100u);
 }
 
 TEST(Journal, QuarantinedRecordRoundTrip) {
@@ -231,8 +222,9 @@ TEST(Journal, QuarantinedRecordRoundTrip) {
 }
 
 TEST(Journal, RecordEncodingIsPinnedByteForByte) {
-  // Golden values of the v3 encoding: any change to the bytes a record
-  // encodes to, however it is built, fails here before it reaches a journal.
+  // Golden values of the record encoding (unchanged from v3 to v4): any
+  // change to the bytes a record encodes to, however it is built, fails
+  // here before it reaches a journal.
   const std::vector<std::uint8_t> full = encode_contract_record(full_record());
   EXPECT_EQ(full.size(), 358u);
   EXPECT_EQ(crc32c(full.data(), full.size()), 0x460743DBu);
@@ -242,12 +234,8 @@ TEST(Journal, RecordEncodingIsPinnedByteForByte) {
   const std::vector<std::uint8_t> q = encode_contract_record(quarantined);
   EXPECT_EQ(q.size(), 384u);
   EXPECT_EQ(crc32c(q.data(), q.size()), 0x4CBE2DB9u);
-  const std::vector<std::uint8_t> begin = encode_sweep_begin({100, 16});
   const std::vector<std::uint8_t> commit = encode_shard_commit({3, 64});
-  const std::vector<std::uint8_t> end = encode_sweep_end({100});
-  EXPECT_EQ(crc32c(begin.data(), begin.size()), 0x74D6CC37u);
   EXPECT_EQ(crc32c(commit.data(), commit.size()), 0x4B88312Bu);
-  EXPECT_EQ(crc32c(end.data(), end.size()), 0xBA359E4Cu);
 
   // The buffer is sized once: encoding allocates only the bytes it returns.
   const ContractRecord rec = full_record();
@@ -325,13 +313,13 @@ TEST(Journal, CorruptedCrcStopsReplay) {
   {
     auto writer = JournalWriter::create(path);
     ASSERT_TRUE(writer.has_value());
-    ASSERT_TRUE(writer->append(RecordType::kSweepBegin,
-                               encode_sweep_begin({10, 4})));
+    ASSERT_TRUE(writer->append(RecordType::kContract,
+                               encode_contract_record(full_record())));
     first_frame_end = writer->size_bytes();
     ASSERT_TRUE(writer->append(RecordType::kContract,
                                encode_contract_record(full_record())));
     ASSERT_TRUE(writer->append(RecordType::kShardCommit,
-                               encode_shard_commit({0, 1})));
+                               encode_shard_commit({0, 2})));
     ASSERT_TRUE(writer->sync());
   }
   std::vector<std::uint8_t> bytes = file_bytes(path);
@@ -377,46 +365,103 @@ TEST(Journal, DecodeRejectsTrailingBytes) {
 }
 
 TEST(Journal, VersionTwoJournalBootsAsAFreshSweep) {
-  // Readers reject a journal of another version, such as v2, wholesale. A
-  // boot over one replays nothing: it starts a new journal and sweeps
-  // every input, so its records are a cold sweep's.
+  // Readers reject a journal of another version, such as v2 or v3,
+  // wholesale. A boot over one replays nothing: it starts a new journal and
+  // sweeps every input, so its records are a cold sweep's.
   datagen::PopulationSpec spec;
   spec.total_contracts = 300;
   datagen::Population pop = datagen::PopulationGenerator().generate(spec);
   const std::vector<core::SweepInput> inputs = pop.sweep_inputs();
-  DurableSweepConfig sc;
-  sc.journal_path = temp_path("older_version.journal");
-  sc.shard_size = 100;
+  DurableSweepConfig cold;
+  cold.journal_path = temp_path("older_version_cold.journal");
+  cold.shard_size = 100;
   {
-    core::AnalysisPipeline piped(*pop.chain, &pop.sources);
-    ASSERT_TRUE(DurableSweep(piped, *pop.chain, &pop.sources, sc)
+    core::AnalysisPipeline cold_pipeline(*pop.chain, &pop.sources);
+    ASSERT_TRUE(DurableSweep(cold_pipeline, *pop.chain, &pop.sources, cold)
                     .run(inputs)
                     .error.empty());
   }
-  // The header's u16 version follows the 8-byte magic, little-endian.
-  std::vector<std::uint8_t> bytes = file_bytes(sc.journal_path);
-  ASSERT_GE(bytes.size(), kJournalHeaderSize);
-  ASSERT_EQ(bytes[8] | (bytes[9] << 8), kJournalVersion);
-  bytes[8] = 2;
-  bytes[9] = 0;
-  write_file(sc.journal_path, bytes);
-  ASSERT_FALSE(read_journal(sc.journal_path).has_value());
+  for (const std::uint8_t version : {2, 3}) {
+    SCOPED_TRACE("journal version " + std::to_string(version));
+    DurableSweepConfig sc = cold;
+    sc.journal_path = temp_path("older_version.journal");
+    {
+      core::AnalysisPipeline piped(*pop.chain, &pop.sources);
+      ASSERT_TRUE(DurableSweep(piped, *pop.chain, &pop.sources, sc)
+                      .run(inputs)
+                      .error.empty());
+    }
+    // The header's u16 version follows the 8-byte magic, little-endian.
+    std::vector<std::uint8_t> bytes = file_bytes(sc.journal_path);
+    ASSERT_GE(bytes.size(), kJournalHeaderSize);
+    ASSERT_EQ(bytes[8] | (bytes[9] << 8), kJournalVersion);
+    bytes[8] = version;
+    bytes[9] = 0;
+    write_file(sc.journal_path, bytes);
+    ASSERT_FALSE(read_journal(sc.journal_path).has_value());
 
-  core::AnalysisPipeline piped(*pop.chain, &pop.sources);
-  const DurableSweepResult boot =
-      DurableSweep(piped, *pop.chain, &pop.sources, sc).incremental(inputs, {});
-  ASSERT_TRUE(boot.error.empty()) << boot.error;
-  EXPECT_TRUE(boot.complete);
-  EXPECT_EQ(boot.replayed, 0u);
-  EXPECT_EQ(boot.recomputed, inputs.size());
+    core::AnalysisPipeline piped(*pop.chain, &pop.sources);
+    const DurableSweepResult boot =
+        DurableSweep(piped, *pop.chain, &pop.sources, sc)
+            .incremental(inputs, {});
+    ASSERT_TRUE(boot.error.empty()) << boot.error;
+    EXPECT_TRUE(boot.complete);
+    EXPECT_EQ(boot.replayed, 0u);
+    EXPECT_EQ(boot.recomputed, inputs.size());
+    test_oracle::expect_same_records(sc.journal_path, cold.journal_path);
+  }
+}
 
-  DurableSweepConfig cold = sc;
-  cold.journal_path = temp_path("older_version_cold.journal");
-  core::AnalysisPipeline cold_pipeline(*pop.chain, &pop.sources);
-  ASSERT_TRUE(DurableSweep(cold_pipeline, *pop.chain, &pop.sources, cold)
-                  .run(inputs)
-                  .error.empty());
-  test_oracle::expect_same_records(sc.journal_path, cold.journal_path);
+TEST(Journal, RetiredFrameTypesAreNotFrames) {
+  // Types 1 and 4 (v3's sweep begin and end) are no frame type in v4. A
+  // CRC-valid frame carrying one ends a plain scan, and salvage skips it
+  // as one corrupt gap, keeping the frames past it.
+  for (const std::uint8_t retired : {1, 4}) {
+    SCOPED_TRACE("frame type " + std::to_string(retired));
+    const std::string path = temp_path("retired.journal");
+    std::uint64_t retired_at = 0;
+    {
+      auto writer = JournalWriter::create(path);
+      ASSERT_TRUE(writer.has_value());
+      ASSERT_TRUE(writer->append(RecordType::kContract,
+                                 encode_contract_record(full_record())));
+      retired_at = writer->size_bytes();
+      ASSERT_TRUE(writer->append(RecordType::kShardCommit,
+                                 encode_shard_commit({0, 1})));
+      ASSERT_TRUE(writer->sync());
+    }
+    // Between the two, the frame a v3 writer would have written: length,
+    // type, 8 payload bytes, CRC32C over type and payload.
+    const std::vector<std::uint8_t> body{retired, 100, 0, 0, 0, 0, 0, 0, 0};
+    const std::uint32_t crc = crc32c(body.data(), body.size());
+    std::vector<std::uint8_t> frame{8, 0, 0, 0};
+    frame.insert(frame.end(), body.begin(), body.end());
+    for (int i = 0; i < 4; ++i) {
+      frame.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+    }
+    std::vector<std::uint8_t> bytes = file_bytes(path);
+    bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(retired_at),
+                 frame.begin(), frame.end());
+    write_file(path, bytes);
+
+    const auto plain = read_journal(path);
+    ASSERT_TRUE(plain.has_value());
+    ASSERT_EQ(plain->frames.size(), 1u);
+    EXPECT_EQ(plain->frames[0].type, RecordType::kContract);
+    EXPECT_EQ(plain->valid_bytes, retired_at);
+    EXPECT_EQ(plain->crc_failures, 0u);
+    EXPECT_TRUE(plain->tail_dropped);
+
+    const auto salvaged =
+        read_journal(path, util::Vfs::real(), ReplayOptions{.salvage = true});
+    ASSERT_TRUE(salvaged.has_value());
+    ASSERT_EQ(salvaged->frames.size(), 2u);
+    EXPECT_EQ(salvaged->frames[0].type, RecordType::kContract);
+    EXPECT_EQ(salvaged->frames[1].type, RecordType::kShardCommit);
+    EXPECT_EQ(salvaged->corrupt_gaps, 1u);
+    EXPECT_EQ(salvaged->gap_bytes, frame.size());
+    EXPECT_FALSE(salvaged->tail_dropped);
+  }
 }
 
 TEST(Journal, EncodeRejectsDependenciesOffTheHistory) {
@@ -460,41 +505,6 @@ TEST(Journal, AppendBufferGrowsGeometrically) {
   EXPECT_EQ(writer->frames_appended(), appended / 190);
   EXPECT_LE(g_allocations.load(), 2 * std::bit_width(appended))
       << "allocations while appending " << appended << " bytes";
-}
-
-TEST(Manifest, RoundTripAndAtomicReplace) {
-  const std::string path = temp_path("m.journal") + ".manifest";
-  Manifest m;
-  m.committed_bytes = 4'096;
-  m.shards_committed = 3;
-  m.contracts_committed = 1'234;
-  m.complete = false;
-  ASSERT_TRUE(store_manifest(path, m));
-  auto loaded = load_manifest(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(*loaded, m);
-
-  // Replacement is all-or-nothing: the new state fully supersedes.
-  m.shards_committed = 4;
-  m.complete = true;
-  ASSERT_TRUE(store_manifest(path, m));
-  loaded = load_manifest(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(*loaded, m);
-  // No temp file left behind.
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
-}
-
-TEST(Manifest, CorruptionIsRejected) {
-  const std::string path = temp_path("bad.journal") + ".manifest";
-  Manifest m;
-  m.committed_bytes = 99;
-  ASSERT_TRUE(store_manifest(path, m));
-  std::vector<std::uint8_t> bytes = file_bytes(path);
-  bytes[4] ^= 0x01;
-  write_file(path, bytes);
-  EXPECT_FALSE(load_manifest(path).has_value());
-  EXPECT_FALSE(load_manifest(path + ".nope").has_value());
 }
 
 }  // namespace

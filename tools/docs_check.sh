@@ -28,7 +28,10 @@
 #   8. the `StaticTriage` value list in docs/CHECKPOINT_FORMAT.md's
 #      `static_triage` row equals `enum class StaticTriage` in
 #      src/core/proxy_detector.h: the same names, in the same order, with
-#      raw values counting from 0 (the journal stores the raw value).
+#      raw values counting from 0 (the journal stores the raw value);
+#   9. the record-type table in docs/CHECKPOINT_FORMAT.md §2 equals
+#      `enum class RecordType` in src/store/journal.h: every row is an
+#      enumerator with the same value, and every enumerator has a row.
 # Pure POSIX sh + grep/sed/awk; no network, no build required.
 set -eu
 cd "$(dirname "$0")/.."
@@ -256,6 +259,30 @@ elif [ "$spec_triage" != "$code_triage" ]; then
   fail=1
 fi
 
+# ---- 9. CHECKPOINT_FORMAT.md record types vs enum class RecordType ------
+# Both sides as sorted "<value> <name>" lines: the spec's §2 rows read
+# "| 2 | `kContract` | …"; the enumerators read "  kContract = 2,".
+spec_types=$(awk '/^## 2\. / { in_table = 1; next }
+                  in_table && /^## / { in_table = 0 }
+                  in_table' docs/CHECKPOINT_FORMAT.md |
+  sed -n 's/^| \([0-9][0-9]*\) | `\(k[A-Za-z0-9_]*\)` |.*/\1 \2/p' | sort)
+code_types=$(awk '/^enum class RecordType / { in_enum = 1; next }
+                  in_enum && /^};/ { in_enum = 0 }
+                  in_enum' src/store/journal.h |
+  sed -n 's/^  \(k[A-Za-z0-9_]*\) = \([0-9][0-9]*\),.*/\2 \1/p' | sort)
+if [ -z "$spec_types" ] || [ -z "$code_types" ]; then
+  echo "docs_check: could not read the record types from the §2 table of" \
+    "docs/CHECKPOINT_FORMAT.md or from enum class RecordType in" \
+    "src/store/journal.h" >&2
+  fail=1
+elif [ "$spec_types" != "$code_types" ]; then
+  echo "docs_check: docs/CHECKPOINT_FORMAT.md §2 lists record types" \
+    "'$(printf '%s' "$spec_types" | tr '\n' ',')' but enum class" \
+    "RecordType in src/store/journal.h has" \
+    "'$(printf '%s' "$code_types" | tr '\n' ',')'" >&2
+  fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
   echo "docs_check: all markdown links resolve;" \
     "all $(echo "$knobs" | wc -l | tr -d ' ') documented pipeline knobs and" \
@@ -267,8 +294,8 @@ if [ "$fail" -eq 0 ]; then
     "$(echo "$endpoints" | wc -l | tr -d ' ') endpoints and" \
     "$(echo "$service_knobs" | wc -l | tr -d ' ') service knobs wired;" \
     "$(echo "$api_fields" | wc -l | tr -d ' ') /v1 fields in sync;" \
-    "journal version $code_version and" \
-    "$(echo "$code_triage" | wc -l | tr -d ' ') StaticTriage values in spec" \
-    "and code"
+    "journal version $code_version," \
+    "$(echo "$code_triage" | wc -l | tr -d ' ') StaticTriage values and" \
+    "$(echo "$code_types" | wc -l | tr -d ' ') record types in spec and code"
 fi
 exit "$fail"
